@@ -28,8 +28,15 @@
 //! Memory: all slots of all variants share one byte budget
 //! ([`BUDGET_ENV`], default 64 MiB), estimated via [`cover::MemSize`] and
 //! enforced by least-recently-used eviction over `(fingerprint, variant)`
-//! keys at session-open time. Opening a session touches its key; slot
-//! checkouts mark the key dirty so the next sweep re-measures it.
+//! keys at session-open time. Each variant carries the tick of its last
+//! touch, and the LRU is a map from tick to key: opening a session moves
+//! its key to a fresh tick (one removal, one insertion), and eviction
+//! pops the smallest tick. Slot checkouts mark the key dirty so the next
+//! sweep re-measures it; the registry keeps a running byte total, adjusted
+//! by each re-measurement's difference and by each eviction, so neither
+//! the sweep nor the occupancy gauges walk the resident variants. A call
+//! costs `O(log n)` in the number of resident variants, plus the dirty
+//! re-measurements.
 //!
 //! Determinism: widths and witnesses are unaffected by reuse (prices and
 //! results are exact values, and witnesses are revalidated by the test
@@ -44,7 +51,7 @@ use cover::{Claim, MemSize, ShardedCache};
 use hypergraph::fx::FxHasher;
 use hypergraph::Hypergraph;
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -64,24 +71,30 @@ struct SlotEntry {
 }
 
 /// One canonical form behind a fingerprint: the exact incidence structure
-/// (collision guard), its slot map, and the byte estimate as of the last
-/// sweep (stale while the variant is in the dirty set).
+/// (collision guard), its slot map, the byte estimate as of the last
+/// sweep (stale while the variant is in the dirty set), and the tick of
+/// its last touch (its key in [`Registry::lru`]).
 struct Variant {
     sec: u64,
     canon: CanonicalForm,
     num_vertices: usize,
     slots: HashMap<&'static str, SlotEntry>,
     bytes: usize,
+    tick: u64,
 }
 
 /// The interior state: variants by fingerprint, the LRU order over
-/// `(fingerprint, secondary)` keys (least recent first), and the keys
-/// whose byte estimate went stale since the last sweep.
+/// `(fingerprint, secondary)` keys by last-touch tick (least recent
+/// first), the next tick to hand out, the keys whose byte estimate went
+/// stale since the last sweep, and the running sum of every resident
+/// variant's `bytes`.
 #[derive(Default)]
 struct Registry {
     entries: HashMap<u128, Vec<Variant>>,
-    order: Vec<(u128, u64)>,
+    lru: BTreeMap<u64, (u128, u64)>,
+    next_tick: u64,
     dirty: HashSet<(u128, u64)>,
+    total_bytes: usize,
 }
 
 /// The process-lifetime registry. Obtain the shared one through
@@ -136,10 +149,15 @@ impl GlobalPriceCache {
         let canon = canonical_form(h);
         let fp = fingerprint_of_canon(h.num_vertices(), &canon);
         let sec = secondary_hash(h.num_vertices(), &canon);
-        let mut reg = self.inner.lock().expect("price registry poisoned");
+        let mut guard = self.inner.lock().expect("price registry poisoned");
+        let reg = &mut *guard;
+        let tick = reg.next_tick;
         let variants = reg.entries.entry(fp.0).or_default();
-        match variants.iter().find(|v| v.sec == sec) {
-            Some(v) if v.canon == canon && v.num_vertices == h.num_vertices() => {}
+        match variants.iter_mut().find(|v| v.sec == sec) {
+            Some(v) if v.canon == canon && v.num_vertices == h.num_vertices() => {
+                reg.lru.remove(&v.tick);
+                v.tick = tick;
+            }
             // Double collision (fingerprint and secondary hash): never
             // share. Unlike the old single-hash fallback this is per
             // *structure*, not per call — merely fingerprint-colliding
@@ -151,44 +169,41 @@ impl GlobalPriceCache {
                 num_vertices: h.num_vertices(),
                 slots: HashMap::new(),
                 bytes: 0,
+                tick,
             }),
         }
         let key = (fp.0, sec);
-        if let Some(pos) = reg.order.iter().position(|&k| k == key) {
-            reg.order.remove(pos);
-        }
-        reg.order.push(key);
-        self.sweep(&mut reg, key);
+        reg.next_tick += 1;
+        reg.lru.insert(tick, key);
+        self.sweep(reg, key);
         PriceSession {
             registry: Some((self, fp, sec)),
         }
     }
 
-    /// Re-measures dirty variants, then evicts from the LRU front while
-    /// the total estimate exceeds the budget (skipping `just_opened`).
+    /// Re-measures dirty variants (folding each difference into the
+    /// running total), then evicts from the LRU front while the total
+    /// exceeds the budget. `just_opened` holds the newest tick, so it is
+    /// the front only once every other variant is gone — and it stays.
     fn sweep(&self, reg: &mut Registry, just_opened: (u128, u64)) {
         for key in std::mem::take(&mut reg.dirty) {
             if let Some(v) = variant_mut(&mut reg.entries, key) {
-                v.bytes = v.slots.values().map(|s| (s.sizer)()).sum();
+                let bytes = v.slots.values().map(|s| (s.sizer)()).sum();
+                reg.total_bytes = reg.total_bytes - v.bytes + bytes;
+                v.bytes = bytes;
             }
         }
-        let mut total: usize = reg
-            .order
-            .iter()
-            .filter_map(|&k| variant_ref(&reg.entries, k).map(|v| v.bytes))
-            .sum();
-        let mut i = 0;
-        while total > self.budget && i < reg.order.len() {
-            let key = reg.order[i];
-            if key == just_opened {
-                i += 1;
-                continue;
+        while reg.total_bytes > self.budget {
+            let Some(front) = reg.lru.first_entry() else {
+                break;
+            };
+            if *front.get() == just_opened {
+                break;
             }
-            reg.order.remove(i);
+            let key = front.remove();
             if let Some(variants) = reg.entries.get_mut(&key.0) {
                 if let Some(pos) = variants.iter().position(|v| v.sec == key.1) {
-                    total -= variants[pos].bytes;
-                    variants.remove(pos);
+                    reg.total_bytes -= variants.swap_remove(pos).bytes;
                 }
                 if variants.is_empty() {
                     reg.entries.remove(&key.0);
@@ -228,13 +243,15 @@ impl GlobalPriceCache {
         Some(cache)
     }
 
-    /// Registered variants, in LRU order length (diagnostics).
+    /// `(approx_bytes, len)` read under one lock.
+    fn occupancy(&self) -> (usize, usize) {
+        let reg = self.inner.lock().expect("price registry poisoned");
+        (reg.total_bytes, reg.lru.len())
+    }
+
+    /// Registered variants (diagnostics).
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("price registry poisoned")
-            .order
-            .len()
+        self.occupancy().1
     }
 
     /// True when nothing is registered yet.
@@ -245,16 +262,8 @@ impl GlobalPriceCache {
     /// The byte estimate as of the last sweep (diagnostics; dirty variants
     /// report their stale measurement).
     pub fn approx_bytes(&self) -> usize {
-        let reg = self.inner.lock().expect("price registry poisoned");
-        reg.order
-            .iter()
-            .filter_map(|&k| variant_ref(&reg.entries, k).map(|v| v.bytes))
-            .sum()
+        self.occupancy().0
     }
-}
-
-fn variant_ref(entries: &HashMap<u128, Vec<Variant>>, key: (u128, u64)) -> Option<&Variant> {
-    entries.get(&key.0)?.iter().find(|v| v.sec == key.1)
 }
 
 fn variant_mut(
@@ -277,9 +286,10 @@ impl PriceSession {
         PriceSession { registry: None }
     }
 
-    /// True when backed by a process-lifetime registry.
-    pub fn is_shared(&self) -> bool {
-        self.registry.is_some()
+    /// The instance fingerprint when backed by a process-lifetime
+    /// registry; `None` for private caches.
+    pub fn fingerprint(&self) -> Option<Fingerprint> {
+        self.registry.map(|(_, fp, _)| fp)
     }
 
     /// The cache for `slot`, shared across calls when the session is
@@ -388,9 +398,9 @@ where
         return run();
     }
     let session = global().session(h);
-    if !session.is_shared() {
+    let Some(fp) = session.fingerprint() else {
         return run();
-    }
+    };
     let span = obs::span!("result_cache", slot = slot);
     let cache: Arc<ShardedCache<String, (R, SearchStats)>> = session.cache(slot);
     // Anytime-bounds plumbing (only when an ambient control is
@@ -399,9 +409,9 @@ where
     // best-so-far bounds replay immediately and future reports stream in
     // while we wait.
     let ambient = crate::anytime::current_sink();
-    let fp = ambient
-        .as_ref()
-        .map(|sink| inflight_bounds::attach_waiter(h, slot, &key, sink));
+    if let Some(sink) = ambient.as_ref() {
+        inflight_bounds::attach_waiter(fp, slot, &key, sink);
+    }
     let (claim, waited) = cache.claim_tracking_wait(&key);
     let answer = match claim {
         Claim::Hit((result, mut stats)) => {
@@ -430,9 +440,9 @@ where
             // other observer of the same (instance, slot, key)) can
             // watch the bounds tighten; deregistered on drop, unwind
             // included.
-            let _published = ambient.as_ref().map(|sink| {
-                inflight_bounds::publish(fp.expect("fp with ambient"), slot, &key, sink)
-            });
+            let _published = ambient
+                .as_ref()
+                .map(|sink| inflight_bounds::publish(fp, slot, &key, sink));
             let (result, stats) = run();
             guard.disarm();
             cache.complete(key, (result.clone(), stats.clone()));
@@ -440,12 +450,10 @@ where
         }
     };
     // Occupancy gauges follow every routed query (byte accounting is the
-    // registry's LRU estimate — the same number its sweep budgets by).
-    let reg = global();
-    cache_metrics::handles()
-        .bytes
-        .set(reg.approx_bytes() as i64);
-    cache_metrics::handles().variants.set(reg.len() as i64);
+    // registry's running total — the same number its sweep budgets by).
+    let (bytes, variants) = global().occupancy();
+    cache_metrics::handles().bytes.set(bytes as i64);
+    cache_metrics::handles().variants.set(variants as i64);
     answer
 }
 
@@ -506,17 +514,9 @@ mod inflight_bounds {
         REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
     }
 
-    /// If `(h, slot, key)` is in flight, attach `sink` as a listener of
+    /// If `(fp, slot, key)` is in flight, attach `sink` as a listener of
     /// the owner's sink (replays best-so-far, then streams improvements).
-    /// Returns the fingerprint so the caller can reuse it for
-    /// [`publish`].
-    pub(super) fn attach_waiter(
-        h: &Hypergraph,
-        slot: &'static str,
-        key: &str,
-        sink: &BoundSink,
-    ) -> Fingerprint {
-        let fp = crate::fingerprint(h);
+    pub(super) fn attach_waiter(fp: Fingerprint, slot: &'static str, key: &str, sink: &BoundSink) {
         let owner = registry()
             .lock()
             .expect("in-flight bound registry poisoned")
@@ -525,7 +525,6 @@ mod inflight_bounds {
         if let Some(owner) = owner {
             owner.attach(sink.clone());
         }
-        fp
     }
 
     /// Publishes `sink` as the in-flight owner of `(fp, slot, key)`;
@@ -605,7 +604,7 @@ mod tests {
     fn repeated_sessions_share_and_warm() {
         let h = generators::cycle(4);
         let s1 = global().session(&h);
-        assert!(s1.is_shared());
+        assert!(s1.fingerprint().is_some());
         let c1 = s1.cache::<u32, u32>("test-slot-a");
         c1.complete(7, 9);
         let s2 = global().session(&h);
@@ -640,9 +639,9 @@ mod tests {
         // Touch h1 so h2 is the LRU victim, then open h3: the sweep must
         // evict h2 (and possibly h1), never the just-opened h3.
         let s1 = reg.session(&h1);
-        assert!(s1.is_shared());
+        assert!(s1.fingerprint().is_some());
         let s3 = reg.session(&h3);
-        assert!(s3.is_shared());
+        assert!(s3.fingerprint().is_some());
         let survivors = reg.len();
         assert!(survivors <= 2, "budget forces eviction, kept {survivors}");
         // h2 was evicted: a new session starts from an empty slot.
@@ -658,8 +657,118 @@ mod tests {
         // Reopening under a zero budget keeps the reopened variant alive
         // for this session even though it exceeds the budget.
         let s = reg.session(&h);
-        assert!(s.is_shared());
+        assert!(s.fingerprint().is_some());
         assert_eq!(s.cache::<u32, u32>("t").get(&1), Some(1));
+    }
+
+    /// Thousands of distinct variants under a small budget, with
+    /// re-touches and slot checkouts interleaved. After every session the
+    /// residents must be exactly what a plain least-recently-used list
+    /// keeps (re-summing every size on every sweep, the slow way), the
+    /// just-opened variant must be resident, and the running byte total
+    /// must equal a fresh re-sum of every resident variant's sizers.
+    #[test]
+    fn tick_lru_and_running_total_match_a_full_resum_model() {
+        const BUDGET: usize = 12_000;
+        const STEPS: usize = 4_000;
+        let reg = private(BUDGET);
+        let instance = |id: usize| {
+            let (a, b) = (id % 50, id / 50);
+            Hypergraph::from_edges(60 + b, vec![vec![0, 1 + a], vec![1 + a, 59 + b]])
+        };
+        let keys: Vec<(u128, u64)> = (0..STEPS)
+            .map(|id| {
+                let h = instance(id);
+                let canon = canonical_form(&h);
+                let n = h.num_vertices();
+                (fingerprint_of_canon(n, &canon).0, secondary_hash(n, &canon))
+            })
+            .collect();
+        assert_eq!(keys.iter().collect::<HashSet<_>>().len(), STEPS);
+
+        // The model: ids least recent first, the caches each resident id
+        // checked out, each id's size as of the last sweep that found it
+        // dirty, and the ids checked out since the last sweep.
+        let mut order: Vec<usize> = Vec::new();
+        let mut caches: HashMap<usize, Vec<Arc<ShardedCache<u32, u32>>>> = HashMap::new();
+        let mut sizes: HashMap<usize, usize> = HashMap::new();
+        let mut dirty: HashSet<usize> = HashSet::new();
+        let (mut next_new, mut evictions) = (0, 0);
+        let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
+        for step in 0..STEPS {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = (rng >> 33) as usize;
+            // Two thirds new instances; one third re-touches one of the
+            // 40 newest (resident or already evicted).
+            let id = if r.is_multiple_of(3) && next_new > 0 {
+                next_new - 1 - (r / 3) % next_new.min(40)
+            } else {
+                next_new += 1;
+                next_new - 1
+            };
+            let session = reg.session(&instance(id));
+            assert!(session.fingerprint().is_some());
+
+            order.retain(|&o| o != id);
+            order.push(id);
+            for d in dirty.drain() {
+                if let Some(cs) = caches.get(&d) {
+                    sizes.insert(d, cs.iter().map(|c| c.approx_bytes()).sum());
+                }
+            }
+            let mut total: usize = order.iter().filter_map(|o| sizes.get(o)).sum();
+            let mut i = 0;
+            while total > BUDGET && i < order.len() {
+                if order[i] == id {
+                    i += 1;
+                    continue;
+                }
+                let gone = order.remove(i);
+                total -= sizes.remove(&gone).unwrap_or(0);
+                caches.remove(&gone);
+                evictions += 1;
+            }
+            assert!(total <= BUDGET || order == [id], "step {step}: over budget");
+
+            {
+                let inner = reg.inner.lock().expect("registry");
+                let resident: Vec<(u128, u64)> = inner.lru.values().copied().collect();
+                let expected: Vec<(u128, u64)> = order.iter().map(|&o| keys[o]).collect();
+                assert_eq!(resident, expected, "step {step}: residents differ");
+                assert_eq!(resident.last(), Some(&keys[id]), "just-opened evicted");
+                let resum: usize = inner
+                    .entries
+                    .values()
+                    .flatten()
+                    .flat_map(|v| v.slots.values().map(|s| (s.sizer)()))
+                    .sum();
+                assert_eq!(inner.total_bytes, resum, "step {step}: running total");
+            }
+            assert_eq!(reg.approx_bytes(), total, "step {step}");
+            assert_eq!(reg.len(), order.len(), "step {step}");
+
+            // Four sessions in five check out a slot and price a few bags.
+            if !r.is_multiple_of(5) {
+                let slot = if r.is_multiple_of(2) {
+                    "lru-a"
+                } else {
+                    "lru-b"
+                };
+                let cache = session.cache::<u32, u32>(slot);
+                for k in 0..(r % 7) as u32 {
+                    cache.get_or_insert_with(&k, || k);
+                }
+                dirty.insert(id);
+                let held = caches.entry(id).or_default();
+                if !held.iter().any(|c| Arc::ptr_eq(c, &cache)) {
+                    held.push(cache);
+                }
+            }
+        }
+        assert!(next_new > 2_000, "only {next_new} distinct variants");
+        assert!(evictions > next_new / 2, "budget never bound: {evictions}");
     }
 
     #[test]

@@ -298,14 +298,19 @@ enum Interrupted {
 }
 
 /// Runs `f` under the request's cancellation control, converting an
-/// interrupt unwind into a typed reason.
+/// interrupt unwind into a typed reason. `deadline` is absolute (the
+/// request's arrival plus its budget), so time spent queued counts; a
+/// request whose deadline already passed never runs `f`.
 fn run_guarded<R>(
     shared: &Shared,
-    deadline: Option<Duration>,
+    deadline: Option<Instant>,
     f: impl FnOnce() -> R,
 ) -> Result<R, Interrupted> {
-    let token = shared.root.child_with_deadline(deadline);
-    let started = Instant::now();
+    let remaining = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+    if remaining.is_some_and(|left| left.is_zero()) {
+        return Err(Interrupted::Deadline);
+    }
+    let token = shared.root.child_with_deadline(remaining);
     let ctl = RunCtl {
         cancel: token,
         sink: Default::default(),
@@ -315,7 +320,7 @@ fn run_guarded<R>(
         Err(payload) => {
             if interrupt::is_interrupt(payload.as_ref()) {
                 match deadline {
-                    Some(d) if started.elapsed() >= d => Err(Interrupted::Deadline),
+                    Some(at) if Instant::now() >= at => Err(Interrupted::Deadline),
                     _ => Err(Interrupted::Cancelled),
                 }
             } else {
@@ -387,8 +392,8 @@ pub(crate) fn handle(shared: &Shared, req: &Request) -> (Response, bool) {
 }
 
 /// `/solve` and `/solve/batch`: parse, queue at the admission gate,
-/// arm tracing for sampled requests, solve under the deadline token,
-/// assemble JSON.
+/// arm tracing for sampled requests, solve under the deadline token
+/// (counted from arrival, queueing included), assemble JSON.
 fn solve_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
     let endpoint = if batch {
         Endpoint::SolveBatch
@@ -497,7 +502,7 @@ fn solve_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
             portfolio = params.portfolio,
             instances = instances.len()
         );
-        run_guarded(shared, params.deadline, || {
+        run_guarded(shared, params.deadline.map(|d| started + d), || {
             if batch {
                 let hs: Vec<Hypergraph> = instances.iter().map(|(_, h)| h.clone()).collect();
                 solver::solve_batch(&hs, |_, h| {

@@ -184,6 +184,44 @@ fn serve_end_to_end() {
     assert!(reply.starts_with("HTTP/1.1 413"), "{reply}");
     drop(big);
 
+    // Deadlines count from arrival: a request queued behind a slow
+    // solve until its budget is gone answers 504 without solving. The
+    // slow solve (hw of clique(9), seconds of search) is cut by its own
+    // deadline; the queued one is sent once the slow one holds the gate.
+    let admitted = |stream: &mut TcpStream| {
+        let (_, text) = http_call(stream, "GET", "/metrics", None).expect("metrics");
+        metric_value(&text, "hgtool_serve_admission_wait_seconds_count")
+            .expect("admission histogram rendered")
+    };
+    let before = admitted(&mut main_stream);
+    let slow_text = hypertree::hypergraph::generators::clique(9).to_string();
+    let slow = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            let body = format!(
+                "{{\"hypergraph\":{},\"measure\":\"hw\",\"deadline_ms\":1000}}",
+                serve::http::json_escape(&slow_text)
+            );
+            http_call(&mut stream, "POST", "/solve", Some(&body)).expect("slow call")
+        })
+    };
+    let gate_deadline = Instant::now() + Duration::from_secs(30);
+    while admitted(&mut main_stream) <= before {
+        assert!(Instant::now() < gate_deadline, "slow solve never admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (status, resp) = http_call(
+        &mut main_stream,
+        "POST",
+        "/solve",
+        Some("{\"hypergraph\":\"e1(a,b), e2(b,c)\",\"deadline_ms\":20}"),
+    )
+    .expect("queued call");
+    assert_eq!(status, 504, "queued past its deadline: {resp}");
+    let (status, resp) = slow.join().expect("slow client");
+    assert_eq!(status, 504, "slow solve cut by its deadline: {resp}");
+
     // Drain over HTTP, then finish the graceful shutdown in-process and
     // check the gauges came back to rest.
     let (status, resp) =
