@@ -1,16 +1,16 @@
 //! Records a performance baseline of the exact width engines on the
 //! generator corpus and writes it as JSON (default: `BENCH_baseline.json`
 //! in the current directory) for future perf-trajectory comparisons. Each
-//! instance also records the fhw engine's counters (states, memo hits,
-//! streamed/admitted candidates, LP price-cache hits), the preprocessing
-//! pipeline's reduction counts (vertices/edges removed, block count) and
-//! the cross-call price-cache reuse of a repeated fhw search — so the
-//! baseline tracks candidate-generation *and* reduction discipline
-//! alongside wall-clock.
+//! instance also records each minimizer's counters (engine states, memo
+//! hits, streamed/admitted candidates, price-cache hits, LP work), the
+//! preprocessing pipeline's reduction counts (vertices/edges removed,
+//! block count) and the cross-call price-cache reuse of a repeated ghw
+//! search — so the baseline tracks candidate-generation *and* reduction
+//! discipline alongside wall-clock.
 //!
 //! Timed runs use fresh per-search price caches (`reuse_prices: false`),
 //! so the timings measure cold searches; the cross-call column then
-//! repeats the fhw search twice through the fingerprint-keyed registry
+//! repeats the ghw search twice through the fingerprint-keyed registry
 //! and records how many of the second run's lookups came back warm.
 //!
 //! ```sh
@@ -127,12 +127,12 @@ fn main() {
             let (r, stats) = ghd::ghw_exact_with_stats(h, None, cold);
             (r.map(|(k, _)| k), stats)
         });
-        match ghw {
+        match &ghw {
             (Some(k), stats) => {
                 let _ = write!(body, ", \"ghw\": {k}, \"ghw_us\": {t_ghw}");
                 // v3: ghw runs on the candgen edge-union engine, so its
                 // candidate-generation discipline is tracked like fhw's.
-                let _ = write!(body, ", \"ghw_stats\": {}", stats_json(&stats));
+                let _ = write!(body, ", \"ghw_stats\": {}", stats_json(stats));
             }
             (None, _) => body.push_str(", \"ghw\": null"),
         }
@@ -140,38 +140,27 @@ fn main() {
             let (r, stats) = fhd::fhw_exact_with_stats(h, None, cold);
             (r.map(|(k, _)| k), stats)
         });
-        let fhw_in_range = match fhw {
-            (Some(k), ref stats) => {
+        match fhw {
+            (Some(k), stats) => {
                 let _ = write!(body, ", \"fhw\": \"{k}\", \"fhw_us\": {t_fhw}");
-                let _ = write!(body, ", \"fhw_stats\": {}", stats_json(stats));
-                true
+                let _ = write!(body, ", \"fhw_stats\": {}", stats_json(&stats));
             }
-            (None, _) => {
-                body.push_str(", \"fhw\": null");
-                false
-            }
-        };
+            (None, _) => body.push_str(", \"fhw\": null"),
+        }
         // Reduction + cross-call columns on every row: the prep counters
-        // of the cold run, plus a warmed repeat through the
-        // fingerprint-keyed registry. Rows beyond the fhw engines (the
-        // large-corpus instances the v3 schema was added to track) fall
-        // back to the ghw search, which runs the same pipeline. Result
-        // reuse stays off here — a result-cache hit would skip the rerun's
+        // of the cold ghw run, plus a warmed repeat through the
+        // fingerprint-keyed registry (ghw prices through it; fhw's
+        // elimination DP prices through its own LP context). Result reuse
+        // stays off here — a result-cache hit would skip the rerun's
         // pricing entirely and void the warm-lookup column (the result
         // cache gets its own `batch` block below).
         let warm = solver::EngineOptions {
             reuse_results: false,
             ..Default::default()
         };
-        let (prep_stats, rerun) = if fhw_in_range {
-            let _ = fhd::fhw_exact_with_stats(h, None, warm);
-            let (_, rerun) = fhd::fhw_exact_with_stats(h, None, warm);
-            (fhw.1, rerun)
-        } else {
-            let _ = ghd::ghw_exact_with_stats(h, None, warm);
-            let (_, rerun) = ghd::ghw_exact_with_stats(h, None, warm);
-            (ghd::ghw_exact_with_stats(h, None, cold).1, rerun)
-        };
+        let _ = ghd::ghw_exact_with_stats(h, None, warm);
+        let (_, rerun) = ghd::ghw_exact_with_stats(h, None, warm);
+        let prep_stats = ghw.1;
         let _ = write!(
             body,
             ", \"prep\": {{\"vertices_removed\": {}, \"edges_removed\": {}, \

@@ -55,9 +55,9 @@ pub struct EdgeUnionConfig {
     /// usefully out-enumerate the region's own subset space — and a state
     /// whose [`stream_size_bound`] reaches it skips the edge-union stream
     /// entirely (tallied by `Counters::cap_hits`). Only for callers with a
-    /// completing fallback stream (the `fhw` subset tail); `None` (the
-    /// default) streams unconditionally, which the tail-less `ghw` path
-    /// needs for completeness.
+    /// completing fallback stream (no production caller has one); `None`
+    /// (the default) streams unconditionally, which the tail-less `ghw`
+    /// path needs for completeness.
     pub per_state_cap: Option<u64>,
 }
 
@@ -87,11 +87,10 @@ impl EdgeUnionConfig {
     }
 }
 
-/// The default feasibility cap for [`stream_size_bound`]: strategy
-/// wrappers take the edge-union path only while the per-state enumeration
-/// stays below this many unions. One shared constant so the `ghw` and
-/// `fhw` engines' feasibility gates cannot silently diverge (the ROADMAP
-/// names adaptive tuning of this value as follow-up work).
+/// The default feasibility cap for [`stream_size_bound`]: the `ghw`
+/// strategy wrapper takes the edge-union path only while the per-state
+/// enumeration stays below this many unions (the ROADMAP names adaptive
+/// tuning of this value as follow-up work).
 pub const DEFAULT_STREAM_CAP: u64 = 50_000;
 
 /// Number of non-empty subsets of a `pool`-element set with at most

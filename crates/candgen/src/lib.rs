@@ -16,9 +16,9 @@
 //! The crate sits below `solver` (beside `prep`): it produces plain
 //! iterators and decompositions; the strategy crates wrap them into the
 //! engine's `CandidateStream`s. The old subset enumerator survives in
-//! `solver::stream_subset_bags` as the `fhw` completeness tail and the
-//! small-instance cross-check oracle. See `src/README.md` for the
-//! enumeration order, the balancedness argument and the oracle contract.
+//! `solver::stream_subset_bags` as the small-instance cross-check oracle.
+//! See `src/README.md` for the enumeration order, the balancedness
+//! argument and the oracle contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -98,20 +98,24 @@ pub fn analyze_structure(h: &Hypergraph, vc_limit: usize) -> StructureReport {
 pub struct ExactWidths {
     /// Hypertree width (`det-k-decomp` on the shared search engine).
     pub hw: usize,
-    /// Generalized hypertree width (shared-engine subset search with `rho`).
+    /// Generalized hypertree width (shared-engine edge-union search with
+    /// `rho`).
     pub ghw: usize,
-    /// Fractional hypertree width (shared-engine subset search with
+    /// Fractional hypertree width (seeded elimination-order DP with
     /// `rho*`), exact rational.
     pub fhw: Rational,
 }
 
 /// Computes `hw`, `ghw` and `fhw` exactly; `None` when the instance exceeds
-/// the exponential baselines' size limits or `hw > max_hw`.
+/// the exact engines' size limits or `hw > max_hw`.
 ///
-/// All three engines run on the shared `(component, connector)` search in
-/// the [`solver`] crate — `det-k-decomp`, the `rho`-priced and the
-/// `rho*`-priced subset strategies are thin [`solver::WidthSolver`]
-/// implementations over one memoized recursion.
+/// The widths are computed bottom-up along the hierarchy
+/// `fhw <= ghw <= hw`, each exact answer a proven lower bound (a *floor*)
+/// for the next search: `fhw` first (the seeded elimination DP), then
+/// `ghw` with floor `⌈fhw⌉` ([`ghd::ghw_exact_at_least`]), then `hw` with
+/// floor `ghw` ([`hd::hypertree_width_at_least`], which starts
+/// `det-k-decomp` at `k = ghw`). The widths equal the per-measure entry
+/// points'.
 pub fn exact_widths(h: &Hypergraph, max_hw: usize) -> Option<ExactWidths> {
     exact_widths_with_stats(h, max_hw).map(|(w, _)| w)
 }
@@ -119,37 +123,43 @@ pub fn exact_widths(h: &Hypergraph, max_hw: usize) -> Option<ExactWidths> {
 /// Per-engine counters of one [`exact_widths_with_stats`] run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WidthStats {
-    /// `det-k-decomp` counters, summed over the `k = 1..` checks.
+    /// `det-k-decomp` counters, summed over the checks that ran (from
+    /// `k = ghw` up).
     pub hw: solver::SearchStats,
-    /// Exact-`ghw` subset-search counters.
+    /// Exact-`ghw` edge-union search counters.
     pub ghw: solver::SearchStats,
-    /// Exact-`fhw` subset-search counters.
+    /// Exact-`fhw` counters (the heuristic seed and the DP's LP work).
     pub fhw: solver::SearchStats,
 }
 
-/// As [`exact_widths`], also reporting the engine and price-cache counters
-/// of each of the three searches (surfaced by `hgtool widths --stats` and
-/// recorded by the `baseline` bin). All three engines run with the default
-/// scheduling ([`solver::default_thread_count`], honoring `HGTOOL_THREADS`);
-/// the counters are identical at every thread count.
+/// As [`exact_widths`], also reporting the counters of each of the three
+/// searches (surfaced by the `baseline` bin). All three run with the
+/// default scheduling ([`solver::default_thread_count`], honoring
+/// `HGTOOL_THREADS`); the counters are identical at every thread count.
 pub fn exact_widths_with_stats(h: &Hypergraph, max_hw: usize) -> Option<(ExactWidths, WidthStats)> {
     exact_widths_with_opts(h, max_hw, solver::EngineOptions::default())
 }
 
 /// As [`exact_widths_with_stats`] with explicit [`solver::EngineOptions`]
-/// — the hook for `hgtool widths --no-prep` and for callers that want
-/// fresh per-search price caches (`reuse_prices: false`).
+/// — the hook for callers that want fresh per-search price caches
+/// (`reuse_prices: false`) or no preprocessing. Returns `None` as soon as
+/// one width is out of range or `ghw > max_hw`, without running the
+/// searches above it.
 pub fn exact_widths_with_opts(
     h: &Hypergraph,
     max_hw: usize,
     opts: solver::EngineOptions,
 ) -> Option<(ExactWidths, WidthStats)> {
-    let (hw, hw_stats) = hd::hypertree_width_with_stats(h, max_hw, opts);
-    let (hw, _) = hw?;
-    let (ghw, ghw_stats) = ghd::ghw_exact_with_stats(h, None, opts);
-    let (ghw, _) = ghw?;
     let (fhw, fhw_stats) = fhd::fhw_exact_with_stats(h, None, opts);
     let (fhw, _) = fhw?;
+    let fhw_ceil = fhw.ceil().to_i64().map_or(1, |c| c.max(1) as usize);
+    let (ghw, ghw_stats) = ghd::ghw_exact_at_least(h, fhw_ceil, opts);
+    let (ghw, _) = ghw?;
+    if ghw > max_hw {
+        return None;
+    }
+    let (hw, hw_stats) = hd::hypertree_width_at_least(h, ghw, max_hw, opts);
+    let (hw, _) = hw?;
     Some((
         ExactWidths { hw, ghw, fhw },
         WidthStats {

@@ -6,8 +6,8 @@
 //! concurrent identical runs dedup through the result cache (note the
 //! `;backend=` slot in the cache keys).
 //!
-//! `fhw` mirrors the `ghw` quartet: `engine` (hybrid prefix + subset
-//! tail, DP fallback), `elim` (elimination DP alone, ≤ 24 vertices),
+//! `fhw` mirrors the `ghw` quartet: `engine` (the default path: the
+//! elimination DP under the seeded cutoff), `elim` (the unseeded DP),
 //! `oracle` (subset enumeration, small instances), `seed-refine`
 //! (witnessed heuristic bound first, exact tail dedup'd onto `engine`).
 //!

@@ -1,21 +1,17 @@
-//! Exact `fhw` baseline, expressed as a minimizing strategy over the shared
-//! [`solver`] engine, with candidate bags priced by the fractional edge
-//! cover number `rho*(B)` (computed by exact LP). Widths are exact
-//! rationals — e.g. `fhw(C3) = 3/2` comes out as the literal fraction.
+//! Exact `fhw` baseline over exact rationals, with bags priced by the
+//! fractional edge cover number `rho*(B)` (computed by exact LP) — e.g.
+//! `fhw(C3) = 3/2` comes out as the literal fraction.
 //!
-//! Candidate generation is hybrid: the `candgen` edge-union stream runs
-//! first (component-restricted unions of at most `⌈ub⌉` edges — the bags
-//! of bag-maximal GHD normal form, which are usually where cheap
-//! fractional covers live), then the subset stream completes the space.
-//! Unlike the integral case, *fractional* covers do not normalize to
-//! unions of few edges (a bag's `B(γ)` can be a strict subset of
-//! `⋃ supp(γ)`), so the subset tail is what keeps the search exact — the
-//! edge-union prefix only front-loads good candidates so the
-//! witness-backed heuristic bound `ub` and the engine's pre-pricing gates
-//! prune the tail hard. A search failing at the seeded cutoff *is* the
-//! exact answer `ub`. Pieces beyond the subset range fall back to the
-//! elimination DP (its cutoff also seeded by `ub`), and the subset-only
-//! path survives as [`fhw_exact_subset_oracle`].
+//! Every preprocessed piece of at most
+//! [`ghd::elimination::MAX_EXACT_VERTICES`] vertices is answered by the
+//! elimination-order DP, seeded: the witness-backed *integral* heuristic
+//! upper bound `ub` (`fhw <= ghw`, and integral weights are a valid
+//! fractional cover) sets the DP's cutoff, so the DP only has to look for
+//! an order strictly below `ub`. A DP that finds none *is* the exact
+//! answer `ub`, certified by the heuristic witness. One warm LP context
+//! prices the DP's bags in its deterministic order. Larger pieces answer
+//! `None`. The shared-engine subset search survives as
+//! [`fhw_exact_subset_oracle`], the independent cross-check.
 
 use arith::Rational;
 use cover::{PricingContext, PricingPool, RhoStarCache};
@@ -27,42 +23,27 @@ use solver::{
 };
 use std::sync::Arc;
 
-/// Edge-union feasibility cap for the hybrid prefix (shared with the
-/// `ghw` engine through `candgen`): when the per-state enumeration would
-/// exceed this many unions the prefix is skipped (the subset tail alone
-/// is the old, still-exact behavior).
-const CANDGEN_STREAM_CAP: u64 = candgen::DEFAULT_STREAM_CAP;
-
-/// Minimum piece size for the candgen apparatus (heuristic seed and
-/// edge-union prefix): below this the subset space is at most `2^8` bags
-/// and the plain engine beats any seeding or reordering overhead.
-const PREFIX_MIN_VERTICES: usize = 9;
-
 /// Computes `fhw(H)` exactly together with an optimal FHD.
 ///
-/// Pieces up to [`solver::MAX_SUBSET_SEARCH_VERTICES`] vertices run on
-/// the shared-engine hybrid search; between that and
-/// [`ghd::elimination::MAX_EXACT_VERTICES`] vertices the elimination-order
-/// DP answers (seeded with the heuristic upper bound). Returns `None` when
-/// a piece is larger still, `H` has isolated vertices, or `cutoff` is
-/// given and `fhw(H) >= cutoff`.
+/// Pieces up to [`ghd::elimination::MAX_EXACT_VERTICES`] vertices are
+/// answered by the elimination-order DP, seeded with the heuristic upper
+/// bound. Returns `None` when a piece is larger, `H` has isolated
+/// vertices, or `cutoff` is given and `fhw(H) >= cutoff`.
 pub fn fhw_exact(h: &Hypergraph, cutoff: Option<Rational>) -> Option<(Rational, Decomposition)> {
     fhw_exact_with_stats(h, cutoff, EngineOptions::default()).0
 }
 
-/// As [`fhw_exact`], also reporting engine, LP price-cache and
-/// candidate-generation counters (engine counters are zero when the
-/// elimination-DP fallback answered). `opts` pins the engine scheduling;
-/// width, witness and stats are identical at every thread count (the
-/// determinism tests compare them).
+/// As [`fhw_exact`], also reporting the heuristic seed (`ub_width`) and
+/// the LP counters of the DP's pricing. The DP is sequential, so width,
+/// witness and stats are identical at every thread count (the
+/// determinism tests compare them); the engine counters stay zero.
 ///
 /// Unless opted out (`opts.prep` / `HGTOOL_NO_PREP`), the instance first
 /// runs through `prep`'s minimizer pipeline: GYO-style simplification plus
-/// biconnected-block splitting, each block solved independently (candidate
-/// generation and the heuristic bound run per block), the width combined
-/// as the maximum and the witness lifted back to `h`. With
-/// `opts.reuse_prices` the `ρ*` LP prices are shared process-wide across
-/// calls keyed by each block's fingerprint.
+/// biconnected-block splitting, each block solved independently (the
+/// heuristic seed and the DP run per block), the width combined as the
+/// maximum and the witness lifted back to `h`. The DP prices bags through
+/// its own warm LP context, not through the cross-call price registry.
 pub fn fhw_exact_with_stats(
     h: &Hypergraph,
     cutoff: Option<Rational>,
@@ -85,7 +66,7 @@ pub fn fhw_exact_with_stats(
     );
     let reuse = opts.reuse_results && !opts.speculate;
     let (result, mut stats) = prep::cached_query(h, "result-fhw", key, reuse, || {
-        prep::run_minimizer(h, opts.prep, |block| fhw_piece(block, cutoff.clone(), opts))
+        prep::run_minimizer(h, opts.prep, |block| fhw_piece(block, cutoff.clone()))
     });
     stats.pool_reuse = usize::from(warm);
     solve_metrics::latency().observe_us(started.elapsed().as_micros() as u64);
@@ -113,12 +94,10 @@ mod solve_metrics {
     }
 }
 
-/// Computes `fhw(H)` via the elimination-order DP alone (no engine
-/// search): every preprocessed block must fit
+/// Computes `fhw(H)` via the elimination-order DP alone, without the
+/// heuristic seed: every preprocessed block must fit
 /// [`ghd::elimination::MAX_EXACT_VERTICES`], else the whole call returns
-/// `None`. This is the portfolio's `elim` backend; on mid-size instances
-/// whose subset space stalls the engine, the DP's `n^2 · 2^n` schedule is
-/// the faster exact path.
+/// `None`. This is the portfolio's `elim` backend.
 pub fn fhw_exact_elimination_with_stats(
     h: &Hypergraph,
     cutoff: Option<Rational>,
@@ -178,9 +157,9 @@ pub fn fhw_upper_bound_with_stats(
     })
 }
 
-/// The subset-bag cross-check oracle: the pre-candgen search proposing
+/// The subset-bag cross-check oracle: the shared-engine search proposing
 /// every bag `conn ⊆ B ⊆ conn ∪ C`, kept as an independent certification
-/// path for the hybrid engine (routine use up to
+/// path for the elimination DP (routine use up to
 /// [`solver::MAX_SUBSET_ORACLE_VERTICES`] vertices; hard-gated at
 /// [`solver::MAX_SUBSET_SEARCH_VERTICES`]). Runs without preprocessing or
 /// heuristic seeding.
@@ -192,12 +171,7 @@ pub fn fhw_exact_subset_oracle(
         return None;
     }
     let session = prep::SessionCache::open(h, "fhw-rho-star", false);
-    let strategy = Arc::new(FhwSearch::new(
-        h,
-        cutoff,
-        Arc::clone(&session.cache),
-        BagMode::Subset,
-    ));
+    let strategy = Arc::new(FhwSearch::new(h, cutoff, Arc::clone(&session.cache)));
     let cx = SearchContext::with_options(EngineOptions::sequential());
     cx.run(h, &strategy)
 }
@@ -217,43 +191,18 @@ fn rho_star_price<'a>(
 }
 
 /// Solves one (already preprocessed) piece: heuristic upper bound first,
-/// then the hybrid engine under the seeded cutoff when the piece fits the
-/// subset range, the elimination DP in the window above it, `None`
-/// beyond.
+/// then the elimination DP under the seeded cutoff when the piece fits its
+/// window, `None` beyond.
 fn fhw_piece(
     h: &Hypergraph,
     cutoff: Option<Rational>,
-    opts: EngineOptions,
 ) -> (Option<(Rational, Decomposition)>, SearchStats) {
-    // Tiny pieces skip the candgen apparatus entirely: with at most
-    // `2^8` subset bags the plain engine is already optimal, and the
-    // heuristic seed (let alone the prefix) cannot pay for its own
-    // computation. This keeps the toy-corpus fhw columns at their
-    // pre-candgen timings exactly.
-    if h.num_vertices() < PREFIX_MIN_VERTICES {
-        let session = prep::SessionCache::open(h, "fhw-rho-star", opts.reuse_prices);
-        let strategy = Arc::new(FhwSearch::new(
-            h,
-            cutoff,
-            Arc::clone(&session.cache),
-            BagMode::Subset,
-        ));
-        let cx = SearchContext::with_options(opts);
-        let result = cx.run(h, &strategy).map(|(w, d)| {
-            debug_assert!(d.width() <= w);
-            (w, d)
-        });
-        let mut stats = cx.stats();
-        (stats.price_hits, stats.price_misses, stats.price_warm_hits) = session.deltas();
-        merge_lp(&mut stats, strategy.pool.stats());
-        return (result, stats);
-    }
     // The seed is the *integral* (`ρ`-priced) heuristic bound: since
     // `fhw <= ghw`, its witness — integral weights are a valid fractional
     // cover — upper-bounds `fhw` too, and branch-and-bound covers cost
     // microseconds where the `ρ*` LPs cost milliseconds (the LP-tight
     // bound is still available separately via [`fhw_upper_bound`]). A
-    // looser seed only delays the gates; exactness never depends on it.
+    // looser seed only prunes the DP less; exactness never depends on it.
     let (ub_int, ub_witness) = candgen::upper_bound(h, |bag| {
         let c =
             cover::integral_cover(h, bag).expect("no isolated vertices, so every bag is coverable");
@@ -266,8 +215,7 @@ fn fhw_piece(
     let ub = Rational::from(ub_int);
     if let Some(sink) = prep::anytime::current_sink() {
         // Anytime channel: the witnessed heuristic bound is this piece's
-        // first upper bound (`fhw <= ghw`, and integral weights are a
-        // valid fractional cover), streamed before the search starts.
+        // first upper bound, streamed before the DP starts.
         sink.report_upper(ub.clone(), Some(&ub_witness));
     }
     let seeded = cutoff.as_ref().is_none_or(|c| ub < *c);
@@ -281,55 +229,8 @@ fn fhw_piece(
         ..SearchStats::default()
     };
     let searched = if eff <= Rational::one() {
-        // Every nonempty bag costs rho* >= 1, so nothing beats eff <= 1:
-        // the trivial search already failed.
+        // Every nonempty bag costs rho* >= 1, so nothing beats eff <= 1.
         Some(None)
-    } else if h.num_vertices() <= solver::MAX_SUBSET_SEARCH_VERTICES {
-        // Edge-union prefix budget: `⌈eff⌉` edges (where integral-cover
-        // normal forms live); completeness comes from the subset tail, so
-        // the prefix is skipped outright (budget 0) whenever it would not
-        // pay — on small subset spaces (the prefix is pure reordering
-        // there, and the tail's smallest-first discipline is already
-        // good) and whenever its union count rivals the subset space
-        // itself (dense instances like cliques) or the feasibility cap.
-        let subset_space = 1u64
-            .checked_shl(h.num_vertices() as u32)
-            .unwrap_or(u64::MAX);
-        let prefix_cap = (CANDGEN_STREAM_CAP.min(subset_space)) / 4;
-        let budget = if h.num_vertices() >= PREFIX_MIN_VERTICES {
-            let b = eff.ceil().to_i64().unwrap_or(0).max(0) as usize;
-            if candgen::stream_size_bound(h.num_edges(), b, prefix_cap) < prefix_cap {
-                b
-            } else {
-                0
-            }
-        } else {
-            0
-        };
-        let session = prep::SessionCache::open(h, "fhw-rho-star", opts.reuse_prices);
-        let strategy = Arc::new(FhwSearch::new(
-            h,
-            Some(eff),
-            Arc::clone(&session.cache),
-            BagMode::Hybrid(
-                // The subset tail completes the space, so the prefix can
-                // take the adaptive per-state cap: states whose union
-                // bound outgrows their own subset space skip straight to
-                // the tail (counted as `cand_cap_hits`).
-                candgen::EdgeUnionConfig::with_budget(budget)
-                    .with_per_state_cap(CANDGEN_STREAM_CAP),
-            ),
-        ));
-        let cx = SearchContext::with_options(opts);
-        let result = cx.run(h, &strategy);
-        let engine = cx.stats();
-        stats.merge(&engine);
-        (stats.price_hits, stats.price_misses, stats.price_warm_hits) = session.deltas();
-        stats.cand_generated = strategy.counters.generated();
-        stats.cand_filtered = strategy.counters.filtered();
-        stats.cand_cap_hits = strategy.counters.cap_hits();
-        merge_lp(&mut stats, strategy.pool.stats());
-        Some(result)
     } else if h.num_vertices() <= ghd::elimination::MAX_EXACT_VERTICES {
         Some(fhw_by_elimination(h, Some(eff), &mut stats))
     } else {
@@ -340,8 +241,8 @@ fn fhw_piece(
             debug_assert!(d.width() <= w);
             Some((w, d))
         }
-        // The search below `eff` is complete, so failing it pins the width
-        // to exactly `ub` when the cutoff was ours.
+        // The DP is complete below `eff`, so finding nothing pins the
+        // width to exactly `ub` when the cutoff was ours.
         Some(None) if seeded => {
             debug_assert!(ub_witness.width() <= ub);
             Some((ub, ub_witness))
@@ -358,14 +259,15 @@ fn merge_lp(stats: &mut SearchStats, lp: lp::LpStats) {
     stats.lp_cold_solves += lp.cold_solves;
 }
 
-/// The pre-engine elimination-order DP, the fallback for pieces between
-/// the subset range and 24 vertices. The DP visits bags in a deterministic
-/// sequential order, so one warm pricing context serves the whole run.
+/// The elimination-order DP with bags priced by `ρ*`. The DP visits bags
+/// in a deterministic sequential order, so one warm pricing context
+/// serves the whole run.
 fn fhw_by_elimination(
     h: &Hypergraph,
     cutoff: Option<Rational>,
     stats: &mut SearchStats,
 ) -> Option<(Rational, Decomposition)> {
+    let _span = obs::span!("elim", measure = "fhw", vertices = h.num_vertices());
     let mut ctx = PricingContext::new();
     let searched = ghd::elimination::optimal_elimination(
         h,
@@ -392,17 +294,8 @@ fn fhw_by_elimination(
     result
 }
 
-/// Which candidate-bag space the strategy streams.
-enum BagMode {
-    /// The `candgen` edge-union prefix followed by the (deduplicated)
-    /// subset tail — the primary, exact path.
-    Hybrid(candgen::EdgeUnionConfig),
-    /// The full subset space alone — the cross-check oracle.
-    Subset,
-}
-
-/// The exact-`fhw` strategy: candidate bags priced by `rho*` through the
-/// shared concurrent LP price cache.
+/// The subset-oracle strategy: every bag `conn ⊆ B ⊆ conn ∪ C`, priced by
+/// `rho*` through the shared concurrent LP price cache.
 struct FhwSearch {
     cutoff: Option<Rational>,
     /// `rank(H)`: counting coverage gives `rho*(bag) >= |bag| / rank`, the
@@ -412,49 +305,25 @@ struct FhwSearch {
     /// force a unit of cover weight) — the sharpest of the pre-LP gates.
     scatter: cover::ScatterBound,
     /// `bag -> (rho*(bag), optimal weights)` — the LP is admission's
-    /// dominant cost and bags repeat across search states and worker
-    /// threads; each distinct bag is priced once per search (once per
-    /// *process* when the session is backed by the cross-call registry).
+    /// dominant cost and bags repeat across search states; each distinct
+    /// bag is priced once per search.
     cover_cache: Arc<RhoStarCache>,
     /// Pooled simplex workspaces pricing cache misses through the packing
-    /// dual — one context per in-flight solve, buffers reused across bags
-    /// and workers. Solves are cold (per-bag-pure), so the pooled pivot
-    /// totals are schedule-independent.
+    /// dual — one context per in-flight solve, buffers reused across bags.
+    /// Solves are cold (per-bag-pure), so the pooled pivot totals are
+    /// schedule-independent.
     pool: PricingPool,
-    /// Candidate space (hybrid on the primary path, subsets on the
-    /// oracle).
-    bags: BagMode,
-    /// Generated/filtered tallies of the edge-union prefix streams.
-    counters: candgen::Counters,
 }
 
 impl FhwSearch {
-    /// A strategy over `h` with the given candidate space: derived fields
-    /// (rank, scattered-set bound, gate memo, counters) are uniform across
-    /// the oracle, the tiny-piece fast path and the hybrid engine.
-    fn new(
-        h: &Hypergraph,
-        cutoff: Option<Rational>,
-        cover_cache: Arc<RhoStarCache>,
-        bags: BagMode,
-    ) -> Self {
+    fn new(h: &Hypergraph, cutoff: Option<Rational>, cover_cache: Arc<RhoStarCache>) -> Self {
         FhwSearch {
             cutoff,
             rank: properties::rank(h),
             scatter: cover::ScatterBound::new(h),
             cover_cache,
             pool: PricingPool::new(),
-            bags,
-            counters: candgen::Counters::new(),
         }
-    }
-
-    /// Per-edge-coverage rejection thresholds under `bound`, for the
-    /// per-state gate closure (admission recomputes single entries through
-    /// [`threshold`] instead — per candidate, a `Vec` would be the hot
-    /// path's only allocation).
-    fn thresholds(&self, bound: &Rational) -> Vec<usize> {
-        (0..=self.rank).map(|r| threshold(bound, r)).collect()
     }
 }
 
@@ -501,57 +370,8 @@ impl WidthSolver for FhwSearch {
         self.cutoff.clone()
     }
 
-    fn candidates<'a>(&'a self, h: &'a Hypergraph, state: SearchState<'a>) -> CandidateStream<'a> {
-        let cfg = match &self.bags {
-            BagMode::Subset => return solver::stream_subset_bags(state),
-            // A zero prefix budget (small subset space, or an infeasible
-            // union count) degrades to the plain subset stream — skip the
-            // prefix plumbing (restriction pool, dedup set) entirely.
-            BagMode::Hybrid(cfg) if cfg.max_edges == 0 => return solver::stream_subset_bags(state),
-            BagMode::Hybrid(cfg) => cfg,
-        };
-        // The rank/scatter pre-pricing gates, hoisted into the generator
-        // against the static seeded cutoff (admission re-applies them
-        // against the tighter running bound). A gated union reappears in
-        // the subset tail, where admission rejects it just as cheaply.
-        let thresholds = self.cutoff.as_ref().map(|b| self.thresholds(b));
-        let rank = self.rank;
-        let scatter = &self.scatter;
-        let gate = move |bag: &VertexSet| match &thresholds {
-            Some(t) => bag.len() < t[rank] && !scatter.at_least(bag, t[1.min(rank)]),
-            None => true,
-        };
-        let mut prefix = Some(candgen::edge_union_bags(
-            h,
-            state.comp,
-            state.conn,
-            cfg,
-            &self.counters,
-            gate,
-        ));
-        let mut seen: Vec<VertexSet> = Vec::new();
-        let mut tail: Option<CandidateStream<'a>> = None;
-        CandidateStream::new(std::iter::from_fn(move || {
-            // Stream the edge-union prefix first, remembering its bags so
-            // the completing subset tail never re-streams one. The tail
-            // is only built once the prefix is dry — `seen` is complete
-            // then, and becomes the tail's precompiled skip list (no
-            // per-candidate dedup lookups).
-            if let Some(p) = prefix.as_mut() {
-                if let Some(bag) = p.next() {
-                    seen.push(bag.clone());
-                    return Some(Guess {
-                        edges: Vec::new(),
-                        extra: bag,
-                    });
-                }
-                prefix = None;
-            }
-            tail.get_or_insert_with(|| {
-                solver::stream_subset_bags_excluding(state, &std::mem::take(&mut seen))
-            })
-            .next()
-        }))
+    fn candidates<'a>(&'a self, _h: &'a Hypergraph, state: SearchState<'a>) -> CandidateStream<'a> {
+        solver::stream_subset_bags(state)
     }
 
     fn admit(

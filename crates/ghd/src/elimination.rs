@@ -2,13 +2,12 @@
 //! orderings — the exponential-time baseline in the spirit of
 //! Moll–Tazari–Thurley \[42\].
 //!
-//! Since the workspace's `ghw`/`fhw` engines moved onto the shared
-//! [`solver`](solver) subset search, this module is retained as an
-//! *independent* implementation: the cross-check tests in
-//! [`crate::exact`] and `fhd::exact` certify the engine against it, and it
-//! still handles instances up to [`MAX_EXACT_VERTICES`] = 24 vertices
-//! (widths only, via [`optimal_elimination`]) where the subset search
-//! stops at `solver::MAX_SUBSET_SEARCH_VERTICES` = 18.
+//! It is exact `fhw`'s primary path: `fhd::exact` answers every block of
+//! at most [`MAX_EXACT_VERTICES`] = 24 vertices with [`optimal_elimination`]
+//! under the cutoff seeded by the heuristic bound. For `ghw` it is the
+//! fallback when the edge-union space is infeasible, and an *independent*
+//! implementation the cross-check tests in [`crate::exact`] certify the
+//! edge-union engine against.
 //!
 //! For any *monotone* bag-cost function `c` (both `rho` and `rho*` are
 //! monotone under set inclusion), the minimum over all tree decompositions

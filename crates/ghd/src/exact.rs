@@ -12,7 +12,10 @@
 //! witness. The subset enumerator survives as
 //! [`ghw_exact_subset_oracle`], the small-instance cross-check; the
 //! elimination DP remains the fallback when the edge-union space is
-//! infeasible (dense instances with large `ub`).
+//! infeasible (dense instances with large `ub`). [`ghw_exact_at_least`]
+//! also takes a proven lower bound (the front door passes `⌈fhw⌉`): a
+//! block whose seed already sits at that floor keeps its seed witness
+//! without searching.
 
 use arith::Rational;
 use cover::RhoCache;
@@ -26,10 +29,10 @@ use std::sync::Arc;
 
 pub use solver::MAX_SUBSET_SEARCH_VERTICES;
 
-/// Edge-union feasibility cap (shared with the `fhw` engine through
-/// `candgen`): the engine path runs only when the per-state enumeration
-/// (`Σ C(m, i)` for `i <= ub - 1`) stays below this many unions; beyond
-/// it the elimination DP answers instead.
+/// Edge-union feasibility cap (`candgen`'s default): the engine path runs
+/// only when the per-state enumeration (`Σ C(m, i)` for `i <= ub - 1`)
+/// stays below this many unions; beyond it the elimination DP answers
+/// instead.
 const CANDGEN_STREAM_CAP: u64 = candgen::DEFAULT_STREAM_CAP;
 
 /// Computes `ghw(H)` exactly together with an optimal GHD.
@@ -54,6 +57,31 @@ pub fn ghw_exact_with_stats(
     cutoff: Option<usize>,
     opts: EngineOptions,
 ) -> (Option<(usize, Decomposition)>, SearchStats) {
+    ghw_solve(h, cutoff, 1, opts)
+}
+
+/// As [`ghw_exact_with_stats`] without a cutoff, given a proven lower
+/// bound `floor <= ghw(H)` (e.g. `⌈fhw(H)⌉`). A block whose heuristic
+/// seed is already at most `floor` returns its seed witness without
+/// searching: the instance width is the maximum over blocks, and
+/// `ghw(H) >= floor`. The width equals [`ghw_exact_with_stats`]'s; a
+/// block that does not set the maximum may keep a valid but wider
+/// witness, so a floor above 1 is part of the result-cache key.
+pub fn ghw_exact_at_least(
+    h: &Hypergraph,
+    floor: usize,
+    opts: EngineOptions,
+) -> (Option<(usize, Decomposition)>, SearchStats) {
+    ghw_solve(h, None, floor, opts)
+}
+
+/// The shared body of [`ghw_exact_with_stats`] and [`ghw_exact_at_least`].
+fn ghw_solve(
+    h: &Hypergraph,
+    cutoff: Option<usize>,
+    floor: usize,
+    opts: EngineOptions,
+) -> (Option<(usize, Decomposition)>, SearchStats) {
     if h.has_isolated_vertices() {
         return (None, SearchStats::default());
     }
@@ -65,17 +93,21 @@ pub fn ghw_exact_with_stats(
     );
     let started = std::time::Instant::now();
     let warm = solver::pool_is_warm();
-    let key = format!(
+    let floor = floor.max(1);
+    let mut key = format!(
         "cutoff={cutoff:?};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
+    if floor > 1 {
+        key.push_str(&format!(";floor={floor}"));
+    }
     let reuse = opts.reuse_results && !opts.speculate;
     let (result, mut stats) = prep::cached_query(h, "result-ghw", key, reuse, || {
         // The minimizer pipeline: GYO-style simplification, then
         // biconnected blocks solved independently (candidate generation
         // and the heuristic bound run per block), width = max, witness
         // stitched and lifted.
-        prep::run_minimizer(h, opts.prep, |block| ghw_piece(block, cutoff, opts))
+        prep::run_minimizer(h, opts.prep, |block| ghw_piece(block, cutoff, floor, opts))
     });
     stats.pool_reuse = usize::from(warm);
     solve_metrics::latency().observe_us(started.elapsed().as_micros() as u64);
@@ -201,10 +233,13 @@ fn rho_price(h: &Hypergraph) -> impl FnMut(&VertexSet) -> candgen::PricedBag<usi
 
 /// Solves one (already preprocessed) piece: heuristic upper bound first,
 /// then the edge-union engine under the seeded cutoff when feasible, the
-/// elimination DP otherwise, `None` when both are out of range.
+/// elimination DP otherwise, `None` when both are out of range. A seed at
+/// or below `floor` (a proven lower bound on the instance's `ghw`) is
+/// returned without searching.
 fn ghw_piece(
     h: &Hypergraph,
     cutoff: Option<usize>,
+    floor: usize,
     opts: EngineOptions,
 ) -> (Option<(usize, Decomposition)>, SearchStats) {
     // One price session for the whole piece: the heuristic bound prices
@@ -244,8 +279,10 @@ fn ghw_piece(
     let feasible = budget >= 1
         && candgen::stream_size_bound(h.num_edges(), budget, CANDGEN_STREAM_CAP)
             < CANDGEN_STREAM_CAP;
-    let searched = if budget == 0 {
-        // Nothing beats width 1; the trivial search already failed.
+    let searched = if eff <= floor {
+        // At floor 1 nothing beats width 1. Above it, a narrower witness
+        // for this block could not lower the instance's width (the
+        // maximum over blocks, at least `floor`), so the seed stands.
         Some(None)
     } else if feasible {
         let strategy = Arc::new(GhwSearch::new(
@@ -287,6 +324,7 @@ fn ghw_piece(
 /// The pre-engine elimination-order DP, the fallback for pieces whose
 /// edge-union space is infeasible (up to 24 vertices).
 fn ghw_by_elimination(h: &Hypergraph, cutoff: Option<usize>) -> Option<(usize, Decomposition)> {
+    let _span = obs::span!("elim", measure = "ghw", vertices = h.num_vertices());
     let (width, order) = crate::elimination::optimal_elimination(
         h,
         |bag| {

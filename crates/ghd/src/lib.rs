@@ -18,7 +18,7 @@ pub use check::{
     Augmented, GhdAnswer,
 };
 pub use exact::{
-    ghw_exact, ghw_exact_subset_oracle, ghw_exact_with_stats, ghw_upper_bound,
+    ghw_exact, ghw_exact_at_least, ghw_exact_subset_oracle, ghw_exact_with_stats, ghw_upper_bound,
     ghw_upper_bound_with_stats,
 };
 pub use subedges::{

@@ -94,6 +94,21 @@ pub fn hypertree_width_with_stats(
     max_k: usize,
     opts: EngineOptions,
 ) -> (Option<(usize, Decomposition)>, SearchStats) {
+    hypertree_width_at_least(h, 1, max_k, opts)
+}
+
+/// As [`hypertree_width_with_stats`], but the `k` iteration starts at
+/// `floor`, a proven lower bound `floor <= hw(H)` (e.g. `ghw(H)`). The
+/// checks below `floor` all fail, so the first check that succeeds — and
+/// with it the width and the witness — is the same as from `k = 1`, and
+/// the result-cache entry is shared with [`hypertree_width_with_stats`].
+/// The counters cover only the checks that ran.
+pub fn hypertree_width_at_least(
+    h: &Hypergraph,
+    floor: usize,
+    max_k: usize,
+    opts: EngineOptions,
+) -> (Option<(usize, Decomposition)>, SearchStats) {
     if h.has_isolated_vertices() {
         return (None, SearchStats::default());
     }
@@ -116,7 +131,7 @@ pub fn hypertree_width_with_stats(
         // block and only the final witness is lifted.
         prep::run_decision(h, opts.prep, |block| {
             let mut total = SearchStats::default();
-            for k in 1..=max_k {
+            for k in floor.max(1)..=max_k {
                 let (d, stats) = check_hd_piece(block, k, opts);
                 total.merge(&stats);
                 if let Some(d) = d {

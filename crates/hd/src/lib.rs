@@ -9,4 +9,7 @@
 pub mod backends;
 mod detk;
 
-pub use detk::{check_hd, check_hd_with_stats, hypertree_width, hypertree_width_with_stats};
+pub use detk::{
+    check_hd, check_hd_with_stats, hypertree_width, hypertree_width_at_least,
+    hypertree_width_with_stats,
+};

@@ -145,9 +145,12 @@ fn cached(stats: &solver::SearchStats) -> bool {
     stats.result_cache_hits > 0
 }
 
-/// The plain (single-backend) solve: per-measure engine calls, exactly
-/// the ones `exact_widths_with_opts` makes, so widths and witnesses
-/// are byte-identical to the direct API.
+/// The plain (single-backend) solve through the per-measure entry points,
+/// so widths and witnesses are byte-identical to the direct API. A
+/// `widths` request computes bottom-up like `exact_widths_with_opts`:
+/// fhw, then ghw, then hw with `det-k-decomp` starting at `k = ghw`
+/// (which leaves hw's width and witness unchanged). The response keeps
+/// the hw, ghw, fhw order.
 fn solve_plain(
     h: &Hypergraph,
     p: &SolveParams,
@@ -170,20 +173,27 @@ fn solve_plain(
         }
         body.cached |= cached(stats);
     };
-    if matches!(p.measure, MeasureSel::Widths | MeasureSel::Hw) {
-        let (hw, stats) = hd::hypertree_width_with_stats(h, p.max_hw, opts);
-        let (k, d) = hw.ok_or(SolveFail::OutOfRange)?;
-        keep(&mut body, "hw", k.to_string(), d, &stats);
+    // Solved bottom-up, answered in the hw, ghw, fhw order.
+    let mut solved = Vec::new();
+    let mut floor = 1;
+    if matches!(p.measure, MeasureSel::Widths | MeasureSel::Fhw) {
+        let (fhw, stats) = fhd::fhw_exact_with_stats(h, None, opts);
+        let (w, d) = fhw.ok_or(SolveFail::OutOfRange)?;
+        solved.push(("fhw", rat_json(&w), d, stats));
     }
     if matches!(p.measure, MeasureSel::Widths | MeasureSel::Ghw) {
         let (ghw, stats) = ghd::ghw_exact_with_stats(h, None, opts);
         let (k, d) = ghw.ok_or(SolveFail::OutOfRange)?;
-        keep(&mut body, "ghw", k.to_string(), d, &stats);
+        floor = k;
+        solved.push(("ghw", k.to_string(), d, stats));
     }
-    if matches!(p.measure, MeasureSel::Widths | MeasureSel::Fhw) {
-        let (fhw, stats) = fhd::fhw_exact_with_stats(h, None, opts);
-        let (w, d) = fhw.ok_or(SolveFail::OutOfRange)?;
-        keep(&mut body, "fhw", rat_json(&w), d, &stats);
+    if matches!(p.measure, MeasureSel::Widths | MeasureSel::Hw) {
+        let (hw, stats) = hd::hypertree_width_at_least(h, floor, p.max_hw, opts);
+        let (k, d) = hw.ok_or(SolveFail::OutOfRange)?;
+        solved.push(("hw", k.to_string(), d, stats));
+    }
+    for (name, width, d, stats) in solved.into_iter().rev() {
+        keep(&mut body, name, width, d, &stats);
     }
     Ok(body)
 }

@@ -52,9 +52,9 @@ use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
 /// Practical vertex limit for the subset-enumerating bag stream
 /// ([`stream_subset_bags`]): it proposes every bag `conn ⊆ B ⊆ conn ∪ C`,
 /// which is exponential in `|C|`. Since the `candgen` edge-union generator
-/// became the primary `ghw`/`fhw` candidate source, this gate no longer
-/// bounds the exact range — the subset stream survives as the `fhw`
-/// completeness tail and as the small-instance cross-check oracle
+/// (`ghw`) and the seeded elimination DP (`fhw`) became the primary exact
+/// paths, this gate no longer bounds the exact range — the subset stream
+/// survives as the small-instance cross-check oracle
 /// (`ghd::ghw_exact_subset_oracle` / `fhd::fhw_exact_subset_oracle`).
 pub const MAX_SUBSET_SEARCH_VERTICES: usize = 18;
 
@@ -1622,7 +1622,7 @@ impl<C: Ord + Clone + Send + Sync + 'static> Default for SearchContext<C> {
 }
 
 /// Streams every bag `conn ⊆ B ⊆ conn ∪ C` (smallest first) as the `extra`
-/// payload — the candidate space of the exact `ghw`/`fhw` strategies, which
+/// payload — the candidate space of the `ghw`/`fhw` subset oracles, which
 /// price bags by `ρ` / `ρ*` at admission and split on the bag itself.
 /// Empty when the component exceeds [`MAX_SUBSET_SEARCH_VERTICES`].
 ///
@@ -1630,50 +1630,11 @@ impl<C: Ord + Clone + Send + Sync + 'static> Default for SearchContext<C> {
 /// are never materialized; small bags come first, which finds cheap covers
 /// early and tightens the engine's best-so-far prune.
 pub fn stream_subset_bags<'a>(state: SearchState<'a>) -> CandidateStream<'a> {
-    stream_subset_bags_excluding(state, &[])
-}
-
-/// The subset mask (over ascending positions of `free`) whose bag equals
-/// `conn ∪ S` — `None` when `bag` is not of that shape (it then never
-/// appears in the subset stream) or is `conn` itself (the empty subset is
-/// never streamed).
-fn subset_mask_of(bag: &VertexSet, conn: &VertexSet, free: &[usize]) -> Option<u64> {
-    if !conn.is_subset(bag) {
-        return None;
-    }
-    let mut mask = 0u64;
-    for v in bag.difference(conn).iter() {
-        let pos = free.binary_search(&v).ok()?;
-        mask |= 1u64 << pos;
-    }
-    if mask == 0 {
-        return None;
-    }
-    Some(mask)
-}
-
-/// [`stream_subset_bags`] minus the bags in `exclude` — the completing
-/// tail of the hybrid strategies, which must not re-stream a bag their
-/// edge-union prefix already produced. The exclusions are translated to
-/// subset masks and sorted into stream order (size class, then Gosper
-/// rank) up front, so each pull pays one integer comparison against the
-/// next pending skip instead of a per-candidate hash lookup.
-pub fn stream_subset_bags_excluding<'a>(
-    state: SearchState<'a>,
-    exclude: &[VertexSet],
-) -> CandidateStream<'a> {
     let free: Vec<usize> = state.comp.to_vec();
     let m = free.len();
     if m == 0 || m > MAX_SUBSET_SEARCH_VERTICES {
         return CandidateStream::empty();
     }
-    let mut skips: Vec<u64> = exclude
-        .iter()
-        .filter_map(|bag| subset_mask_of(bag, state.conn, &free))
-        .collect();
-    skips.sort_unstable_by_key(|&mk| (mk.count_ones(), mk));
-    skips.dedup();
-    let mut ptr = 0usize;
     let conn = state.conn.clone();
     let limit: u64 = 1u64 << m;
     let mut size = 1usize;
@@ -1682,7 +1643,7 @@ pub fn stream_subset_bags_excluding<'a>(
     // the inline representation (vertices `< 128` — the entire exact
     // subset-search regime), each bag is accumulated in two registers and
     // materialized with `from_two_blocks` — no clone, no per-member
-    // branches. This loop builds every tail candidate the engine streams.
+    // branches. This loop builds every candidate the subset oracles stream.
     if let (Some((c0, c1)), true) = (state.conn.two_blocks(), free.iter().all(|&v| v < 128)) {
         let masks: Vec<(u64, u64)> = free
             .iter()
@@ -1703,10 +1664,6 @@ pub fn stream_subset_bags_excluding<'a>(
                     let low = cur & cur.wrapping_neg();
                     let ripple = cur + low;
                     mask = (((ripple ^ cur) >> 2) / low) | ripple;
-                    if ptr < skips.len() && skips[ptr] == cur {
-                        ptr += 1;
-                        continue;
-                    }
                     let (mut b0, mut b1) = (c0, c1);
                     let mut bits = cur;
                     while bits != 0 {
@@ -1738,10 +1695,6 @@ pub fn stream_subset_bags_excluding<'a>(
                 let low = cur & cur.wrapping_neg();
                 let ripple = cur + low;
                 mask = (((ripple ^ cur) >> 2) / low) | ripple;
-                if ptr < skips.len() && skips[ptr] == cur {
-                    ptr += 1;
-                    continue;
-                }
                 let mut bag = conn.clone();
                 let mut bits = cur;
                 while bits != 0 {

@@ -539,11 +539,11 @@ fn widths(
         opts.reuse_prices = false;
     }
     // Per-width calls rather than `exact_widths_with_opts`: the candgen
-    // edge-union engine reaches instance sizes where the fhw subset/DP
-    // engines no longer answer, so each width degrades to `n/a`
-    // independently instead of failing the whole command. Draining the
-    // span buffer between the calls attributes each span batch to its
-    // measure for the phase-time columns.
+    // edge-union engine reaches instance sizes where the fhw DP no longer
+    // answers, so each width degrades to `n/a` independently instead of
+    // failing the whole command. Draining the span buffer between the
+    // calls attributes each span batch to its measure for the phase-time
+    // columns.
     let (hw, hw_stats) = hd::hypertree_width_with_stats(h, 8, opts);
     let hw_spans = drain_if_tracing();
     let (ghw, ghw_stats) = ghd::ghw_exact_with_stats(h, None, opts);
@@ -622,7 +622,8 @@ fn widths(
         if obs::trace::enabled() {
             // Phase times are span *self* times (a phase excludes its
             // sub-phases), so the columns partition each measure's solve
-            // wall-clock instead of double counting nested work.
+            // wall-clock instead of double counting nested work. The
+            // search column counts engine states and the elimination DP.
             println!();
             println!("engine       prep-us  candgen-us   search-us  pricing-us   all-phases-us");
             for (name, spans) in [("hw", &hw_spans), ("ghw", &ghw_spans), ("fhw", &fhw_spans)] {
@@ -633,14 +634,14 @@ fn widths(
                     "{name:<10} {:>9} {:>11} {:>11} {:>11} {:>15}",
                     get("prep"),
                     get("candgen"),
-                    get("state"),
+                    get("state") + get("elim"),
                     get("price"),
                     all,
                 );
             }
         }
         if prep::reuse_enabled(opts.reuse_prices) {
-            // The cross-call demonstration: the fhw search above populated
+            // The cross-call demonstration: the ghw search above populated
             // the fingerprint-keyed global cache, so a repeated search
             // prices nothing (its lookups come back warm) — the rerun
             // costs a pricing-free engine pass, a fraction of the first
@@ -649,9 +650,9 @@ fn widths(
             // entirely, making the warm-lookup line vacuous.
             let mut rerun_opts = opts;
             rerun_opts.reuse_results = false;
-            let (_, rerun) = fhd::fhw_exact_with_stats(h, None, rerun_opts);
+            let (_, rerun) = ghd::ghw_exact_with_stats(h, None, rerun_opts);
             println!(
-                "cross-call price cache: re-running fhw served {} of {} lookups from earlier calls",
+                "cross-call price cache: re-running ghw served {} of {} lookups from earlier calls",
                 rerun.price_warm_hits,
                 rerun.price_hits + rerun.price_misses,
             );

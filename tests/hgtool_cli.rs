@@ -87,7 +87,10 @@ fn widths_stats_reports_cross_call_reuse() {
         .lines()
         .find(|l| l.starts_with("cross-call price cache"))
         .unwrap_or_else(|| panic!("missing cross-call line in:\n{out}"));
-    // The repeated fhw search must reuse prices cached by the first one.
+    // The repeated ghw search must reuse prices cached by the first one
+    // (fhw's elimination DP prices through its own warm LP context, not
+    // through the cross-call registry).
+    assert!(line.contains("re-running ghw"), "unexpected rerun: {line}");
     assert!(
         !line.contains("served 0 of"),
         "repeated search saw no warm hits: {line}"

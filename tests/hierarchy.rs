@@ -1,9 +1,12 @@
 //! Cross-engine width hierarchy tests: `fhw <= ghw <= hw <= 3·ghw + 1`
-//! (Section 1 and [4]), Lemma 2.3, Lemma 2.7, and Lemma 2.8.
+//! (Section 1 and [4]), Lemma 2.3, Lemma 2.7, and Lemma 2.8, plus the
+//! floors the front door derives from that hierarchy.
 
 use hypertree::arith::{rat, Rational};
+use hypertree::decomp::validate;
 use hypertree::hypergraph::{generators, Hypergraph, VertexSet};
-use hypertree::{exact_widths, fhd, ghd, hd};
+use hypertree::solver::EngineOptions;
+use hypertree::{exact_widths, fhd, ghd, hd, ExactWidths};
 
 fn corpus() -> Vec<(String, Hypergraph)> {
     let mut out: Vec<(String, Hypergraph)> = vec![
@@ -116,5 +119,102 @@ fn acyclic_iff_width_1() {
         let acyclic = hypertree::hypergraph::properties::is_alpha_acyclic(&h);
         let hw1 = hd::check_hd(&h, 1).is_some();
         assert_eq!(acyclic, hw1, "{name}: α-acyclic iff hw = 1");
+    }
+}
+
+/// `h` with its vertices permuted by a Fisher–Yates shuffle driven by a
+/// splitmix64 stream from `seed` (edges keep their order).
+fn relabel(h: &Hypergraph, seed: u64) -> Hypergraph {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let n = h.num_vertices();
+    let mut perm: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    let edges = h
+        .edges()
+        .iter()
+        .map(|e| e.iter().map(|v| perm[v]).collect())
+        .collect();
+    Hypergraph::from_edges(n, edges)
+}
+
+/// The front door computes fhw, then ghw with floor `⌈fhw⌉`, then hw with
+/// floor `ghw`. Its widths must equal the unfloored per-measure entry
+/// points', the floored hw search must return the per-measure witness
+/// byte for byte, and the floored ghw witness must validate.
+#[test]
+fn floors_agree_with_per_measure_widths() {
+    let mut instances = corpus();
+    for (name, base) in [
+        ("example_4_3", generators::example_4_3()),
+        ("clique7", generators::clique(7)),
+        ("hypercube3", generators::hypercube(3)),
+        ("grid3x4", generators::grid(3, 4)),
+    ] {
+        for seed in 0..20u64 {
+            instances.push((format!("{name}/relabel{seed}"), relabel(&base, seed)));
+        }
+    }
+    // No result reuse: every call below searches, so a floored call
+    // cannot replay the unfloored answer from the cache.
+    let opts = EngineOptions {
+        reuse_results: false,
+        ..EngineOptions::default()
+    };
+    for (name, h) in instances {
+        let (hw, hw_d) = hd::hypertree_width_with_stats(&h, 8, opts)
+            .0
+            .unwrap_or_else(|| panic!("{name}: hw in range"));
+        let (ghw, _) = ghd::ghw_exact_with_stats(&h, None, opts)
+            .0
+            .unwrap_or_else(|| panic!("{name}: ghw in range"));
+        let (fhw, _) = fhd::fhw_exact_with_stats(&h, None, opts)
+            .0
+            .unwrap_or_else(|| panic!("{name}: fhw in range"));
+        assert!(fhw <= Rational::from(ghw), "{name}: fhw > ghw");
+        assert!(ghw <= hw, "{name}: ghw > hw");
+        assert!(hw <= 3 * ghw + 1, "{name}: AGG bound violated");
+
+        let front = exact_widths(&h, 8).unwrap_or_else(|| panic!("{name}: front door"));
+        let expected = ExactWidths {
+            hw,
+            ghw,
+            fhw: fhw.clone(),
+        };
+        assert_eq!(front, expected, "{name}: front door vs per-measure");
+
+        let (floored_hw, floored_hw_d) = hd::hypertree_width_at_least(&h, ghw, 8, opts)
+            .0
+            .unwrap_or_else(|| panic!("{name}: floored hw"));
+        assert_eq!(floored_hw, hw, "{name}: floored hw");
+        assert_eq!(
+            floored_hw_d.render(&h),
+            hw_d.render(&h),
+            "{name}: floored hw witness"
+        );
+
+        let fhw_ceil = fhw.ceil().to_i64().expect("small width") as usize;
+        let (floored_ghw, floored_ghw_d) = ghd::ghw_exact_at_least(&h, fhw_ceil, opts)
+            .0
+            .unwrap_or_else(|| panic!("{name}: floored ghw"));
+        assert_eq!(floored_ghw, ghw, "{name}: floored ghw");
+        assert_eq!(
+            validate::validate_ghd(&h, &floored_ghw_d),
+            Ok(()),
+            "{name}: floored ghw witness\n{}",
+            floored_ghw_d.render(&h)
+        );
+        assert!(
+            floored_ghw_d.width() <= Rational::from(ghw),
+            "{name}: floored ghw witness too wide"
+        );
     }
 }

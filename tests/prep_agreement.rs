@@ -311,7 +311,9 @@ fn gyo_collapse_shrinks_the_search() {
 }
 
 /// Repeating a search with `reuse_prices` serves the second call from the
-/// process-lifetime fingerprint-keyed cache: nonzero cross-call hits.
+/// process-lifetime fingerprint-keyed cache: nonzero cross-call hits. The
+/// `ρ`-priced ghw search goes through the registry (fhw's elimination DP
+/// prices through its own warm LP context instead).
 #[test]
 fn repeated_searches_hit_the_cross_call_cache() {
     if prep_disabled() {
@@ -320,8 +322,8 @@ fn repeated_searches_hit_the_cross_call_cache() {
     }
     let h = generators::cycle(6);
     let opts = EngineOptions::sequential().with_price_reuse();
-    let (first, _) = fhd::fhw_exact_with_stats(&h, None, opts);
-    let (second, rerun) = fhd::fhw_exact_with_stats(&h, None, opts);
+    let (first, _) = ghd::ghw_exact_with_stats(&h, None, opts);
+    let (second, rerun) = ghd::ghw_exact_with_stats(&h, None, opts);
     assert_eq!(
         first.map(|(w, _)| w),
         second.map(|(w, _)| w),
