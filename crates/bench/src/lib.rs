@@ -46,9 +46,9 @@ pub fn corpus() -> Vec<Workload> {
 /// subset-search wall, exercising the candgen edge-union engine
 /// (`cycle(26)` also exceeds the 24-vertex elimination-DP window — it was
 /// a hard `None` before candgen), the seeded DP window and the per-block
-/// pipeline at scale. Recorded by the `baseline` bin alongside
-/// [`corpus`]; kept separate so the small-instance test suites don't
-/// inherit the larger runtimes.
+/// pipeline at scale. Kept separate from [`corpus`] so only the suites
+/// that want it (the thread-count invariance check) pay the larger
+/// runtimes.
 pub fn large_corpus() -> Vec<Workload> {
     vec![
         w("cycle(20)", generators::cycle(20)),
@@ -59,9 +59,9 @@ pub fn large_corpus() -> Vec<Workload> {
 }
 
 /// The vendored HyperBench-style corpus (`examples/data/corpus/`): small
-/// CQ/CSP-shaped instances with genuinely mixed portfolio winners, baked
-/// into the binary so offline CI can smoke-test `--portfolio` and the
-/// baseline's `portfolio` block without network access.
+/// CQ/CSP-shaped instances, baked into the binary so the daemon test,
+/// `hgtool loadgen`'s default workload and offline CI run them without
+/// network access or file paths.
 pub fn vendored_corpus() -> Vec<Workload> {
     let files: [(&str, &str); 8] = [
         (

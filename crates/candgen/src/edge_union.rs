@@ -50,15 +50,6 @@ pub struct EdgeUnionConfig {
     /// size, applied at connector-free states only (`None` disables).
     /// [`DEFAULT_BALANCE`] is the `1/2` centroid bound, which is complete.
     pub balance: Option<(usize, usize)>,
-    /// Adaptive per-state feasibility cap. When set, a state's effective
-    /// cap is `min(per_state_cap, 2^|region|)` — the stream can never
-    /// usefully out-enumerate the region's own subset space — and a state
-    /// whose [`stream_size_bound`] reaches it skips the edge-union stream
-    /// entirely (tallied by `Counters::cap_hits`). Only for callers with a
-    /// completing fallback stream (no production caller has one); `None`
-    /// (the default) streams unconditionally, which the tail-less `ghw`
-    /// path needs for completeness.
-    pub per_state_cap: Option<u64>,
 }
 
 /// The complete balancedness fraction: every decomposition fragment has a
@@ -74,23 +65,15 @@ impl EdgeUnionConfig {
         EdgeUnionConfig {
             max_edges,
             balance: Some(DEFAULT_BALANCE),
-            per_state_cap: None,
         }
-    }
-
-    /// Enables the adaptive per-state cap (see
-    /// [`EdgeUnionConfig::per_state_cap`]); the caller must complete the
-    /// candidate space through another stream.
-    pub fn with_per_state_cap(mut self, cap: u64) -> Self {
-        self.per_state_cap = Some(cap);
-        self
     }
 }
 
-/// The default feasibility cap for [`stream_size_bound`]: the `ghw`
-/// strategy wrapper takes the edge-union path only while the per-state
-/// enumeration stays below this many unions (the ROADMAP names adaptive
-/// tuning of this value as follow-up work).
+/// The default saturation cap for [`stream_size_bound`]. The exact `ghw`
+/// path (`ghd::exact`) sends a block to the edge-union engine only while
+/// the block's bound stays below it, else to the elimination DP;
+/// `solver::runtime::admission_estimate` saturates its batch-admission
+/// ranking at it.
 pub const DEFAULT_STREAM_CAP: u64 = 50_000;
 
 /// Number of non-empty subsets of a `pool`-element set with at most
@@ -161,23 +144,12 @@ pub fn edge_union_bags<'a>(
 ) -> impl Iterator<Item = VertexSet> + Send + 'a {
     let region = comp.union(conn);
     let pool = restriction_pool(h, &region);
-    // Adaptive per-state cap: skip states whose union-combination bound
-    // reaches the smaller of the configured cap and the region's subset
-    // space (at that point the completing tail is at least as cheap).
-    let capped = cfg.per_state_cap.is_some_and(|cap| {
-        let space = 1u64.checked_shl(region.len() as u32).unwrap_or(u64::MAX);
-        let cap_state = cap.min(space);
-        stream_size_bound(pool.len(), cfg.max_edges, cap_state) >= cap_state
-    });
-    if capped {
-        counters.count_cap_hit();
-    }
     let comp = comp.clone();
     let conn = conn.clone();
     let balance = if conn.is_empty() { cfg.balance } else { None };
     let comp_len = comp.len();
     let mut seen: FxHashSet<VertexSet> = FxHashSet::default();
-    let mut subsets = subsets_by_size(if capped { 0 } else { pool.len() }, cfg.max_edges);
+    let mut subsets = subsets_by_size(pool.len(), cfg.max_edges);
     std::iter::from_fn(move || {
         #[allow(clippy::while_let_on_iterator)]
         while let Some(choice) = subsets.next() {
@@ -269,7 +241,6 @@ mod tests {
             &EdgeUnionConfig {
                 max_edges: budget,
                 balance: None,
-                per_state_cap: None,
             },
             &counters,
             |_| true,
@@ -340,36 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn per_state_cap_skips_dense_tiny_regions() {
-        // K4 as pairs: 6 maximal restrictions on a 4-vertex region; with
-        // budget 3 the union bound (41) reaches the region's subset space
-        // (16), so a capped stream yields nothing and counts one hit.
-        let h = generators::clique(4);
-        let comp = h.all_vertices();
-        let conn = VertexSet::new();
-        let counters = Counters::default();
-        let capped = EdgeUnionConfig {
-            max_edges: 3,
-            balance: None,
-            per_state_cap: Some(DEFAULT_STREAM_CAP),
-        };
-        let n = edge_union_bags(&h, &comp, &conn, &capped, &counters, |_| true).count();
-        assert_eq!(n, 0);
-        assert_eq!(counters.cap_hits(), 1);
-        assert_eq!(counters.generated(), 0);
-        // Without the cap the same state streams its unions.
-        let counters = Counters::default();
-        let uncapped = EdgeUnionConfig {
-            max_edges: 3,
-            balance: None,
-            per_state_cap: None,
-        };
-        let n = edge_union_bags(&h, &comp, &conn, &uncapped, &counters, |_| true).count();
-        assert!(n > 0);
-        assert_eq!(counters.cap_hits(), 0);
-    }
-
-    #[test]
     fn gate_rejections_are_counted() {
         let h = generators::cycle(3);
         let comp = h.all_vertices();
@@ -378,7 +319,6 @@ mod tests {
         let cfg = EdgeUnionConfig {
             max_edges: 2,
             balance: None,
-            per_state_cap: None,
         };
         let n = edge_union_bags(&h, &comp, &conn, &cfg, &counters, |b| b.len() < 3).count();
         assert_eq!(counters.generated(), counters.filtered() + n);

@@ -43,7 +43,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct Counters {
     generated: AtomicUsize,
     filtered: AtomicUsize,
-    cap_hits: AtomicUsize,
 }
 
 impl Counters {
@@ -62,12 +61,6 @@ impl Counters {
         self.filtered.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one state whose edge-union prefix was skipped because the
-    /// per-state stream bound hit the adaptive cap.
-    pub fn count_cap_hit(&self) {
-        self.cap_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Total candidates generated so far.
     pub fn generated(&self) -> usize {
         self.generated.load(Ordering::Relaxed)
@@ -76,10 +69,5 @@ impl Counters {
     /// Total candidates filtered so far.
     pub fn filtered(&self) -> usize {
         self.filtered.load(Ordering::Relaxed)
-    }
-
-    /// Total per-state cap hits so far.
-    pub fn cap_hits(&self) -> usize {
-        self.cap_hits.load(Ordering::Relaxed)
     }
 }

@@ -9,8 +9,8 @@
 //! Results print one line per benchmark
 //! (`group/id  time: <mean> (<iters> iters)`) and, when the
 //! `CRITERION_JSON` environment variable names a file, are appended to it as
-//! JSON lines `{"id": ..., "mean_ns": ..., "iters": ...}` — which is what
-//! the `BENCH_baseline.json` harness consumes.
+//! JSON lines `{"id": ..., "mean_ns": ..., "iters": ...}` for scripts to
+//! consume.
 
 #![forbid(unsafe_code)]
 

@@ -133,9 +133,9 @@ pub struct WidthStats {
 }
 
 /// As [`exact_widths`], also reporting the counters of each of the three
-/// searches (surfaced by the `baseline` bin). All three run with the
-/// default scheduling ([`solver::default_thread_count`], honoring
-/// `HGTOOL_THREADS`); the counters are identical at every thread count.
+/// searches. All three run with the default scheduling
+/// ([`solver::default_thread_count`], honoring `HGTOOL_THREADS`); the
+/// counters are identical at every thread count.
 pub fn exact_widths_with_stats(h: &Hypergraph, max_hw: usize) -> Option<(ExactWidths, WidthStats)> {
     exact_widths_with_opts(h, max_hw, solver::EngineOptions::default())
 }
@@ -168,111 +168,6 @@ pub fn exact_widths_with_opts(
             fhw: fhw_stats,
         },
     ))
-}
-
-/// The portfolio registry: every [`solver::backend::Backend`] able to
-/// resolve requests of the given measure, in admission order (the
-/// always-eligible default engine first). This is the one place the five
-/// strategies' backend sets are wired together; [`solver::portfolio::race`]
-/// consumes the list directly.
-pub fn backends_for(measure: &solver::backend::Measure) -> Vec<Box<dyn solver::backend::Backend>> {
-    use solver::backend::Measure;
-    match measure {
-        Measure::Hw { .. } => hd::backends::backends(),
-        Measure::Ghw { .. } => ghd::backends::backends(),
-        Measure::Fhw { .. } => fhd::backends::fhw_backends(),
-        Measure::FracDecomp { .. } => fhd::backends::frac_decomp_backends(),
-        Measure::StrictHd { .. } => fhd::backends::strict_hd_backends(),
-    }
-}
-
-/// The three per-measure [`solver::portfolio::RaceReport`]s of one
-/// [`exact_widths_portfolio`] run (winner ids, bound traces, race
-/// timings).
-#[derive(Clone, Debug)]
-pub struct WidthRaces {
-    /// The `hw` race.
-    pub hw: solver::portfolio::RaceReport,
-    /// The `ghw` race.
-    pub ghw: solver::portfolio::RaceReport,
-    /// The `fhw` race.
-    pub fhw: solver::portfolio::RaceReport,
-}
-
-/// As [`exact_widths_with_opts`], but each of the three measures races
-/// its full backend registry ([`backends_for`]) through
-/// [`solver::portfolio::race`]: first exact answer wins, losers are
-/// cancelled, and the per-measure [`WidthRaces`] report records winner,
-/// bound trace and race timings. Widths are identical to the
-/// non-portfolio path (every backend is exact); `None` means some
-/// measure's race ended unresolved (instance out of every backend's
-/// range, or a deadline struck first).
-pub fn exact_widths_portfolio(
-    h: &Hypergraph,
-    max_hw: usize,
-    opts: solver::EngineOptions,
-    popts: &solver::portfolio::PortfolioOptions,
-) -> Option<(ExactWidths, WidthStats, WidthRaces)> {
-    use solver::backend::{Measure, WidthRequest};
-    let race = |measure: Measure| {
-        let backends = backends_for(&measure);
-        let req = WidthRequest { measure, opts };
-        solver::portfolio::race(h, &req, &backends, popts)
-    };
-    let hw_race = race(Measure::Hw { max_k: max_hw });
-    let ghw_race = race(Measure::Ghw { cutoff: None });
-    let fhw_race = race(Measure::Fhw { cutoff: None });
-    let int_width = |r: &solver::portfolio::RaceReport| {
-        r.outcome
-            .width
-            .as_ref()
-            .map(|w| w.floor().to_i64().unwrap_or(0).max(0) as usize)
-    };
-    let widths = ExactWidths {
-        hw: int_width(&hw_race)?,
-        ghw: int_width(&ghw_race)?,
-        fhw: fhw_race.outcome.width.clone()?,
-    };
-    let stats = WidthStats {
-        hw: hw_race.outcome.stats.clone(),
-        ghw: ghw_race.outcome.stats.clone(),
-        fhw: fhw_race.outcome.stats.clone(),
-    };
-    Some((
-        widths,
-        stats,
-        WidthRaces {
-            hw: hw_race,
-            ghw: ghw_race,
-            fhw: fhw_race,
-        },
-    ))
-}
-
-/// Batch variant of [`exact_widths_portfolio`]: every instance goes
-/// through [`solver::solve_batch`] (admission-ordered, result-cache
-/// dedup'd) and each races its backends on arrival.
-pub fn exact_widths_portfolio_batch(
-    instances: &[Hypergraph],
-    max_hw: usize,
-    opts: solver::EngineOptions,
-    popts: &solver::portfolio::PortfolioOptions,
-) -> Vec<Option<(ExactWidths, WidthStats, WidthRaces)>> {
-    solver::solve_batch(instances, |_, h| {
-        let result = exact_widths_portfolio(h, max_hw, opts, popts);
-        let merged = result
-            .as_ref()
-            .map_or_else(SearchStats::default, |(_, s, _)| {
-                let mut total = s.hw.clone();
-                total.merge(&s.ghw);
-                total.merge(&s.fhw);
-                total
-            });
-        (result, merged)
-    })
-    .into_iter()
-    .map(|(r, _)| r)
-    .collect()
 }
 
 /// Batch variant of [`exact_widths_with_opts`]: solves every instance

@@ -83,8 +83,7 @@ pub fn check_fhd_bdp(h: &Hypergraph, k: &Rational, params: HdkParams) -> FhdAnsw
 
 /// As [`check_fhd_bdp`], also reporting engine and separator-LP cache
 /// counters. The strict-HD search is a decision strategy, so it runs
-/// sequentially unless [`EngineOptions::speculate`] lets it race separator
-/// guesses across the worker pool.
+/// sequentially on the calling thread.
 pub fn check_fhd_bdp_with_stats(
     h: &Hypergraph,
     k: &Rational,
@@ -99,7 +98,7 @@ pub fn check_fhd_bdp_with_stats(
         "k={:?};arity={};max_sub={};prep={};rp={};backend=auto",
         k, params.union_arity, params.max_subedges, opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
+    let reuse = opts.reuse_results;
     let (answer, mut stats) = prep::cached_query(h, "result-fhd-bdp", key, reuse, || {
         // Decision profile (duplicate edges + twin vertices): `fhw` and
         // the strictness trace are preserved exactly, and the lifted
@@ -242,8 +241,7 @@ struct StrictHd {
     /// the same state back to back, and both need the `(usable, allowed)`
     /// pair — cache it so the O(edges) scan plus span unions run once per
     /// state, not twice. The slot re-checks its key before use, so it
-    /// stays correct (merely colder) when speculation interleaves states
-    /// across workers.
+    /// stays correct (merely colder) whenever states interleave.
     scope_cache: Mutex<Option<ScopedState>>,
 }
 

@@ -64,7 +64,7 @@ pub fn fhw_exact_with_stats(
         "cutoff={cutoff:?};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
+    let reuse = opts.reuse_results;
     let (result, mut stats) = prep::cached_query(h, "result-fhw", key, reuse, || {
         prep::run_minimizer(h, opts.prep, |block| fhw_piece(block, cutoff.clone()))
     });
@@ -97,7 +97,8 @@ mod solve_metrics {
 /// Computes `fhw(H)` via the elimination-order DP alone, without the
 /// heuristic seed: every preprocessed block must fit
 /// [`ghd::elimination::MAX_EXACT_VERTICES`], else the whole call returns
-/// `None`. This is the portfolio's `elim` backend.
+/// `None`. The independent reference of the agreement tests and the
+/// benchmark.
 pub fn fhw_exact_elimination_with_stats(
     h: &Hypergraph,
     cutoff: Option<Rational>,
@@ -110,7 +111,7 @@ pub fn fhw_exact_elimination_with_stats(
         "cutoff={cutoff:?};prep={};rp={};backend=elim",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
+    let reuse = opts.reuse_results;
     prep::cached_query(h, "result-fhw", key, reuse, || {
         prep::run_minimizer(h, opts.prep, |block| {
             if block.num_vertices() > ghd::elimination::MAX_EXACT_VERTICES {
@@ -159,9 +160,8 @@ pub fn fhw_upper_bound_with_stats(
 
 /// The subset-bag cross-check oracle: the shared-engine search proposing
 /// every bag `conn ⊆ B ⊆ conn ∪ C`, kept as an independent certification
-/// path for the elimination DP (routine use up to
-/// [`solver::MAX_SUBSET_ORACLE_VERTICES`] vertices; hard-gated at
-/// [`solver::MAX_SUBSET_SEARCH_VERTICES`]). Runs without preprocessing or
+/// path for the elimination DP (hard-gated at
+/// [`solver::MAX_SUBSET_SEARCH_VERTICES`] vertices). Runs without preprocessing or
 /// heuristic seeding.
 pub fn fhw_exact_subset_oracle(
     h: &Hypergraph,
@@ -272,8 +272,8 @@ fn fhw_by_elimination(
     let searched = ghd::elimination::optimal_elimination(
         h,
         |bag| {
-            // The DP runs outside the engine's cancellation scopes, so it
-            // polls the ambient token itself on its hot path.
+            // The DP never enters the engine, so it polls the ambient
+            // token itself on its hot path.
             if prep::anytime::interrupted() {
                 prep::anytime::interrupt::raise();
             }

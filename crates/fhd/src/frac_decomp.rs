@@ -48,8 +48,7 @@ pub fn frac_decomp(h: &Hypergraph, params: &FracDecompParams) -> Option<Decompos
 
 /// As [`frac_decomp`], also reporting the engine counters, with explicit
 /// scheduling. Algorithm 3 is a decision strategy, so it runs sequentially
-/// unless [`EngineOptions::speculate`] lets it race `(S, W_s)` guesses
-/// across the worker pool, aborting sibling LPs at the first witness.
+/// on the calling thread.
 pub fn frac_decomp_with_stats(
     h: &Hypergraph,
     params: &FracDecompParams,
@@ -64,7 +63,7 @@ pub fn frac_decomp_with_stats(
         "k={:?};eps={:?};c={};prep={};rp={};backend=auto",
         params.k, params.eps, params.c, opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
+    let reuse = opts.reuse_results;
     let (result, mut stats) = prep::cached_query(h, "result-frac-decomp", key, reuse, || {
         // Decision profile: duplicate-edge and twin-vertex collapse only —
         // the passes whose lifts preserve the weak special condition. The

@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod approx_bip;
-pub mod backends;
 pub mod bdp;
 pub mod classes;
 pub mod exact;

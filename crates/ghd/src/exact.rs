@@ -101,7 +101,7 @@ fn ghw_solve(
     if floor > 1 {
         key.push_str(&format!(";floor={floor}"));
     }
-    let reuse = opts.reuse_results && !opts.speculate;
+    let reuse = opts.reuse_results;
     let (result, mut stats) = prep::cached_query(h, "result-ghw", key, reuse, || {
         // The minimizer pipeline: GYO-style simplification, then
         // biconnected blocks solved independently (candidate generation
@@ -135,8 +135,9 @@ mod solve_metrics {
     }
 }
 
-/// The elimination-order DP as a standalone exact path (the `elim`
-/// portfolio backend): the same minimizer pipeline as
+/// The elimination-order DP as a standalone exact path (the independent
+/// reference of the agreement tests and the benchmark): the same
+/// minimizer pipeline as
 /// [`ghw_exact_with_stats`] but every block answered by the DP directly —
 /// no heuristic seed, no engine search. Exact up to
 /// [`crate::elimination::MAX_EXACT_VERTICES`] vertices per reduced block;
@@ -153,7 +154,7 @@ pub fn ghw_exact_elimination_with_stats(
         "cutoff={cutoff:?};prep={};rp={};backend=elim",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
+    let reuse = opts.reuse_results;
     prep::cached_query(h, "result-ghw", key, reuse, || {
         prep::run_minimizer(h, opts.prep, |block| {
             if block.num_vertices() > crate::elimination::MAX_EXACT_VERTICES {
@@ -195,9 +196,8 @@ pub fn ghw_upper_bound_with_stats(
 
 /// The subset-bag cross-check oracle: the pre-candgen search proposing
 /// every bag `conn ⊆ B ⊆ conn ∪ C`, kept as an independent certification
-/// path for the edge-union engine (routine use up to
-/// [`solver::MAX_SUBSET_ORACLE_VERTICES`] vertices; hard-gated at
-/// [`MAX_SUBSET_SEARCH_VERTICES`]). Runs without preprocessing or
+/// path for the edge-union engine (hard-gated at
+/// [`MAX_SUBSET_SEARCH_VERTICES`] vertices). Runs without preprocessing or
 /// heuristic seeding, so it shares nothing with the primary path beyond
 /// the engine itself.
 pub fn ghw_exact_subset_oracle(
@@ -329,7 +329,7 @@ fn ghw_by_elimination(h: &Hypergraph, cutoff: Option<usize>) -> Option<(usize, D
         h,
         |bag| {
             // The DP never enters the engine, so poll the ambient anytime
-            // token here (no-op outside portfolio/deadline runs).
+            // token here (no-op outside deadline runs).
             if prep::anytime::interrupted() {
                 prep::anytime::interrupt::raise();
             }

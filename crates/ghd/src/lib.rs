@@ -7,7 +7,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backends;
 pub mod check;
 pub mod elimination;
 pub mod exact;

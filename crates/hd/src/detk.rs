@@ -33,8 +33,7 @@ pub fn check_hd(h: &Hypergraph, k: usize) -> Option<Decomposition> {
 
 /// As [`check_hd`], also reporting the engine counters of this check.
 /// `opts` pins the engine scheduling — `det-k-decomp` is a decision
-/// strategy, so it runs sequentially unless [`EngineOptions::speculate`]
-/// lets it race candidates across the worker pool.
+/// strategy, so it runs sequentially on the calling thread.
 ///
 /// Unless opted out (`opts.prep` / `HGTOOL_NO_PREP`), the instance first
 /// runs through `prep`'s *decision* profile — duplicate-edge and
@@ -55,7 +54,7 @@ pub fn check_hd_with_stats(
         "k={k};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
+    let reuse = opts.reuse_results;
     let (result, mut stats) = prep::cached_query(h, "result-hw-check", key, reuse, || {
         let (result, stats) = prep::run_decision(h, opts.prep, |block| {
             let (d, s) = check_hd_piece(block, k, opts);
@@ -124,7 +123,7 @@ pub fn hypertree_width_at_least(
         "max_k={max_k};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
+    let reuse = opts.reuse_results;
     let (result, mut stats) = prep::cached_query(h, "result-hw", key, reuse, || {
         // The prep pipeline (which is `k`-independent) runs once around
         // the whole iteration; every check searches the same reduced

@@ -6,7 +6,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backends;
 mod detk;
 
 pub use detk::{

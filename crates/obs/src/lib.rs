@@ -4,7 +4,7 @@
 //! The crate sits at the very bottom of the workspace (std-only, no
 //! workspace dependencies) so every layer — `lp` simplex pivots,
 //! `cover` pricing, `prep` passes and caches, `candgen` seeding, the
-//! `solver` engine/runtime/portfolio, and the `hgtool` front end — can
+//! `solver` engine/runtime, and the `hgtool` front end — can
 //! report into one place without dependency cycles.
 //!
 //! # Three faces

@@ -5,7 +5,7 @@
 //!
 //! A span is opened by the [`crate::span!`] macro (or
 //! [`SpanGuard::enter`]) and closed when its guard drops — including
-//! during unwinds, so cancelled portfolio losers still close their
+//! during unwinds, so solves cut by a deadline still close their
 //! scopes. Each thread keeps a stack of open spans (giving every span
 //! its parent and depth for free) plus a buffer of completed records;
 //! when the stack empties the buffer is flushed into the global
@@ -120,7 +120,7 @@ pub enum FieldValue {
     I64(i64),
     /// Flag (warm/cold, hit/miss, won/lost).
     Bool(bool),
-    /// Short text (measure names, backend ids, outcomes).
+    /// Short text (measure names, profiles, outcomes).
     Str(String),
 }
 

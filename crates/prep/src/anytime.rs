@@ -1,22 +1,23 @@
-//! The anytime control channel shared by every width backend: cooperative
+//! The anytime control channel of a width computation: cooperative
 //! cancellation with deadlines, and monotone lower/upper bound reporting
 //! with witness-backed upper bounds.
 //!
-//! The `solver::backend` contract (see the solver README) runs every width
-//! computation under a [`RunCtl`] — a [`CancelToken`] plus a [`BoundSink`].
-//! This module lives in `prep` (below `solver` in the dependency graph)
-//! because the two places that must *observe* the channel sit on either
-//! side of the engine: the strategy wrappers and the prepare→solve→lift
-//! plumbing in this crate report bounds and lift their witnesses, while
-//! the engine's cancellation scopes in `solver` poll the token between
-//! candidates.
+//! A caller that wants to bound or watch a computation runs it under a
+//! [`RunCtl`] — a [`CancelToken`] plus a [`BoundSink`]. The daemon does
+//! this per request: the token is a child of the server's root token
+//! carrying the request's deadline. Without a control everything runs
+//! uncancellable and reports nowhere. This module lives in `prep` (below
+//! `solver` in the dependency graph) because the two places that must
+//! *observe* the channel sit on either side of the engine: the strategy
+//! wrappers and the prepare→solve→lift plumbing in this crate report
+//! bounds and lift their witnesses, while the engine in `solver` polls
+//! the token between candidates.
 //!
 //! The channel is *ambient*: [`with_ctl`] installs a control on the
 //! calling thread for the duration of a closure, and anything underneath —
 //! wrapper, prep pipeline, engine root — picks it up via [`current`]
 //! without signature changes. Worker-pool threads never read the ambient
-//! state; they observe cancellation through the engine's scope chain,
-//! which wraps the same token.
+//! state; the engine hands them the same token with every batch of work.
 //!
 //! ## Monotonicity
 //!
@@ -35,9 +36,9 @@
 //! exists* and would be stored as an answer). Instead a canceled root
 //! raises an [`Interrupted`] unwind via [`interrupt`]: the result-cache
 //! claim guards abandon their entries on the way out (waiters re-run
-//! instead of adopting a half answer), and the portfolio runner catches
-//! the payload at the backend thread boundary. A process-wide panic-hook
-//! shim keeps these control-flow unwinds out of stderr.
+//! instead of adopting a half answer), and the caller that installed the
+//! control catches the payload. A process-wide panic-hook shim keeps
+//! these control-flow unwinds out of stderr.
 
 use arith::Rational;
 use decomp::Decomposition;
@@ -76,8 +77,8 @@ impl CancelToken {
         CancelToken::build(None, Some(self.clone()))
     }
 
-    /// A child that additionally auto-cancels after `d` (the per-backend
-    /// deadline knob of the portfolio runner).
+    /// A child that additionally auto-cancels after `d` (the daemon's
+    /// per-request deadline under its root token).
     pub fn child_with_deadline(&self, d: Option<Duration>) -> Self {
         CancelToken::build(d.map(|d| Instant::now() + d), Some(self.clone()))
     }
@@ -377,8 +378,8 @@ impl std::fmt::Debug for BoundSink {
     }
 }
 
-/// The per-run control a backend executes under: the cancellation token
-/// the engine polls and the sink its bounds flow into.
+/// The per-run control a width computation executes under: the
+/// cancellation token the engine polls and the sink its bounds flow into.
 #[derive(Clone, Debug, Default)]
 pub struct RunCtl {
     /// Cooperative cancellation (explicit, deadline, or inherited).
@@ -436,8 +437,8 @@ pub mod interrupt {
 
     /// The unwind payload a canceled computation raises. Carried through
     /// `std::panic` machinery but it is control flow, not a failure: the
-    /// portfolio runner catches it at the backend thread boundary and the
-    /// quiet hook keeps it out of stderr.
+    /// caller that installed the control catches it and the quiet hook
+    /// keeps it out of stderr.
     #[derive(Debug)]
     pub struct Interrupted;
 
@@ -458,9 +459,10 @@ pub mod interrupt {
     }
 
     /// Raises the interrupt unwind. Called by the engine when its *root*
-    /// branch observes cancellation (pool-side branches return through
-    /// the scope machinery by value; only the root has no caller to
-    /// return `Canceled` to).
+    /// branch observes cancellation (pool-side branches return their
+    /// cancellation by value; only the root has no caller to return
+    /// `Canceled` to), and by the elimination DP, which polls the token
+    /// itself.
     pub fn raise() -> ! {
         install_quiet_hook();
         std::panic::panic_any(Interrupted)

@@ -11,15 +11,14 @@
 use arith::Rational;
 
 /// Counters of one width search, exposed through `SearchContext::stats`
-/// for tests, `hgtool widths --stats` and the `baseline` bin. The engine
+/// for tests, `hgtool widths --stats` and the benchmark. The engine
 /// fills the state/candidate counters; the strategy wrappers merge their
 /// shared cover-price cache deltas, the candidate-generator tallies and
 /// the preprocessing reduction counts on top.
 ///
-/// Deterministic: with speculation off (the default), every counter is
-/// identical at every thread count and across runs — states are evaluated
-/// exactly once (in-flight memo dedup) and candidates are admitted against
-/// per-round bound snapshots.
+/// Deterministic: every counter is identical at every thread count and
+/// across runs — states are evaluated exactly once (in-flight memo dedup)
+/// and candidates are admitted against per-round bound snapshots.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Search states evaluated (memo misses; exactly once per state).
@@ -48,10 +47,6 @@ pub struct SearchStats {
     /// `cand_generated - cand_filtered` is what the engine actually
     /// streamed from `candgen`.
     pub cand_filtered: usize,
-    /// States whose edge-union candidate prefix was skipped because the
-    /// per-state stream bound hit the adaptive cap (the state fell back to
-    /// subset streaming alone).
-    pub cand_cap_hits: usize,
     /// Simplex (Bland) iterations across every `ρ*` LP solve. Each bag is
     /// priced exactly once and the engine path solves it cold, so this is
     /// a pure per-bag sum — identical at every thread count.
@@ -134,7 +129,6 @@ impl SearchStats {
         self.price_warm_hits += other.price_warm_hits;
         self.cand_generated += other.cand_generated;
         self.cand_filtered += other.cand_filtered;
-        self.cand_cap_hits += other.cand_cap_hits;
         self.lp_pivots += other.lp_pivots;
         self.lp_warm_starts += other.lp_warm_starts;
         self.lp_cold_solves += other.lp_cold_solves;
@@ -221,7 +215,6 @@ mod tests {
             price_warm_hits: 7,
             cand_generated: 8,
             cand_filtered: 9,
-            cand_cap_hits: 10,
             lp_pivots: 11,
             lp_warm_starts: 12,
             lp_cold_solves: 13,
@@ -243,7 +236,6 @@ mod tests {
             price_warm_hits: 100,
             cand_generated: 100,
             cand_filtered: 100,
-            cand_cap_hits: 100,
             lp_pivots: 100,
             lp_warm_starts: 100,
             lp_cold_solves: 100,
@@ -267,7 +259,6 @@ mod tests {
             price_warm_hits: 107,
             cand_generated: 108,
             cand_filtered: 109,
-            cand_cap_hits: 110,
             lp_pivots: 111,
             lp_warm_starts: 112,
             lp_cold_solves: 113,

@@ -14,7 +14,7 @@
 //!
 //! | Endpoint            | Behavior                                         |
 //! |---------------------|--------------------------------------------------|
-//! | `POST /solve`       | one instance: measure, portfolio, deadline-ms    |
+//! | `POST /solve`       | one instance: measure, deadline-ms, witness      |
 //! | `POST /solve/batch` | many instances through `solver::solve_batch`     |
 //! | `GET /metrics`      | live Prometheus render of the `obs` registry     |
 //! | `GET /healthz`      | liveness (always 200 while the process runs)     |
@@ -53,4 +53,4 @@ pub use loadgen::{LoadReport, LoadgenOptions};
 pub use server::{ServeConfig, Server};
 
 /// The JSON response schema tag (`GET /version` reports it).
-pub const API_SCHEMA: &str = "hgtool-serve/v1";
+pub const API_SCHEMA: &str = "hgtool-serve/v2";

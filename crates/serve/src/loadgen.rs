@@ -27,8 +27,6 @@ pub struct LoadgenOptions {
     pub max_requests: Option<u64>,
     /// `measure` field sent with every request.
     pub measure: String,
-    /// Race the backend registries server-side.
-    pub portfolio: bool,
     /// Per-request deadline forwarded to the server.
     pub deadline_ms: Option<u64>,
     /// Every Nth request per connection is a `/solve/batch` of the
@@ -43,7 +41,6 @@ impl Default for LoadgenOptions {
             duration: Duration::from_secs(2),
             max_requests: None,
             measure: "widths".to_string(),
-            portfolio: false,
             deadline_ms: None,
             batch_every: 0,
         }
@@ -158,9 +155,6 @@ fn solve_body(text: &str, opts: &LoadgenOptions) -> String {
         json_escape(text),
         json_escape(&opts.measure)
     );
-    if opts.portfolio {
-        body.push_str(",\"portfolio\":true");
-    }
     if let Some(ms) = opts.deadline_ms {
         body.push_str(&format!(",\"deadline_ms\":{ms}"));
     }
@@ -185,9 +179,6 @@ fn batch_body(instances: &[(String, String)], opts: &LoadgenOptions) -> String {
         rows.join(","),
         json_escape(&opts.measure)
     );
-    if opts.portfolio {
-        body.push_str(",\"portfolio\":true");
-    }
     if let Some(ms) = opts.deadline_ms {
         body.push_str(&format!(",\"deadline_ms\":{ms}"));
     }
@@ -358,7 +349,6 @@ mod tests {
     fn bodies_are_valid_json() {
         let opts = LoadgenOptions {
             deadline_ms: Some(250),
-            portfolio: true,
             ..LoadgenOptions::default()
         };
         let single = solve_body("e1(a,b), e2(b,c)", &opts);

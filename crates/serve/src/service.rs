@@ -1,16 +1,14 @@
-//! Request routing and the solve paths: JSON in (via `obs::json`),
-//! solves through the engine / portfolio with the request's deadline
-//! as an ambient cancellation token, JSON out, with the request-id on
-//! the root span, per-request trace sampling, and the slow-request
-//! log.
+//! Request routing and the solve path: JSON in (via `obs::json`),
+//! solves through the per-measure entry points with the request's
+//! deadline as an ambient cancellation token, JSON out, with the
+//! request-id on the root span, per-request trace sampling, and the
+//! slow-request log.
 
 use crate::http::{json_escape, Request, Response};
 use crate::metrics::{handles, Endpoint};
 use crate::server::Shared;
 use hypertree_core::hypergraph::{parser, Hypergraph};
 use hypertree_core::prep::anytime::{interrupt, with_ctl, RunCtl};
-use hypertree_core::solver::backend::{Measure, WidthRequest};
-use hypertree_core::solver::portfolio::{race, PortfolioOptions, RaceReport};
 use hypertree_core::{fhd, ghd, hd, solver};
 use obs::json::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,7 +53,6 @@ impl MeasureSel {
 #[derive(Clone, Debug)]
 struct SolveParams {
     measure: MeasureSel,
-    portfolio: bool,
     deadline: Option<Duration>,
     max_hw: usize,
     witness: bool,
@@ -71,11 +68,13 @@ impl SolveParams {
                     .ok_or_else(|| format!("unknown measure {s:?}; use widths|hw|ghw|fhw"))?
             }
         };
-        let portfolio = match v.get("portfolio") {
-            None => false,
-            Some(Json::Bool(b)) => *b,
-            Some(_) => return Err("portfolio must be a boolean".into()),
-        };
+        if v.get("portfolio").is_some() {
+            // Ignoring the field would tell the client its request raced.
+            return Err(format!(
+                "the portfolio field was removed in {}: every measure has one solve path",
+                crate::API_SCHEMA
+            ));
+        }
         let deadline = match v.get("deadline_ms") {
             None | Some(Json::Null) => None,
             Some(d) => {
@@ -100,7 +99,6 @@ impl SolveParams {
         };
         Ok(SolveParams {
             measure,
-            portfolio,
             deadline,
             max_hw,
             witness,
@@ -116,18 +114,8 @@ struct SolveBody {
     widths: Vec<(&'static str, String)>,
     /// `(measure label, rendered witness)` when requested.
     witnesses: Vec<(&'static str, String)>,
-    /// `(measure label, winning backend)` on the portfolio path.
-    winners: Vec<(&'static str, String)>,
     /// Whether any engine answered from the cross-call result cache.
     cached: bool,
-}
-
-/// Why one instance's solve produced no widths.
-enum SolveFail {
-    /// Out of the exact engines' range (or `hw > max_hw`).
-    OutOfRange,
-    /// A portfolio race ended unresolved without a deadline strike.
-    Unresolved,
 }
 
 fn rat_json(w: &hypertree_core::arith::Rational) -> String {
@@ -145,21 +133,17 @@ fn cached(stats: &solver::SearchStats) -> bool {
     stats.result_cache_hits > 0
 }
 
-/// The plain (single-backend) solve through the per-measure entry points,
-/// so widths and witnesses are byte-identical to the direct API. A
-/// `widths` request computes bottom-up like `exact_widths_with_opts`:
-/// fhw, then ghw, then hw with `det-k-decomp` starting at `k = ghw`
-/// (which leaves hw's width and witness unchanged). The response keeps
-/// the hw, ghw, fhw order.
-fn solve_plain(
-    h: &Hypergraph,
-    p: &SolveParams,
-    opts: solver::EngineOptions,
-) -> Result<SolveBody, SolveFail> {
+/// Solves one instance through the per-measure entry points, so widths
+/// and witnesses are byte-identical to the direct API. A `widths`
+/// request computes bottom-up like `exact_widths_with_opts`: fhw, then
+/// ghw, then hw with `det-k-decomp` starting at `k = ghw` (which leaves
+/// hw's width and witness unchanged). The response keeps the hw, ghw,
+/// fhw order. `None` means out of the exact engines' range (or
+/// `hw > max_hw`).
+fn solve(h: &Hypergraph, p: &SolveParams, opts: solver::EngineOptions) -> Option<SolveBody> {
     let mut body = SolveBody {
         widths: Vec::new(),
         witnesses: Vec::new(),
-        winners: Vec::new(),
         cached: false,
     };
     let keep = |body: &mut SolveBody,
@@ -178,96 +162,24 @@ fn solve_plain(
     let mut floor = 1;
     if matches!(p.measure, MeasureSel::Widths | MeasureSel::Fhw) {
         let (fhw, stats) = fhd::fhw_exact_with_stats(h, None, opts);
-        let (w, d) = fhw.ok_or(SolveFail::OutOfRange)?;
+        let (w, d) = fhw?;
         solved.push(("fhw", rat_json(&w), d, stats));
     }
     if matches!(p.measure, MeasureSel::Widths | MeasureSel::Ghw) {
         let (ghw, stats) = ghd::ghw_exact_with_stats(h, None, opts);
-        let (k, d) = ghw.ok_or(SolveFail::OutOfRange)?;
+        let (k, d) = ghw?;
         floor = k;
         solved.push(("ghw", k.to_string(), d, stats));
     }
     if matches!(p.measure, MeasureSel::Widths | MeasureSel::Hw) {
         let (hw, stats) = hd::hypertree_width_at_least(h, floor, p.max_hw, opts);
-        let (k, d) = hw.ok_or(SolveFail::OutOfRange)?;
+        let (k, d) = hw?;
         solved.push(("hw", k.to_string(), d, stats));
     }
     for (name, width, d, stats) in solved.into_iter().rev() {
         keep(&mut body, name, width, d, &stats);
     }
-    Ok(body)
-}
-
-/// The portfolio solve: each requested measure races its backend
-/// registry; first exact answer wins, losers are cancelled.
-fn solve_portfolio(
-    h: &Hypergraph,
-    p: &SolveParams,
-    opts: solver::EngineOptions,
-    popts: &PortfolioOptions,
-) -> Result<SolveBody, SolveFail> {
-    let mut body = SolveBody {
-        widths: Vec::new(),
-        witnesses: Vec::new(),
-        winners: Vec::new(),
-        cached: false,
-    };
-    let measures: Vec<(&'static str, Measure)> = match p.measure {
-        MeasureSel::Widths => vec![
-            ("hw", Measure::Hw { max_k: p.max_hw }),
-            ("ghw", Measure::Ghw { cutoff: None }),
-            ("fhw", Measure::Fhw { cutoff: None }),
-        ],
-        MeasureSel::Hw => vec![("hw", Measure::Hw { max_k: p.max_hw })],
-        MeasureSel::Ghw => vec![("ghw", Measure::Ghw { cutoff: None })],
-        MeasureSel::Fhw => vec![("fhw", Measure::Fhw { cutoff: None })],
-    };
-    for (name, measure) in measures {
-        let backends = hypertree_core::backends_for(&measure);
-        let req = WidthRequest { measure, opts };
-        let r: RaceReport = race(h, &req, &backends, popts);
-        let Some(width) = r.outcome.width.clone() else {
-            return Err(if r.winner.is_some() {
-                // A certified "no" within the cutoff window.
-                SolveFail::OutOfRange
-            } else {
-                SolveFail::Unresolved
-            });
-        };
-        let rendered = if name == "fhw" {
-            rat_json(&width)
-        } else {
-            // Integral measures report integral rationals.
-            width.floor().to_i64().unwrap_or(0).max(0).to_string()
-        };
-        body.widths.push((name, rendered));
-        if p.witness {
-            if let Some(d) = &r.outcome.witness {
-                body.witnesses.push((name, d.render(h)));
-            }
-        }
-        if let Some(winner) = r.winner {
-            body.winners.push((name, winner.to_string()));
-        }
-        body.cached |= cached(&r.outcome.stats);
-    }
-    Ok(body)
-}
-
-fn solve_dispatch(
-    h: &Hypergraph,
-    p: &SolveParams,
-    opts: solver::EngineOptions,
-) -> Result<SolveBody, SolveFail> {
-    if p.portfolio {
-        let popts = PortfolioOptions {
-            deadline: p.deadline,
-            ..PortfolioOptions::from_env()
-        };
-        solve_portfolio(h, p, opts, &popts)
-    } else {
-        solve_plain(h, p, opts)
-    }
+    Some(body)
 }
 
 /// Renders one instance's solved body as a JSON object fragment
@@ -291,9 +203,6 @@ fn body_fields(body: &SolveBody) -> String {
         obj(&body.widths, false),
         body.cached
     );
-    if !body.winners.is_empty() {
-        out.push_str(&format!(",\"winners\":{}", obj(&body.winners, true)));
-    }
     if !body.witnesses.is_empty() {
         out.push_str(&format!(",\"witnesses\":{}", obj(&body.witnesses, true)));
     }
@@ -509,14 +418,13 @@ fn solve_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
             request_id = request_id.clone(),
             endpoint = endpoint.label(),
             measure = params.measure.label(),
-            portfolio = params.portfolio,
             instances = instances.len()
         );
         run_guarded(shared, params.deadline.map(|d| started + d), || {
             if batch {
                 let hs: Vec<Hypergraph> = instances.iter().map(|(_, h)| h.clone()).collect();
                 solver::solve_batch(&hs, |_, h| {
-                    let result = solve_dispatch(h, &params, shared.engine_opts);
+                    let result = solve(h, &params, shared.engine_opts);
                     // solve_batch threads per-item stats to its
                     // schedulers; the response only keeps the bodies.
                     (result, solver::SearchStats::default())
@@ -525,7 +433,7 @@ fn solve_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
                 .map(|(r, _)| r)
                 .collect::<Vec<_>>()
             } else {
-                vec![solve_dispatch(&instances[0].1, &params, shared.engine_opts)]
+                vec![solve(&instances[0].1, &params, shared.engine_opts)]
             }
         })
     };
@@ -573,13 +481,9 @@ fn solve_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
             .iter()
             .zip(&results)
             .map(|((name, _), r)| match r {
-                Ok(body) => format!("{{\"name\":{},{}}}", json_escape(name), body_fields(body)),
-                Err(SolveFail::OutOfRange) => format!(
+                Some(body) => format!("{{\"name\":{},{}}}", json_escape(name), body_fields(body)),
+                None => format!(
                     "{{\"name\":{},\"error\":\"out of exact range\"}}",
-                    json_escape(name)
-                ),
-                Err(SolveFail::Unresolved) => format!(
-                    "{{\"name\":{},\"error\":\"race unresolved\"}}",
                     json_escape(name)
                 ),
             })
@@ -595,11 +499,8 @@ fn solve_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
         )
     } else {
         match &results[0] {
-            Ok(body) => Response::json(200, format!("{{{},{}}}\n", body_fields(body), tail)),
-            Err(SolveFail::OutOfRange) => {
-                Response::error(422, "instance out of exact range (or hw > max_hw)")
-            }
-            Err(SolveFail::Unresolved) => Response::error(422, "race unresolved"),
+            Some(body) => Response::json(200, format!("{{{},{}}}\n", body_fields(body), tail)),
+            None => Response::error(422, "instance out of exact range (or hw > max_hw)"),
         }
     };
     with_id(resp)

@@ -31,8 +31,7 @@
 //!   the sharded memo, with in-flight entry states guaranteeing each state
 //!   is evaluated exactly once. Widths, witnesses *and* [`SearchStats`]
 //!   are identical at every thread count. Decision strategies run
-//!   sequentially by default; [`EngineOptions::speculate`] lets them race
-//!   candidates across the pool with sibling cancellation.
+//!   sequentially.
 //! * **State keys.** A strategy whose admissible candidates depend on more
 //!   than `(C, conn)` (the strict-HD search couples to the parent
 //!   separator's full vertex span) extends the memo key through
@@ -45,6 +44,7 @@ use arith::Rational;
 use cover::{Claim, ShardedCache};
 use decomp::{Decomposition, Node};
 use hypergraph::{components, Hypergraph, VertexSet};
+use prep::anytime::CancelToken;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
@@ -57,11 +57,6 @@ use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
 /// survives as the small-instance cross-check oracle
 /// (`ghd::ghw_exact_subset_oracle` / `fhd::fhw_exact_subset_oracle`).
 pub const MAX_SUBSET_SEARCH_VERTICES: usize = 18;
-
-/// Recommended ceiling for routinely running the subset enumeration as a
-/// cross-check oracle against the edge-union search (the full `2^n` bag
-/// space stays cheap up to here; beyond it the oracle is test-only).
-pub const MAX_SUBSET_ORACLE_VERTICES: usize = 12;
 
 /// Upper bound on worker threads per search, whatever the host reports.
 const MAX_THREADS: usize = 8;
@@ -105,23 +100,16 @@ pub fn default_thread_count() -> usize {
 
 /// Scheduling and preprocessing options for a search.
 ///
-/// The `threads`/`speculate` pair configures the [`SearchContext`] proper;
-/// `prep`/`reuse_prices` are consumed by the strategy wrappers (the
-/// `_with_stats` entry points of the five width solvers), which run the
-/// `prep` crate's simplification/block pipeline and the fingerprint-keyed
-/// cross-call price cache *around* the engine.
+/// `threads` configures the [`SearchContext`] proper;
+/// `prep`/`reuse_prices`/`reuse_results` are consumed by the strategy
+/// wrappers (the `_with_stats` entry points of the five width solvers),
+/// which run the `prep` crate's simplification/block pipeline and the
+/// fingerprint-keyed cross-call caches *around* the engine.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
     /// Worker-thread budget (`1` = strictly sequential). `None` picks
     /// [`default_thread_count`]. Values are clamped to `1..=8`.
     pub threads: Option<usize>,
-    /// Let decision strategies speculate candidates across the pool: a
-    /// round of candidates races, the first witness cancels its siblings
-    /// (which abandon their in-flight memo claims). The yes/no answer and
-    /// witness validity are unchanged, but `streamed`/`states` counters
-    /// become schedule-dependent — so this is opt-in and off everywhere
-    /// stats reproducibility matters.
-    pub speculate: bool,
     /// Run the width-preserving preprocessing pipeline (simplification
     /// passes + biconnected-block splitting where the strategy supports
     /// it) before the search, lifting the witness back to the original
@@ -142,18 +130,16 @@ pub struct EngineOptions {
     /// hit replays the original search's result and engine counters
     /// byte-for-byte; only the runtime counters (`result_cache_hits`,
     /// `inflight_dedup`, `pool_reuse`) reflect the current call. Off under
-    /// [`EngineOptions::sequential`] / [`EngineOptions::with_threads`] and
-    /// whenever `speculate` is on (speculative stats are not replayable).
+    /// [`EngineOptions::sequential`] / [`EngineOptions::with_threads`].
     pub reuse_results: bool,
 }
 
 impl Default for EngineOptions {
-    /// Default scheduling: default thread count, no speculation,
-    /// preprocessing on, cross-call price and result reuse on.
+    /// Default scheduling: default thread count, preprocessing on,
+    /// cross-call price and result reuse on.
     fn default() -> Self {
         EngineOptions {
             threads: None,
-            speculate: false,
             prep: true,
             reuse_prices: true,
             reuse_results: true,
@@ -162,12 +148,11 @@ impl Default for EngineOptions {
 }
 
 impl EngineOptions {
-    /// Sequential execution (one worker, no speculation, fresh per-search
-    /// price caches — fully reproducible stats).
+    /// Sequential execution (one worker, fresh per-search price caches —
+    /// fully reproducible stats).
     pub fn sequential() -> Self {
         EngineOptions {
             threads: Some(1),
-            speculate: false,
             prep: true,
             reuse_prices: false,
             reuse_results: false,
@@ -180,18 +165,10 @@ impl EngineOptions {
     pub fn with_threads(threads: usize) -> Self {
         EngineOptions {
             threads: Some(threads),
-            speculate: false,
             prep: true,
             reuse_prices: false,
             reuse_results: false,
         }
-    }
-
-    /// Enables decision-strategy speculation (see
-    /// [`EngineOptions::speculate`]).
-    pub fn speculative(mut self) -> Self {
-        self.speculate = true;
-        self
     }
 
     /// Disables the preprocessing pipeline (A/B debugging; also reachable
@@ -396,15 +373,13 @@ struct Plan<C> {
 }
 
 /// Engine counters, exposed through [`SearchContext::stats`] for tests,
-/// `hgtool widths --stats` and the `baseline` bin. The struct itself lives
+/// `hgtool widths --stats` and the benchmark. The struct itself lives
 /// in `prep` (so the prepare→solve→lift wrappers can fill the reduction
 /// counters while staying below this crate) and is re-exported here; the
 /// engine fills the state/candidate counters, the strategy wrappers merge
 /// price-cache and candidate-generation tallies on top.
 pub use prep::SearchStats;
 
-pub mod backend;
-pub mod portfolio;
 pub mod runtime;
 pub use runtime::{admission_estimate, solve_batch};
 
@@ -451,52 +426,12 @@ struct MemoKey {
     skey: Option<VertexSet>,
 }
 
-/// The evaluation of this branch was interrupted by a cancellation scope
-/// (a speculative sibling found a witness first). Never memoized — the
-/// partial work is abandoned and the state stays re-claimable.
+/// The evaluation of this branch was interrupted: the ambient
+/// [`CancelToken`] was canceled (a deadline struck or the caller gave up).
+/// Never memoized — the partial work is abandoned and the state stays
+/// re-claimable.
 #[derive(Debug)]
 struct Canceled;
-
-/// A cooperative cancellation scope: one flag per speculative round,
-/// chained to the enclosing scope so an ancestor's cancellation reaches
-/// nested speculation, and optionally anchored to an *external*
-/// [`prep::anytime::CancelToken`] at the root (the portfolio runner's
-/// loser-cancellation and deadline channel). Checked between candidates
-/// and before every child descent — cancellation is prompt but never
-/// preempts a running LP.
-struct CancelScope {
-    flag: AtomicBool,
-    parent: Option<Arc<CancelScope>>,
-    external: Option<prep::anytime::CancelToken>,
-}
-
-impl CancelScope {
-    /// A root scope observing an ambient [`prep::anytime::CancelToken`].
-    fn anchored(token: prep::anytime::CancelToken) -> Self {
-        CancelScope {
-            flag: AtomicBool::new(false),
-            parent: None,
-            external: Some(token),
-        }
-    }
-
-    fn is_canceled(&self) -> bool {
-        if self.flag.load(Ordering::Relaxed) {
-            return true;
-        }
-        if self.external.as_ref().is_some_and(|t| t.is_canceled()) {
-            return true;
-        }
-        match &self.parent {
-            Some(p) => p.is_canceled(),
-            None => false,
-        }
-    }
-
-    fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-}
 
 /// A queued unit of work: claims candidate slots from the batch it was
 /// advertised for. Receives the pool and the executing worker's index so
@@ -708,12 +643,12 @@ mod pool_metrics {
 }
 
 /// Per-branch execution handle threaded through the recursion: where this
-/// branch runs (shared pool + deque index) and which cancellation scope
+/// branch runs (shared pool + deque index) and which cancellation token
 /// governs it.
 struct Exec {
     pool: Option<&'static SharedPool>,
     worker: usize,
-    cancel: Option<Arc<CancelScope>>,
+    cancel: Option<CancelToken>,
 }
 
 impl Exec {
@@ -727,10 +662,7 @@ impl Exec {
     }
 
     fn is_canceled(&self) -> bool {
-        match &self.cancel {
-            Some(scope) => scope.is_canceled(),
-            None => false,
-        }
+        self.cancel.as_ref().is_some_and(CancelToken::is_canceled)
     }
 }
 
@@ -762,14 +694,6 @@ impl<C> Evaluated<C> {
 /// The per-slot outcomes of one evaluation round, in stream order.
 type RoundOutcome<C> = Vec<Option<Evaluated<C>>>;
 
-/// Decision-speculation state of a batch: the scope that cancels losing
-/// siblings and the winning candidate (lowest slot wins ties so repeated
-/// runs prefer the same witness).
-struct SpecState<C> {
-    scope: Arc<CancelScope>,
-    winner: Mutex<Option<(usize, Found<C>)>>,
-}
-
 /// One evaluation batch: a round of candidates of a single state, shared
 /// with the pool via `Arc`. Workers claim slots through `cursor` (so an
 /// advertisement popped after the batch is drained is a cheap no-op), write
@@ -785,17 +709,14 @@ struct BatchCtx<C, S> {
     parent_split: VertexSet,
     comp_edges: Vec<usize>,
     guesses: Vec<Guess>,
-    /// The round's bound snapshot (minimizers) or the strategy cutoff
-    /// (speculation).
+    /// The round's bound snapshot.
     bound: Option<C>,
-    /// The enclosing cancellation scope, if any.
-    inherited: Option<Arc<CancelScope>>,
-    /// `Some` for speculative decision rounds.
-    spec: Option<SpecState<C>>,
+    /// The cancellation token of the branch that owns the batch, if any.
+    inherited: Option<CancelToken>,
     cursor: AtomicUsize,
     results: Mutex<RoundOutcome<C>>,
-    /// Set when a slot was killed by an *ancestor* scope (not by a sibling
-    /// win): the whole batch result is then discarded as canceled.
+    /// Set when a slot was canceled: the whole batch result is then
+    /// discarded as canceled.
     failed: AtomicBool,
     remaining: Mutex<usize>,
     done: Condvar,
@@ -809,14 +730,10 @@ where
     /// Claims and evaluates candidate slots until the batch is drained.
     /// Runs on the owner and on any worker that popped an advertisement.
     fn work(&self, pool: &'static SharedPool, worker: usize) {
-        let cancel = match &self.spec {
-            Some(spec) => Some(Arc::clone(&spec.scope)),
-            None => self.inherited.clone(),
-        };
         let exec = Exec {
             pool: Some(pool),
             worker,
-            cancel,
+            cancel: self.inherited.clone(),
         };
         loop {
             let slot = self.cursor.fetch_add(1, Ordering::Relaxed);
@@ -840,34 +757,10 @@ where
                 )
             };
             match outcome {
-                Ok(Evaluated::Solved(found)) if self.spec.is_some() => {
-                    let spec = self.spec.as_ref().expect("speculative batch");
-                    let mut winner = spec.winner.lock().expect("winner poisoned");
-                    let better = match &*winner {
-                        None => true,
-                        Some((best_slot, _)) => slot < *best_slot,
-                    };
-                    if better {
-                        *winner = Some((slot, found));
-                    }
-                    drop(winner);
-                    spec.scope.cancel();
-                }
-                Ok(_) if self.spec.is_some() => {}
                 Ok(evaluated) => {
                     self.results.lock().expect("batch results poisoned")[slot] = Some(evaluated);
                 }
-                Err(Canceled) => {
-                    // Losing a speculative race is the expected outcome;
-                    // only an ancestor cancellation fails the batch itself.
-                    let ancestor = match &self.inherited {
-                        Some(scope) => scope.is_canceled(),
-                        None => false,
-                    };
-                    if ancestor || self.spec.is_none() {
-                        self.failed.store(true, Ordering::Release);
-                    }
-                }
+                Err(Canceled) => self.failed.store(true, Ordering::Release),
             }
             let mut left = self.remaining.lock().expect("batch latch poisoned");
             *left -= 1;
@@ -897,8 +790,6 @@ struct Core<C> {
     stats: AtomicStats,
     /// Configured worker-thread budget (1 = sequential).
     threads: usize,
-    /// Decision-strategy speculation (see [`EngineOptions::speculate`]).
-    speculate: bool,
 }
 
 /// The shared search engine: memoized `(component, connector[, state key])`
@@ -943,8 +834,7 @@ impl<C, S> Clone for Search<C, S> {
 }
 
 impl<C: Ord + Clone + Send + Sync + 'static> SearchContext<C> {
-    /// A context with the default parallelism ([`default_thread_count`])
-    /// and no speculation.
+    /// A context with the default parallelism ([`default_thread_count`]).
     pub fn new() -> Self {
         Self::with_options(EngineOptions::default())
     }
@@ -971,7 +861,6 @@ impl<C: Ord + Clone + Send + Sync + 'static> SearchContext<C> {
                 plans: Mutex::new(Vec::new()),
                 stats: AtomicStats::default(),
                 threads,
-                speculate: opts.speculate,
             }),
         }
     }
@@ -1018,21 +907,15 @@ impl<C: Ord + Clone + Send + Sync + 'static> SearchContext<C> {
             strategy: Arc::clone(strategy),
             permits: Arc::new(Permits::new(self.core.threads.saturating_sub(1))),
         };
-        // Decision strategies without speculation never push a job, so
-        // routing them through the pool is pure overhead.
-        let wants_pool = self.core.threads > 1 && (!strategy.is_decision() || self.core.speculate);
-        // An ambient anytime control (portfolio racing, deadlines) anchors
-        // the root scope to its token: every speculative descendant scope
-        // chains back here, so external cancellation reaches pool-side
-        // work through the ordinary scope walk.
-        let ambient = prep::anytime::current_cancel();
-        let cancel = ambient
-            .as_ref()
-            .map(|token| Arc::new(CancelScope::anchored(token.clone())));
+        // Decision strategies never push a job, so routing them through
+        // the pool is pure overhead.
+        let wants_pool = self.core.threads > 1 && !strategy.is_decision();
+        // The ambient token (a serve deadline, a draining server) travels
+        // with every branch, pool-side batches included.
         let exec = Exec {
             pool: wants_pool.then(shared_pool),
             worker: EXTERNAL,
-            cancel,
+            cancel: prep::anytime::current_cancel(),
         };
         let solved = search.solve_inner(&root, &empty, &empty, &exec);
         let entry = match solved {
@@ -1040,7 +923,7 @@ impl<C: Ord + Clone + Send + Sync + 'static> SearchContext<C> {
             // Only the ambient token can cancel the root branch; there is
             // no caller to hand `Canceled` back to, so unwind — the cache
             // claim guards abandon their entries on the way out and the
-            // portfolio runner catches the payload at its thread boundary.
+            // caller that installed the token catches the payload.
             Err(Canceled) => prep::anytime::interrupt::raise(),
         };
         let (cost, plan) = entry?;
@@ -1072,7 +955,7 @@ impl<C: Ord + Clone + Send + Sync + 'static> SearchContext<C> {
         };
         search
             .solve_inner(comp, conn, parent_split, &Exec::sequential())
-            .expect("the sequential engine has no cancellation scope")
+            .expect("the sequential engine has no cancellation token")
     }
 
     /// Materializes the witness decomposition rooted at `plan`. The root bag
@@ -1200,11 +1083,7 @@ where
     ) -> Result<Option<(C, Plan<C>)>, Canceled> {
         let stream = self.strategy.candidates(&self.h, state);
         if self.strategy.is_decision() {
-            if self.core.speculate && exec.pool.is_some() {
-                self.evaluate_speculative(state, stream, exec)
-            } else {
-                self.evaluate_sequential(state, stream, exec)
-            }
+            self.evaluate_sequential(state, stream, exec)
         } else {
             self.evaluate_rounds(state, stream, exec)
         }
@@ -1383,7 +1262,6 @@ where
             guesses,
             bound,
             inherited: exec.cancel.clone(),
-            spec: None,
             cursor: AtomicUsize::new(0),
             results: Mutex::new((0..slots).map(|_| None).collect()),
             failed: AtomicBool::new(false),
@@ -1396,79 +1274,6 @@ where
         }
         let results = std::mem::take(&mut *ctx.results.lock().expect("batch results poisoned"));
         Ok(results)
-    }
-
-    /// The speculative decision loop: rounds of `threads` candidates race
-    /// across the pool under a fresh cancellation scope; the first witness
-    /// (ties broken toward the lowest slot) cancels its siblings, which
-    /// abandon their in-flight memo claims mid-descent.
-    fn evaluate_speculative(
-        &self,
-        state: SearchState<'_>,
-        mut stream: CandidateStream<'_>,
-        exec: &Exec,
-    ) -> Result<Option<(C, Plan<C>)>, Canceled> {
-        let pool = exec.pool.expect("speculation requires a pool");
-        let cutoff = self.strategy.cutoff();
-        let mut streamed = Tally::new(&self.core.stats.streamed);
-        loop {
-            if exec.is_canceled() {
-                return Err(Canceled);
-            }
-            let mut batch = Vec::with_capacity(self.core.threads);
-            while batch.len() < self.core.threads {
-                let Some(guess) = stream.next() else { break };
-                batch.push(guess);
-            }
-            if batch.is_empty() {
-                return Ok(None);
-            }
-            streamed.add(batch.len());
-            if batch.len() == 1 {
-                if let Evaluated::Solved(found) =
-                    self.evaluate_candidate(state, &batch[0], cutoff.as_ref(), exec)?
-                {
-                    return Ok(Some(found));
-                }
-                continue;
-            }
-            let slots = batch.len();
-            let scope = Arc::new(CancelScope {
-                flag: AtomicBool::new(false),
-                parent: exec.cancel.clone(),
-                external: None,
-            });
-            let ctx = Arc::new(BatchCtx {
-                search: self.clone(),
-                comp: state.comp.clone(),
-                conn: state.conn.clone(),
-                parent_split: state.parent_split.clone(),
-                comp_edges: state.comp_edges.to_vec(),
-                guesses: batch,
-                bound: cutoff.clone(),
-                inherited: exec.cancel.clone(),
-                spec: Some(SpecState {
-                    scope,
-                    winner: Mutex::new(None),
-                }),
-                cursor: AtomicUsize::new(0),
-                results: Mutex::new(Vec::new()),
-                failed: AtomicBool::new(false),
-                remaining: Mutex::new(slots),
-                done: Condvar::new(),
-            });
-            self.offer_and_work(pool, exec.worker, &ctx);
-            if ctx.failed.load(Ordering::Acquire) {
-                return Err(Canceled);
-            }
-            let spec = ctx.spec.as_ref().expect("speculative batch");
-            let winner = spec.winner.lock().expect("winner poisoned").take();
-            if let Some((_, found)) = winner {
-                return Ok(Some(found));
-            }
-            // No winner and no ancestor cancellation: every candidate of
-            // the round genuinely failed — keep streaming.
-        }
     }
 
     /// Advertises a batch to the pool (one job per slot a helper could
@@ -1943,30 +1748,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn speculative_decision_searches_agree_with_sequential() {
-        // Speculation may pick a different (equally valid) witness but
-        // must return the same yes/no and cost on decision strategies.
-        for n in 3..8 {
-            let h = path(n);
-            let seq = SearchContext::with_threads(1)
-                .run(&h, &Arc::new(SingleEdge))
-                .map(|(c, _)| c);
-            let cx = SearchContext::with_options(EngineOptions::with_threads(4).speculative());
-            let spec = cx.run(&h, &Arc::new(SingleEdge));
-            assert_eq!(seq, spec.as_ref().map(|(c, _)| *c), "path({n})");
-            if let Some((_, d)) = spec {
-                assert_eq!(decomp::validate_hd(&h, &d), Ok(()), "{}", d.render(&h));
-            }
-        }
-        let h = triangle();
-        let cx = SearchContext::with_options(EngineOptions::with_threads(4).speculative());
-        assert!(
-            cx.run(&h, &Arc::new(SingleEdge)).is_none(),
-            "no width-1 HD exists"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hgtool structure <file>             structural profile (BIP/BMIP/BDP/VC)
-//! hgtool widths [--stats] [--no-prep] [--heuristic-only] [--portfolio] <file>...
+//! hgtool widths [--stats] [--no-prep] [--heuristic-only] <file>...
 //!                                     exact hw / ghw / fhw (small instances);
 //!                                     several files (or a `*` glob in the
 //!                                     file name) run as one batch through
@@ -20,12 +20,6 @@
 //!                                     --heuristic-only prints the candgen
 //!                                     upper bounds + witnesses without any
 //!                                     exact search (any instance size),
-//!                                     --portfolio races each width's
-//!                                     backend registry (engine / elim DP /
-//!                                     subset oracle / seed-refine), first
-//!                                     exact answer wins, losers cancelled;
-//!                                     honors HGTOOL_DEADLINE_MS and
-//!                                     per-backend HGTOOL_DEADLINE_<ID>_MS;
 //!                                     --trace prints the span tree + phase
 //!                                     totals, --trace-json <file> writes
 //!                                     the hgtool-trace/v1 JSONL stream,
@@ -52,7 +46,7 @@
 //!                                     HGTOOL_DRAIN_GRACE_MS; SIGTERM or
 //!                                     /admin/drain shut down gracefully
 //! hgtool loadgen [--addr <a>] [--connections N] [--duration-ms N]
-//!                [--max-requests N] [--measure w] [--portfolio]
+//!                [--max-requests N] [--measure w]
 //!                [--deadline-ms N] [--batch-every N] [--json] [<file>...]
 //!                                     closed-loop load generator against a
 //!                                     running hgtool serve; replays the
@@ -84,7 +78,7 @@ fn main() -> ExitCode {
             eprintln!("usage:");
             eprintln!("  hgtool structure <file>");
             eprintln!(
-                "  hgtool widths [--stats] [--no-prep] [--heuristic-only] [--portfolio] \
+                "  hgtool widths [--stats] [--no-prep] [--heuristic-only] \
                  [--trace] [--trace-json <file>] [--trace-folded <file>] <file>..."
             );
             eprintln!("  hgtool metrics <file>...");
@@ -94,7 +88,7 @@ fn main() -> ExitCode {
             eprintln!("  hgtool serve [--addr <host:port>] [--trace-json <file>]");
             eprintln!(
                 "  hgtool loadgen [--addr <host:port>] [--connections <n>] [--duration-ms <n>] \
-                 [--max-requests <n>] [--measure <widths|hw|ghw|fhw>] [--portfolio] \
+                 [--max-requests <n>] [--measure <widths|hw|ghw|fhw>] \
                  [--deadline-ms <n>] [--batch-every <n>] [--json] [<file>...]"
             );
             ExitCode::FAILURE
@@ -109,7 +103,6 @@ fn run(args: &[String]) -> Result<(), String> {
             let mut stats = false;
             let mut no_prep = false;
             let mut heuristic_only = false;
-            let mut portfolio = false;
             let mut trace = TraceOpts::default();
             let mut files: Vec<String> = Vec::new();
             let mut i = 0;
@@ -118,7 +111,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     "--stats" => stats = true,
                     "--no-prep" => no_prep = true,
                     "--heuristic-only" => heuristic_only = true,
-                    "--portfolio" => portfolio = true,
                     "--trace" => trace.tree = true,
                     "--trace-json" => {
                         i += 1;
@@ -136,9 +128,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     file => files.extend(expand_glob(file)?),
                 }
                 i += 1;
-            }
-            if heuristic_only && portfolio {
-                return Err("--heuristic-only and --portfolio are mutually exclusive".into());
             }
             // A trace sink arms collection; --stats arms it too so the
             // phase-time columns have spans to aggregate. Tracing is
@@ -158,20 +147,12 @@ fn run(args: &[String]) -> Result<(), String> {
                     heuristic_widths(&load(file)?, no_prep)?;
                     drain_if_tracing()
                 }
-                [file] if portfolio => {
-                    widths_portfolio(&load(file)?, stats, no_prep)?;
-                    drain_if_tracing()
-                }
                 [file] => widths(&load(file)?, stats, no_prep)?,
                 many if heuristic_only => {
                     return Err(format!(
                         "--heuristic-only takes one file, got {}",
                         many.len()
                     ))
-                }
-                many if portfolio => {
-                    widths_portfolio_batch(many, stats, no_prep)?;
-                    drain_if_tracing()
                 }
                 many => {
                     widths_batch(many, stats, no_prep)?;
@@ -439,7 +420,6 @@ fn loadgen_cmd(rest: &[String]) -> Result<(), String> {
                 opts.measure = take("--measure")?;
                 i += 1;
             }
-            "--portfolio" => opts.portfolio = true,
             "--deadline-ms" => {
                 opts.deadline_ms = Some(
                     take("--deadline-ms")?
@@ -604,11 +584,11 @@ fn widths(
             );
         }
         println!();
-        println!("engine     lp-pivots  warm-starts  cold-solves  cand-cap-hits");
+        println!("engine     lp-pivots  warm-starts  cold-solves");
         for (name, t) in [("hw", &s.hw), ("ghw", &s.ghw), ("fhw", &s.fhw)] {
             println!(
-                "{name:<10} {:>9} {:>12} {:>12} {:>14}",
-                t.lp_pivots, t.lp_warm_starts, t.lp_cold_solves, t.cand_cap_hits,
+                "{name:<10} {:>9} {:>12} {:>12}",
+                t.lp_pivots, t.lp_warm_starts, t.lp_cold_solves,
             );
         }
         println!();
@@ -664,135 +644,6 @@ fn widths(
     // Spans of the --stats rerun (if any) belong to the command too.
     records.extend(drain_if_tracing());
     Ok(records)
-}
-
-/// `hgtool widths --portfolio`: each width measure races its backend
-/// registry — first exact answer wins, losers are cancelled through the
-/// engine's cancellation scopes — and the winner column names who won.
-/// `HGTOOL_DEADLINE_MS` (global) and `HGTOOL_DEADLINE_<ID>_MS`
-/// (per-backend) arm the race deadlines; on a total timeout the best
-/// witnessed bounds any member achieved are printed instead.
-fn widths_portfolio(h: &Hypergraph, stats: bool, no_prep: bool) -> Result<(), String> {
-    use hypertree::solver::backend::{Measure, WidthRequest};
-    use hypertree::solver::portfolio::{race, PortfolioOptions, RaceReport};
-    let mut opts = EngineOptions::default();
-    if no_prep {
-        opts = opts.without_prep();
-        opts.reuse_prices = false;
-    }
-    let popts = PortfolioOptions::from_env();
-    // Per-measure races rather than `exact_widths_portfolio`: like the
-    // plain path, each width degrades to `n/a` (or its best bounds)
-    // independently instead of failing the whole command.
-    let races: Vec<(&str, RaceReport)> = [
-        ("hw", Measure::Hw { max_k: 8 }),
-        ("ghw", Measure::Ghw { cutoff: None }),
-        ("fhw", Measure::Fhw { cutoff: None }),
-    ]
-    .into_iter()
-    .map(|(name, measure)| {
-        let backends = hypertree::backends_for(&measure);
-        let req = WidthRequest { measure, opts };
-        (name, race(h, &req, &backends, &popts))
-    })
-    .collect();
-    for (name, r) in &races {
-        let answer = match (&r.outcome.width, r.winner) {
-            (Some(w), _) => w.to_string(),
-            (None, Some(_)) => "no (cutoff certified)".into(),
-            (None, None) => {
-                let lb = r
-                    .bounds
-                    .lower
-                    .as_ref()
-                    .map_or_else(|| "?".into(), |w| w.to_string());
-                match &r.bounds.upper {
-                    Some(ub) => format!("in [{lb}, {ub}] (race unresolved)"),
-                    None => format!(">= {lb} (race unresolved)"),
-                }
-            }
-        };
-        println!("{name:<3} = {answer}   winner={}", r.winner.unwrap_or("-"));
-    }
-    if stats {
-        println!();
-        println!(
-            "race   winner       raced                               canceled  first-bound  exact"
-        );
-        for (name, r) in &races {
-            println!(
-                "{name:<6} {:<12} {:<35} {:>8}  {:>11}  {:>5}",
-                r.winner.unwrap_or("-"),
-                r.raced.join(","),
-                r.canceled,
-                fmt_micros(r.time_to_first_bound),
-                fmt_micros(r.time_to_exact),
-            );
-        }
-        println!();
-        for (name, r) in &races {
-            let trace: Vec<String> = r
-                .trace
-                .iter()
-                .map(|e| match e {
-                    hypertree::solver::backend::BoundEvent::Lower(w) => format!("lb>={w}"),
-                    hypertree::solver::backend::BoundEvent::Upper(w) => format!("ub<={w}"),
-                })
-                .collect();
-            println!("{name} bound trace: {}", trace.join(" -> "));
-        }
-    }
-    Ok(())
-}
-
-/// Formats an optional race duration in microseconds.
-fn fmt_micros(d: Option<std::time::Duration>) -> String {
-    d.map(|d| format!("{}us", d.as_micros()))
-        .unwrap_or_else(|| "-".into())
-}
-
-/// `hgtool widths --portfolio` over several files: the batch runs through
-/// the shared runtime ([`hypertree::exact_widths_portfolio_batch`]) and
-/// every instance's three measures race their registries; the winners
-/// column names who won each race.
-fn widths_portfolio_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), String> {
-    use hypertree::solver::portfolio::PortfolioOptions;
-    let mut opts = EngineOptions::default();
-    if no_prep {
-        opts = opts.without_prep();
-        opts.reuse_prices = false;
-        opts.reuse_results = false;
-    }
-    let popts = PortfolioOptions::from_env();
-    let mut instances = Vec::with_capacity(files.len());
-    for f in files {
-        instances.push(load(f)?);
-    }
-    let results = hypertree::exact_widths_portfolio_batch(&instances, 8, opts, &popts);
-    let name_width = files.iter().map(|f| f.len()).max().unwrap_or(0);
-    for (file, result) in files.iter().zip(&results) {
-        match result {
-            Some((w, s, races)) => {
-                let mut line = format!(
-                    "{file:<name_width$}  hw={} ghw={} fhw={}  winners hw:{} ghw:{} fhw:{}",
-                    w.hw,
-                    w.ghw,
-                    w.fhw,
-                    races.hw.winner.unwrap_or("-"),
-                    races.ghw.winner.unwrap_or("-"),
-                    races.fhw.winner.unwrap_or("-"),
-                );
-                if stats {
-                    let canceled = races.hw.canceled + races.ghw.canceled + races.fhw.canceled;
-                    let states = s.hw.states + s.ghw.states + s.fhw.states;
-                    line.push_str(&format!("   states={states} losers-canceled={canceled}"));
-                }
-                println!("{line}");
-            }
-            None => println!("{file:<name_width$}  n/a (a race ended unresolved)"),
-        }
-    }
-    Ok(())
 }
 
 /// `hgtool widths` over several files: one batched [`hypertree::exact_widths_batch`]

@@ -1,6 +1,7 @@
 //! Agreement suite for the `candgen` subsystem: the edge-union-driven
-//! `ghw`/`fhw` engines must agree with the retained subset-bag oracle and
-//! the independent elimination DP on small instances, the heuristic upper
+//! `ghw`/`fhw` engines must agree with the retained subset-bag oracle, the
+//! independent elimination DP and the DP's prepped front doors
+//! (`*_exact_elimination_with_stats`) on small instances, the heuristic upper
 //! bounds must be sound (`ub >= exact`) with witnesses that re-validate,
 //! and the ≥19-vertex instances that motivated the subsystem must now
 //! resolve exactly.
@@ -37,7 +38,6 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
 fn opts() -> EngineOptions {
     EngineOptions {
         threads: None,
-        speculate: false,
         prep: true,
         reuse_prices: false,
         reuse_results: false,
@@ -51,6 +51,7 @@ proptest! {
     fn candgen_ghw_agrees_with_subset_oracle_and_dp(h in arb_hypergraph()) {
         let (primary, stats) = ghd::ghw_exact_with_stats(&h, None, opts());
         let oracle = ghd::ghw_exact_subset_oracle(&h, None).map(|(w, _)| w);
+        let (front_door, _) = ghd::exact::ghw_exact_elimination_with_stats(&h, None, opts());
         let dp = ghd::elimination::optimal_elimination(
             &h,
             |bag| cover::integral_cover(&h, bag).expect("coverable").weight(),
@@ -69,10 +70,20 @@ proptest! {
             "candgen ghw vs elimination DP on {:?}",
             h
         );
+        prop_assert_eq!(
+            primary.as_ref().map(|(w, _)| *w),
+            front_door.as_ref().map(|(w, _)| *w),
+            "candgen ghw vs the DP front door on {:?}",
+            h
+        );
         if let Some((w, d)) = primary {
             prop_assert_eq!(validate::validate_ghd(&h, &d), Ok(()), "ghw witness");
             prop_assert!(d.width() <= Rational::from(w));
             prop_assert!(stats.ub_width.is_some(), "heuristic seed recorded");
+        }
+        if let Some((w, d)) = front_door {
+            prop_assert_eq!(validate::validate_ghd(&h, &d), Ok(()), "DP front-door ghw witness");
+            prop_assert!(d.width() <= Rational::from(w));
         }
     }
 
@@ -80,6 +91,7 @@ proptest! {
     fn candgen_fhw_agrees_with_subset_oracle_and_dp(h in arb_hypergraph()) {
         let (primary, _) = fhd::fhw_exact_with_stats(&h, None, opts());
         let oracle = fhd::fhw_exact_subset_oracle(&h, None).map(|(w, _)| w);
+        let (front_door, _) = fhd::fhw_exact_elimination_with_stats(&h, None, opts());
         let dp = ghd::elimination::optimal_elimination(
             &h,
             |bag| cover::fractional_cover(&h, bag).expect("coverable").weight,
@@ -98,8 +110,18 @@ proptest! {
             "candgen fhw vs elimination DP on {:?}",
             h
         );
+        prop_assert_eq!(
+            primary.as_ref().map(|(w, _)| w.clone()),
+            front_door.as_ref().map(|(w, _)| w.clone()),
+            "candgen fhw vs the DP front door on {:?}",
+            h
+        );
         if let Some((w, d)) = primary {
             prop_assert_eq!(validate::validate_fhd(&h, &d), Ok(()), "fhw witness");
+            prop_assert!(d.width() <= w);
+        }
+        if let Some((w, d)) = front_door {
+            prop_assert_eq!(validate::validate_fhd(&h, &d), Ok(()), "DP front-door fhw witness");
             prop_assert!(d.width() <= w);
         }
     }

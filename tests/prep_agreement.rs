@@ -42,7 +42,6 @@ fn prep_disabled() -> bool {
 fn with_prep() -> EngineOptions {
     EngineOptions {
         threads: None,
-        speculate: false,
         prep: true,
         reuse_prices: false,
         reuse_results: false,

@@ -157,7 +157,7 @@ fn serve_end_to_end() {
     assert!(metrics.contains("hgtool_serve_admission_wait_seconds_bucket"));
 
     // Error paths: malformed body, unknown route, wrong method, bad
-    // measure, oversized body.
+    // measure, the removed portfolio field, oversized body.
     let (status, resp) =
         http_call(&mut main_stream, "POST", "/solve", Some("{not json")).expect("bad json");
     assert_eq!(status, 400, "{resp}");
@@ -174,6 +174,26 @@ fn serve_end_to_end() {
     )
     .expect("bad measure");
     assert_eq!(status, 400, "{resp}");
+    // Ignoring the field would tell the client its request raced, so
+    // both solve endpoints refuse it and name the removal.
+    for (path, body) in [
+        ("/solve", "{\"hypergraph\":\"e(a,b)\",\"portfolio\":true}"),
+        (
+            "/solve/batch",
+            "{\"instances\":[{\"hypergraph\":\"e(a,b)\"}],\"portfolio\":false}",
+        ),
+    ] {
+        let (status, resp) =
+            http_call(&mut main_stream, "POST", path, Some(body)).expect("portfolio call");
+        assert_eq!(status, 400, "{path}: {resp}");
+        assert!(
+            resp.contains("portfolio field was removed in hgtool-serve/v2"),
+            "{path}: {resp}"
+        );
+    }
+    let (status, resp) = http_call(&mut main_stream, "GET", "/version", None).expect("version");
+    assert_eq!(status, 200, "{resp}");
+    assert!(resp.contains("\"api\":\"hgtool-serve/v2\""), "{resp}");
     // Oversized: the server 413s off the Content-Length header alone,
     // so announce a huge body and read the reply without sending it.
     let mut big = TcpStream::connect(&addr).expect("connect");
