@@ -69,17 +69,17 @@ impl EdgeUnionConfig {
     }
 }
 
-/// The default saturation cap for [`stream_size_bound`]. The exact `ghw`
-/// path (`ghd::exact`) sends a block to the edge-union engine only while
-/// the block's bound stays below it, else to the elimination DP;
-/// `solver::runtime::admission_estimate` saturates its batch-admission
-/// ranking at it.
+/// The default saturation cap for [`stream_size_bound`]. The exact
+/// minimizer (`solver::exact`, under `ρ`) sends a block to the edge-union
+/// engine only while the block's bound stays below it, else to the
+/// elimination DP; `solver::runtime::admission_estimate` saturates its
+/// batch-admission ranking at it.
 pub const DEFAULT_STREAM_CAP: u64 = 50_000;
 
 /// Number of non-empty subsets of a `pool`-element set with at most
 /// `max_edges` elements, saturating at `cap` — the feasibility estimate
-/// the strategy wrappers gate the edge-union engine on before falling
-/// back to the elimination DP.
+/// `solver::exact` gates the edge-union engine on before falling back to
+/// the elimination DP.
 pub fn stream_size_bound(pool: usize, max_edges: usize, cap: u64) -> u64 {
     let mut total: u64 = 0;
     let mut binom: u64 = 1;

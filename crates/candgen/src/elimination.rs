@@ -1,24 +1,26 @@
-//! Exact width computation by dynamic programming over elimination
-//! orderings — the exponential-time baseline in the spirit of
-//! Moll–Tazari–Thurley \[42\].
-//!
-//! It is exact `fhw`'s primary path: `fhd::exact` answers every block of
-//! at most [`MAX_EXACT_VERTICES`] = 24 vertices with [`optimal_elimination`]
-//! under the cutoff seeded by the heuristic bound. For `ghw` it is the
-//! fallback when the edge-union space is infeasible, and an *independent*
-//! implementation the cross-check tests in [`crate::exact`] certify the
-//! edge-union engine against.
+//! Elimination orderings: the exact dynamic program over them, in the
+//! spirit of Moll–Tazari–Thurley \[42\], and the tree decomposition an
+//! ordering induces.
 //!
 //! For any *monotone* bag-cost function `c` (both `rho` and `rho*` are
 //! monotone under set inclusion), the minimum over all tree decompositions
 //! of the maximum bag cost is attained on a decomposition whose bags are the
 //! maximal cliques of a minimal triangulation of the primal graph, and every
 //! minimal triangulation arises from an elimination ordering. The classic
-//! `O(2^n)` subset DP over orderings is therefore exact. Edge coverage
-//! (condition 1) is automatic: hyperedges are primal cliques and every tree
-//! decomposition of the primal graph puts each clique inside some bag
-//! (Lemma 2.8).
+//! `O(2^n)` subset DP over orderings ([`optimal_elimination`]) is therefore
+//! exact. Edge coverage (condition 1) is automatic: hyperedges are primal
+//! cliques and every tree decomposition of the primal graph puts each
+//! clique inside some bag (Lemma 2.8).
+//!
+//! [`assemble`] builds the decomposition of an ordering. It is the one
+//! elimination-tree routine behind both witnesses: the heuristic bound's
+//! ([`crate::upper_bound`]) and the DP's (`solver::exact`). The DP prices
+//! the bag of `v` as `v` plus every vertex reachable from it through
+//! eliminated vertices; that is exactly `v`'s neighborhood in the filled
+//! graph when `v` is eliminated (Rose–Tarjan–Lueker), so the assembled
+//! witness has the width the DP reported.
 
+use arith::Rational;
 use decomp::{Decomposition, Node};
 use hypergraph::{Hypergraph, VertexSet};
 use std::collections::HashMap;
@@ -159,81 +161,66 @@ where
     Some((best_cost, order))
 }
 
-/// Builds the tree decomposition induced by an elimination order: node `t`
-/// has bag `bag(order[t], eliminated_before_t)`; its parent is the node of
-/// the earliest-eliminated later vertex in its bag.
-pub fn decomposition_from_order(
+/// Removes `v` from the alive set, connecting its alive neighbors into a
+/// clique (the fill step).
+pub(crate) fn eliminate(adj: &mut [VertexSet], alive: &mut VertexSet, v: usize) {
+    alive.remove(v);
+    let neighbors = adj[v].intersection(alive);
+    for a in neighbors.iter() {
+        adj[a].union_with(&neighbors);
+        adj[a].remove(a);
+    }
+}
+
+/// The elimination bags of `order`, in elimination order: bag `t` is
+/// `order[t]` plus its still-alive neighbors in the filled graph.
+pub(crate) fn bags_of_order(h: &Hypergraph, order: &[usize]) -> Vec<VertexSet> {
+    let mut adj = h.primal_graph();
+    let mut alive = h.all_vertices();
+    let mut bags = Vec::with_capacity(order.len());
+    for &v in order {
+        let mut bag = adj[v].intersection(&alive);
+        bag.insert(v);
+        bags.push(bag);
+        eliminate(&mut adj, &mut alive, v);
+    }
+    bags
+}
+
+/// Builds the decomposition induced by `order`: node `t`'s parent is the
+/// node of the earliest-eliminated later vertex in its bag (the standard
+/// elimination-tree construction; parentless nodes of disconnected
+/// instances attach under the final root). `weights` gives each node's
+/// edge weights; it is called once per node, root first, then in reverse
+/// elimination order.
+pub fn assemble(
     h: &Hypergraph,
     order: &[usize],
-) -> Vec<(VertexSet, Option<usize>)> {
-    let n = h.num_vertices();
-    assert_eq!(order.len(), n);
-    let adj = h.primal_graph();
-    let mut position = vec![0usize; n];
+    mut weights: impl FnMut(&VertexSet) -> Vec<(usize, Rational)>,
+) -> Decomposition {
+    let bags = bags_of_order(h, order);
+    let n = bags.len();
+    let mut position = vec![0usize; h.num_vertices()];
     for (t, &v) in order.iter().enumerate() {
         position[v] = t;
     }
-    let mut bags: Vec<VertexSet> = Vec::with_capacity(n);
-    let mut eliminated = 0u64;
-    for &v in order {
-        // Recompute bag(v, eliminated).
-        let mut bag = VertexSet::new();
-        bag.insert(v);
-        let mut seen = vec![false; n];
-        seen[v] = true;
-        let mut stack = vec![v];
-        while let Some(x) = stack.pop() {
-            for u in adj[x].iter() {
-                if seen[u] {
-                    continue;
-                }
-                seen[u] = true;
-                if eliminated >> u & 1 == 1 {
-                    stack.push(u);
-                } else {
-                    bag.insert(u);
-                }
-            }
-        }
-        bags.push(bag);
-        eliminated |= 1 << v;
-    }
-    // Parent: node of the earliest-later vertex in bag \ {v}.
-    let mut parents: Vec<Option<usize>> = vec![None; n];
-    for (t, &v) in order.iter().enumerate() {
-        let next = bags[t]
-            .iter()
-            .filter(|&u| u != v && position[u] > t)
-            .min_by_key(|&u| position[u]);
-        parents[t] = next.map(|u| position[u]);
-    }
-    bags.into_iter().zip(parents).collect()
-}
-
-/// Assembles a [`Decomposition`] from elimination-order bags, computing each
-/// node's weight function with `cover_for`. The forest is rooted at the last
-/// eliminated vertex; earlier roots (disconnected hypergraphs) attach there.
-pub fn assemble<F>(h: &Hypergraph, order: &[usize], cover_for: F) -> Decomposition
-where
-    F: FnMut(&VertexSet) -> Vec<(usize, arith::Rational)>,
-{
-    let shape = decomposition_from_order(h, order);
-    let n = shape.len();
-    let make_node = |bag: &VertexSet, cover_for: &mut F| Node {
+    let mut node = |bag: &VertexSet| Node {
         bag: bag.clone(),
-        weights: cover_for(bag),
+        weights: weights(bag),
     };
-    // Root is the last node; every parentless node other than it hangs off it.
     let mut ids = vec![usize::MAX; n];
-    let mut cover = cover_for;
-    let mut d = Decomposition::new(make_node(&shape[n - 1].0, &mut cover));
+    let mut d = Decomposition::new(node(&bags[n - 1]));
     ids[n - 1] = d.root();
-    // Process from the back so parents exist before children.
     for t in (0..n - 1).rev() {
-        let parent = shape[t].1.unwrap_or(n - 1);
+        let parent = bags[t]
+            .iter()
+            .filter(|&u| u != order[t] && position[u] > t)
+            .min_by_key(|&u| position[u])
+            .map(|u| position[u])
+            .unwrap_or(n - 1);
         let parent_id = ids[parent];
-        assert_ne!(parent_id, usize::MAX, "parents are later in the order");
-        ids[t] = d.add_child(parent_id, make_node(&shape[t].0, &mut cover));
+        debug_assert_ne!(parent_id, usize::MAX, "parents are later in the order");
+        ids[t] = d.add_child(parent_id, node(&bags[t]));
     }
     d
 }
@@ -260,14 +247,19 @@ mod tests {
     #[test]
     fn decomposition_shape_is_a_tree_covering_all_edges() {
         let h = generators::cycle(5);
-        let (_, order) = bag_size_cost(&h).unwrap();
-        let shape = decomposition_from_order(&h, &order);
-        // Exactly one parentless node (the last eliminated).
-        assert_eq!(shape.iter().filter(|(_, p)| p.is_none()).count(), 1);
-        // Every edge inside some bag.
+        let (width, order) = bag_size_cost(&h).unwrap();
+        let d = assemble(&h, &order, |_| Vec::new());
+        // One node per eliminated vertex, rooted at the last one.
+        assert_eq!(d.len(), h.num_vertices());
+        assert!(d.node(d.root()).bag.contains(order[order.len() - 1]));
+        // Every edge inside some bag, and the bags are the DP's.
         for e in h.edges() {
-            assert!(shape.iter().any(|(b, _)| e.is_subset(b)));
+            assert!(d.nodes().iter().any(|node| e.is_subset(&node.bag)));
         }
+        assert_eq!(
+            d.nodes().iter().map(|node| node.bag.len()).max(),
+            Some(width)
+        );
     }
 
     #[test]
@@ -279,7 +271,7 @@ mod tests {
                 .unwrap()
                 .edges
                 .into_iter()
-                .map(|e| (e, arith::Rational::one()))
+                .map(|e| (e, Rational::one()))
                 .collect()
         });
         assert_eq!(decomp::validate_ghd(&h, &d), Ok(()), "{}", d.render(&h));

@@ -11,10 +11,13 @@
 //! * [`ub`] — heuristic, witness-backed upper bounds from min-degree /
 //!   min-fill elimination orderings plus a greedy local-search pass,
 //!   whose `ub(h)` seeds the minimizers' cutoffs from the first round
-//!   (and certifies a failed seeded search as the exact answer).
+//!   (and certifies a failed seeded search as the exact answer);
+//! * [`elimination`] — the exact elimination-order DP (up to 24
+//!   vertices) and the elimination-tree routine that turns any ordering,
+//!   the heuristic's or the DP's, into its witness decomposition.
 //!
 //! The crate sits below `solver` (beside `prep`): it produces plain
-//! iterators and decompositions; the strategy crates wrap them into the
+//! iterators and decompositions; `solver::exact` wraps them into the
 //! engine's `CandidateStream`s. The old subset enumerator survives in
 //! `solver::stream_subset_bags` as the small-instance cross-check oracle.
 //! See `src/README.md` for the enumeration order, the balancedness
@@ -24,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod edge_union;
+pub mod elimination;
 pub mod ub;
 
 pub use edge_union::{

@@ -14,11 +14,19 @@
 //! The witness is what makes the bound load-bearing: the exact searches
 //! seed their engine cutoff with `ub` — the search then only has to find
 //! something strictly better, and a failed search *is* the exact answer
-//! `ub`, certified by the witness in hand. Unlike the exact elimination
-//! DP this construction is polynomial, so it serves any instance size.
+//! `ub`, certified by the witness in hand.
+//!
+//! The orderings and the local search are polynomial, but the bound is
+//! not: every distinct bag is priced exactly. Under `ρ` that is a
+//! branch-and-bound set cover (`cover::integral_cover`, exponential in
+//! the worst case, and elimination bags on dense blocks are large); under
+//! `ρ*` it is one LP per bag. Unlike the exact elimination DP the
+//! construction has no vertex limit, but on dense blocks its pricing can
+//! cost more than the search it seeds.
 
+use crate::elimination::{assemble, bags_of_order, eliminate};
 use arith::Rational;
-use decomp::{Decomposition, Node};
+use decomp::Decomposition;
 use hypergraph::{Hypergraph, VertexSet};
 use std::collections::HashMap;
 
@@ -83,32 +91,6 @@ fn fill_in(adj: &[VertexSet], neighbors: &VertexSet) -> usize {
         }
     }
     missing
-}
-
-/// Removes `v` from the alive set, connecting its alive neighbors into a
-/// clique (the fill step).
-fn eliminate(adj: &mut [VertexSet], alive: &mut VertexSet, v: usize) {
-    alive.remove(v);
-    let neighbors = adj[v].intersection(alive);
-    for a in neighbors.iter() {
-        adj[a].union_with(&neighbors);
-        adj[a].remove(a);
-    }
-}
-
-/// The elimination bags of `order`, in elimination order: bag `t` is
-/// `order[t]` plus its still-alive neighbors in the filled graph.
-fn bags_of_order(h: &Hypergraph, order: &[usize]) -> Vec<VertexSet> {
-    let mut adj = h.primal_graph();
-    let mut alive = h.all_vertices();
-    let mut bags = Vec::with_capacity(order.len());
-    for &v in order {
-        let mut bag = adj[v].intersection(&alive);
-        bag.insert(v);
-        bags.push(bag);
-        eliminate(&mut adj, &mut alive, v);
-    }
-    bags
 }
 
 /// The width (maximum bag cost) of `order` and the position achieving it,
@@ -212,44 +194,10 @@ pub fn upper_bound<C: Ord + Clone>(
         }
     }
     let (width, order) = best.expect("at least one ordering");
-    (width, assemble(h, &order, &memo))
-}
-
-/// Builds the decomposition induced by `order`: node `t`'s parent is the
-/// node of the earliest-eliminated later vertex in its bag (the standard
-/// elimination-tree construction; parentless nodes of disconnected
-/// instances attach under the final root). Node weights come from the
-/// pricing memo, which [`upper_bound`] guarantees covers every bag.
-fn assemble<C: Clone>(
-    h: &Hypergraph,
-    order: &[usize],
-    memo: &HashMap<VertexSet, PricedBag<C>>,
-) -> Decomposition {
-    let bags = bags_of_order(h, order);
-    let n = bags.len();
-    let mut position = vec![0usize; h.num_vertices()];
-    for (t, &v) in order.iter().enumerate() {
-        position[v] = t;
-    }
-    let node = |bag: &VertexSet| Node {
-        bag: bag.clone(),
-        weights: memo.get(bag).expect("every bag priced").1.clone(),
-    };
-    let mut ids = vec![usize::MAX; n];
-    let mut d = Decomposition::new(node(&bags[n - 1]));
-    ids[n - 1] = 0;
-    for t in (0..n - 1).rev() {
-        let parent = bags[t]
-            .iter()
-            .filter(|&u| u != order[t] && position[u] > t)
-            .min_by_key(|&u| position[u])
-            .map(|u| position[u])
-            .unwrap_or(n - 1);
-        let parent_id = ids[parent];
-        debug_assert_ne!(parent_id, usize::MAX, "parents are later in the order");
-        ids[t] = d.add_child(parent_id, node(&bags[t]));
-    }
-    d
+    let witness = assemble(h, &order, |bag| {
+        memo.get(bag).expect("every bag priced").1.clone()
+    });
+    (width, witness)
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //! keeps hit/miss counters that the strategy wrappers surface as
 //! `SearchStats::price_hits` / `price_misses`.
 
-use crate::{FractionalCover, IntegralCover};
+use crate::IntegralCover;
 use arith::Rational;
 use hypergraph::fx::{FxHashMap, FxHasher};
 use hypergraph::{Hypergraph, VertexSet};
@@ -375,25 +375,10 @@ pub fn rho_priced(h: &Hypergraph, bag: &VertexSet, cache: &RhoCache) -> PricedRh
     })
 }
 
-/// `ρ*(bag)` with its sparse optimal weights, through the shared cache.
-pub fn rho_star_priced(h: &Hypergraph, bag: &VertexSet, cache: &RhoStarCache) -> PricedRhoStar {
-    cache.get_or_insert_with(bag, || {
-        let _span = obs::span!("price", kind = "rho_star", bag = bag.len());
-        crate::fractional_cover(h, bag).map(|c: FractionalCover| {
-            let weights: Vec<(usize, Rational)> = c
-                .weights
-                .into_iter()
-                .enumerate()
-                .filter(|(_, w)| !w.is_zero())
-                .collect();
-            (c.weight, weights)
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{rho_star_priced_with, PricingPool};
     use arith::rat;
     use hypergraph::generators;
 
@@ -401,10 +386,11 @@ mod tests {
     fn prices_each_bag_once() {
         let h = generators::cycle(3);
         let cache = RhoStarCache::new();
+        let pool = PricingPool::new();
         let bag = h.all_vertices();
-        let first = rho_star_priced(&h, &bag, &cache).expect("coverable");
+        let first = rho_star_priced_with(&h, &bag, &cache, &pool).expect("coverable");
         assert_eq!(first.0, rat(3, 2));
-        let again = rho_star_priced(&h, &bag, &cache).expect("coverable");
+        let again = rho_star_priced_with(&h, &bag, &cache, &pool).expect("coverable");
         assert_eq!(first, again);
         let (hits, misses) = cache.counters();
         assert_eq!((hits, misses), (1, 1));
@@ -427,9 +413,10 @@ mod tests {
     fn uncoverable_bags_cache_their_failure() {
         let h = hypergraph::Hypergraph::from_edges(3, vec![vec![0, 1]]);
         let cache = RhoStarCache::new();
+        let pool = PricingPool::new();
         let bag = VertexSet::from_iter([2]);
-        assert_eq!(rho_star_priced(&h, &bag, &cache), None);
-        assert_eq!(rho_star_priced(&h, &bag, &cache), None);
+        assert_eq!(rho_star_priced_with(&h, &bag, &cache, &pool), None);
+        assert_eq!(rho_star_priced_with(&h, &bag, &cache, &pool), None);
         assert_eq!(cache.counters(), (1, 1));
     }
 
@@ -437,13 +424,15 @@ mod tests {
     fn cache_is_shareable_across_threads() {
         let h = generators::clique(4);
         let cache = RhoStarCache::new();
+        let pool = PricingPool::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for v in 0..h.num_vertices() {
                         let mut bag = h.all_vertices();
                         bag.remove(v);
-                        let (w, _) = rho_star_priced(&h, &bag, &cache).expect("coverable");
+                        let (w, _) =
+                            rho_star_priced_with(&h, &bag, &cache, &pool).expect("coverable");
                         assert_eq!(w, rat(3, 2));
                     }
                 });

@@ -23,8 +23,7 @@ pub mod support;
 pub mod transversal;
 
 pub use cache::{
-    rho_priced, rho_star_priced, Claim, PricedRho, PricedRhoStar, RhoCache, RhoStarCache,
-    ShardedCache,
+    rho_priced, Claim, PricedRho, PricedRhoStar, RhoCache, RhoStarCache, ShardedCache,
 };
 pub use fractional::{
     bag_rank, covered_vertices, fractional_cover, is_fractional_cover, rho_star, FractionalCover,

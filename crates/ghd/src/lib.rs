@@ -1,14 +1,13 @@
 //! `Check(GHD, k)` under the paper's tractable restrictions (Section 4):
 //! subedge functions for the BIP (Theorem 4.15) and BMIP (Theorem 4.11),
 //! union-of-intersections trees (Algorithm 1, Figure 7), the reduction to
-//! `Check(HD, k)` on the augmented hypergraph, and an exact exponential
-//! `ghw` baseline for certification.
+//! `Check(HD, k)` on the augmented hypergraph, and the exact `ghw` entry
+//! points (the `ρ` instantiation of `solver::exact`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod elimination;
 pub mod exact;
 pub mod subedges;
 

@@ -81,7 +81,7 @@ fn check_hd_piece(
 /// `hw(H)` by iterating `k = 1, 2, ...` up to `max_k`; returns the width and
 /// a witness HD, or `None` if `hw(H) > max_k`.
 pub fn hypertree_width(h: &Hypergraph, max_k: usize) -> Option<(usize, Decomposition)> {
-    (1..=max_k).find_map(|k| check_hd(h, k).map(|d| (k, d)))
+    hypertree_width_with_stats(h, max_k, EngineOptions::default()).0
 }
 
 /// As [`hypertree_width`], also reporting the engine counters summed over
@@ -108,23 +108,11 @@ pub fn hypertree_width_at_least(
     max_k: usize,
     opts: EngineOptions,
 ) -> (Option<(usize, Decomposition)>, SearchStats) {
-    if h.has_isolated_vertices() {
-        return (None, SearchStats::default());
-    }
-    let _span = obs::span!(
-        "solve",
-        measure = "hw",
-        vertices = h.num_vertices(),
-        edges = h.num_edges()
-    );
-    let started = std::time::Instant::now();
-    let warm = solver::pool_is_warm();
     let key = format!(
         "max_k={max_k};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results;
-    let (result, mut stats) = prep::cached_query(h, "result-hw", key, reuse, || {
+    solver::exact::front_door(h, "hw", "result-hw", key, opts.reuse_results, || {
         // The prep pipeline (which is `k`-independent) runs once around
         // the whole iteration; every check searches the same reduced
         // block and only the final witness is lifted.
@@ -146,31 +134,7 @@ pub fn hypertree_width_at_least(
             }
             (None, total)
         })
-    });
-    stats.pool_reuse = usize::from(warm);
-    solve_metrics::latency().observe_us(started.elapsed().as_micros() as u64);
-    (result, stats)
-}
-
-/// Process-lifetime solve metrics, observational only.
-mod solve_metrics {
-    use obs::metrics::{histogram_with_buckets, Histogram, DEFAULT_LATENCY_BUCKETS_S};
-    use std::sync::{Arc, OnceLock};
-
-    /// `hgtool_solve_latency_seconds{strategy="hw"}`.
-    pub(super) fn latency() -> &'static Arc<Histogram> {
-        static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-        H.get_or_init(|| {
-            // Explicit bucket config: the µs-scale default grid,
-            // spelled out here so re-tuning is a one-line change.
-            histogram_with_buckets(
-                "hgtool_solve_latency_seconds",
-                "End-to-end exact width-solve latency by strategy",
-                &[("strategy", "hw")],
-                &DEFAULT_LATENCY_BUCKETS_S,
-            )
-        })
-    }
+    })
 }
 
 /// The `det-k-decomp` strategy: separators are edge sets `S` with

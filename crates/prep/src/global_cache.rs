@@ -317,7 +317,7 @@ impl PriceSession {
 /// baselines taken at checkout so a search can report *its own* traffic —
 /// the shared cache's counters are cumulative across every search that
 /// ever borrowed it. This is the one place the baseline/delta bookkeeping
-/// lives; the strategy wrappers in `hd`/`ghd`/`fhd` all go through it.
+/// lives; every strategy price session goes through it.
 pub struct SessionCache<K, V> {
     /// The (shared or private) cache itself.
     pub cache: Arc<ShardedCache<K, V>>,

@@ -18,7 +18,7 @@
 //! implement [`WidthSolver`] — a pure strategy that *streams* cheap
 //! combinatorial guesses ([`WidthSolver::candidates`]) and then
 //! prices/validates them ([`WidthSolver::admit`], where set covers and LPs
-//! run).
+//! run). [`exact`] is the one exact `ghw`/`fhw` minimizer built on it.
 //!
 //! Three engine properties the strategies rely on:
 //!
@@ -51,11 +51,10 @@ use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
 
 /// Practical vertex limit for the subset-enumerating bag stream
 /// ([`stream_subset_bags`]): it proposes every bag `conn ⊆ B ⊆ conn ∪ C`,
-/// which is exponential in `|C|`. Since the `candgen` edge-union generator
-/// (`ghw`) and the seeded elimination DP (`fhw`) became the primary exact
-/// paths, this gate no longer bounds the exact range — the subset stream
-/// survives as the small-instance cross-check oracle
-/// (`ghd::ghw_exact_subset_oracle` / `fhd::fhw_exact_subset_oracle`).
+/// which is exponential in `|C|`. This gate does not bound the exact
+/// range ([`exact::solve`] runs the edge-union engine and the elimination
+/// DP); the subset stream survives as the small-instance cross-check,
+/// [`exact::subset_oracle`].
 pub const MAX_SUBSET_SEARCH_VERTICES: usize = 18;
 
 /// Upper bound on worker threads per search, whatever the host reports.
@@ -182,20 +181,6 @@ impl EngineOptions {
     /// [`EngineOptions::reuse_prices`]).
     pub fn with_price_reuse(mut self) -> Self {
         self.reuse_prices = true;
-        self
-    }
-
-    /// Enables the whole-query result cache (see
-    /// [`EngineOptions::reuse_results`]).
-    pub fn with_result_reuse(mut self) -> Self {
-        self.reuse_results = true;
-        self
-    }
-
-    /// Disables the whole-query result cache while keeping everything else
-    /// (the cache-on/cache-off identity checks of the runtime tests).
-    pub fn without_result_reuse(mut self) -> Self {
-        self.reuse_results = false;
         self
     }
 }
@@ -380,6 +365,7 @@ struct Plan<C> {
 /// price-cache and candidate-generation tallies on top.
 pub use prep::SearchStats;
 
+pub mod exact;
 pub mod runtime;
 pub use runtime::{admission_estimate, solve_batch};
 

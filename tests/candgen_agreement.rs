@@ -12,10 +12,10 @@
 //! identical at every thread count.
 
 use hypertree::arith::Rational;
-use hypertree::cover;
 use hypertree::decomp::validate;
 use hypertree::hypergraph::{generators, Hypergraph};
 use hypertree::solver::EngineOptions;
+use hypertree::{candgen, cover};
 use hypertree::{fhd, ghd};
 use hypertree_bench as workloads;
 use proptest::prelude::*;
@@ -52,12 +52,16 @@ proptest! {
         let (primary, stats) = ghd::ghw_exact_with_stats(&h, None, opts());
         let oracle = ghd::ghw_exact_subset_oracle(&h, None).map(|(w, _)| w);
         let (front_door, _) = ghd::exact::ghw_exact_elimination_with_stats(&h, None, opts());
-        let dp = ghd::elimination::optimal_elimination(
-            &h,
-            |bag| cover::integral_cover(&h, bag).expect("coverable").weight(),
-            None,
-        )
-        .map(|(w, _)| w);
+        let rho = |bag: &_| cover::integral_cover(&h, bag).expect("coverable").weight();
+        let dp = candgen::elimination::optimal_elimination(&h, rho, None);
+        if let Some((w, order)) = &dp {
+            // The witness bags come from the filled-graph elimination
+            // tree, the DP priced reachability bags: they must agree.
+            let d = candgen::elimination::assemble(&h, order, |_| Vec::new());
+            let witness = d.nodes().iter().map(|node| rho(&node.bag)).max();
+            prop_assert_eq!(witness, Some(*w), "DP order's witness vs its width on {:?}", h);
+        }
+        let dp = dp.map(|(w, _)| w);
         prop_assert_eq!(
             primary.as_ref().map(|(w, _)| *w),
             oracle,
@@ -92,12 +96,14 @@ proptest! {
         let (primary, _) = fhd::fhw_exact_with_stats(&h, None, opts());
         let oracle = fhd::fhw_exact_subset_oracle(&h, None).map(|(w, _)| w);
         let (front_door, _) = fhd::fhw_exact_elimination_with_stats(&h, None, opts());
-        let dp = ghd::elimination::optimal_elimination(
-            &h,
-            |bag| cover::fractional_cover(&h, bag).expect("coverable").weight,
-            None,
-        )
-        .map(|(w, _)| w);
+        let rho_star = |bag: &_| cover::fractional_cover(&h, bag).expect("coverable").weight;
+        let dp = candgen::elimination::optimal_elimination(&h, rho_star, None);
+        if let Some((w, order)) = &dp {
+            let d = candgen::elimination::assemble(&h, order, |_| Vec::new());
+            let witness = d.nodes().iter().map(|node| rho_star(&node.bag)).max();
+            prop_assert_eq!(witness, Some(w.clone()), "DP order's witness vs its width on {:?}", h);
+        }
+        let dp = dp.map(|(w, _)| w);
         prop_assert_eq!(
             primary.as_ref().map(|(w, _)| w.clone()),
             oracle,

@@ -1,7 +1,7 @@
 //! Agreement suite for the streaming search engine: on random small
 //! hypergraphs, the engine strategies must agree with the two independent
 //! pre-engine implementations kept exactly for this purpose — the retired
-//! elimination-order DP (`ghd::elimination`) for `ghw`/`fhw`, and the
+//! elimination-order DP (`candgen::elimination`) for `ghw`/`fhw`, and the
 //! legacy private strict-HD recursion (`fhd::check_fhd_bdp_legacy`) for
 //! `Check(FHD, k)` — and searches at every thread count must return
 //! identical widths, witnesses *and* [`SearchStats`] (the in-flight memo
@@ -11,10 +11,10 @@
 //! count of every engine entry point; CI runs this suite at 1, 4 and 8.
 
 use hypertree::arith::{rat, Rational};
-use hypertree::cover;
 use hypertree::decomp::validate;
 use hypertree::hypergraph::{generators, parser, Hypergraph};
 use hypertree::solver::EngineOptions;
+use hypertree::{candgen, cover};
 use hypertree::{fhd, ghd, hd};
 use proptest::prelude::*;
 
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn ghw_engine_agrees_with_elimination_dp(h in arb_hypergraph()) {
         let engine = ghd::ghw_exact(&h, None).map(|(w, _)| w);
-        let dp = ghd::elimination::optimal_elimination(
+        let dp = candgen::elimination::optimal_elimination(
             &h,
             |bag| cover::integral_cover(&h, bag).expect("coverable").weight(),
             None,
@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn fhw_engine_agrees_with_elimination_dp(h in arb_hypergraph()) {
         let engine = fhd::fhw_exact(&h, None).map(|(w, _)| w);
-        let dp = ghd::elimination::optimal_elimination(
+        let dp = candgen::elimination::optimal_elimination(
             &h,
             |bag| cover::fractional_cover(&h, bag).expect("coverable").weight,
             None,
@@ -242,7 +242,7 @@ fn decision_searches_short_circuit_on_the_first_witness() {
 fn fhw_price_cache_dedups_identical_bags() {
     for h in [generators::cycle(6), generators::grid(3, 3)] {
         let mut priced: Vec<hypertree::hypergraph::VertexSet> = Vec::new();
-        let (w, _) = ghd::elimination::optimal_elimination(
+        let (w, _) = candgen::elimination::optimal_elimination(
             &h,
             |bag| {
                 priced.push(bag.clone());
