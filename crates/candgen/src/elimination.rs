@@ -12,18 +12,33 @@
 //! cliques and every tree decomposition of the primal graph puts each
 //! clique inside some bag (Lemma 2.8).
 //!
+//! The DP's states are `u64` masks of eliminated vertices, and so are its
+//! bags: the bag of `v` is `v` plus every vertex reachable from it through
+//! eliminated vertices, found by a flood fill over mask adjacency rows.
+//! Both tables (state memo, bag costs) are FxHash maps keyed by masks, so
+//! a state costs no allocation; the cost closure sees each distinct bag
+//! once, as a [`VertexSet`].
+//!
+//! **The cutoff contract.** With a cutoff `c`, a bag whose exact cost
+//! reaches `c` can never lie on a returned ordering, so the closure may
+//! answer any value `>= c` for it instead of its exact cost: the result is
+//! the same. That is what lets a caller reject bags by cheap lower bounds
+//! before pricing them (`solver::exact` gates them against the seeded
+//! cutoff).
+//!
 //! [`assemble`] builds the decomposition of an ordering. It is the one
 //! elimination-tree routine behind both witnesses: the heuristic bound's
-//! ([`crate::upper_bound`]) and the DP's (`solver::exact`). The DP prices
-//! the bag of `v` as `v` plus every vertex reachable from it through
-//! eliminated vertices; that is exactly `v`'s neighborhood in the filled
+//! ([`crate::upper_bound`]) and the DP's (`solver::exact`). The DP's
+//! reachability bag of `v` is exactly `v`'s neighborhood in the filled
 //! graph when `v` is eliminated (Rose–Tarjan–Lueker), so the assembled
-//! witness has the width the DP reported.
+//! witness has the width the DP reported, and its bags are bags the DP
+//! priced: a caller that keeps the weights of every bag it priced builds
+//! the witness without solving again.
 
 use arith::Rational;
 use decomp::{Decomposition, Node};
+use hypergraph::fx::FxHashMap;
 use hypergraph::{Hypergraph, VertexSet};
-use std::collections::HashMap;
 
 /// Maximum vertex count for the subset DP (states are `u64` masks and the
 /// table has `2^n` entries).
@@ -31,7 +46,13 @@ pub const MAX_EXACT_VERTICES: usize = 24;
 
 /// Computes `min over elimination orders of max over steps of
 /// cost(bag(v, eliminated))`, together with an optimal order. `cost` must
-/// be monotone; `cutoff` abandons branches whose cost already reaches it.
+/// be monotone and is called once per distinct bag; `cutoff` abandons
+/// branches whose cost already reaches it.
+///
+/// With a cutoff, `cost` may answer any value `>= cutoff` for a bag whose
+/// exact cost reaches the cutoff (a lower bound that already reaches it
+/// suffices): such a bag is pruned either way, so the width and the order
+/// are those of the exact costs.
 ///
 /// Returns `None` when `h` exceeds [`MAX_EXACT_VERTICES`] or every order
 /// hits the cutoff.
@@ -48,117 +69,105 @@ where
     if n == 0 || n > MAX_EXACT_VERTICES {
         return None;
     }
-    let adj = h.primal_graph();
-    let full: u64 = (1u64 << n) - 1;
-
-    fn bag_of(adj: &[VertexSet], n: usize, v: usize, eliminated: u64) -> VertexSet {
-        // v plus all u ∉ eliminated reachable from v via eliminated vertices.
-        let mut bag = VertexSet::new();
-        bag.insert(v);
-        let mut seen = vec![false; n];
-        seen[v] = true;
-        let mut stack = vec![v];
-        while let Some(x) = stack.pop() {
-            for u in adj[x].iter() {
-                if seen[u] {
-                    continue;
-                }
-                seen[u] = true;
-                if eliminated >> u & 1 == 1 {
-                    stack.push(u);
-                } else {
-                    bag.insert(u);
-                }
-            }
-        }
-        bag
-    }
-
-    struct Ctx<'a, C, F> {
-        adj: &'a [VertexSet],
-        n: usize,
-        full: u64,
-        cost: F,
-        cutoff: Option<C>,
-        memo: HashMap<u64, Option<(C, usize)>>,
-        bag_cost_cache: HashMap<VertexSet, C>,
-    }
-
-    fn solve<C: Ord + Clone, F: FnMut(&VertexSet) -> C>(
-        ctx: &mut Ctx<C, F>,
-        eliminated: u64,
-    ) -> Option<(C, usize)> {
-        if let Some(hit) = ctx.memo.get(&eliminated) {
-            return hit.clone();
-        }
-        let mut best: Option<(C, usize)> = None;
-        for v in 0..ctx.n {
-            if eliminated >> v & 1 == 1 {
-                continue;
-            }
-            let bag = bag_of(ctx.adj, ctx.n, v, eliminated);
-            let c_here = match ctx.bag_cost_cache.get(&bag) {
-                Some(c) => c.clone(),
-                None => {
-                    let c = (ctx.cost)(&bag);
-                    ctx.bag_cost_cache.insert(bag, c.clone());
-                    c
-                }
-            };
-            if let Some(cut) = &ctx.cutoff {
-                if &c_here >= cut {
-                    continue;
-                }
-            }
-            if let Some((b, _)) = &best {
-                if &c_here >= b {
-                    continue; // cannot improve the max
-                }
-            }
-            let next = eliminated | (1u64 << v);
-            let total = if next == ctx.full {
-                Some(c_here.clone())
-            } else {
-                solve(ctx, next).map(|(rest, _)| rest.max(c_here.clone()))
-            };
-            if let Some(t) = total {
-                let better = match &best {
-                    None => true,
-                    Some((b, _)) => &t < b,
-                };
-                if better {
-                    best = Some((t, v));
-                }
-            }
-        }
-        ctx.memo.insert(eliminated, best.clone());
-        best
-    }
-
-    let mut ctx = Ctx {
-        adj: &adj,
-        n,
-        full,
+    let adj = h
+        .primal_graph()
+        .iter()
+        .map(|a| a.iter().fold(0u64, |m, u| m | 1 << u))
+        .collect();
+    let mut dp = Dp {
+        adj,
+        full: (1u64 << n) - 1,
         cost,
         cutoff,
-        memo: HashMap::new(),
-        bag_cost_cache: HashMap::new(),
+        memo: FxHashMap::default(),
+        costs: FxHashMap::default(),
     };
-    let (best_cost, _) = solve(&mut ctx, 0)?;
+    let (width, _) = dp.solve(0)?;
     // Reconstruct the order greedily from the memo.
     let mut order = Vec::with_capacity(n);
     let mut eliminated = 0u64;
-    while eliminated != full {
-        let (_, v) = ctx
-            .memo
-            .get(&eliminated)
-            .cloned()
-            .flatten()
+    while eliminated != dp.full {
+        let (_, v) = dp.memo[&eliminated]
+            .clone()
             .expect("memo holds the optimal chain");
         order.push(v);
         eliminated |= 1 << v;
     }
-    Some((best_cost, order))
+    Some((width, order))
+}
+
+/// The DP's tables: states and bags are vertex masks.
+struct Dp<C, F> {
+    /// `adj[v]`: `v`'s primal neighbors.
+    adj: Vec<u64>,
+    full: u64,
+    cost: F,
+    cutoff: Option<C>,
+    /// `eliminated -> best (width, first vertex)` of the rest, `None` when
+    /// every order of the rest hits the cutoff.
+    memo: FxHashMap<u64, Option<(C, usize)>>,
+    /// `bag -> cost`, shared by every state.
+    costs: FxHashMap<u64, C>,
+}
+
+impl<C: Ord + Clone, F: FnMut(&VertexSet) -> C> Dp<C, F> {
+    /// `v` plus every `u ∉ eliminated` reachable from `v` via eliminated
+    /// vertices.
+    fn bag(&self, v: usize, eliminated: u64) -> u64 {
+        let mut bag = 1u64 << v;
+        let mut seen = bag;
+        let mut todo = bag;
+        while todo != 0 {
+            let x = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            let fresh = self.adj[x] & !seen;
+            seen |= fresh;
+            bag |= fresh & !eliminated;
+            todo |= fresh & eliminated;
+        }
+        bag
+    }
+
+    fn solve(&mut self, eliminated: u64) -> Option<(C, usize)> {
+        if let Some(hit) = self.memo.get(&eliminated) {
+            return hit.clone();
+        }
+        let mut best: Option<(C, usize)> = None;
+        let mut alive = self.full & !eliminated;
+        while alive != 0 {
+            let v = alive.trailing_zeros() as usize;
+            alive &= alive - 1;
+            let bag = self.bag(v, eliminated);
+            let Dp { costs, cost, .. } = self;
+            let here = costs
+                .entry(bag)
+                .or_insert_with(|| {
+                    let mut set = VertexSet::new();
+                    set.insert_mask_block(0, bag);
+                    cost(&set)
+                })
+                .clone();
+            if self.cutoff.as_ref().is_some_and(|cut| here >= *cut) {
+                continue;
+            }
+            if best.as_ref().is_some_and(|(b, _)| here >= *b) {
+                continue; // cannot improve the max
+            }
+            let next = eliminated | 1 << v;
+            let total = if next == self.full {
+                Some(here)
+            } else {
+                self.solve(next).map(|(rest, _)| rest.max(here))
+            };
+            if let Some(t) = total {
+                if best.as_ref().is_none_or(|(b, _)| t < *b) {
+                    best = Some((t, v));
+                }
+            }
+        }
+        self.memo.insert(eliminated, best.clone());
+        best
+    }
 }
 
 /// Removes `v` from the alive set, connecting its alive neighbors into a
@@ -229,6 +238,7 @@ pub fn assemble(
 mod tests {
     use super::*;
     use hypergraph::generators;
+    use std::collections::HashMap;
 
     /// Treewidth-style cost: bag size (so result = treewidth + 1).
     fn bag_size_cost(h: &Hypergraph) -> Option<(usize, Vec<usize>)> {
@@ -281,6 +291,36 @@ mod tests {
     fn too_large_instances_refused() {
         let h = generators::grid(5, 6); // 30 > 24 vertices
         assert!(optimal_elimination(&h, |b| b.len(), None).is_none());
+    }
+
+    #[test]
+    fn answering_the_cutoff_for_bags_that_reach_it_changes_nothing() {
+        for h in [
+            generators::cycle(6),
+            generators::grid(3, 3),
+            generators::clique(5),
+            generators::example_5_1(5),
+            generators::triangle_chain(3),
+        ] {
+            let mut prices: HashMap<VertexSet, Rational> = HashMap::new();
+            let mut exact = |bag: &VertexSet| {
+                prices
+                    .entry(bag.clone())
+                    .or_insert_with(|| cover::fractional_cover(&h, bag).unwrap().weight)
+                    .clone()
+            };
+            let (w, _) = optimal_elimination(&h, &mut exact, None).unwrap();
+            let above = Rational::from(w.ceil().to_i64().unwrap() as usize + 1);
+            for cutoff in [None, Some(w.clone()), Some(above)] {
+                let want = optimal_elimination(&h, &mut exact, cutoff.clone());
+                let capped = |bag: &VertexSet| match (exact(bag), &cutoff) {
+                    (c, Some(cut)) if c >= *cut => cut.clone(),
+                    (c, _) => c,
+                };
+                let got = optimal_elimination(&h, capped, cutoff.clone());
+                assert_eq!(got, want, "{h:?} at cutoff {cutoff:?}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! measures: integral edge covers `ρ` ([`Rho`]) and fractional ones `ρ*`
 //! ([`RhoStar`]). A [`Measure`] owns only what differs between them: the
 //! cost type, pricing through the engine's shared cache and through a
-//! sequential (warm-LP) context, the rank and scattered-set gates, the
+//! sequential (warm-LP) context, the rank and scattered-set bounds, the
 //! cache slot names, and whether the width has the edge-union normal form.
 //! Everything else is shared:
 //!
@@ -19,7 +19,10 @@
 //!   has that normal form and the candidate space is feasible, then the
 //!   elimination DP up to [`MAX_EXACT_VERTICES`] vertices, else `None`.
 //!   A search that fails below a seeded cutoff is the exact answer `ub`,
-//!   certified by the seed's witness.
+//!   certified by the seed's witness. Engine admission and the DP share
+//!   one lower-bound gate: the DP tests each bag against the seeded
+//!   cutoff before pricing it, and keeps every priced bag's weights for
+//!   the witness.
 //! * [`solve_by_elimination`] — every block answered by the DP alone (the
 //!   independent reference of the agreement tests and the benchmark).
 //! * [`upper_bound`] — the heuristic bound alone, priced by the measure.
@@ -34,6 +37,7 @@ use candgen::elimination::{self, MAX_EXACT_VERTICES};
 use candgen::PricedBag;
 use cover::{MemSize, PricingContext, PricingPool, ScatterBound, ShardedCache};
 use decomp::Decomposition;
+use hypergraph::fx::FxHashMap;
 use hypergraph::{properties, Hypergraph, VertexSet};
 use obs::metrics::Histogram;
 use prep::SessionCache;
@@ -396,13 +400,22 @@ fn edge_union_space(h: &Hypergraph, eff: Rational) -> Option<candgen::EdgeUnionC
 
 /// The elimination-order DP on one block, bags priced sequentially by
 /// `M`, the witness assembled from the optimal order.
+///
+/// With a cutoff, each bag first meets the [`Gate`] against that fixed
+/// cutoff (never against a per-state best: the DP's bag table is shared
+/// by every state), and a rejected bag answers "reaches the cutoff"
+/// without pricing, which the DP's cutoff contract allows. Every priced
+/// bag keeps its weights, so the witness is built without solving again.
 fn by_elimination<M: Measure>(
     h: &Hypergraph,
     cutoff: Option<M::Cost>,
     stats: &mut SearchStats,
 ) -> Option<(M::Cost, Decomposition)> {
-    let _span = obs::span!("elim", measure = M::NAME, vertices = h.num_vertices());
+    let span = obs::span!("elim", measure = M::NAME, vertices = h.num_vertices());
     let mut warm = M::Warm::default();
+    let gate = cutoff.as_ref().map(|cut| (Gate::new(h), cut.clone()));
+    let mut weights: FxHashMap<VertexSet, Vec<(usize, Rational)>> = FxHashMap::default();
+    let mut gated = 0usize;
     let searched = elimination::optimal_elimination(
         h,
         |bag| {
@@ -411,12 +424,28 @@ fn by_elimination<M: Measure>(
             if prep::anytime::interrupted() {
                 prep::anytime::interrupt::raise();
             }
-            M::price_warm(&mut warm, h, bag).0
+            if let Some((gate, cut)) = &gate {
+                if gate.reaches::<M>(h, bag, cut) {
+                    gated += 1;
+                    return cut.clone();
+                }
+            }
+            let (cost, w) = M::price_warm(&mut warm, h, bag);
+            weights.insert(bag.clone(), w);
+            cost
         },
         cutoff,
     );
+    if let Some(span) = &span {
+        span.record("priced", weights.len());
+        span.record("gated", gated);
+    }
     let result = searched.map(|(width, order)| {
-        let d = elimination::assemble(h, &order, |bag| M::price_warm(&mut warm, h, bag).1);
+        let d = elimination::assemble(h, &order, |bag| {
+            weights
+                .remove(bag)
+                .expect("the DP priced every witness bag")
+        });
         debug_assert!(d.width() <= width.clone().into());
         (width, d)
     });
@@ -521,15 +550,45 @@ enum Bags {
     Subset,
 }
 
+/// The exact lower bounds that reject a bag before pricing, shared by the
+/// engine's admission and the elimination DP.
+struct Gate {
+    /// `rank(H)`: a bag needs weight at least `|bag| / rank`.
+    rank: usize,
+    /// Scattered-set lower bound — the sharpest of the three.
+    scatter: ScatterBound,
+}
+
+impl Gate {
+    fn new(h: &Hypergraph) -> Self {
+        Gate {
+            rank: properties::rank(h),
+            scatter: ScatterBound::new(h),
+        }
+    }
+
+    /// The global counting bound and the scattered set: the cheap tests,
+    /// which the edge-union generator also hoists.
+    fn cheap_reaches<M: Measure>(&self, bag: &VertexSet, bound: &M::Cost) -> bool {
+        M::counting_reaches(bag.len(), self.rank, bound)
+            || M::scatter_reaches(&self.scatter, bag, bound)
+    }
+
+    /// Whether `bag`'s price provably reaches `bound`. The cheap tests run
+    /// first; survivors pay one O(edges) scan for the per-bag rank, which
+    /// only sharpens the global bound when rank > 2 (at rank <= 2 its
+    /// r = 1 case is the scattered bound's independent-bag case).
+    fn reaches<M: Measure>(&self, h: &Hypergraph, bag: &VertexSet, bound: &M::Cost) -> bool {
+        self.cheap_reaches::<M>(bag, bound)
+            || (self.rank > 2 && M::counting_reaches(bag.len(), cover::bag_rank(h, bag), bound))
+    }
+}
+
 /// The exact minimizing strategy under `M`: candidate bags priced through
-/// the shared cache, hopeless ones rejected by cheap lower bounds first.
+/// the shared cache, hopeless ones rejected by the [`Gate`] first.
 struct Search<M: Measure> {
     cutoff: Option<M::Cost>,
-    /// `rank(H)`: a bag needs weight at least `|bag| / rank`, the lower
-    /// bound that gates pricing against the engine bound.
-    rank: usize,
-    /// Scattered-set lower bound — the sharpest of the pre-pricing gates.
-    scatter: ScatterBound,
+    gate: Gate,
     /// `bag -> price`: bags repeat heavily across search states and
     /// worker threads, and pricing is the expensive part of admission.
     prices: Prices<M>,
@@ -542,8 +601,7 @@ impl<M: Measure> Search<M> {
     fn new(h: &Hypergraph, cutoff: Option<M::Cost>, prices: Prices<M>, bags: Bags) -> Self {
         Search {
             cutoff,
-            rank: properties::rank(h),
-            scatter: ScatterBound::new(h),
+            gate: Gate::new(h),
             prices,
             bags,
             counters: candgen::Counters::new(),
@@ -566,17 +624,12 @@ impl<M: Measure> WidthSolver for Search<M> {
         match &self.bags {
             Bags::Subset => stream_subset_bags(state),
             Bags::EdgeUnion(cfg) => {
-                // The rank/scatter pre-pricing gates, hoisted into the
-                // generator against the static seeded cutoff (admission
-                // re-applies them against the tighter running bound).
-                let (rank, scatter, bound) = (self.rank, &self.scatter, self.cutoff.as_ref());
-                let gate = move |bag: &VertexSet| match bound {
-                    Some(b) => {
-                        !(M::counting_reaches(bag.len(), rank, b)
-                            || M::scatter_reaches(scatter, bag, b))
-                    }
-                    None => true,
-                };
+                // The cheap gate tests, hoisted into the generator against
+                // the static seeded cutoff (admission re-applies the whole
+                // gate against the tighter running bound).
+                let (gate, bound) = (&self.gate, self.cutoff.as_ref());
+                let gate =
+                    move |bag: &VertexSet| bound.is_none_or(|b| !gate.cheap_reaches::<M>(bag, b));
                 CandidateStream::new(
                     candgen::edge_union_bags(h, state.comp, state.conn, cfg, &self.counters, gate)
                         .map(|bag| Guess {
@@ -596,19 +649,11 @@ impl<M: Measure> WidthSolver for Search<M> {
         bound: Option<&M::Cost>,
     ) -> Option<Admission<M::Cost>> {
         let bag = &guess.extra;
-        // Bound gates ahead of pricing: once a cheap decomposition is
-        // known, hopeless bags die here — no cover search or LP, no cache
-        // traffic, no admission construction. The global rank runs first;
-        // survivors pay one O(edges) scan for the sharper per-bag rank,
-        // which only sharpens the global gate when rank > 2 (at rank <= 2
-        // its r = 1 case is the scattered bound's independent-bag case).
-        if let Some(b) = bound {
-            if M::counting_reaches(bag.len(), self.rank, b)
-                || M::scatter_reaches(&self.scatter, bag, b)
-                || (self.rank > 2 && M::counting_reaches(bag.len(), cover::bag_rank(h, bag), b))
-            {
-                return None;
-            }
+        // The gate ahead of pricing: once a cheap decomposition is known,
+        // hopeless bags die here — no cover search or LP, no cache
+        // traffic, no admission construction.
+        if bound.is_some_and(|b| self.gate.reaches::<M>(h, bag, b)) {
+            return None;
         }
         let (cost, weights) = self.prices.price(h, bag)?;
         Some(Admission {
@@ -617,5 +662,64 @@ impl<M: Measure> WidthSolver for Search<M> {
             cost,
             weights,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arith::rat;
+    use hypergraph::generators;
+
+    #[test]
+    fn gate_rejections_are_sound() {
+        let mut instances: Vec<Hypergraph> = (5..=8).map(generators::cycle).collect();
+        instances.extend([
+            generators::grid(3, 3),
+            generators::clique(5),
+            generators::clique(6),
+            generators::example_5_1(5),
+            generators::triangle_chain(3),
+        ]);
+        for seed in 0..3 {
+            instances.push(generators::random_bip(9, 6, 2, 4, seed));
+            instances.push(generators::random_bounded_degree(9, 6, 3, 3, seed));
+        }
+        let bounds = [
+            rat(1, 1),
+            rat(3, 2),
+            rat(2, 1),
+            rat(5, 2),
+            rat(3, 1),
+            rat(4, 1),
+        ];
+        let (mut rho_rejected, mut rho_star_rejected) = (0, 0);
+        for h in &instances {
+            let n = h.num_vertices();
+            assert!(n <= 9, "every subset bag is priced");
+            let gate = Gate::new(h);
+            for mask in 1u64..1 << n {
+                let mut bag = VertexSet::new();
+                bag.insert_mask_block(0, mask);
+                let rho = cover::integral_cover(h, &bag).expect(COVERABLE).weight();
+                let rho_star = cover::fractional_cover(h, &bag).expect(COVERABLE).weight;
+                for b in &bounds {
+                    if gate.reaches::<RhoStar>(h, &bag, b) {
+                        assert!(rho_star >= *b, "rho*({bag:?}) = {rho_star} < {b} in {h:?}");
+                        rho_star_rejected += 1;
+                    }
+                    // An integral cover reaches `b` iff it reaches `⌈b⌉`.
+                    let k = b.ceil().to_i64().expect("small bound") as usize;
+                    if gate.reaches::<Rho>(h, &bag, &k) {
+                        assert!(rho >= k, "rho({bag:?}) = {rho} < {k} in {h:?}");
+                        rho_rejected += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            rho_rejected > 0 && rho_star_rejected > 0,
+            "the gate never fired"
+        );
     }
 }

@@ -85,16 +85,23 @@ const STREAK: usize = 4;
 /// [`EngineOptions::threads`] is `None`: the `HGTOOL_THREADS` environment
 /// variable if set to a positive integer, otherwise the host parallelism,
 /// either way capped at the engine maximum of 8.
+///
+/// Resolved once per process, at first use: probing the host parallelism
+/// can read cgroup files, and a search context is built about once per
+/// solve. Changing `HGTOOL_THREADS` after that first use has no effect.
 pub fn default_thread_count() -> usize {
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let configured = std::env::var("HGTOOL_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(host);
-    configured.min(MAX_THREADS)
+    static RESOLVED: OnceLock<usize> = OnceLock::new();
+    *RESOLVED.get_or_init(|| {
+        let host = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let configured = std::env::var("HGTOOL_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or(host);
+        configured.min(MAX_THREADS)
+    })
 }
 
 /// Scheduling and preprocessing options for a search.
@@ -107,7 +114,8 @@ pub fn default_thread_count() -> usize {
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
     /// Worker-thread budget (`1` = strictly sequential). `None` picks
-    /// [`default_thread_count`]. Values are clamped to `1..=8`.
+    /// [`default_thread_count`], resolved once per process. Values are
+    /// clamped to `1..=8`.
     pub threads: Option<usize>,
     /// Run the width-preserving preprocessing pipeline (simplification
     /// passes + biconnected-block splitting where the strategy supports
