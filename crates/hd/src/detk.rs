@@ -124,13 +124,6 @@ pub fn hypertree_width_at_least(
                 if let Some(d) = d {
                     return (Some((k, d)), total);
                 }
-                if let Some(sink) = prep::anytime::current_sink() {
-                    // Anytime channel: a failed complete check at `k`
-                    // certifies `hw > k` (the decision profile preserves
-                    // `hw` exactly, so the block bound is the instance
-                    // bound).
-                    sink.report_lower(Rational::from(k + 1));
-                }
             }
             (None, total)
         })

@@ -335,7 +335,7 @@ where
     /// for it (and `HGTOOL_NO_PREP` doesn't veto it), private otherwise —
     /// with counter baselines snapshotted for [`SessionCache::deltas`].
     pub fn open(h: &Hypergraph, slot: &'static str, reuse: bool) -> Self {
-        let session = if crate::reuse_enabled(reuse) {
+        let session = if crate::enabled(reuse) {
             global().session(h)
         } else {
             PriceSession::fresh()
@@ -394,24 +394,15 @@ pub fn cached_query<R>(
 where
     R: Clone + MemSize + Send + Sync + 'static,
 {
-    if !crate::reuse_enabled(reuse) {
+    if !crate::enabled(reuse) {
         return run();
     }
     let session = global().session(h);
-    let Some(fp) = session.fingerprint() else {
+    if session.fingerprint().is_none() {
         return run();
-    };
+    }
     let span = obs::span!("result_cache", slot = slot);
     let cache: Arc<ShardedCache<String, (R, SearchStats)>> = session.cache(slot);
-    // Anytime-bounds plumbing (only when an ambient control is
-    // installed): if an identical query is already in flight, attach our
-    // sink as a listener *before* parking on the claim — the owner's
-    // best-so-far bounds replay immediately and future reports stream in
-    // while we wait.
-    let ambient = crate::anytime::current_sink();
-    if let Some(sink) = ambient.as_ref() {
-        inflight_bounds::attach_waiter(fp, slot, &key, sink);
-    }
     let (claim, waited) = cache.claim_tracking_wait(&key);
     let answer = match claim {
         Claim::Hit((result, mut stats)) => {
@@ -436,13 +427,6 @@ where
                 cache: &cache,
                 key: Some(&key),
             };
-            // Publish this run's sink so deduplicated waiters (and any
-            // other observer of the same (instance, slot, key)) can
-            // watch the bounds tighten; deregistered on drop, unwind
-            // included.
-            let _published = ambient
-                .as_ref()
-                .map(|sink| inflight_bounds::publish(fp, slot, &key, sink));
             let (result, stats) = run();
             guard.disarm();
             cache.complete(key, (result.clone(), stats.clone()));
@@ -496,64 +480,6 @@ mod cache_metrics {
                 "Instance variants resident in the cross-call registry",
             ),
         })
-    }
-}
-
-/// The registry making anytime bounds of in-flight queries observable:
-/// `(instance fingerprint, slot, key)` of each owned [`cached_query`]
-/// computation maps to the owner's ambient [`crate::anytime::BoundSink`]
-/// while the computation runs.
-mod inflight_bounds {
-    use super::*;
-    use crate::anytime::BoundSink;
-
-    type Key = (u128, &'static str, String);
-
-    fn registry() -> &'static Mutex<HashMap<Key, BoundSink>> {
-        static REGISTRY: OnceLock<Mutex<HashMap<Key, BoundSink>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-    }
-
-    /// If `(fp, slot, key)` is in flight, attach `sink` as a listener of
-    /// the owner's sink (replays best-so-far, then streams improvements).
-    pub(super) fn attach_waiter(fp: Fingerprint, slot: &'static str, key: &str, sink: &BoundSink) {
-        let owner = registry()
-            .lock()
-            .expect("in-flight bound registry poisoned")
-            .get(&(fp.0, slot, key.to_string()))
-            .cloned();
-        if let Some(owner) = owner {
-            owner.attach(sink.clone());
-        }
-    }
-
-    /// Publishes `sink` as the in-flight owner of `(fp, slot, key)`;
-    /// the registration is removed when the returned guard drops.
-    pub(super) fn publish(
-        fp: Fingerprint,
-        slot: &'static str,
-        key: &str,
-        sink: &BoundSink,
-    ) -> Published {
-        let k: Key = (fp.0, slot, key.to_string());
-        registry()
-            .lock()
-            .expect("in-flight bound registry poisoned")
-            .insert(k.clone(), sink.clone());
-        Published { key: k }
-    }
-
-    pub(super) struct Published {
-        key: Key,
-    }
-
-    impl Drop for Published {
-        fn drop(&mut self) {
-            registry()
-                .lock()
-                .expect("in-flight bound registry poisoned")
-                .remove(&self.key);
-        }
     }
 }
 

@@ -14,9 +14,10 @@
 //! 2. [`blocks`] — biconnected-block splitting: each block solves
 //!    independently, the width recombines as the maximum, and the
 //!    [`lift`] module stitches the block trees back into one witness;
-//! 3. [`global_cache`] — a process-lifetime `ρ`/`ρ*` price cache keyed by
-//!    the [`fingerprint`] of the (reduced, per-block) instance, so
-//!    repeated searches reuse prices across calls.
+//! 3. [`global_cache`] — a process-lifetime registry keyed by the
+//!    [`fingerprint()`] of an instance, holding both the price caches
+//!    repeated searches share and the whole-query results
+//!    ([`cached_query`]) a repeated call adopts instead of searching.
 //!
 //! See `src/README.md` for the pass catalog, the trace/lift contract, the
 //! fingerprint definition and the cache lifetime rules.
@@ -24,8 +25,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anytime;
 pub mod blocks;
+pub mod cancel;
 pub mod fingerprint;
 pub mod global_cache;
 pub mod lift;
@@ -37,10 +38,9 @@ pub use global_cache::{cached_query, global, GlobalPriceCache, PriceSession, Ses
 pub use simplify::{Pass, Step};
 pub use stats::SearchStats;
 
-use arith::Rational;
 use decomp::Decomposition;
 use hypergraph::Hypergraph;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Which pipeline a strategy runs, determined by what its width notion and
 /// witness conditions tolerate (see the safety matrix in [`simplify`]).
@@ -82,19 +82,18 @@ impl Profile {
     }
 }
 
-/// True when preprocessing should run: the per-call opt-in (the
-/// `EngineOptions::prep` flag) unless the `HGTOOL_NO_PREP` environment
-/// variable (any value) disables it process-wide.
+/// True when a prep feature should run: the per-call opt-in (the
+/// `EngineOptions::prep`, `reuse_prices` or `reuse_results` flag) unless
+/// the `HGTOOL_NO_PREP` environment variable (any value) is set. The kill
+/// switch disables the *whole* prep subsystem — the pipeline and the
+/// cross-call registry alike — so an A/B baseline taken under it never
+/// touches this crate's state.
+///
+/// The variable is read once per process, at first use; setting it after
+/// that has no effect.
 pub fn enabled(opt_in: bool) -> bool {
-    opt_in && std::env::var_os("HGTOOL_NO_PREP").is_none()
-}
-
-/// True when the cross-call price registry should be used: the per-call
-/// opt-in (`EngineOptions::reuse_prices`) unless `HGTOOL_NO_PREP` is set —
-/// the kill switch disables the *whole* prep subsystem, registry included,
-/// so an A/B baseline taken under it never touches this crate's state.
-pub fn reuse_enabled(opt_in: bool) -> bool {
-    opt_in && std::env::var_os("HGTOOL_NO_PREP").is_none()
+    static NO_PREP: OnceLock<bool> = OnceLock::new();
+    opt_in && !*NO_PREP.get_or_init(|| std::env::var_os("HGTOOL_NO_PREP").is_some())
 }
 
 /// Aggregate counts of one [`prepare`] run.
@@ -183,24 +182,8 @@ pub fn run_decision<T>(
     if !enabled(opt_in) {
         return solve(h);
     }
-    let prepared = Arc::new(prepare(h, Profile::Decision));
-    let block = &prepared.blocks[0];
-    // Anytime bounds reported inside `solve` carry *block-local*
-    // witnesses; re-install the ambient sink with this run's lift so they
-    // surface in original-instance terms (the decision profile always
-    // produces exactly one block, so every witness lifts directly).
-    let (result, mut stats) = match anytime::current() {
-        Some(ctl) => {
-            let lifting = Arc::clone(&prepared);
-            let sink = ctl.sink.with_lift(move |d| lifting.lift(vec![d.clone()]));
-            let ctl = anytime::RunCtl {
-                cancel: ctl.cancel,
-                sink,
-            };
-            anytime::with_ctl(ctl, || solve(&block.hypergraph))
-        }
-        None => solve(&block.hypergraph),
-    };
+    let prepared = prepare(h, Profile::Decision);
+    let (result, mut stats) = solve(&prepared.blocks[0].hypergraph);
     stats.prep_vertices_removed = prepared.stats.vertices_removed;
     stats.prep_edges_removed = prepared.stats.edges_removed;
     stats.prep_blocks = prepared.stats.blocks;
@@ -214,7 +197,7 @@ pub fn run_decision<T>(
 /// back to `h`. Any block failing (`None`, e.g. too large for the exact
 /// engines or cut off) fails the whole call, with the merged stats of the
 /// blocks solved so far.
-pub fn run_minimizer<C: PartialOrd + Clone + Into<Rational>>(
+pub fn run_minimizer<C: PartialOrd>(
     h: &Hypergraph,
     opt_in: bool,
     mut solve: impl FnMut(&Hypergraph) -> (Option<(C, Decomposition)>, SearchStats),
@@ -222,48 +205,21 @@ pub fn run_minimizer<C: PartialOrd + Clone + Into<Rational>>(
     if !enabled(opt_in) {
         return solve(h);
     }
-    let prepared = Arc::new(prepare(h, Profile::Minimizer));
+    let prepared = prepare(h, Profile::Minimizer);
     let mut stats = SearchStats {
         prep_vertices_removed: prepared.stats.vertices_removed,
         prep_edges_removed: prepared.stats.edges_removed,
         prep_blocks: prepared.stats.blocks,
         ..SearchStats::default()
     };
-    let ctl = anytime::current();
-    let single_block = prepared.blocks.len() == 1;
     let mut parts = Vec::with_capacity(prepared.blocks.len());
     let mut best: Option<C> = None;
     for block in &prepared.blocks {
-        let (result, s) = match &ctl {
-            // Single block: block witnesses certify the instance after a
-            // lift, so upper bounds flow through. Multi-block: a block
-            // width only bounds the instance from *below* (instance
-            // width = max over blocks) — forward lower bounds, drop
-            // block-local uppers.
-            Some(ctl) => {
-                let sink = if single_block {
-                    let lifting = Arc::clone(&prepared);
-                    ctl.sink.with_lift(move |d| lifting.lift(vec![d.clone()]))
-                } else {
-                    ctl.sink.lower_only()
-                };
-                let ctl = anytime::RunCtl {
-                    cancel: ctl.cancel.clone(),
-                    sink,
-                };
-                anytime::with_ctl(ctl, || solve(&block.hypergraph))
-            }
-            None => solve(&block.hypergraph),
-        };
+        let (result, s) = solve(&block.hypergraph);
         stats.merge(&s);
         let Some((w, d)) = result else {
             return (None, stats);
         };
-        if let Some(ctl) = &ctl {
-            // A solved block's exact width is a certified instance lower
-            // bound under the max-recombination rule.
-            ctl.sink.report_lower(w.clone().into());
-        }
         if best.as_ref().is_none_or(|b| w > *b) {
             best = Some(w);
         }

@@ -35,13 +35,13 @@
 //!
 //! Per-request deadlines ride the existing cancellation machinery: a
 //! request token is a child of the server root `CancelToken` with the
-//! request's deadline, installed as the ambient `RunCtl` for the
-//! solve; the engine root picks it up and unwinds with the interrupt
-//! payload when it expires. Draining (SIGTERM/ctrl-c, `POST
-//! /admin/drain`, or [`Server::drain`]) stops accepting, waits for
-//! in-flight requests up to a grace period, then cancels the root
-//! token so stragglers unwind through the same chains, and flushes
-//! the trace sink.
+//! request's deadline, installed with `prep::cancel::with_cancel` as
+//! the solve's ambient token; the engine root and the elimination DP
+//! pick it up and unwind with the interrupt payload when it expires.
+//! Draining (SIGTERM/ctrl-c, `POST /admin/drain`, or
+//! [`Server::drain`]) stops accepting, waits for in-flight requests up
+//! to a grace period, then cancels the root token so stragglers unwind
+//! through the same chains, and flushes the trace sink.
 
 pub mod http;
 pub mod loadgen;

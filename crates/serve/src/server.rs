@@ -5,7 +5,7 @@ use crate::http::{read_request, write_response, RecvError, Response};
 use crate::metrics::handles;
 use crate::service;
 use hypertree_core::hypergraph::{generators, Hypergraph};
-use hypertree_core::prep::anytime::{interrupt, CancelToken};
+use hypertree_core::prep::cancel::{interrupt, CancelToken};
 use hypertree_core::solver::EngineOptions;
 use hypertree_core::{ghd, solver};
 use std::io::Write;

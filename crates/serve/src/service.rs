@@ -8,7 +8,7 @@ use crate::http::{json_escape, Request, Response};
 use crate::metrics::{handles, Endpoint};
 use crate::server::Shared;
 use hypertree_core::hypergraph::{parser, Hypergraph};
-use hypertree_core::prep::anytime::{interrupt, with_ctl, RunCtl};
+use hypertree_core::prep::cancel::{interrupt, with_cancel};
 use hypertree_core::{fhd, ghd, hd, solver};
 use obs::json::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -230,11 +230,7 @@ fn run_guarded<R>(
         return Err(Interrupted::Deadline);
     }
     let token = shared.root.child_with_deadline(remaining);
-    let ctl = RunCtl {
-        cancel: token,
-        sink: Default::default(),
-    };
-    match catch_unwind(AssertUnwindSafe(|| with_ctl(ctl, f))) {
+    match catch_unwind(AssertUnwindSafe(|| with_cancel(token, f))) {
         Ok(r) => Ok(r),
         Err(payload) => {
             if interrupt::is_interrupt(payload.as_ref()) {

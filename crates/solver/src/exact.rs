@@ -326,13 +326,6 @@ fn solve_block<M: Measure>(
             (M::Cost::from(ub), d)
         }
     };
-    // The bound is witness-backed: surface it on the anytime channel
-    // before the exact search starts (the ambient sink lifts the
-    // block-local witness to the original instance, or drops it on
-    // multi-block splits).
-    if let Some(sink) = prep::anytime::current_sink() {
-        sink.report_upper(ub.clone().into(), Some(&ub_witness));
-    }
     // The search only has to beat `eff`: a failure at a *seeded* cutoff
     // (`ub` tighter than the caller's) is the exact answer `ub`.
     let seeded = cutoff.as_ref().is_none_or(|c| ub < *c);
@@ -420,9 +413,9 @@ fn by_elimination<M: Measure>(
         h,
         |bag| {
             // The DP never enters the engine, so it polls the ambient
-            // anytime token itself (a no-op outside deadline runs).
-            if prep::anytime::interrupted() {
-                prep::anytime::interrupt::raise();
+            // token itself (a no-op outside deadline runs).
+            if prep::cancel::interrupted() {
+                prep::cancel::interrupt::raise();
             }
             if let Some((gate, cut)) = &gate {
                 if gate.reaches::<M>(h, bag, cut) {

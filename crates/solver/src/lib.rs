@@ -44,7 +44,7 @@ use arith::Rational;
 use cover::{Claim, ShardedCache};
 use decomp::{Decomposition, Node};
 use hypergraph::{components, Hypergraph, VertexSet};
-use prep::anytime::CancelToken;
+use prep::cancel::CancelToken;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
@@ -795,9 +795,9 @@ struct Core<C> {
 /// as the `memo_hits`/`states` stats (every miss becomes a computed state,
 /// computed exactly once).
 ///
-/// Parallel evaluation runs on the process-wide [`SharedPool`] (lazily
+/// Parallel evaluation runs on the process-wide `SharedPool` (lazily
 /// started on the first parallel search, reused by every search after it),
-/// with per-search [`Permits`] capping how many pool workers help any one
+/// with per-search `Permits` capping how many pool workers help any one
 /// search at its configured `threads` budget.
 pub struct SearchContext<C> {
     core: Arc<Core<C>>,
@@ -881,9 +881,9 @@ impl<C: Ord + Clone + Send + Sync + 'static> SearchContext<C> {
     /// cost (maximum over nodes) and the witness.
     ///
     /// With `threads > 1` a parallel-capable search advertises its rounds
-    /// on the process-wide [`SharedPool`] (started lazily on first use,
+    /// on the process-wide `SharedPool` (started lazily on first use,
     /// then shared by every search in the process) while the calling
-    /// thread works the rounds itself; [`Permits`] cap the helpers at
+    /// thread works the rounds itself; `Permits` cap the helpers at
     /// `threads - 1` so results and stats match a dedicated `threads`-wide
     /// pool exactly.
     pub fn run<S>(&self, h: &Hypergraph, strategy: &Arc<S>) -> Option<(C, Decomposition)>
@@ -909,7 +909,7 @@ impl<C: Ord + Clone + Send + Sync + 'static> SearchContext<C> {
         let exec = Exec {
             pool: wants_pool.then(shared_pool),
             worker: EXTERNAL,
-            cancel: prep::anytime::current_cancel(),
+            cancel: prep::cancel::current_cancel(),
         };
         let solved = search.solve_inner(&root, &empty, &empty, &exec);
         let entry = match solved {
@@ -918,7 +918,7 @@ impl<C: Ord + Clone + Send + Sync + 'static> SearchContext<C> {
             // no caller to hand `Canceled` back to, so unwind — the cache
             // claim guards abandon their entries on the way out and the
             // caller that installed the token catches the payload.
-            Err(Canceled) => prep::anytime::interrupt::raise(),
+            Err(Canceled) => prep::cancel::interrupt::raise(),
         };
         let (cost, plan) = entry?;
         let d = self.assemble(&root, plan);

@@ -620,7 +620,7 @@ fn widths(
                 );
             }
         }
-        if prep::reuse_enabled(opts.reuse_prices) {
+        if prep::enabled(opts.reuse_prices) {
             // The cross-call demonstration: the ghw search above populated
             // the fingerprint-keyed global cache, so a repeated search
             // prices nothing (its lookups come back warm) — the rerun
