@@ -72,8 +72,7 @@ impl EdgeUnionConfig {
 /// The default saturation cap for [`stream_size_bound`]. The exact
 /// minimizer (`solver::exact`, under `ρ`) sends a block to the edge-union
 /// engine only while the block's bound stays below it, else to the
-/// elimination DP; `solver::runtime::admission_estimate` saturates its
-/// batch-admission ranking at it.
+/// elimination DP.
 pub const DEFAULT_STREAM_CAP: u64 = 50_000;
 
 /// Number of non-empty subsets of a `pool`-element set with at most

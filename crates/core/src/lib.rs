@@ -38,7 +38,6 @@ pub use solver;
 
 use arith::Rational;
 use hypergraph::{properties, Hypergraph};
-use solver::SearchStats;
 
 /// Frequently used items in one import.
 pub mod prelude {
@@ -141,10 +140,9 @@ pub fn exact_widths_with_stats(h: &Hypergraph, max_hw: usize) -> Option<(ExactWi
 }
 
 /// As [`exact_widths_with_stats`] with explicit [`solver::EngineOptions`]
-/// — the hook for callers that want fresh per-search price caches
-/// (`reuse_prices: false`) or no preprocessing. Returns `None` as soon as
-/// one width is out of range or `ghw > max_hw`, without running the
-/// searches above it.
+/// — the hook for callers that want no result reuse or no
+/// preprocessing. Returns `None` as soon as one width is out of range or
+/// `ghw > max_hw`, without running the searches above it.
 pub fn exact_widths_with_opts(
     h: &Hypergraph,
     max_hw: usize,
@@ -168,36 +166,6 @@ pub fn exact_widths_with_opts(
             fhw: fhw_stats,
         },
     ))
-}
-
-/// Batch variant of [`exact_widths_with_opts`]: solves every instance
-/// through [`solver::solve_batch`] — admission ordered by the
-/// `candgen` candidate-space estimate, one search at a time over the
-/// shared worker pool, whole-query answers deduplicated through the
-/// cross-call result registry (when `opts.reuse_results` is on, repeated
-/// instances in one batch report `result_cache_hits` instead of
-/// re-searching). Results come back in input order; a `None` entry means
-/// that instance exceeded the exact engines' limits or `max_hw`.
-pub fn exact_widths_batch(
-    instances: &[Hypergraph],
-    max_hw: usize,
-    opts: solver::EngineOptions,
-) -> Vec<Option<(ExactWidths, WidthStats)>> {
-    solver::solve_batch(instances, |_, h| {
-        let result = exact_widths_with_opts(h, max_hw, opts);
-        // solve_batch threads one SearchStats per item for schedulers that
-        // want it; the three per-engine records stay in WidthStats.
-        let merged = result.as_ref().map_or_else(SearchStats::default, |(_, s)| {
-            let mut total = s.hw.clone();
-            total.merge(&s.ghw);
-            total.merge(&s.fhw);
-            total
-        });
-        (result, merged)
-    })
-    .into_iter()
-    .map(|(r, _)| r)
-    .collect()
 }
 
 #[cfg(test)]

@@ -1,18 +1,16 @@
-//! Approximate heap-size accounting for cache entries.
+//! Approximate heap-size accounting for cached answers.
 //!
-//! The cross-call registry in `prep` shares one byte budget between its
-//! price caches and the whole-query result cache, evicting
-//! least-recently-used fingerprints when the total estimate exceeds the
-//! budget. [`MemSize`] is the estimate: a cheap, deterministic
-//! approximation of an entry's resident bytes (shallow struct size plus
-//! owned heap blocks), *not* an allocator-exact measurement — eviction
-//! only needs totals that scale with reality.
+//! The cross-call result cache in `prep` holds whole-query answers under
+//! one byte budget, evicting least-recently-used answers when the total
+//! estimate exceeds it. [`MemSize`] is the estimate: a cheap,
+//! deterministic approximation of a value's resident bytes (shallow
+//! struct size plus owned heap blocks), *not* an allocator-exact
+//! measurement — eviction only needs totals that scale with reality.
 //!
 //! The trait lives in `cover` (the lowest crate that sees both
-//! `hypergraph` and `arith`) so the price-cache value types and the
-//! strategy crates' result types can all implement it without orphan-rule
-//! contortions. [`crate::ShardedCache::approx_bytes`] folds it over a
-//! whole cache.
+//! `hypergraph` and `arith`) so the strategy crates' result types can all
+//! implement it without orphan-rule contortions. An answer is measured
+//! once, when it is stored.
 
 use arith::Rational;
 use hypergraph::VertexSet;
@@ -20,8 +18,7 @@ use std::mem::size_of;
 
 /// Approximate resident bytes of a value: shallow size plus owned heap.
 pub trait MemSize {
-    /// The estimate. Deterministic for a given value; cheap enough to run
-    /// on every registry access.
+    /// The estimate. Deterministic for a given value.
     fn approx_bytes(&self) -> usize;
 }
 
@@ -35,17 +32,11 @@ macro_rules! shallow_mem_size {
     )*};
 }
 
-shallow_mem_size!((), bool, u8, u16, u32, u64, u128, usize, i32, i64);
+shallow_mem_size!(u32, usize);
 
 impl MemSize for String {
     fn approx_bytes(&self) -> usize {
         size_of::<String>() + self.capacity()
-    }
-}
-
-impl<T: MemSize> MemSize for Box<T> {
-    fn approx_bytes(&self) -> usize {
-        size_of::<Box<T>>() + T::approx_bytes(self)
     }
 }
 
@@ -68,12 +59,6 @@ impl<T: MemSize> MemSize for Vec<T> {
 impl<A: MemSize, B: MemSize> MemSize for (A, B) {
     fn approx_bytes(&self) -> usize {
         self.0.approx_bytes() + self.1.approx_bytes()
-    }
-}
-
-impl<A: MemSize, B: MemSize, C: MemSize> MemSize for (A, B, C) {
-    fn approx_bytes(&self) -> usize {
-        self.0.approx_bytes() + self.1.approx_bytes() + self.2.approx_bytes()
     }
 }
 

@@ -95,8 +95,8 @@ pub fn check_fhd_bdp_with_stats(
     }
     let warm = solver::pool_is_warm();
     let key = format!(
-        "k={:?};arity={};max_sub={};prep={};rp={};backend=auto",
-        k, params.union_arity, params.max_subedges, opts.prep, opts.reuse_prices
+        "k={:?};arity={};max_sub={};prep={};backend=auto",
+        k, params.union_arity, params.max_subedges, opts.prep
     );
     let reuse = opts.reuse_results;
     let (answer, mut stats) = prep::cached_query(h, "result-fhd-bdp", key, reuse, || {
@@ -139,24 +139,19 @@ fn check_fhd_bdp_piece(
     };
     let aug = std::sync::Arc::new(aug);
     let hp = &aug.hypergraph;
-    // The separator LP prices (`rho*(⋃S via S)`) are k-independent, so a
-    // registry-backed session keyed on the *augmented* instance lets the
-    // integer/PTAAS iteration loops reuse them across their repeated
-    // checks.
-    let session = prep::SessionCache::open(hp, "strict-sep-lp", opts.reuse_prices);
     let truncated = aug.truncated;
     let strategy = std::sync::Arc::new(StrictHd {
         aug: std::sync::Arc::clone(&aug),
         k: k.clone(),
         support_bound: bounds.support,
         max_union: bounds.union,
-        sep_cache: std::sync::Arc::clone(&session.cache),
+        sep_cache: ShardedCache::new(),
         scope_cache: Mutex::new(None),
     });
     let cx = SearchContext::with_options(opts);
     let result = cx.run(hp, &strategy);
     let mut stats = cx.stats();
-    (stats.price_hits, stats.price_misses, stats.price_warm_hits) = session.deltas();
+    (stats.price_hits, stats.price_misses) = strategy.sep_cache.counters();
     let answer = match result {
         Some((_, d)) => FhdAnswer::Yes(Box::new(d)),
         None if truncated => FhdAnswer::Unknown,
@@ -235,7 +230,7 @@ struct StrictHd {
     /// `sorted S -> (rho*(H_λ), optimal cover of ⋃S by S)` — shared across
     /// search states and worker threads, and consulted again (not
     /// re-solved) when an admitted separator's witness weights are built.
-    sep_cache: std::sync::Arc<ShardedCache<Vec<usize>, PricedSep>>,
+    sep_cache: ShardedCache<Vec<usize>, PricedSep>,
     /// One-slot memo for the per-state derivation: the engine calls
     /// [`WidthSolver::state_key`] and then [`WidthSolver::candidates`] on
     /// the same state back to back, and both need the `(usable, allowed)`
@@ -797,9 +792,7 @@ mod tests {
     #[test]
     fn strict_search_reports_lp_cache_activity() {
         let h = generators::cycle(3);
-        // Fresh per-search caches (`sequential`): with the cross-call
-        // registry another test in this binary may already have priced
-        // these separators, which would zero the misses.
+        // Result reuse off (`sequential`): this call runs the search.
         let (ans, stats) =
             check_fhd_bdp_with_stats(&h, &rat(3, 2), params(), EngineOptions::sequential());
         assert!(ans.is_yes());

@@ -60,8 +60,8 @@ pub fn frac_decomp_with_stats(
     }
     let warm = solver::pool_is_warm();
     let key = format!(
-        "k={:?};eps={:?};c={};prep={};rp={};backend=auto",
-        params.k, params.eps, params.c, opts.prep, opts.reuse_prices
+        "k={:?};eps={:?};c={};prep={};backend=auto",
+        params.k, params.eps, params.c, opts.prep
     );
     let reuse = opts.reuse_results;
     let (result, mut stats) = prep::cached_query(h, "result-frac-decomp", key, reuse, || {
@@ -93,17 +93,16 @@ fn frac_decomp_piece(
     let budget = &params.k + &params.eps;
     let l_max_big = budget.floor();
     let l_max = l_max_big.to_i64().unwrap_or(0).max(0) as usize;
-    let session = prep::SessionCache::open(h, "frac-shadow-lp", opts.reuse_prices);
     let strategy = Arc::new(FracDecomp {
         budget,
         l_max,
         c: params.c,
-        shadow: Arc::clone(&session.cache),
+        shadow: ShardedCache::new(),
     });
     let cx = SearchContext::with_options(opts);
     let result = cx.run(h, &strategy).map(|(_, d)| d);
     let mut stats = cx.stats();
-    (stats.price_hits, stats.price_misses, stats.price_warm_hits) = session.deltas();
+    (stats.price_hits, stats.price_misses) = strategy.shadow.counters();
     (result, stats)
 }
 
@@ -154,10 +153,8 @@ struct FracDecomp {
     c: usize,
     /// Memoized (2.a) LPs: `(budget, S, W_s)` fully determines the shadow
     /// cover, and the same `(S, W_s)` pair is guessed again and again
-    /// across sibling search states — and across *calls* at one budget
-    /// when the session is backed by the cross-call registry (the
-    /// PTAAS-style iteration loops re-run identical budgets).
-    shadow: Arc<ShadowCache>,
+    /// across sibling search states.
+    shadow: ShadowCache,
 }
 
 /// `(budget, sorted separator, shadow) -> γ` memo for the (2.a) LP.

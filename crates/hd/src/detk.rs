@@ -50,10 +50,7 @@ pub fn check_hd_with_stats(
         return (None, SearchStats::default());
     }
     let warm = solver::pool_is_warm();
-    let key = format!(
-        "k={k};prep={};rp={};backend=auto",
-        opts.prep, opts.reuse_prices
-    );
+    let key = format!("k={k};prep={};backend=auto", opts.prep);
     let reuse = opts.reuse_results;
     let (result, mut stats) = prep::cached_query(h, "result-hw-check", key, reuse, || {
         let (result, stats) = prep::run_decision(h, opts.prep, |block| {
@@ -108,10 +105,7 @@ pub fn hypertree_width_at_least(
     max_k: usize,
     opts: EngineOptions,
 ) -> (Option<(usize, Decomposition)>, SearchStats) {
-    let key = format!(
-        "max_k={max_k};prep={};rp={};backend=auto",
-        opts.prep, opts.reuse_prices
-    );
+    let key = format!("max_k={max_k};prep={};backend=auto", opts.prep);
     solver::exact::front_door(h, "hw", "result-hw", key, opts.reuse_results, || {
         // The prep pipeline (which is `k`-independent) runs once around
         // the whole iteration; every check searches the same reduced

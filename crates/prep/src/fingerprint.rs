@@ -1,20 +1,18 @@
-//! Canonical hypergraph fingerprints for the cross-call price cache.
+//! Canonical incidence structure and fingerprints of hypergraphs.
 //!
-//! The fingerprint is a 128-bit hash of the *canonicalized incidence
-//! structure*: the vertex count plus the edge contents (each edge as its
-//! sorted vertex list), in edge-index order. Names never enter — only the
-//! structure addressable by indices does. It is deliberately **not** a
-//! graph canonical form, and deliberately **not** edge-order-independent
-//! either: cached prices carry vertex *and edge* indices (a `ρ*` witness
-//! is a sparse weight list by edge id), so a cached value is only valid
-//! for an instance with the identical numbering of both. Two hypergraphs
-//! with the same edge multiset but permuted edge ids — e.g. a cycle and a
-//! clique on three vertices — must not share prices.
+//! The canonical form of a hypergraph is its incidence structure: each
+//! edge as its sorted vertex list, in edge-index order. Names never enter —
+//! only the structure addressable by indices does. It is deliberately
+//! **not** a graph canonical form, and deliberately **not**
+//! edge-order-independent either: a cached answer carries vertex *and
+//! edge* indices (a witness names its cover edges by id), so it is only
+//! valid for an instance with the identical numbering of both. Together
+//! with the vertex count, the canonical form is the instance part of the
+//! result cache's key (see [`crate::global_cache`]).
 //!
-//! Collisions are not trusted: the registry stores the canonical form next
-//! to the caches and compares it on every lookup (see
-//! [`crate::global_cache`]), so a colliding instance falls back to fresh
-//! caches instead of reading wrong prices.
+//! The fingerprint is a 128-bit hash of the same structure, a short
+//! printable identity: `hgtool prep` prints it per block, and the
+//! benchmark's manifest records it. No cache lookup uses it.
 
 use hypergraph::Hypergraph;
 use std::fmt;
@@ -31,8 +29,7 @@ impl fmt::Display for Fingerprint {
 
 /// The canonical incidence structure: every edge as its sorted vertex
 /// list, in edge-index order. Together with the vertex count this
-/// identifies the instance exactly (up to names), which is what the
-/// registry compares to rule out hash collisions.
+/// identifies the instance exactly (up to names).
 pub type CanonicalForm = Vec<Vec<usize>>;
 
 /// Computes the canonical form of `h`.
@@ -56,25 +53,16 @@ fn fnv1a(words: impl Iterator<Item = u64>, basis: u64) -> u64 {
 
 /// Fingerprints `h` (vertex- and edge-index-sensitive, name-blind).
 pub fn fingerprint(h: &Hypergraph) -> Fingerprint {
-    let canon = canonical_form(h);
-    fingerprint_of_canon(h.num_vertices(), &canon)
-}
-
-/// Fingerprints an already-canonicalized incidence structure.
-pub fn fingerprint_of_canon(num_vertices: usize, canon: &CanonicalForm) -> Fingerprint {
     // Word stream: |V|, then per edge its length followed by its vertices
     // (the explicit lengths make the stream prefix-free across edges).
-    let words = |canon: &CanonicalForm| {
-        let mut out: Vec<u64> =
-            Vec::with_capacity(1 + canon.iter().map(|e| e.len() + 1).sum::<usize>());
-        out.push(num_vertices as u64);
-        for e in canon {
-            out.push(e.len() as u64);
-            out.extend(e.iter().map(|&v| v as u64));
-        }
-        out
-    };
-    let stream = words(canon);
+    let canon = canonical_form(h);
+    let mut stream: Vec<u64> =
+        Vec::with_capacity(1 + canon.iter().map(|e| e.len() + 1).sum::<usize>());
+    stream.push(h.num_vertices() as u64);
+    for e in &canon {
+        stream.push(e.len() as u64);
+        stream.extend(e.iter().map(|&v| v as u64));
+    }
     let lo = fnv1a(stream.iter().copied(), 0xcbf2_9ce4_8422_2325);
     let hi = fnv1a(stream.iter().copied(), 0x6c62_272e_07bb_0142);
     Fingerprint(((hi as u128) << 64) | lo as u128)

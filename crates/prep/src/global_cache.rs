@@ -1,389 +1,255 @@
-//! The process-lifetime, fingerprint-keyed cross-call result registry.
+//! The process-lifetime cross-call result cache.
 //!
-//! The per-search `ρ`/`ρ*` caches of PR 2 die with their search, so
-//! repeated searches on one instance (`hgtool widths` running three
-//! engines, `fhw_frac_search` iterating budgets, the strict-HD integer
-//! search, the agreement test suites) re-price every bag from scratch.
-//! This registry keeps one [`cover::ShardedCache`] per
-//! `(hypergraph fingerprint, cache slot)` alive for the process lifetime,
-//! so a bag priced once is priced never again — across calls, strategies
-//! and thread counts. On top of the price slots, [`cached_query`] uses the
-//! same registry to cache *whole-query answers*: a
-//! `(instance, strategy, parameters)` triple maps to the full result —
-//! width, lifted witness and engine counters — so a repeated call skips
-//! the search entirely, and an identical call already in flight is
-//! deduplicated through the cache's `Pending` claim machinery (the second
-//! caller parks and adopts the first one's answer).
+//! [`cached_query`] keeps each whole answer — width, lifted witness and the
+//! engine counters of the run that computed it — across calls, so a
+//! repeated query skips the search entirely, and an identical query already
+//! in flight is deduplicated through the cache's `Pending` claim machinery
+//! (the second caller parks and adopts the first one's answer).
 //!
-//! Soundness: a cached value is only valid for the instance it was
-//! computed on, so the registry stores the full [`CanonicalForm`] next to
-//! the caches and compares it on every lookup. A fingerprint collision
-//! does not discard sharing anymore: each distinct canonical form behind
-//! one fingerprint gets its own *variant* (keyed by a secondary hash), so
-//! colliding instances still reuse their own caches across calls; only
-//! the astronomically unlikely double collision (same fingerprint *and*
-//! same secondary hash, different structure) falls back to a fresh
-//! private session — never to wrong prices.
+//! An answer is stored under one key: the instance's vertex count and
+//! [`CanonicalForm`], the strategy slot and a parameter string covering
+//! everything the answer depends on. The key holds the canonical form
+//! itself, so two instances share an answer only when their incidence
+//! structure is identical (names aside); no hash collision can mix them.
 //!
-//! Memory: all slots of all variants share one byte budget
-//! ([`BUDGET_ENV`], default 64 MiB), estimated via [`cover::MemSize`] and
-//! enforced by least-recently-used eviction over `(fingerprint, variant)`
-//! keys at session-open time. Each variant carries the tick of its last
-//! touch, and the LRU is a map from tick to key: opening a session moves
-//! its key to a fresh tick (one removal, one insertion), and eviction
-//! pops the smallest tick. Slot checkouts mark the key dirty so the next
-//! sweep re-measures it; the registry keeps a running byte total, adjusted
-//! by each re-measurement's difference and by each eviction, so neither
-//! the sweep nor the occupancy gauges walk the resident variants. A call
-//! costs `O(log n)` in the number of resident variants, plus the dirty
-//! re-measurements.
+//! Memory: the answers share one byte budget ([`BUDGET_ENV`], default
+//! 64 MiB), estimated via [`cover::MemSize`] when an answer is stored. One
+//! mutex-guarded LRU index maps tick → query and query → (tick, bytes) and
+//! keeps the running byte total. A hit moves its answer to a fresh tick;
+//! a store evicts least-recent answers while the total exceeds the budget,
+//! never the answer just stored. The budget therefore holds after every
+//! store, and a call costs `O(log n)` in the `n` resident answers.
 //!
-//! Determinism: widths and witnesses are unaffected by reuse (prices and
-//! results are exact values, and witnesses are revalidated by the test
-//! suites). The `price_*` counters and the runtime counters
-//! (`result_cache_hits`, `inflight_dedup`) of a session *are* affected —
-//! that is the point — so the engine determinism tests run with reuse off
-//! and compare [`SearchStats::engine_only`].
+//! Determinism: widths, witnesses and engine counters are unaffected (a
+//! hit replays the stored answer byte for byte); only the runtime counters
+//! `result_cache_hits` and `inflight_dedup` record the cache. Price caches
+//! never outlive their search.
 
-use crate::fingerprint::{canonical_form, fingerprint_of_canon, CanonicalForm, Fingerprint};
+use crate::fingerprint::{canonical_form, CanonicalForm};
 use crate::stats::SearchStats;
 use cover::{Claim, MemSize, ShardedCache};
-use hypergraph::fx::FxHasher;
 use hypergraph::Hypergraph;
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Environment variable overriding the shared cache byte budget.
+/// Environment variable overriding the result cache's byte budget.
 pub const BUDGET_ENV: &str = "HGTOOL_CACHE_BYTES";
 
-/// Default shared byte budget: price caches and the whole-query result
-/// cache together.
+/// Default byte budget of the process-wide result cache.
 const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
 
-/// One registered slot: the type-erased shared cache plus a sizer that
-/// re-measures it (the sizer captures a typed `Arc` clone, so the
-/// byte-budget sweep needs no type knowledge).
-struct SlotEntry {
-    cache: Arc<dyn Any + Send + Sync>,
-    sizer: Box<dyn Fn() -> usize + Send + Sync>,
-}
-
-/// One canonical form behind a fingerprint: the exact incidence structure
-/// (collision guard), its slot map, the byte estimate as of the last
-/// sweep (stale while the variant is in the dirty set), and the tick of
-/// its last touch (its key in [`Registry::lru`]).
-struct Variant {
-    sec: u64,
-    canon: CanonicalForm,
+/// One query: the instance (vertex count and canonical form), the strategy
+/// slot and the parameter string.
+#[derive(PartialEq, Eq, Hash)]
+struct Query {
     num_vertices: usize,
-    slots: HashMap<&'static str, SlotEntry>,
-    bytes: usize,
-    tick: u64,
+    canon: CanonicalForm,
+    slot: &'static str,
+    key: String,
 }
 
-/// The interior state: variants by fingerprint, the LRU order over
-/// `(fingerprint, secondary)` keys by last-touch tick (least recent
-/// first), the next tick to hand out, the keys whose byte estimate went
-/// stale since the last sweep, and the running sum of every resident
-/// variant's `bytes`.
+impl MemSize for Query {
+    fn approx_bytes(&self) -> usize {
+        self.num_vertices.approx_bytes()
+            + self.canon.approx_bytes()
+            + std::mem::size_of::<&str>()
+            + self.key.approx_bytes()
+    }
+}
+
+/// A stored `(result, stats)` pair, type-erased (the slot fixes the type).
+type Answer = Arc<dyn Any + Send + Sync>;
+
+/// The LRU index over resident answers: tick → query (least recent
+/// first), query → (tick, bytes), the next tick to hand out and the
+/// running sum of every resident answer's bytes. `resident` keeps the
+/// default hasher: queries carry instances from outside the program.
 #[derive(Default)]
-struct Registry {
-    entries: HashMap<u128, Vec<Variant>>,
-    lru: BTreeMap<u64, (u128, u64)>,
+struct Lru {
+    order: BTreeMap<u64, Arc<Query>>,
+    resident: HashMap<Arc<Query>, (u64, usize)>,
     next_tick: u64,
-    dirty: HashSet<(u128, u64)>,
     total_bytes: usize,
 }
 
-/// The process-lifetime registry. Obtain the shared one through
-/// [`global`]; tests build private instances with
-/// [`GlobalPriceCache::new`] (leaked to `'static`, since sessions borrow
-/// the registry for the process lifetime).
-pub struct GlobalPriceCache {
-    inner: Mutex<Registry>,
+/// The cross-call result cache: claims and answers in one sharded map,
+/// beside the LRU index that budgets them. Obtain the process-wide one
+/// through [`global`]; tests build private instances with
+/// [`ResultCache::new`].
+pub struct ResultCache {
+    answers: ShardedCache<Arc<Query>, Answer>,
+    lru: Mutex<Lru>,
     budget: usize,
 }
 
-/// The process-wide registry instance, budgeted by [`BUDGET_ENV`].
-pub fn global() -> &'static GlobalPriceCache {
-    static GLOBAL: OnceLock<GlobalPriceCache> = OnceLock::new();
+/// The process-wide result cache, budgeted by [`BUDGET_ENV`].
+pub fn global() -> &'static ResultCache {
+    static GLOBAL: OnceLock<ResultCache> = OnceLock::new();
     GLOBAL.get_or_init(|| {
         let budget = std::env::var(BUDGET_ENV)
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(DEFAULT_BUDGET_BYTES);
-        GlobalPriceCache::new(budget)
+        ResultCache::new(budget)
     })
 }
 
-/// The secondary hash separating canonical forms that collide on the
-/// primary fingerprint (FxHash over the same word stream the fingerprint
-/// reads, but with a different mixing function — independent enough that
-/// a double collision would need two simultaneous 64-bit+128-bit breaks).
-fn secondary_hash(num_vertices: usize, canon: &CanonicalForm) -> u64 {
-    let mut hasher = FxHasher::default();
-    num_vertices.hash(&mut hasher);
-    canon.hash(&mut hasher);
-    hasher.finish()
-}
-
-impl GlobalPriceCache {
-    /// An empty registry with the given byte budget.
+impl ResultCache {
+    /// An empty cache with the given byte budget.
     pub fn new(budget: usize) -> Self {
-        GlobalPriceCache {
-            inner: Mutex::new(Registry::default()),
+        ResultCache {
+            answers: ShardedCache::new(),
+            lru: Mutex::new(Lru::default()),
             budget,
         }
     }
 
-    /// Opens a session for `h`: cached slots of the same instance are
-    /// shared (their generation advanced, so reuse shows up in
-    /// [`cover::ShardedCache::warm_hits`]); an unknown instance (or a new
-    /// canonical form behind a colliding fingerprint) is registered as its
-    /// own variant. Opening touches the LRU key and runs the byte-budget
-    /// sweep, evicting least-recently-used variants (never the one just
-    /// opened) while the estimate exceeds the budget.
-    pub fn session(&'static self, h: &Hypergraph) -> PriceSession {
-        let canon = canonical_form(h);
-        let fp = fingerprint_of_canon(h.num_vertices(), &canon);
-        let sec = secondary_hash(h.num_vertices(), &canon);
-        let mut guard = self.inner.lock().expect("price registry poisoned");
-        let reg = &mut *guard;
-        let tick = reg.next_tick;
-        let variants = reg.entries.entry(fp.0).or_default();
-        match variants.iter_mut().find(|v| v.sec == sec) {
-            Some(v) if v.canon == canon && v.num_vertices == h.num_vertices() => {
-                reg.lru.remove(&v.tick);
-                v.tick = tick;
-            }
-            // Double collision (fingerprint and secondary hash): never
-            // share. Unlike the old single-hash fallback this is per
-            // *structure*, not per call — merely fingerprint-colliding
-            // instances each keep their own shared variant above.
-            Some(_) => return PriceSession::fresh(),
-            None => variants.push(Variant {
-                sec,
-                canon,
-                num_vertices: h.num_vertices(),
-                slots: HashMap::new(),
-                bytes: 0,
-                tick,
-            }),
-        }
-        let key = (fp.0, sec);
-        reg.next_tick += 1;
-        reg.lru.insert(tick, key);
-        self.sweep(reg, key);
-        PriceSession {
-            registry: Some((self, fp, sec)),
-        }
-    }
-
-    /// Re-measures dirty variants (folding each difference into the
-    /// running total), then evicts from the LRU front while the total
-    /// exceeds the budget. `just_opened` holds the newest tick, so it is
-    /// the front only once every other variant is gone — and it stays.
-    fn sweep(&self, reg: &mut Registry, just_opened: (u128, u64)) {
-        for key in std::mem::take(&mut reg.dirty) {
-            if let Some(v) = variant_mut(&mut reg.entries, key) {
-                let bytes = v.slots.values().map(|s| (s.sizer)()).sum();
-                reg.total_bytes = reg.total_bytes - v.bytes + bytes;
-                v.bytes = bytes;
-            }
-        }
-        while reg.total_bytes > self.budget {
-            let Some(front) = reg.lru.first_entry() else {
-                break;
-            };
-            if *front.get() == just_opened {
-                break;
-            }
-            let key = front.remove();
-            if let Some(variants) = reg.entries.get_mut(&key.0) {
-                if let Some(pos) = variants.iter().position(|v| v.sec == key.1) {
-                    reg.total_bytes -= variants.swap_remove(pos).bytes;
-                }
-                if variants.is_empty() {
-                    reg.entries.remove(&key.0);
-                }
-            }
-        }
-    }
-
-    /// The registered shared cache for `(fingerprint, variant, slot)`,
-    /// created on first use and marked dirty for the next sweep. `None`
-    /// when the variant was evicted meanwhile.
-    fn slot<K, V>(
+    /// Routes one whole-query computation through the cache: `(h, slot,
+    /// key)` maps to the full answer — result (including the lifted
+    /// witness) plus the engine counters of the run that computed it.
+    ///
+    /// `slot` names the strategy; `key` encodes every parameter the answer
+    /// depends on (cutoff, width bound, engine options that affect the
+    /// result). With reuse off (or vetoed by `HGTOOL_NO_PREP`) `run`
+    /// executes directly.
+    ///
+    /// * A repeated identical query returns the stored answer with
+    ///   `result_cache_hits = 1` and never runs a search.
+    /// * An identical query *in flight* parks on the entry's `Pending`
+    ///   claim and adopts the owner's answer (`inflight_dedup = 1` on top
+    ///   of the hit) — exactly one search runs however many threads ask.
+    /// * If the owning computation panics, the claim is abandoned and one
+    ///   parked waiter re-runs (nobody deadlocks on a poisoned entry).
+    pub fn query<R>(
         &self,
-        fp: Fingerprint,
-        sec: u64,
-        name: &'static str,
-    ) -> Option<Arc<ShardedCache<K, V>>>
+        h: &Hypergraph,
+        slot: &'static str,
+        key: String,
+        reuse: bool,
+        run: impl FnOnce() -> (R, SearchStats),
+    ) -> (R, SearchStats)
     where
-        K: Eq + Hash + MemSize + Send + Sync + 'static,
-        V: Clone + MemSize + Send + Sync + 'static,
+        R: Clone + MemSize + Send + Sync + 'static,
     {
-        let mut guard = self.inner.lock().expect("price registry poisoned");
-        let reg = &mut *guard;
-        let variant = variant_mut(&mut reg.entries, (fp.0, sec))?;
-        let slot = variant.slots.entry(name).or_insert_with(|| {
-            let typed: Arc<ShardedCache<K, V>> = Arc::new(ShardedCache::new());
-            let measured = Arc::clone(&typed);
-            SlotEntry {
-                cache: typed,
-                sizer: Box::new(move || measured.approx_bytes()),
-            }
+        if !crate::enabled(reuse) {
+            return run();
+        }
+        let span = obs::span!("result_cache", slot = slot);
+        let query = Arc::new(Query {
+            num_vertices: h.num_vertices(),
+            canon: canonical_form(h),
+            slot,
+            key,
         });
-        let cache = Arc::clone(&slot.cache)
-            .downcast::<ShardedCache<K, V>>()
-            .expect("slot name reused with a different cache type");
-        reg.dirty.insert((fp.0, sec));
-        Some(cache)
+        let metrics = cache_metrics::handles();
+        let (claim, waited) = self.answers.claim_tracking_wait(&query);
+        let answer = match claim {
+            Claim::Hit(stored) => {
+                self.touch(&query);
+                let (result, mut stats) = stored
+                    .downcast_ref::<(R, SearchStats)>()
+                    .expect("slot name reused with a different result type")
+                    .clone();
+                stats.result_cache_hits = 1;
+                stats.inflight_dedup = usize::from(waited);
+                metrics.hits.inc();
+                if waited {
+                    metrics.inflight_dedup.inc();
+                }
+                if let Some(span) = span.as_ref() {
+                    span.record("hit", true);
+                    span.record("deduped", waited);
+                }
+                (result, stats)
+            }
+            Claim::Owner => {
+                metrics.misses.inc();
+                if let Some(span) = span.as_ref() {
+                    span.record("hit", false);
+                }
+                let guard = QueryGuard {
+                    cache: &self.answers,
+                    query: Some(&query),
+                };
+                let (result, stats) = run();
+                guard.disarm();
+                let bytes = query.approx_bytes() + result.approx_bytes() + stats.approx_bytes();
+                let stored: Answer = Arc::new((result.clone(), stats.clone()));
+                self.answers.complete(Arc::clone(&query), stored);
+                self.store(query, bytes);
+                (result, stats)
+            }
+        };
+        let (bytes, entries) = self.occupancy();
+        metrics.bytes.set(bytes as i64);
+        metrics.entries.set(entries as i64);
+        answer
+    }
+
+    /// Moves a resident answer to a fresh tick (a no-op once evicted).
+    fn touch(&self, query: &Arc<Query>) {
+        let mut guard = self.lru.lock().expect("result cache poisoned");
+        let lru = &mut *guard;
+        if let Some((tick, _)) = lru.resident.get_mut(query) {
+            let query = lru.order.remove(tick).expect("indexed answers are ordered");
+            *tick = lru.next_tick;
+            lru.order.insert(*tick, query);
+            lru.next_tick += 1;
+        }
+    }
+
+    /// Indexes a just-completed answer of `bytes` at a fresh tick, then
+    /// evicts from the LRU front while the total exceeds the budget. The
+    /// new answer holds the newest tick, so it is the front only once every
+    /// other answer is gone — and it stays.
+    fn store(&self, query: Arc<Query>, bytes: usize) {
+        let mut guard = self.lru.lock().expect("result cache poisoned");
+        let lru = &mut *guard;
+        let tick = lru.next_tick;
+        lru.next_tick += 1;
+        if let Some((old_tick, old_bytes)) = lru.resident.insert(Arc::clone(&query), (tick, bytes))
+        {
+            lru.order.remove(&old_tick);
+            lru.total_bytes -= old_bytes;
+        }
+        lru.order.insert(tick, query);
+        lru.total_bytes += bytes;
+        while lru.total_bytes > self.budget && lru.order.len() > 1 {
+            let (_, victim) = lru.order.pop_first().expect("more than one answer");
+            let (_, victim_bytes) = lru
+                .resident
+                .remove(&victim)
+                .expect("ordered answers are indexed");
+            lru.total_bytes -= victim_bytes;
+            self.answers.remove(&victim);
+        }
     }
 
     /// `(approx_bytes, len)` read under one lock.
     fn occupancy(&self) -> (usize, usize) {
-        let reg = self.inner.lock().expect("price registry poisoned");
-        (reg.total_bytes, reg.lru.len())
+        let lru = self.lru.lock().expect("result cache poisoned");
+        (lru.total_bytes, lru.order.len())
     }
 
-    /// Registered variants (diagnostics).
+    /// Answers resident.
     pub fn len(&self) -> usize {
         self.occupancy().1
     }
 
-    /// True when nothing is registered yet.
+    /// True when no answer is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// The byte estimate as of the last sweep (diagnostics; dirty variants
-    /// report their stale measurement).
+    /// The running byte estimate of the resident answers.
     pub fn approx_bytes(&self) -> usize {
         self.occupancy().0
     }
 }
 
-fn variant_mut(
-    entries: &mut HashMap<u128, Vec<Variant>>,
-    key: (u128, u64),
-) -> Option<&mut Variant> {
-    entries.get_mut(&key.0)?.iter_mut().find(|v| v.sec == key.1)
-}
-
-/// A per-search handle to the shared caches of one instance (or to fresh
-/// private caches when reuse is off / double-collided / evicted).
-pub struct PriceSession {
-    /// `Some` when backed by a registry: the registry plus the variant key.
-    registry: Option<(&'static GlobalPriceCache, Fingerprint, u64)>,
-}
-
-impl PriceSession {
-    /// A session with private caches only (reuse disabled).
-    pub fn fresh() -> Self {
-        PriceSession { registry: None }
-    }
-
-    /// The instance fingerprint when backed by a process-lifetime
-    /// registry; `None` for private caches.
-    pub fn fingerprint(&self) -> Option<Fingerprint> {
-        self.registry.map(|(_, fp, _)| fp)
-    }
-
-    /// The cache for `slot`, shared across calls when the session is
-    /// registry-backed (its generation is advanced so cross-call hits are
-    /// counted as warm), private otherwise.
-    pub fn cache<K, V>(&self, slot: &'static str) -> Arc<ShardedCache<K, V>>
-    where
-        K: Eq + Hash + MemSize + Send + Sync + 'static,
-        V: Clone + MemSize + Send + Sync + 'static,
-    {
-        let shared = self
-            .registry
-            .and_then(|(reg, fp, sec)| reg.slot::<K, V>(fp, sec, slot));
-        match shared {
-            Some(cache) => {
-                cache.advance_generation();
-                cache
-            }
-            None => Arc::new(ShardedCache::new()),
-        }
-    }
-}
-
-/// One strategy cache checked out of a session, carrying the counter
-/// baselines taken at checkout so a search can report *its own* traffic —
-/// the shared cache's counters are cumulative across every search that
-/// ever borrowed it. This is the one place the baseline/delta bookkeeping
-/// lives; every strategy price session goes through it.
-pub struct SessionCache<K, V> {
-    /// The (shared or private) cache itself.
-    pub cache: Arc<ShardedCache<K, V>>,
-    base_hits: usize,
-    base_misses: usize,
-    base_warm: usize,
-}
-
-impl<K, V> SessionCache<K, V>
-where
-    K: Eq + Hash + MemSize + Send + Sync + 'static,
-    V: Clone + MemSize + Send + Sync + 'static,
-{
-    /// Opens the `slot` cache for `h`: registry-backed when `reuse` asks
-    /// for it (and `HGTOOL_NO_PREP` doesn't veto it), private otherwise —
-    /// with counter baselines snapshotted for [`SessionCache::deltas`].
-    pub fn open(h: &Hypergraph, slot: &'static str, reuse: bool) -> Self {
-        let session = if crate::enabled(reuse) {
-            global().session(h)
-        } else {
-            PriceSession::fresh()
-        };
-        let cache = session.cache::<K, V>(slot);
-        let (base_hits, base_misses) = cache.counters();
-        let base_warm = cache.warm_hits();
-        SessionCache {
-            cache,
-            base_hits,
-            base_misses,
-            base_warm,
-        }
-    }
-
-    /// `(hits, misses, warm_hits)` accumulated since checkout — what the
-    /// strategy wrappers surface as `price_hits`/`price_misses`/
-    /// `price_warm_hits`. Process-history-independent on private caches;
-    /// on shared ones, concurrent borrowers' traffic is included (which is
-    /// why the determinism suites run with reuse off).
-    pub fn deltas(&self) -> (usize, usize, usize) {
-        let (hits, misses) = self.cache.counters();
-        (
-            hits - self.base_hits,
-            misses - self.base_misses,
-            self.cache.warm_hits() - self.base_warm,
-        )
-    }
-}
-
-/// Routes one whole-query computation through the cross-call result
-/// cache: `(instance fingerprint, slot, key)` maps to the full answer —
-/// result (including the lifted witness) plus the engine counters of the
-/// run that computed it.
-///
-/// `slot` names the strategy (one result cache per strategy per
-/// instance); `key` encodes every parameter the answer depends on
-/// (cutoff, width bound, engine options that affect the result). With
-/// reuse off (or vetoed by `HGTOOL_NO_PREP`, or double-collided) `run`
-/// executes directly.
-///
-/// * A repeated identical query returns the stored answer with
-///   `result_cache_hits = 1` and never runs a search.
-/// * An identical query *in flight* parks on the entry's `Pending` claim
-///   and adopts the owner's answer (`inflight_dedup = 1` on top of the
-///   hit) — exactly one search runs however many threads ask.
-/// * If the owning computation panics, the claim is abandoned and one
-///   parked waiter re-runs (nobody deadlocks on a poisoned entry).
+/// Routes one whole-query computation through the process-wide
+/// [`ResultCache`]; see [`ResultCache::query`].
 pub fn cached_query<R>(
     h: &Hypergraph,
     slot: &'static str,
@@ -394,56 +260,12 @@ pub fn cached_query<R>(
 where
     R: Clone + MemSize + Send + Sync + 'static,
 {
-    if !crate::enabled(reuse) {
-        return run();
-    }
-    let session = global().session(h);
-    if session.fingerprint().is_none() {
-        return run();
-    }
-    let span = obs::span!("result_cache", slot = slot);
-    let cache: Arc<ShardedCache<String, (R, SearchStats)>> = session.cache(slot);
-    let (claim, waited) = cache.claim_tracking_wait(&key);
-    let answer = match claim {
-        Claim::Hit((result, mut stats)) => {
-            stats.result_cache_hits = 1;
-            stats.inflight_dedup = usize::from(waited);
-            cache_metrics::handles().hits.inc();
-            if waited {
-                cache_metrics::handles().inflight_dedup.inc();
-            }
-            if let Some(span) = span.as_ref() {
-                span.record("hit", true);
-                span.record("deduped", waited);
-            }
-            (result, stats)
-        }
-        Claim::Owner => {
-            cache_metrics::handles().misses.inc();
-            if let Some(span) = span.as_ref() {
-                span.record("hit", false);
-            }
-            let guard = QueryGuard {
-                cache: &cache,
-                key: Some(&key),
-            };
-            let (result, stats) = run();
-            guard.disarm();
-            cache.complete(key, (result.clone(), stats.clone()));
-            (result, stats)
-        }
-    };
-    // Occupancy gauges follow every routed query (byte accounting is the
-    // registry's running total — the same number its sweep budgets by).
-    let (bytes, variants) = global().occupancy();
-    cache_metrics::handles().bytes.set(bytes as i64);
-    cache_metrics::handles().variants.set(variants as i64);
-    answer
+    global().query(h, slot, key, reuse, run)
 }
 
-/// Process-lifetime counters and occupancy gauges of the cross-call
-/// registry, mirrored into the `obs` metrics registry. Observational
-/// only — cache behavior never depends on them.
+/// Process-lifetime counters and occupancy gauges of the result cache,
+/// mirrored into the `obs` metrics registry. Observational only — cache
+/// behavior never depends on them.
 mod cache_metrics {
     use obs::metrics::{counter, gauge, Counter, Gauge};
     use std::sync::{Arc, OnceLock};
@@ -453,7 +275,7 @@ mod cache_metrics {
         pub misses: Arc<Counter>,
         pub inflight_dedup: Arc<Counter>,
         pub bytes: Arc<Gauge>,
-        pub variants: Arc<Gauge>,
+        pub entries: Arc<Gauge>,
     }
 
     pub(super) fn handles() -> &'static Handles {
@@ -473,11 +295,11 @@ mod cache_metrics {
             ),
             bytes: gauge(
                 "hgtool_result_cache_bytes",
-                "Approximate byte occupancy of the cross-call price+result registry",
+                "Approximate byte occupancy of the cross-call result cache",
             ),
-            variants: gauge(
-                "hgtool_result_cache_variants",
-                "Instance variants resident in the cross-call registry",
+            entries: gauge(
+                "hgtool_result_cache_entries",
+                "Answers resident in the cross-call result cache",
             ),
         })
     }
@@ -485,21 +307,21 @@ mod cache_metrics {
 
 /// Abandons an owned result claim on unwind unless disarmed, so a
 /// panicking search cannot strand parked duplicate queries forever.
-struct QueryGuard<'c, R: Clone> {
-    cache: &'c ShardedCache<String, (R, SearchStats)>,
-    key: Option<&'c String>,
+struct QueryGuard<'c> {
+    cache: &'c ShardedCache<Arc<Query>, Answer>,
+    query: Option<&'c Arc<Query>>,
 }
 
-impl<R: Clone> QueryGuard<'_, R> {
+impl QueryGuard<'_> {
     fn disarm(mut self) {
-        self.key = None;
+        self.query = None;
     }
 }
 
-impl<R: Clone> Drop for QueryGuard<'_, R> {
+impl Drop for QueryGuard<'_> {
     fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            self.cache.abandon(key);
+        if let Some(query) = self.query.take() {
+            self.cache.abandon(query);
         }
     }
 }
@@ -508,117 +330,130 @@ impl<R: Clone> Drop for QueryGuard<'_, R> {
 mod tests {
     use super::*;
     use hypergraph::generators;
+    use std::collections::HashSet;
 
-    /// A private registry leaked to `'static` (sessions borrow it).
-    fn private(budget: usize) -> &'static GlobalPriceCache {
-        Box::leak(Box::new(GlobalPriceCache::new(budget)))
+    const SLOT: &str = "test-lru-slot";
+
+    /// The query [`ResultCache::query`] builds for `(h, SLOT, key)`.
+    fn query_of(h: &Hypergraph, key: &str) -> Arc<Query> {
+        Arc::new(Query {
+            num_vertices: h.num_vertices(),
+            canon: canonical_form(h),
+            slot: SLOT,
+            key: key.to_string(),
+        })
     }
 
-    #[test]
-    fn session_cache_reports_per_checkout_deltas() {
-        let h = generators::path(3);
-        let first: SessionCache<u32, u32> = SessionCache::open(&h, "test-slot-deltas", true);
-        first.cache.get_or_insert_with(&1, || 10);
-        first.cache.get_or_insert_with(&1, || 10);
-        assert_eq!(first.deltas(), (1, 1, 0));
-        let second: SessionCache<u32, u32> = SessionCache::open(&h, "test-slot-deltas", true);
-        second.cache.get_or_insert_with(&1, || 10);
-        assert_eq!(second.deltas(), (1, 0, 1), "cross-checkout hit is warm");
+    /// The bytes a store of `(value, default stats)` for `(h, key)` charges.
+    fn charge(h: &Hypergraph, key: &str, value: u32) -> usize {
+        query_of(h, key).approx_bytes()
+            + value.approx_bytes()
+            + SearchStats::default().approx_bytes()
     }
 
-    #[test]
-    fn repeated_sessions_share_and_warm() {
-        let h = generators::cycle(4);
-        let s1 = global().session(&h);
-        assert!(s1.fingerprint().is_some());
-        let c1 = s1.cache::<u32, u32>("test-slot-a");
-        c1.complete(7, 9);
-        let s2 = global().session(&h);
-        let c2 = s2.cache::<u32, u32>("test-slot-a");
-        assert_eq!(c2.get(&7), Some(9), "second session sees cached prices");
-        assert!(c2.warm_hits() >= 1, "cross-call hit counted as warm");
+    /// Queries `(h, key)`, answering `value` on a miss; returns the answer
+    /// and whether it was a hit.
+    fn ask(cache: &ResultCache, h: &Hypergraph, key: &str, value: u32) -> (u32, bool) {
+        let (v, stats) = cache.query(h, SLOT, key.to_string(), true, || {
+            (value, SearchStats::default())
+        });
+        (v, stats.result_cache_hits == 1)
     }
 
-    #[test]
-    fn fresh_sessions_are_private() {
-        let h = generators::cycle(5);
-        let s1 = PriceSession::fresh();
-        let c1 = s1.cache::<u32, u32>("test-slot-b");
-        c1.complete(1, 2);
-        let s2 = PriceSession::fresh();
-        let c2 = s2.cache::<u32, u32>("test-slot-b");
-        assert_eq!(c2.get(&1), None);
-        let _ = &h;
+    /// Re-sums every resident answer from the stored values (not from the
+    /// index's recorded bytes) and checks it against the running total,
+    /// and the index against the sharded storage.
+    fn assert_accounting(cache: &ResultCache) {
+        let lru = cache.lru.lock().expect("index");
+        let resum: usize = lru
+            .order
+            .values()
+            .map(|q| {
+                let stored = cache.answers.get(q).expect("indexed answers are stored");
+                let (v, s) = stored
+                    .downcast_ref::<(u32, SearchStats)>()
+                    .expect("test answers");
+                q.approx_bytes() + v.approx_bytes() + s.approx_bytes()
+            })
+            .sum();
+        assert_eq!(lru.total_bytes, resum, "running total");
+        assert_eq!(lru.resident.len(), lru.order.len(), "index halves agree");
+        assert_eq!(
+            cache.answers.len(),
+            lru.order.len(),
+            "storage and index agree"
+        );
+    }
+
+    /// Three same-sized path-shaped instances on three vertices.
+    fn triple() -> [Hypergraph; 3] {
+        [
+            Hypergraph::from_edges(3, vec![vec![0, 1], vec![1, 2]]),
+            Hypergraph::from_edges(3, vec![vec![0, 2], vec![1, 2]]),
+            Hypergraph::from_edges(3, vec![vec![0, 1], vec![0, 2]]),
+        ]
     }
 
     #[test]
     fn lru_evicts_least_recently_used_variant_under_byte_pressure() {
-        let reg = private(2_000);
-        let h1 = generators::path(3);
-        let h2 = generators::cycle(4);
-        let h3 = generators::star(4);
-        // Register h1 and h2 and give each a slot worth ~1.5k bytes (the
-        // sharding skeleton alone is most of it).
-        reg.session(&h1).cache::<u32, u32>("t").complete(1, 1);
-        reg.session(&h2).cache::<u32, u32>("t").complete(2, 2);
-        assert_eq!(reg.len(), 2);
-        // Touch h1 so h2 is the LRU victim, then open h3: the sweep must
-        // evict h2 (and possibly h1), never the just-opened h3.
-        let s1 = reg.session(&h1);
-        assert!(s1.fingerprint().is_some());
-        let s3 = reg.session(&h3);
-        assert!(s3.fingerprint().is_some());
-        let survivors = reg.len();
-        assert!(survivors <= 2, "budget forces eviction, kept {survivors}");
-        // h2 was evicted: a new session starts from an empty slot.
-        let c2 = reg.session(&h2).cache::<u32, u32>("t");
-        assert_eq!(c2.get(&2), None, "evicted variant lost its entries");
+        let [h1, h2, h3] = triple();
+        let each = charge(&h1, "k", 0);
+        assert_eq!(each, charge(&h2, "k", 0));
+        // Room for two answers, not three.
+        let cache = ResultCache::new(2 * each + each / 2);
+        assert_eq!(ask(&cache, &h1, "k", 1), (1, false));
+        assert_eq!(ask(&cache, &h2, "k", 2), (2, false));
+        assert_eq!(cache.len(), 2);
+        // Touch h1 so h2 is the least recent, then store h3: the store must
+        // evict h2 and keep h1 and the just-stored h3.
+        assert_eq!(ask(&cache, &h1, "k", 0), (1, true));
+        assert_eq!(ask(&cache, &h3, "k", 3), (3, false));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.approx_bytes(), 2 * each);
+        assert_accounting(&cache);
+        assert_eq!(ask(&cache, &h1, "k", 0), (1, true), "h1 was touched");
+        assert_eq!(ask(&cache, &h3, "k", 0), (3, true), "h3 was just stored");
+        // h2 was evicted: asking again runs the query.
+        assert_eq!(ask(&cache, &h2, "k", 22), (22, false), "h2 lost its answer");
     }
 
     #[test]
     fn sweep_never_evicts_the_just_opened_session() {
-        let reg = private(0); // everything is over budget
-        let h = generators::path(4);
-        reg.session(&h).cache::<u32, u32>("t").complete(1, 1);
-        // Reopening under a zero budget keeps the reopened variant alive
-        // for this session even though it exceeds the budget.
-        let s = reg.session(&h);
-        assert!(s.fingerprint().is_some());
-        assert_eq!(s.cache::<u32, u32>("t").get(&1), Some(1));
+        let cache = ResultCache::new(0); // every answer is over budget
+        let [h1, h2, _] = triple();
+        assert_eq!(ask(&cache, &h1, "k", 1), (1, false));
+        assert_eq!(cache.len(), 1, "the just-stored answer stays");
+        assert_eq!(ask(&cache, &h2, "k", 2), (2, false));
+        assert_eq!(cache.len(), 1, "storing h2 evicts h1, never h2");
+        assert!(cache.approx_bytes() > 0);
+        assert_accounting(&cache);
+        assert_eq!(ask(&cache, &h2, "k", 0), (2, true));
+        assert_eq!(ask(&cache, &h1, "k", 11), (11, false));
     }
 
-    /// Thousands of distinct variants under a small budget, with
-    /// re-touches and slot checkouts interleaved. After every session the
+    /// Thousands of distinct queries under a small budget, with repeats
+    /// interleaved. After every call the hit-or-run outcome and the
     /// residents must be exactly what a plain least-recently-used list
-    /// keeps (re-summing every size on every sweep, the slow way), the
-    /// just-opened variant must be resident, and the running byte total
-    /// must equal a fresh re-sum of every resident variant's sizers.
+    /// keeps (re-summing every size on every store, the slow way), and the
+    /// running byte total must equal a re-sum over the resident answers.
     #[test]
     fn tick_lru_and_running_total_match_a_full_resum_model() {
-        const BUDGET: usize = 12_000;
         const STEPS: usize = 4_000;
-        let reg = private(BUDGET);
         let instance = |id: usize| {
             let (a, b) = (id % 50, id / 50);
             Hypergraph::from_edges(60 + b, vec![vec![0, 1 + a], vec![1 + a, 59 + b]])
         };
-        let keys: Vec<(u128, u64)> = (0..STEPS)
-            .map(|id| {
-                let h = instance(id);
-                let canon = canonical_form(&h);
-                let n = h.num_vertices();
-                (fingerprint_of_canon(n, &canon).0, secondary_hash(n, &canon))
-            })
+        let key = |id: usize| "k".repeat(id % 7);
+        let size = |id: usize| charge(&instance(id), &key(id), id as u32);
+        let budget = 12 * size(0);
+        let cache = ResultCache::new(budget);
+        let keys: Vec<Arc<Query>> = (0..STEPS)
+            .map(|id| query_of(&instance(id), &key(id)))
             .collect();
         assert_eq!(keys.iter().collect::<HashSet<_>>().len(), STEPS);
 
-        // The model: ids least recent first, the caches each resident id
-        // checked out, each id's size as of the last sweep that found it
-        // dirty, and the ids checked out since the last sweep.
+        // The model: ids least recent first.
         let mut order: Vec<usize> = Vec::new();
-        let mut caches: HashMap<usize, Vec<Arc<ShardedCache<u32, u32>>>> = HashMap::new();
-        let mut sizes: HashMap<usize, usize> = HashMap::new();
-        let mut dirty: HashSet<usize> = HashSet::new();
         let (mut next_new, mut evictions) = (0, 0);
         let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
         for step in 0..STEPS {
@@ -626,75 +461,92 @@ mod tests {
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             let r = (rng >> 33) as usize;
-            // Two thirds new instances; one third re-touches one of the
-            // 40 newest (resident or already evicted).
+            // Two thirds new queries; one third repeats one of the 40
+            // newest (resident or already evicted).
             let id = if r.is_multiple_of(3) && next_new > 0 {
                 next_new - 1 - (r / 3) % next_new.min(40)
             } else {
                 next_new += 1;
                 next_new - 1
             };
-            let session = reg.session(&instance(id));
-            assert!(session.fingerprint().is_some());
+            let (v, hit) = ask(&cache, &instance(id), &key(id), id as u32);
+            assert_eq!(v, id as u32, "step {step}: wrong answer");
 
+            let resident = order.contains(&id);
+            assert_eq!(hit, resident, "step {step}: hit iff resident");
             order.retain(|&o| o != id);
             order.push(id);
-            for d in dirty.drain() {
-                if let Some(cs) = caches.get(&d) {
-                    sizes.insert(d, cs.iter().map(|c| c.approx_bytes()).sum());
+            if !resident {
+                let mut total: usize = order.iter().map(|&o| size(o)).sum();
+                while total > budget && order.len() > 1 {
+                    total -= size(order.remove(0));
+                    evictions += 1;
                 }
             }
-            let mut total: usize = order.iter().filter_map(|o| sizes.get(o)).sum();
-            let mut i = 0;
-            while total > BUDGET && i < order.len() {
-                if order[i] == id {
-                    i += 1;
-                    continue;
-                }
-                let gone = order.remove(i);
-                total -= sizes.remove(&gone).unwrap_or(0);
-                caches.remove(&gone);
-                evictions += 1;
-            }
-            assert!(total <= BUDGET || order == [id], "step {step}: over budget");
+            let total: usize = order.iter().map(|&o| size(o)).sum();
+            assert!(total <= budget || order == [id], "step {step}: over budget");
 
             {
-                let inner = reg.inner.lock().expect("registry");
-                let resident: Vec<(u128, u64)> = inner.lru.values().copied().collect();
-                let expected: Vec<(u128, u64)> = order.iter().map(|&o| keys[o]).collect();
-                assert_eq!(resident, expected, "step {step}: residents differ");
-                assert_eq!(resident.last(), Some(&keys[id]), "just-opened evicted");
-                let resum: usize = inner
-                    .entries
-                    .values()
-                    .flatten()
-                    .flat_map(|v| v.slots.values().map(|s| (s.sizer)()))
-                    .sum();
-                assert_eq!(inner.total_bytes, resum, "step {step}: running total");
+                let lru = cache.lru.lock().expect("index");
+                let residents: Vec<&Arc<Query>> = lru.order.values().collect();
+                let expected: Vec<&Arc<Query>> = order.iter().map(|&o| &keys[o]).collect();
+                assert!(residents == expected, "step {step}: residents differ");
             }
-            assert_eq!(reg.approx_bytes(), total, "step {step}");
-            assert_eq!(reg.len(), order.len(), "step {step}");
-
-            // Four sessions in five check out a slot and price a few bags.
-            if !r.is_multiple_of(5) {
-                let slot = if r.is_multiple_of(2) {
-                    "lru-a"
-                } else {
-                    "lru-b"
-                };
-                let cache = session.cache::<u32, u32>(slot);
-                for k in 0..(r % 7) as u32 {
-                    cache.get_or_insert_with(&k, || k);
-                }
-                dirty.insert(id);
-                let held = caches.entry(id).or_default();
-                if !held.iter().any(|c| Arc::ptr_eq(c, &cache)) {
-                    held.push(cache);
-                }
+            assert_eq!(cache.approx_bytes(), total, "step {step}");
+            assert_eq!(cache.len(), order.len(), "step {step}");
+            if step % 97 == 0 {
+                assert_accounting(&cache);
             }
         }
-        assert!(next_new > 2_000, "only {next_new} distinct variants");
+        assert_accounting(&cache);
+        assert!(next_new > 2_000, "only {next_new} distinct queries");
         assert!(evictions > next_new / 2, "budget never bound: {evictions}");
+    }
+
+    /// Evictions racing in-flight claims: four threads start together and
+    /// make two passes over sixteen queries, from staggered offsets, under
+    /// a budget of about four answers, each owner holding its claim about
+    /// a millisecond inside `run`. The assertions hold under every
+    /// interleaving.
+    #[test]
+    fn evictions_under_byte_pressure_keep_in_flight_queries_consistent() {
+        let instances: Vec<Hypergraph> = (3..19).map(generators::path).collect();
+        let answer = |i: usize| 100 + i as u32;
+        let budget = 4 * charge(&instances[8], "q", 0);
+        let cache = ResultCache::new(budget);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (cache, instances, start) = (&cache, &instances, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for pass in 0..2 {
+                        for j in 0..instances.len() {
+                            let i = (j + 5 * t + pass) % instances.len();
+                            let (v, _) = cache.query(&instances[i], SLOT, "q".into(), true, || {
+                                std::thread::sleep(std::time::Duration::from_millis(1));
+                                (answer(i), SearchStats::default())
+                            });
+                            assert_eq!(v, answer(i), "query {i} got another's answer");
+                        }
+                    }
+                });
+            }
+        });
+        // No claim is left Pending: a fresh claim on every query resolves
+        // without parking (an owner is released again).
+        for h in &instances {
+            let q = query_of(h, "q");
+            let (claim, waited) = cache.answers.claim_tracking_wait(&q);
+            assert!(!waited, "a Pending claim was left behind");
+            if let Claim::Owner = claim {
+                cache.answers.abandon(&q);
+            }
+        }
+        assert_accounting(&cache);
+        let (bytes, len) = cache.occupancy();
+        assert!(len >= 1);
+        assert!(bytes <= budget || len == 1, "{bytes} bytes over {budget}");
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! 2. [`blocks`] — biconnected-block splitting: each block solves
 //!    independently, the width recombines as the maximum, and the
 //!    [`lift`] module stitches the block trees back into one witness;
-//! 3. [`global_cache`] — a process-lifetime registry keyed by the
-//!    [`fingerprint()`] of an instance, holding both the price caches
-//!    repeated searches share and the whole-query results
-//!    ([`cached_query`]) a repeated call adopts instead of searching.
+//! 3. [`global_cache`] — the process-lifetime result cache: whole-query
+//!    answers ([`cached_query`]), keyed by the instance's canonical form,
+//!    which a repeated call adopts instead of searching.
 //!
 //! See `src/README.md` for the pass catalog, the trace/lift contract, the
 //! fingerprint definition and the cache lifetime rules.
@@ -34,7 +33,7 @@ pub mod simplify;
 pub mod stats;
 
 pub use fingerprint::{fingerprint, Fingerprint};
-pub use global_cache::{cached_query, global, GlobalPriceCache, PriceSession, SessionCache};
+pub use global_cache::{cached_query, global, ResultCache};
 pub use simplify::{Pass, Step};
 pub use stats::SearchStats;
 
@@ -83,10 +82,10 @@ impl Profile {
 }
 
 /// True when a prep feature should run: the per-call opt-in (the
-/// `EngineOptions::prep`, `reuse_prices` or `reuse_results` flag) unless
-/// the `HGTOOL_NO_PREP` environment variable (any value) is set. The kill
+/// `EngineOptions::prep` or `reuse_results` flag) unless the
+/// `HGTOOL_NO_PREP` environment variable (any value) is set. The kill
 /// switch disables the *whole* prep subsystem — the pipeline and the
-/// cross-call registry alike — so an A/B baseline taken under it never
+/// cross-call result cache alike — so an A/B baseline taken under it never
 /// touches this crate's state.
 ///
 /// The variable is read once per process, at first use; setting it after
@@ -117,8 +116,6 @@ pub struct BlockInstance {
     pub edge_origin: Vec<usize>,
     /// The cut vertex (original index) shared with an earlier block.
     anchor: Option<usize>,
-    /// The block's canonical fingerprint (the cross-call cache key).
-    pub fingerprint: Fingerprint,
 }
 
 impl BlockInstance {
@@ -298,7 +295,6 @@ pub fn prepare(h: &Hypergraph, profile: Profile) -> Prepared {
             .collect()
     } else {
         vec![BlockInstance {
-            fingerprint: fingerprint(&reduced),
             hypergraph: reduced,
             vertex_origin,
             edge_origin: simplified.alive_edges.clone(),
@@ -349,7 +345,6 @@ fn block_instance(
         contents,
     );
     BlockInstance {
-        fingerprint: fingerprint(&hypergraph),
         hypergraph,
         vertex_origin: verts.iter().map(|&v| reduced_vertex_origin[v]).collect(),
         edge_origin: edges.iter().map(|&e| reduced_edge_origin[e]).collect(),

@@ -13,8 +13,9 @@ use arith::Rational;
 /// Counters of one width search, exposed through `SearchContext::stats`
 /// for tests, `hgtool widths --stats` and the benchmark. The engine
 /// fills the state/candidate counters; the strategy wrappers merge their
-/// shared cover-price cache deltas, the candidate-generator tallies and
-/// the preprocessing reduction counts on top.
+/// price-cache counters (each search owns its price cache, under every
+/// option), the candidate-generator tallies and the preprocessing
+/// reduction counts on top.
 ///
 /// Deterministic: every counter is identical at every thread count and
 /// across runs — states are evaluated exactly once (in-flight memo dedup)
@@ -31,14 +32,11 @@ pub struct SearchStats {
     pub streamed: usize,
     /// Guesses admitted (priced successfully under the bound).
     pub admitted: usize,
-    /// Cover/LP price-cache hits (ρ/ρ* priced bags served from cache).
+    /// Cover/LP price-cache hits (ρ/ρ* priced bags served from this
+    /// search's cache).
     pub price_hits: usize,
     /// Cover/LP price-cache misses (ρ/ρ* prices actually computed).
     pub price_misses: usize,
-    /// Price lookups served from entries cached by an *earlier* search in
-    /// this process (the fingerprint-keyed cross-call cache). Always 0
-    /// with price reuse off.
-    pub price_warm_hits: usize,
     /// Candidate bags produced by the `candgen` edge-union enumerator
     /// before its filters ran (0 on the subset-oracle and fallback paths).
     pub cand_generated: usize,
@@ -126,7 +124,6 @@ impl SearchStats {
         self.admitted += other.admitted;
         self.price_hits += other.price_hits;
         self.price_misses += other.price_misses;
-        self.price_warm_hits += other.price_warm_hits;
         self.cand_generated += other.cand_generated;
         self.cand_filtered += other.cand_filtered;
         self.lp_pivots += other.lp_pivots;
@@ -212,7 +209,6 @@ mod tests {
             admitted: 4,
             price_hits: 5,
             price_misses: 6,
-            price_warm_hits: 7,
             cand_generated: 8,
             cand_filtered: 9,
             lp_pivots: 11,
@@ -233,7 +229,6 @@ mod tests {
             admitted: 100,
             price_hits: 100,
             price_misses: 100,
-            price_warm_hits: 100,
             cand_generated: 100,
             cand_filtered: 100,
             lp_pivots: 100,
@@ -256,7 +251,6 @@ mod tests {
             admitted: 104,
             price_hits: 105,
             price_misses: 106,
-            price_warm_hits: 107,
             cand_generated: 108,
             cand_filtered: 109,
             lp_pivots: 111,

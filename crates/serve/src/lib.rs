@@ -15,7 +15,7 @@
 //! | Endpoint            | Behavior                                         |
 //! |---------------------|--------------------------------------------------|
 //! | `POST /solve`       | one instance: measure, deadline-ms, witness      |
-//! | `POST /solve/batch` | many instances through `solver::solve_batch`     |
+//! | `POST /solve/batch` | many instances, solved in input order            |
 //! | `GET /metrics`      | live Prometheus render of the `obs` registry     |
 //! | `GET /healthz`      | liveness (always 200 while the process runs)     |
 //! | `GET /readyz`       | 200 once the pool spun up + warmup solve is done |
@@ -25,9 +25,9 @@
 //! # Concurrency model
 //!
 //! Connections are handled thread-per-connection with keep-alive, but
-//! solves are admitted one at a time through a gate mutex — the same
-//! discipline as `solver::solve_batch`, because one engine search
-//! already saturates the shared worker pool. The gate makes the
+//! solves are admitted one at a time through a gate mutex, because one
+//! engine search already saturates the shared worker pool; a batch runs
+//! its instances one after another under one admission. The gate makes the
 //! queue-depth gauge and the admission-wait histogram meaningful, and
 //! makes per-request trace arm/drain race-free.
 //!

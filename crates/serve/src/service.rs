@@ -417,20 +417,11 @@ fn solve_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
             instances = instances.len()
         );
         run_guarded(shared, params.deadline.map(|d| started + d), || {
-            if batch {
-                let hs: Vec<Hypergraph> = instances.iter().map(|(_, h)| h.clone()).collect();
-                solver::solve_batch(&hs, |_, h| {
-                    let result = solve(h, &params, shared.engine_opts);
-                    // solve_batch threads per-item stats to its
-                    // schedulers; the response only keeps the bodies.
-                    (result, solver::SearchStats::default())
-                })
-                .into_iter()
-                .map(|(r, _)| r)
+            // A batch is solved in input order, one search at a time.
+            instances
+                .iter()
+                .map(|(_, h)| solve(h, &params, shared.engine_opts))
                 .collect::<Vec<_>>()
-            } else {
-                vec![solve(&instances[0].1, &params, shared.engine_opts)]
-            }
         })
     };
 

@@ -4,9 +4,9 @@
 //! `ghw` and `fhw` are the same decomposition problem under two bag
 //! measures: integral edge covers `ρ` ([`Rho`]) and fractional ones `ρ*`
 //! ([`RhoStar`]). A [`Measure`] owns only what differs between them: the
-//! cost type, pricing through the engine's shared cache and through a
+//! cost type, pricing through the engine's price cache and through a
 //! sequential (warm-LP) context, the rank and scattered-set bounds, the
-//! cache slot names, and whether the width has the edge-union normal form.
+//! result-cache slot, and whether the width has the edge-union normal form.
 //! Everything else is shared:
 //!
 //! * [`front_door`] — the isolated-vertex check, the `solve` span, the
@@ -40,7 +40,6 @@ use decomp::Decomposition;
 use hypergraph::fx::FxHashMap;
 use hypergraph::{properties, Hypergraph, VertexSet};
 use obs::metrics::Histogram;
-use prep::SessionCache;
 use std::fmt::Debug;
 use std::sync::{Arc, OnceLock};
 
@@ -53,7 +52,7 @@ pub trait Measure: Send + Sync + 'static {
     /// The width: `usize` for `ρ`, an exact [`Rational`] for `ρ*`.
     type Cost: Ord + Clone + Debug + From<usize> + Into<Rational> + MemSize + Send + Sync + 'static;
     /// A cached engine price ([`cover::PricedRho`] / [`cover::PricedRhoStar`]).
-    type Priced: Clone + MemSize + Send + Sync + 'static;
+    type Priced: Clone + Send + Sync + 'static;
     /// State of sequential pricing: none for `ρ`, a warm LP context for
     /// `ρ*` (the DP and the heuristic bound walk related bags in a
     /// deterministic order, so each LP starts from the previous basis).
@@ -64,13 +63,11 @@ pub trait Measure: Send + Sync + 'static {
     const NAME: &'static str;
     /// The result-cache slot.
     const RESULT_SLOT: &'static str;
-    /// The engine's price-cache slot.
-    const PRICE_SLOT: &'static str;
     /// Whether every decomposition of width `< b` normalizes to one whose
     /// bags are unions of `< b` edges (the bag-maximal normal form). True
     /// of `ρ` only: its blocks try the edge-union engine, and their
-    /// (integral) seed prices through the engine's cache. `ρ*` opens no
-    /// price session in [`solve`].
+    /// (integral) seed prices through the engine's cache. `ρ*` creates no
+    /// price cache in [`solve`].
     const EDGE_UNION: bool;
 
     /// Prices `bag` sequentially (the DP, the heuristic bound).
@@ -79,7 +76,7 @@ pub trait Measure: Send + Sync + 'static {
     /// Adds the LP counters of sequential pricing to `stats`.
     fn merge_lp(warm: &Self::Warm, stats: &mut SearchStats);
 
-    /// Prices `bag` through the engine's shared cache; `pool` solves the
+    /// Prices `bag` through the engine's price cache; `pool` solves the
     /// `ρ*` LPs of cache misses. `None` when `bag` is uncoverable.
     fn price_cached(
         h: &Hypergraph,
@@ -111,7 +108,6 @@ impl Measure for Rho {
 
     const NAME: &'static str = "ghw";
     const RESULT_SLOT: &'static str = "result-ghw";
-    const PRICE_SLOT: &'static str = "ghw-rho";
     const EDGE_UNION: bool = true;
 
     fn price_warm(_: &mut (), h: &Hypergraph, bag: &VertexSet) -> PricedBag<usize> {
@@ -147,7 +143,6 @@ impl Measure for RhoStar {
 
     const NAME: &'static str = "fhw";
     const RESULT_SLOT: &'static str = "result-fhw";
-    const PRICE_SLOT: &'static str = "fhw-rho-star";
     const EDGE_UNION: bool = false;
 
     fn price_warm(
@@ -293,10 +288,7 @@ pub fn solve<M: Measure>(
 ) -> (Option<(M::Cost, Decomposition)>, SearchStats) {
     let one = M::Cost::from(1);
     let floor = floor.max(one.clone());
-    let mut key = format!(
-        "cutoff={cutoff:?};prep={};rp={};backend=auto",
-        opts.prep, opts.reuse_prices
-    );
+    let mut key = format!("cutoff={cutoff:?};prep={};backend=auto", opts.prep);
     if floor > one {
         key.push_str(&format!(";floor={floor:?}"));
     }
@@ -316,9 +308,9 @@ fn solve_block<M: Measure>(
 ) -> (Option<(M::Cost, Decomposition)>, SearchStats) {
     // The seed is the integral heuristic bound for both measures: `fhw <=
     // ghw`, and integral weights are a valid fractional cover. Under `ρ`
-    // it prices through the price session the engine then searches with,
+    // it prices through the price cache the engine then searches with,
     // so the seed's covers are warm capital, not overhead.
-    let prices = M::EDGE_UNION.then(|| Prices::<M>::open(h, opts.reuse_prices));
+    let prices = M::EDGE_UNION.then(Prices::<M>::new);
     let (ub, ub_witness) = match &prices {
         Some(p) => candgen::upper_bound(h, |bag| p.price(h, bag).expect(COVERABLE)),
         None => {
@@ -352,8 +344,7 @@ fn solve_block<M: Measure>(
         let cx = SearchContext::with_options(opts);
         let result = cx.run(h, &strategy);
         stats.merge(&cx.stats());
-        (stats.price_hits, stats.price_misses, stats.price_warm_hits) =
-            strategy.prices.session.deltas();
+        (stats.price_hits, stats.price_misses) = strategy.prices.cache.counters();
         stats.cand_generated = strategy.counters.generated();
         stats.cand_filtered = strategy.counters.filtered();
         Some(result)
@@ -457,10 +448,7 @@ pub fn solve_by_elimination<M: Measure>(
     if h.has_isolated_vertices() {
         return (None, SearchStats::default());
     }
-    let key = format!(
-        "cutoff={cutoff:?};prep={};rp={};backend=elim",
-        opts.prep, opts.reuse_prices
-    );
+    let key = format!("cutoff={cutoff:?};prep={};backend=elim", opts.prep);
     prep::cached_query(h, M::RESULT_SLOT, key, opts.reuse_results, || {
         prep::run_minimizer(h, opts.prep, |block| {
             if block.num_vertices() > MAX_EXACT_VERTICES {
@@ -508,30 +496,29 @@ pub fn subset_oracle<M: Measure>(
     if h.has_isolated_vertices() || h.num_vertices() > MAX_SUBSET_SEARCH_VERTICES {
         return None;
     }
-    let prices = Prices::<M>::open(h, false);
-    let strategy = Arc::new(Search::new(h, cutoff, prices, Bags::Subset));
+    let strategy = Arc::new(Search::<M>::new(h, cutoff, Prices::new(), Bags::Subset));
     let cx = SearchContext::with_options(EngineOptions::sequential());
     cx.run(h, &strategy)
 }
 
-/// The engine-side prices of one search: the measure's price cache
-/// (shared across calls when the session is registry-backed) and the
-/// pooled LP contexts pricing `ρ*` misses.
+/// The engine-side prices of one search: the measure's price cache,
+/// created with the search and dropped with it, and the pooled LP
+/// contexts pricing `ρ*` misses.
 struct Prices<M: Measure> {
-    session: SessionCache<VertexSet, M::Priced>,
+    cache: ShardedCache<VertexSet, M::Priced>,
     pool: PricingPool,
 }
 
 impl<M: Measure> Prices<M> {
-    fn open(h: &Hypergraph, reuse: bool) -> Self {
+    fn new() -> Self {
         Prices {
-            session: SessionCache::open(h, M::PRICE_SLOT, reuse),
+            cache: ShardedCache::new(),
             pool: PricingPool::new(),
         }
     }
 
     fn price(&self, h: &Hypergraph, bag: &VertexSet) -> Option<PricedBag<M::Cost>> {
-        M::price_cached(h, bag, &self.session.cache, &self.pool)
+        M::price_cached(h, bag, &self.cache, &self.pool)
     }
 }
 
@@ -578,7 +565,7 @@ impl Gate {
 }
 
 /// The exact minimizing strategy under `M`: candidate bags priced through
-/// the shared cache, hopeless ones rejected by the [`Gate`] first.
+/// the search's price cache, hopeless ones rejected by the [`Gate`] first.
 struct Search<M: Measure> {
     cutoff: Option<M::Cost>,
     gate: Gate,

@@ -106,11 +106,12 @@ pub fn default_thread_count() -> usize {
 
 /// Scheduling and preprocessing options for a search.
 ///
-/// `threads` configures the [`SearchContext`] proper;
-/// `prep`/`reuse_prices`/`reuse_results` are consumed by the strategy
-/// wrappers (the `_with_stats` entry points of the five width solvers),
-/// which run the `prep` crate's simplification/block pipeline and the
-/// fingerprint-keyed cross-call caches *around* the engine.
+/// `threads` configures the [`SearchContext`] proper; `prep` and
+/// `reuse_results` are consumed by the strategy wrappers (the
+/// `_with_stats` entry points of the five width solvers), which run the
+/// `prep` crate's simplification/block pipeline and cross-call result
+/// cache *around* the engine. Price caches are private to each search
+/// under every option, so the `price_*` counters are that search's own.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
     /// Worker-thread budget (`1` = strictly sequential). `None` picks
@@ -123,17 +124,9 @@ pub struct EngineOptions {
     /// hypergraph. On by default; `HGTOOL_NO_PREP` (any value) overrides
     /// it off process-wide.
     pub prep: bool,
-    /// Serve `ρ`/`ρ*` (and strategy-specific LP) prices from the
-    /// process-lifetime cache keyed by hypergraph fingerprint, so repeated
-    /// searches on one instance reuse prices across calls. Widths and
-    /// witnesses are unaffected, but the `price_*` counters then depend on
-    /// process history — [`EngineOptions::sequential`] and
-    /// [`EngineOptions::with_threads`] leave it off so stats stay
-    /// reproducible in tests.
-    pub reuse_prices: bool,
     /// Serve whole queries — width, lifted witness and engine stats — from
-    /// the process-lifetime result cache keyed by `(fingerprint, strategy,
-    /// cutoff)`, and dedup identical in-flight requests to one search. A
+    /// the process-lifetime result cache keyed by `(instance, strategy,
+    /// parameters)`, and dedup identical in-flight requests to one search. A
     /// hit replays the original search's result and engine counters
     /// byte-for-byte; only the runtime counters (`result_cache_hits`,
     /// `inflight_dedup`, `pool_reuse`) reflect the current call. Off under
@@ -143,37 +136,33 @@ pub struct EngineOptions {
 
 impl Default for EngineOptions {
     /// Default scheduling: default thread count, preprocessing on,
-    /// cross-call price and result reuse on.
+    /// cross-call result reuse on.
     fn default() -> Self {
         EngineOptions {
             threads: None,
             prep: true,
-            reuse_prices: true,
             reuse_results: true,
         }
     }
 }
 
 impl EngineOptions {
-    /// Sequential execution (one worker, fresh per-search price caches —
-    /// fully reproducible stats).
+    /// Sequential execution (one worker, no result reuse — fully
+    /// reproducible stats).
     pub fn sequential() -> Self {
         EngineOptions {
             threads: Some(1),
             prep: true,
-            reuse_prices: false,
             reuse_results: false,
         }
     }
 
-    /// A fixed worker budget (fresh per-search price caches — stats are
-    /// identical at every thread count, which the determinism tests rely
-    /// on).
+    /// A fixed worker budget, no result reuse (stats are identical at
+    /// every thread count, which the determinism tests rely on).
     pub fn with_threads(threads: usize) -> Self {
         EngineOptions {
             threads: Some(threads),
             prep: true,
-            reuse_prices: false,
             reuse_results: false,
         }
     }
@@ -182,13 +171,6 @@ impl EngineOptions {
     /// via `hgtool widths --no-prep` and the `HGTOOL_NO_PREP` env var).
     pub fn without_prep(mut self) -> Self {
         self.prep = false;
-        self
-    }
-
-    /// Enables the fingerprint-keyed cross-call price cache (see
-    /// [`EngineOptions::reuse_prices`]).
-    pub fn with_price_reuse(mut self) -> Self {
-        self.reuse_prices = true;
         self
     }
 }
@@ -374,8 +356,6 @@ struct Plan<C> {
 pub use prep::SearchStats;
 
 pub mod exact;
-pub mod runtime;
-pub use runtime::{admission_estimate, solve_batch};
 
 #[derive(Default)]
 struct AtomicStats {

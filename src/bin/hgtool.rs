@@ -5,18 +5,17 @@
 //! hgtool widths [--stats] [--no-prep] [--heuristic-only] <file>...
 //!                                     exact hw / ghw / fhw (small instances);
 //!                                     several files (or a `*` glob in the
-//!                                     file name) run as one batch through
-//!                                     the shared runtime — admission ordered
-//!                                     by candidate-space estimates, repeated
-//!                                     instances answered from the result
-//!                                     cache;
+//!                                     file name) run in input order,
+//!                                     repeated instances answered from the
+//!                                     result cache;
 //!                                     --stats adds engine + LP-cache +
 //!                                     candidate-generation + simplex
 //!                                     (pivot/warm-start) + runtime
 //!                                     (result-cache/dedup/pool) counters,
 //!                                     --no-prep bypasses the preprocessing
-//!                                     pipeline and its cross-call caches
-//!                                     (also: HGTOOL_NO_PREP env var),
+//!                                     pipeline (also: HGTOOL_NO_PREP env
+//!                                     var, which vetoes the result cache
+//!                                     too),
 //!                                     --heuristic-only prints the candgen
 //!                                     upper bounds + witnesses without any
 //!                                     exact search (any instance size),
@@ -257,13 +256,13 @@ fn metrics_cmd(files: &[String]) -> Result<(), String> {
         ..EngineOptions::default()
     };
     for pass in ["cold", "warm"] {
-        let results = hypertree::solver::solve_batch(&instances, |_, h| {
-            ghd::ghw_exact_with_stats(h, None, opts)
-        });
-        let solved = results.iter().filter(|(r, _)| r.is_some()).count();
+        let solved = instances
+            .iter()
+            .filter(|h| ghd::ghw_exact_with_stats(h, None, opts).0.is_some())
+            .count();
         eprintln!(
             "metrics: {pass} pass solved {solved}/{} instances",
-            results.len()
+            instances.len()
         );
     }
     print!("{}", obs::metrics::render_prometheus());
@@ -513,10 +512,7 @@ fn widths(
 ) -> Result<Vec<obs::trace::SpanRecord>, String> {
     let mut opts = EngineOptions::default();
     if no_prep {
-        // An honest A/B baseline: disable the whole prep subsystem,
-        // including its cross-call price registry, not just the passes.
         opts = opts.without_prep();
-        opts.reuse_prices = false;
     }
     // Per-width calls rather than `exact_widths_with_opts`: the candgen
     // edge-union engine reaches instance sizes where the fhw DP no longer
@@ -620,51 +616,29 @@ fn widths(
                 );
             }
         }
-        if prep::enabled(opts.reuse_prices) {
-            // The cross-call demonstration: the ghw search above populated
-            // the fingerprint-keyed global cache, so a repeated search
-            // prices nothing (its lookups come back warm) — the rerun
-            // costs a pricing-free engine pass, a fraction of the first
-            // search. Result reuse is disabled for the rerun: a
-            // result-cache hit would skip the search (and its pricing)
-            // entirely, making the warm-lookup line vacuous.
-            let mut rerun_opts = opts;
-            rerun_opts.reuse_results = false;
-            let (_, rerun) = ghd::ghw_exact_with_stats(h, None, rerun_opts);
-            println!(
-                "cross-call price cache: re-running ghw served {} of {} lookups from earlier calls",
-                rerun.price_warm_hits,
-                rerun.price_hits + rerun.price_misses,
-            );
-        }
     }
     let mut records = hw_spans;
     records.extend(ghw_spans);
     records.extend(fhw_spans);
-    // Spans of the --stats rerun (if any) belong to the command too.
-    records.extend(drain_if_tracing());
     Ok(records)
 }
 
-/// `hgtool widths` over several files: one batched [`hypertree::exact_widths_batch`]
-/// invocation through the shared runtime. Admission is ordered by the
-/// candidate-space estimate, every search multiplexes the one worker pool,
+/// `hgtool widths` over several files: [`hypertree::exact_widths_with_opts`]
+/// on each, in input order. Every search multiplexes the one worker pool,
 /// and repeated instances resolve from the cross-call result cache.
 fn widths_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), String> {
     let mut opts = EngineOptions::default();
     if no_prep {
         opts = opts.without_prep();
-        opts.reuse_prices = false;
         opts.reuse_results = false;
     }
     let mut instances = Vec::with_capacity(files.len());
     for f in files {
         instances.push(load(f)?);
     }
-    let results = hypertree::exact_widths_batch(&instances, 8, opts);
     let name_width = files.iter().map(|f| f.len()).max().unwrap_or(0);
-    for (file, result) in files.iter().zip(&results) {
-        match result {
+    for (file, h) in files.iter().zip(&instances) {
+        match &hypertree::exact_widths_with_opts(h, 8, opts) {
             Some((w, s)) => {
                 let mut line = format!(
                     "{file:<name_width$}  hw={} ghw={} fhw={}",
@@ -697,7 +671,6 @@ fn heuristic_widths(h: &Hypergraph, no_prep: bool) -> Result<(), String> {
     let mut opts = EngineOptions::default();
     if no_prep {
         opts = opts.without_prep();
-        opts.reuse_prices = false;
     }
     let (ghw, ghw_d) = ghd::ghw_upper_bound_with_stats(h, opts)
         .0
@@ -773,7 +746,7 @@ fn prep_trace(h: &Hypergraph) -> Result<(), String> {
             i,
             block.hypergraph.num_vertices(),
             block.hypergraph.num_edges(),
-            block.fingerprint,
+            prep::fingerprint(&block.hypergraph),
         );
     }
     let decision = prep::prepare(h, prep::Profile::Decision);

@@ -33,13 +33,12 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     })
 }
 
-/// Default scheduling, fresh price caches (deterministic stats), default
+/// Default scheduling, no result reuse (deterministic stats), default
 /// thread count — what the CI `HGTOOL_THREADS={1,4}` matrix varies.
 fn opts() -> EngineOptions {
     EngineOptions {
         threads: None,
         prep: true,
-        reuse_prices: false,
         reuse_results: false,
     }
 }

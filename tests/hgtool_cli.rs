@@ -80,24 +80,6 @@ fn widths_stats_surfaces_engine_counters() {
 }
 
 #[test]
-fn widths_stats_reports_cross_call_reuse() {
-    let (ok, out) = hgtool(&["widths", "--stats", "-"], Some(&example_4_3_text()));
-    assert!(ok, "hgtool widths --stats failed:\n{out}");
-    let line = out
-        .lines()
-        .find(|l| l.starts_with("cross-call price cache"))
-        .unwrap_or_else(|| panic!("missing cross-call line in:\n{out}"));
-    // The repeated ghw search must reuse prices cached by the first one
-    // (fhw's elimination DP prices through its own warm LP context, not
-    // through the cross-call registry).
-    assert!(line.contains("re-running ghw"), "unexpected rerun: {line}");
-    assert!(
-        !line.contains("served 0 of"),
-        "repeated search saw no warm hits: {line}"
-    );
-}
-
-#[test]
 fn widths_no_prep_matches_default_widths() {
     let (ok, out) = hgtool(
         &["widths", "--stats", "--no-prep", "-"],

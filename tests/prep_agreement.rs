@@ -36,19 +36,18 @@ fn prep_disabled() -> bool {
     std::env::var_os("HGTOOL_NO_PREP").is_some()
 }
 
-/// Prep on, fresh price caches (deterministic stats), default thread
-/// count — `threads: None` is what lets the CI `HGTOOL_THREADS={1,4}`
-/// matrix drive the per-block searches at both widths.
+/// Prep on, no result reuse (deterministic stats), default thread count —
+/// `threads: None` is what lets the CI `HGTOOL_THREADS={1,4}` matrix
+/// drive the per-block searches at both widths.
 fn with_prep() -> EngineOptions {
     EngineOptions {
         threads: None,
         prep: true,
-        reuse_prices: false,
         reuse_results: false,
     }
 }
 
-/// Prep off, fresh price caches, default thread count.
+/// Prep off, no result reuse, default thread count.
 fn without_prep() -> EngineOptions {
     with_prep().without_prep()
 }
@@ -307,31 +306,6 @@ fn gyo_collapse_shrinks_the_search() {
     );
     let (_, d) = with.expect("acyclic instance decomposes");
     assert_eq!(validate::validate_fhd(&h, &d), Ok(()));
-}
-
-/// Repeating a search with `reuse_prices` serves the second call from the
-/// process-lifetime fingerprint-keyed cache: nonzero cross-call hits. The
-/// `ρ`-priced ghw search goes through the registry (fhw's elimination DP
-/// prices through its own warm LP context instead).
-#[test]
-fn repeated_searches_hit_the_cross_call_cache() {
-    if prep_disabled() {
-        // HGTOOL_NO_PREP disables the whole subsystem, registry included.
-        return;
-    }
-    let h = generators::cycle(6);
-    let opts = EngineOptions::sequential().with_price_reuse();
-    let (first, _) = ghd::ghw_exact_with_stats(&h, None, opts);
-    let (second, rerun) = ghd::ghw_exact_with_stats(&h, None, opts);
-    assert_eq!(
-        first.map(|(w, _)| w),
-        second.map(|(w, _)| w),
-        "reuse must not change the width"
-    );
-    assert!(
-        rerun.price_warm_hits > 0,
-        "second search must reuse prices cached by the first"
-    );
 }
 
 /// `HGTOOL_NO_PREP` would make this whole suite vacuous — make sure the

@@ -37,19 +37,18 @@ fn prep_disabled() -> bool {
     std::env::var_os("HGTOOL_NO_PREP").is_some()
 }
 
-/// Result reuse off, fresh price caches: a fully cold, deterministic
-/// search — the reference run.
+/// Result reuse off: a fully cold, deterministic search — the reference
+/// run.
 fn cold() -> EngineOptions {
     EngineOptions {
         threads: None,
         prep: true,
-        reuse_prices: false,
         reuse_results: false,
     }
 }
 
-/// Same engine configuration with the cross-call result cache on. The
-/// price caches stay per-search so the stored engine counters are the
+/// Same engine configuration with the cross-call result cache on. Price
+/// caches are per search, so the stored engine counters are the
 /// deterministic cold ones.
 fn warm() -> EngineOptions {
     EngineOptions {
@@ -244,25 +243,30 @@ fn concurrent_identical_queries_run_one_search() {
     assert_eq!(validate::validate_fhd(&h, &d), Ok(()));
 }
 
-/// The batch front end: a second identical `solve_batch` pass in the same
-/// process is answered from the result cache on every instance, with
-/// identical widths.
+/// A batch of instances: a second identical pass in the same process is
+/// answered from the result cache on every instance, with identical
+/// widths.
 #[test]
 fn solve_batch_warm_pass_hits_every_instance() {
     if prep_disabled() {
         return;
     }
-    let instances = vec![
+    let instances = [
         generators::cycle(9),
         generators::path(7),
         generators::cq_chain(6, 2, 1),
     ];
-    let solve = |_: usize, h: &Hypergraph| {
-        let (r, s) = ghd::ghw_exact_with_stats(h, None, warm());
-        (r.map(|(w, _)| w), s)
+    let pass = || -> Vec<_> {
+        instances
+            .iter()
+            .map(|h| {
+                let (r, s) = ghd::ghw_exact_with_stats(h, None, warm());
+                (r.map(|(w, _)| w), s)
+            })
+            .collect()
     };
-    let cold_pass = hypertree::solver::solve_batch(&instances, solve);
-    let warm_pass = hypertree::solver::solve_batch(&instances, solve);
+    let cold_pass = pass();
+    let warm_pass = pass();
     for (i, ((cr, _), (wr, ws))) in cold_pass.iter().zip(&warm_pass).enumerate() {
         assert_eq!(cr, wr, "batch width drifted on instance {i}");
         assert_eq!(

@@ -45,13 +45,12 @@ fn corpus() -> Vec<(String, Hypergraph)> {
     out
 }
 
-/// Options that make repeated runs self-contained: no cross-call price or
-/// result reuse, so every run does identical work regardless of process
-/// history, and the engine counters compare exactly.
+/// Options that make repeated runs self-contained: no cross-call result
+/// reuse, so every run does identical work regardless of process history,
+/// and the engine counters compare exactly.
 fn fresh_opts(threads: usize) -> EngineOptions {
     EngineOptions {
         threads: Some(threads),
-        reuse_prices: false,
         reuse_results: false,
         ..EngineOptions::default()
     }
