@@ -47,8 +47,7 @@ pub fn corpus() -> Vec<Workload> {
 /// (`cycle(26)` also exceeds the 24-vertex elimination-DP window — it was
 /// a hard `None` before candgen), the seeded DP window and the per-block
 /// pipeline at scale. Kept separate from [`corpus`] so only the suites
-/// that want it (the thread-count invariance check) pay the larger
-/// runtimes.
+/// that want it pay the larger runtimes.
 pub fn large_corpus() -> Vec<Workload> {
     vec![
         w("cycle(20)", generators::cycle(20)),

@@ -38,11 +38,11 @@ pub use ub::{elimination_order, upper_bound, OrderHeuristic, PricedBag};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Concurrent tallies of one enumeration: how many candidate bags were
-/// generated and how many the filters discarded. Strategies hold one per
-/// search and surface the totals as `SearchStats::cand_generated` /
-/// `cand_filtered`. Deterministic: streams are pulled in a fixed order by
-/// the engine's round schedule, so the totals are thread-count-invariant.
+/// Tallies of one enumeration: how many candidate bags were generated and
+/// how many the filters discarded. Strategies hold one per search and
+/// surface the totals as `SearchStats::cand_generated` /
+/// `cand_filtered`. Deterministic: the engine pulls each stream in order
+/// on one thread.
 #[derive(Debug, Default)]
 pub struct Counters {
     generated: AtomicUsize,

@@ -132,9 +132,7 @@ pub struct WidthStats {
 }
 
 /// As [`exact_widths`], also reporting the counters of each of the three
-/// searches. All three run with the default scheduling
-/// ([`solver::default_thread_count`], honoring `HGTOOL_THREADS`); the
-/// counters are identical at every thread count.
+/// searches, run with [`solver::EngineOptions::default`].
 pub fn exact_widths_with_stats(h: &Hypergraph, max_hw: usize) -> Option<(ExactWidths, WidthStats)> {
     exact_widths_with_opts(h, max_hw, solver::EngineOptions::default())
 }

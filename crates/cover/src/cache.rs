@@ -6,9 +6,9 @@
 //! building the witness. Pricing (branch-and-bound set cover for `ρ`, an
 //! exact-rational LP for `ρ*`) dominates those searches, so every strategy
 //! routes its prices through one of these caches, created when its search
-//! starts and dropped with it. The `solver` engine uses the same table for
-//! its `(component, connector)` memo, and `prep`'s cross-call result cache
-//! for its whole-query answers (evicting with [`ShardedCache::remove`]).
+//! starts and dropped with it. `prep`'s cross-call result cache uses the
+//! same table for its whole-query answers (evicting with
+//! [`ShardedCache::remove`]), shared by every thread of the process.
 //!
 //! Every entry is in one of two states: **`Pending`** (some thread claimed
 //! the key and is computing it) or **`Done`** (the value is available). A
@@ -24,7 +24,7 @@
 //!
 //! [`ShardedCache`] is deliberately generic over key and value — the subset
 //! strategies key on the bag [`VertexSet`], the strict-HD search keys on
-//! the sorted separator edge list, the search engine on its memo key — and
+//! the sorted separator edge list, the result cache on the query — and
 //! keeps hit/miss counters that the strategy wrappers surface as
 //! `SearchStats::price_hits` / `price_misses`.
 
@@ -36,8 +36,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Number of shards (power of two). Sized so that the engine's worker
-/// threads rarely contend on one lock.
+/// Number of shards (power of two). Sized so that concurrent requests
+/// rarely contend on one lock.
 const SHARDS: usize = 32;
 
 /// Entry state: claimed-but-computing, or computed.
@@ -334,7 +334,7 @@ pub fn rho_priced(h: &Hypergraph, bag: &VertexSet, cache: &RhoCache) -> PricedRh
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{rho_star_priced_with, PricingPool};
+    use crate::PricingContext;
     use arith::rat;
     use hypergraph::generators;
 
@@ -342,11 +342,15 @@ mod tests {
     fn prices_each_bag_once() {
         let h = generators::cycle(3);
         let cache = RhoStarCache::new();
-        let pool = PricingPool::new();
+        let mut ctx = PricingContext::new();
         let bag = h.all_vertices();
-        let first = rho_star_priced_with(&h, &bag, &cache, &pool).expect("coverable");
+        let first = cache
+            .get_or_insert_with(&bag, || ctx.price(&h, &bag))
+            .expect("coverable");
         assert_eq!(first.0, rat(3, 2));
-        let again = rho_star_priced_with(&h, &bag, &cache, &pool).expect("coverable");
+        let again = cache
+            .get_or_insert_with(&bag, || ctx.price(&h, &bag))
+            .expect("coverable");
         assert_eq!(first, again);
         let (hits, misses) = cache.counters();
         assert_eq!((hits, misses), (1, 1));
@@ -369,10 +373,11 @@ mod tests {
     fn uncoverable_bags_cache_their_failure() {
         let h = hypergraph::Hypergraph::from_edges(3, vec![vec![0, 1]]);
         let cache = RhoStarCache::new();
-        let pool = PricingPool::new();
+        let mut ctx = PricingContext::new();
         let bag = VertexSet::from_iter([2]);
-        assert_eq!(rho_star_priced_with(&h, &bag, &cache, &pool), None);
-        assert_eq!(rho_star_priced_with(&h, &bag, &cache, &pool), None);
+        for _ in 0..2 {
+            assert_eq!(cache.get_or_insert_with(&bag, || ctx.price(&h, &bag)), None);
+        }
         assert_eq!(cache.counters(), (1, 1));
     }
 
@@ -380,15 +385,16 @@ mod tests {
     fn cache_is_shareable_across_threads() {
         let h = generators::clique(4);
         let cache = RhoStarCache::new();
-        let pool = PricingPool::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
+                    let mut ctx = PricingContext::new();
                     for v in 0..h.num_vertices() {
                         let mut bag = h.all_vertices();
                         bag.remove(v);
-                        let (w, _) =
-                            rho_star_priced_with(&h, &bag, &cache, &pool).expect("coverable");
+                        let (w, _) = cache
+                            .get_or_insert_with(&bag, || ctx.price(&h, &bag))
+                            .expect("coverable");
                         assert_eq!(w, rat(3, 2));
                     }
                 });

@@ -5,7 +5,7 @@
 //! * [`fractional`] — fractional edge cover number `rho*` via exact LP.
 //! * [`cache`] — concurrent sharded `ρ`/`ρ*` price caches shared by the
 //!   width-search strategies (each distinct bag is priced once per search).
-//! * [`pricing`] — pooled simplex workspaces solving `ρ*` through the
+//! * [`pricing`] — reusable simplex workspaces solving `ρ*` through the
 //!   packing dual (single-phase, warm-startable, allocation-free).
 //! * [`transversal`] — `tau`, `tau*`, and the integrality gap `tigap`.
 //! * [`support`] — Füredi's bounded-support theorem (Corollary 5.5) and the
@@ -31,7 +31,7 @@ pub use fractional::{
 };
 pub use integral::{greedy_cover, integral_cover, integral_cover_bounded, rho, IntegralCover};
 pub use mem::MemSize;
-pub use pricing::{rho_star_priced_with, PricingContext, PricingPool};
+pub use pricing::PricingContext;
 pub use support::{bound_support, furedi_bound};
 pub use transversal::{
     fractional_transversal, minimum_transversal, tau, tau_star, tigap, FractionalTransversal,

@@ -1,4 +1,4 @@
-//! Pooled LP pricing contexts for the `ρ*` hot path.
+//! Reusable LP pricing contexts for the `ρ*` hot path.
 //!
 //! The engine prices each bag through the **packing dual** of the covering
 //! LP: `max { 1·y : y(e ∩ bag) <= 1 for every useful edge e, y >= 0 }`.
@@ -10,28 +10,24 @@
 //! ([`lp::SimplexWorkspace::dual_values`]): the reduced cost of edge `e`'s
 //! slack column at the optimum is exactly `γ(e)`.
 //!
-//! Two usage patterns, with different determinism obligations:
+//! Two ways to price, one context either way:
 //!
-//! * **Parallel engine pricing** ([`PricingPool`] + [`PricingContext::price`]):
-//!   each bag is solved *cold*, so its pivot count is a pure function of the
-//!   bag. The sharded `ρ*` cache prices every distinct bag exactly once, so
-//!   the pooled totals (`lp_pivots`, `lp_cold_solves`) are sums over the
-//!   priced-bag set — byte-identical at every thread count, no matter which
-//!   worker's context solved which bag. Contexts are pooled for their
-//!   *buffers* (tableau rows, constraint `Vec`s, column scratch), not their
-//!   basis.
-//! * **Sequential pricing** ([`PricingContext::price_warm`]): single-threaded
-//!   pricers (heuristic upper bounds, elimination orderings) walk related
-//!   bags in a deterministic order, so they may carry the previous bag's
-//!   basis forward; neighboring bags share most packing rows and the
-//!   re-seated basis usually needs only a handful of pivots.
+//! * **Cold** ([`PricingContext::price`]): the engine's price cache
+//!   ([`crate::RhoStarCache`]) prices each distinct bag once, on a miss, and
+//!   solves it from scratch, so its pivot count is a pure function of the
+//!   bag and the LP counters are a sum over the priced bags, whatever the
+//!   search visits first. The context is reused for its *buffers*
+//!   (tableau rows, constraint `Vec`s, column scratch), not its basis.
+//! * **Warm** ([`PricingContext::price_warm`]): the heuristic upper bounds
+//!   and the elimination orderings walk related bags in a deterministic
+//!   order, so they carry the previous bag's basis forward; neighboring
+//!   bags share most packing rows and the re-seated basis usually needs
+//!   only a handful of pivots.
 
 use crate::cache::PricedRhoStar;
-use crate::RhoStarCache;
 use arith::Rational;
 use hypergraph::{Hypergraph, VertexSet};
 use lp::{Cmp, LinearProgram, LpResult, LpStats, SimplexWorkspace};
-use std::sync::Mutex;
 
 /// A reusable `ρ*` pricing context: a simplex workspace plus the scratch
 /// buffers needed to build packing LPs without per-bag allocations.
@@ -154,64 +150,10 @@ impl PricingContext {
     }
 }
 
-/// A shared pool of [`PricingContext`]s, one checked out per in-flight
-/// engine solve. Buffers survive across bags and workers; counters are
-/// summed over the whole pool.
-#[derive(Default)]
-pub struct PricingPool {
-    contexts: Mutex<Vec<PricingContext>>,
-}
-
-impl PricingPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        PricingPool::default()
-    }
-
-    /// Runs `f` with a pooled context, creating one on demand.
-    pub fn with<R>(&self, f: impl FnOnce(&mut PricingContext) -> R) -> R {
-        let mut ctx = self
-            .contexts
-            .lock()
-            .expect("pricing pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        let out = f(&mut ctx);
-        self.contexts
-            .lock()
-            .expect("pricing pool poisoned")
-            .push(ctx);
-        out
-    }
-
-    /// The LP counters summed over every pooled context. Call after the
-    /// search quiesces (no context checked out); with the engine's
-    /// exactly-once pricing the totals are schedule-independent.
-    pub fn stats(&self) -> LpStats {
-        let mut total = LpStats::default();
-        for ctx in self.contexts.lock().expect("pricing pool poisoned").iter() {
-            total.merge(&ctx.stats());
-        }
-        total
-    }
-}
-
-/// `ρ*(bag)` with its sparse optimal weights through the shared cache,
-/// priced on a miss by a pooled dual-packing solve. The cache's in-flight
-/// dedup guarantees each distinct bag is priced exactly once, which is
-/// what makes the pool's counters deterministic under concurrency.
-pub fn rho_star_priced_with(
-    h: &Hypergraph,
-    bag: &VertexSet,
-    cache: &RhoStarCache,
-    pool: &PricingPool,
-) -> PricedRhoStar {
-    cache.get_or_insert_with(bag, || pool.with(|ctx| ctx.price(h, bag)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RhoStarCache;
     use arith::rat;
     use hypergraph::generators;
 
@@ -277,41 +219,19 @@ mod tests {
     fn pool_prices_through_the_cache_exactly_once() {
         let h = generators::cycle(3);
         let cache = RhoStarCache::new();
-        let pool = PricingPool::new();
+        let mut ctx = PricingContext::new();
         let bag = h.all_vertices();
-        let first = rho_star_priced_with(&h, &bag, &cache, &pool).expect("coverable");
+        let first = cache
+            .get_or_insert_with(&bag, || ctx.price(&h, &bag))
+            .expect("coverable");
         assert_eq!(first.0, rat(3, 2));
-        let again = rho_star_priced_with(&h, &bag, &cache, &pool).expect("coverable");
+        let again = cache
+            .get_or_insert_with(&bag, || ctx.price(&h, &bag))
+            .expect("coverable");
         assert_eq!(first, again);
         assert_eq!(cache.counters(), (1, 1));
-        let stats = pool.stats();
+        let stats = ctx.stats();
         assert_eq!(stats.cold_solves, 1, "second lookup was a cache hit");
-    }
-
-    #[test]
-    fn pool_counters_are_schedule_independent() {
-        // Price the same bag family from many threads twice; totals match.
-        let h = generators::clique(6);
-        let run = || {
-            let cache = RhoStarCache::new();
-            let pool = PricingPool::new();
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    scope.spawn(|| {
-                        for v in 0..h.num_vertices() {
-                            let mut bag = h.all_vertices();
-                            bag.remove(v);
-                            rho_star_priced_with(&h, &bag, &cache, &pool).expect("coverable");
-                        }
-                    });
-                }
-            });
-            pool.stats()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-        assert_eq!(a.cold_solves, 6);
-        assert_eq!(a.warm_starts, 0);
+        assert_eq!(stats.warm_starts, 0);
     }
 }

@@ -31,8 +31,8 @@ use solver::{
     Admission, CandidateStream, EngineOptions, Guess, SearchContext, SearchState, SearchStats,
     WidthSolver,
 };
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Outcome of the bounded-degree FHD check.
 #[derive(Clone, Debug)]
@@ -82,8 +82,7 @@ pub fn check_fhd_bdp(h: &Hypergraph, k: &Rational, params: HdkParams) -> FhdAnsw
 }
 
 /// As [`check_fhd_bdp`], also reporting engine and separator-LP cache
-/// counters. The strict-HD search is a decision strategy, so it runs
-/// sequentially on the calling thread.
+/// counters.
 pub fn check_fhd_bdp_with_stats(
     h: &Hypergraph,
     k: &Rational,
@@ -93,13 +92,12 @@ pub fn check_fhd_bdp_with_stats(
     if h.has_isolated_vertices() || !k.is_positive() {
         return (FhdAnswer::No, SearchStats::default());
     }
-    let warm = solver::pool_is_warm();
     let key = format!(
         "k={:?};arity={};max_sub={};prep={};backend=auto",
         k, params.union_arity, params.max_subedges, opts.prep
     );
     let reuse = opts.reuse_results;
-    let (answer, mut stats) = prep::cached_query(h, "result-fhd-bdp", key, reuse, || {
+    prep::cached_query(h, "result-fhd-bdp", key, reuse, || {
         // Decision profile (duplicate edges + twin vertices): `fhw` and
         // the strictness trace are preserved exactly, and the lifted
         // witness stays a valid FHD of `h` at the same width. The
@@ -107,7 +105,7 @@ pub fn check_fhd_bdp_with_stats(
         // in `verdict`.
         let mut verdict = FhdAnswer::No;
         let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-            let (answer, s) = check_fhd_bdp_piece(block, k, params, opts);
+            let (answer, s) = check_fhd_bdp_piece(block, k, params);
             match answer {
                 FhdAnswer::Yes(d) => (Some(((), *d)), s),
                 other => {
@@ -121,9 +119,7 @@ pub fn check_fhd_bdp_with_stats(
             None => verdict,
         };
         (answer, stats)
-    });
-    stats.pool_reuse = usize::from(warm);
-    (answer, stats)
+    })
 }
 
 /// Runs the Theorem 5.2 search proper on an (already preprocessed)
@@ -132,24 +128,21 @@ fn check_fhd_bdp_piece(
     h: &Hypergraph,
     k: &Rational,
     params: HdkParams,
-    opts: EngineOptions,
 ) -> (FhdAnswer, SearchStats) {
     let Some((aug, bounds)) = prepare(h, k, params) else {
         return (FhdAnswer::No, SearchStats::default());
     };
-    let aug = std::sync::Arc::new(aug);
-    let hp = &aug.hypergraph;
     let truncated = aug.truncated;
-    let strategy = std::sync::Arc::new(StrictHd {
-        aug: std::sync::Arc::clone(&aug),
+    let strategy = StrictHd {
+        aug,
         k: k.clone(),
         support_bound: bounds.support,
         max_union: bounds.union,
         sep_cache: ShardedCache::new(),
-        scope_cache: Mutex::new(None),
-    });
-    let cx = SearchContext::with_options(opts);
-    let result = cx.run(hp, &strategy);
+        scope_cache: RefCell::new(None),
+    };
+    let mut cx = SearchContext::new();
+    let result = cx.run(strategy.hg(), &strategy);
     let mut stats = cx.stats();
     (stats.price_hits, stats.price_misses) = strategy.sep_cache.counters();
     let answer = match result {
@@ -221,15 +214,13 @@ type PricedSep = Option<(Rational, Vec<(usize, Rational)>)>;
 /// entries double as the witness cover (one LP per separator, total).
 struct StrictHd {
     /// The augmented instance `H' = H ∪ h_{d,k}(H)` the search runs on.
-    /// Owned (shared with the caller) so the strategy is `'static` and can
-    /// ride pool jobs on the process-wide worker pool.
-    aug: std::sync::Arc<Augmented>,
+    aug: Augmented,
     k: Rational,
     support_bound: usize,
     max_union: usize,
     /// `sorted S -> (rho*(H_λ), optimal cover of ⋃S by S)` — shared across
-    /// search states and worker threads, and consulted again (not
-    /// re-solved) when an admitted separator's witness weights are built.
+    /// search states, and consulted again (not re-solved) when an admitted
+    /// separator's witness weights are built.
     sep_cache: ShardedCache<Vec<usize>, PricedSep>,
     /// One-slot memo for the per-state derivation: the engine calls
     /// [`WidthSolver::state_key`] and then [`WidthSolver::candidates`] on
@@ -237,7 +228,7 @@ struct StrictHd {
     /// pair — cache it so the O(edges) scan plus span unions run once per
     /// state, not twice. The slot re-checks its key before use, so it
     /// stays correct (merely colder) whenever states interleave.
-    scope_cache: Mutex<Option<ScopedState>>,
+    scope_cache: RefCell<Option<ScopedState>>,
 }
 
 /// The cached per-state derivation of [`StrictHd`]: the strictness-filtered
@@ -259,12 +250,9 @@ impl StrictHd {
     /// and inside the strictness span `allowed = comp ∪ (V(R) ∩ span)`),
     /// plus `allowed` itself; memoized per state.
     fn scoped(&self, state: &SearchState<'_>) -> (Vec<usize>, VertexSet) {
-        {
-            let slot = self.scope_cache.lock().expect("scope cache poisoned");
-            if let Some(s) = &*slot {
-                if &s.comp == state.comp && &s.parent_split == state.parent_split {
-                    return (s.usable.clone(), s.allowed.clone());
-                }
+        if let Some(s) = &*self.scope_cache.borrow() {
+            if &s.comp == state.comp && &s.parent_split == state.parent_split {
+                return (s.usable.clone(), s.allowed.clone());
             }
         }
         let hg = self.hg();
@@ -280,7 +268,7 @@ impl StrictHd {
             .into_iter()
             .filter(|&e| hg.edge(e).is_subset(&allowed))
             .collect();
-        *self.scope_cache.lock().expect("scope cache poisoned") = Some(ScopedState {
+        *self.scope_cache.borrow_mut() = Some(ScopedState {
             comp: state.comp.clone(),
             parent_split: state.parent_split.clone(),
             usable: usable.clone(),

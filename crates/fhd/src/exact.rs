@@ -25,9 +25,7 @@ pub fn fhw_exact(h: &Hypergraph, cutoff: Option<Rational>) -> Option<(Rational, 
 }
 
 /// As [`fhw_exact`], also reporting the heuristic seed (`ub_width`) and
-/// the LP counters of the DP's pricing. The DP is sequential, so width,
-/// witness and stats are identical at every thread count; the engine
-/// counters stay zero.
+/// the LP counters of the DP's pricing. The engine counters stay zero.
 pub fn fhw_exact_with_stats(
     h: &Hypergraph,
     cutoff: Option<Rational>,

@@ -25,7 +25,6 @@ use solver::{
     Admission, CandidateStream, EngineOptions, Guess, SearchContext, SearchState, SearchStats,
     WidthSolver,
 };
-use std::sync::Arc;
 
 /// Parameters of Algorithm 3.
 #[derive(Clone, Debug)]
@@ -47,8 +46,7 @@ pub fn frac_decomp(h: &Hypergraph, params: &FracDecompParams) -> Option<Decompos
 }
 
 /// As [`frac_decomp`], also reporting the engine counters, with explicit
-/// scheduling. Algorithm 3 is a decision strategy, so it runs sequentially
-/// on the calling thread.
+/// preprocessing and caching options.
 pub fn frac_decomp_with_stats(
     h: &Hypergraph,
     params: &FracDecompParams,
@@ -58,13 +56,12 @@ pub fn frac_decomp_with_stats(
     if h.has_isolated_vertices() {
         return (None, SearchStats::default());
     }
-    let warm = solver::pool_is_warm();
     let key = format!(
         "k={:?};eps={:?};c={};prep={};backend=auto",
         params.k, params.eps, params.c, opts.prep
     );
     let reuse = opts.reuse_results;
-    let (result, mut stats) = prep::cached_query(h, "result-frac-decomp", key, reuse, || {
+    prep::cached_query(h, "result-frac-decomp", key, reuse, || {
         // Decision profile: duplicate-edge and twin-vertex collapse only —
         // the passes whose lifts preserve the weak special condition. The
         // `c` bound is checked on the *reduced* instance, so acceptance is
@@ -75,31 +72,28 @@ pub fn frac_decomp_with_stats(
         // `W_s` slots, so prep can accept where the raw algorithm's
         // c-relative completeness gave up.
         let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-            let (d, s) = frac_decomp_piece(block, params, opts);
+            let (d, s) = frac_decomp_piece(block, params);
             (d.map(|d| ((), d)), s)
         });
         (result.map(|(_, d)| d), stats)
-    });
-    stats.pool_reuse = usize::from(warm);
-    (result, stats)
+    })
 }
 
 /// Runs Algorithm 3 proper on an (already preprocessed) instance.
 fn frac_decomp_piece(
     h: &Hypergraph,
     params: &FracDecompParams,
-    opts: EngineOptions,
 ) -> (Option<Decomposition>, SearchStats) {
     let budget = &params.k + &params.eps;
     let l_max_big = budget.floor();
     let l_max = l_max_big.to_i64().unwrap_or(0).max(0) as usize;
-    let strategy = Arc::new(FracDecomp {
+    let strategy = FracDecomp {
         budget,
         l_max,
         c: params.c,
         shadow: ShardedCache::new(),
-    });
-    let cx = SearchContext::with_options(opts);
+    };
+    let mut cx = SearchContext::new();
     let result = cx.run(h, &strategy).map(|(_, d)| d);
     let mut stats = cx.stats();
     (stats.price_hits, stats.price_misses) = strategy.shadow.counters();

@@ -23,8 +23,7 @@ pub fn ghw_exact(h: &Hypergraph, cutoff: Option<usize>) -> Option<(usize, Decomp
 
 /// As [`ghw_exact`], also reporting engine, price-cache and
 /// candidate-generation counters (engine counters are zero when the
-/// elimination DP answered). The stats are identical at every thread
-/// count.
+/// elimination DP answered).
 pub fn ghw_exact_with_stats(
     h: &Hypergraph,
     cutoff: Option<usize>,

@@ -32,8 +32,6 @@ pub fn check_hd(h: &Hypergraph, k: usize) -> Option<Decomposition> {
 }
 
 /// As [`check_hd`], also reporting the engine counters of this check.
-/// `opts` pins the engine scheduling — `det-k-decomp` is a decision
-/// strategy, so it runs sequentially on the calling thread.
 ///
 /// Unless opted out (`opts.prep` / `HGTOOL_NO_PREP`), the instance first
 /// runs through `prep`'s *decision* profile — duplicate-edge and
@@ -49,29 +47,21 @@ pub fn check_hd_with_stats(
     if h.has_isolated_vertices() {
         return (None, SearchStats::default());
     }
-    let warm = solver::pool_is_warm();
     let key = format!("k={k};prep={};backend=auto", opts.prep);
     let reuse = opts.reuse_results;
-    let (result, mut stats) = prep::cached_query(h, "result-hw-check", key, reuse, || {
+    prep::cached_query(h, "result-hw-check", key, reuse, || {
         let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-            let (d, s) = check_hd_piece(block, k, opts);
+            let (d, s) = check_hd_piece(block, k);
             (d.map(|d| ((), d)), s)
         });
         (result.map(|(_, d)| d), stats)
-    });
-    stats.pool_reuse = usize::from(warm);
-    (result, stats)
+    })
 }
 
 /// Runs `det-k-decomp` proper on an (already preprocessed) instance.
-fn check_hd_piece(
-    h: &Hypergraph,
-    k: usize,
-    opts: EngineOptions,
-) -> (Option<Decomposition>, SearchStats) {
-    let strategy = std::sync::Arc::new(DetK { k });
-    let cx = SearchContext::with_options(opts);
-    let result = cx.run(h, &strategy).map(|(_, d)| d);
+fn check_hd_piece(h: &Hypergraph, k: usize) -> (Option<Decomposition>, SearchStats) {
+    let mut cx = SearchContext::new();
+    let result = cx.run(h, &DetK { k }).map(|(_, d)| d);
     (result, cx.stats())
 }
 
@@ -113,7 +103,7 @@ pub fn hypertree_width_at_least(
         prep::run_decision(h, opts.prep, |block| {
             let mut total = SearchStats::default();
             for k in floor.max(1)..=max_k {
-                let (d, stats) = check_hd_piece(block, k, opts);
+                let (d, stats) = check_hd_piece(block, k);
                 total.merge(&stats);
                 if let Some(d) = d {
                     return (Some((k, d)), total);

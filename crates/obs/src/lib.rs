@@ -26,8 +26,8 @@
 //!   atomic load and its field expressions are never evaluated.
 //!   Nothing in this crate is ever *read* by search code: widths,
 //!   witnesses and every `SearchStats` counter are byte-identical with
-//!   tracing on or off, at any thread count (the `trace_determinism`
-//!   integration suite pins this).
+//!   tracing on or off (the `trace_determinism` integration suite pins
+//!   this).
 
 pub mod json;
 pub mod metrics;

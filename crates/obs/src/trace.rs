@@ -10,8 +10,7 @@
 //! its parent and depth for free) plus a buffer of completed records;
 //! when the stack empties the buffer is flushed into the global
 //! collector under one short lock. Parent links therefore never cross
-//! threads: work shipped to the shared pool roots its own spans on the
-//! worker, and the sinks group by thread.
+//! threads, and the sinks group by thread.
 //!
 //! # Gating
 //!

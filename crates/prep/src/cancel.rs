@@ -11,9 +11,8 @@
 //!
 //! The token is *ambient*: [`with_cancel`] installs it on the calling
 //! thread for the duration of a closure, and anything underneath picks it
-//! up via [`current_cancel`] without signature changes. Worker-pool
-//! threads never read the ambient state; the engine hands them the same
-//! token with every batch of work.
+//! up via [`current_cancel`] without signature changes. A search runs on
+//! the thread that installed the token, so every branch sees it.
 //!
 //! ## Cancellation-as-unwind
 //!
@@ -166,7 +165,7 @@ pub mod interrupt {
     }
 
     /// Raises the interrupt unwind. Called by the engine when its *root*
-    /// branch observes cancellation (pool-side branches return their
+    /// branch observes cancellation (inner branches return their
     /// cancellation by value; only the root has no caller to return
     /// `Canceled` to), and by the elimination DP, which polls the token
     /// itself.

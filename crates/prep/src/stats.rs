@@ -17,14 +17,13 @@ use arith::Rational;
 /// option), the candidate-generator tallies and the preprocessing
 /// reduction counts on top.
 ///
-/// Deterministic: every counter is identical at every thread count and
-/// across runs — states are evaluated exactly once (in-flight memo dedup)
-/// and candidates are admitted against per-round bound snapshots.
+/// Deterministic: every engine counter is identical across runs — the
+/// search is one sequential recursion that evaluates each state once.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Search states evaluated (memo misses; exactly once per state).
     pub states: usize,
-    /// Memo hits (including waits on an in-flight evaluation).
+    /// Memo hits.
     pub memo_hits: usize,
     /// Guesses pulled from candidate streams. With eager `Vec` proposal
     /// this used to equal the whole candidate space; streaming decision
@@ -47,12 +46,11 @@ pub struct SearchStats {
     pub cand_filtered: usize,
     /// Simplex (Bland) iterations across every `ρ*` LP solve. Each bag is
     /// priced exactly once and the engine path solves it cold, so this is
-    /// a pure per-bag sum — identical at every thread count.
+    /// a pure per-bag sum.
     pub lp_pivots: u64,
     /// `ρ*` LP solves that warm-started from a retained basis (only the
-    /// deterministic sequential pricers — heuristic upper bounds,
-    /// elimination orderings — warm-start; the parallel engine path never
-    /// does).
+    /// heuristic upper bounds and the elimination orderings warm-start;
+    /// the engine's price cache never does).
     pub lp_warm_starts: u64,
     /// `ρ*` LP solves performed from scratch (including warm-start
     /// fallbacks after a basis infeasibility).
@@ -76,11 +74,6 @@ pub struct SearchStats {
     /// already in flight in this process (this call parked and adopted the
     /// other search's answer instead of running its own).
     pub inflight_dedup: usize,
-    /// 1 when the shared worker pool was already spun up by an earlier
-    /// search when this call entered (pool threads were reused, not
-    /// spawned), 0 otherwise. Set by the strategy wrappers, never by the
-    /// engine — engine counters stay thread-count- and history-invariant.
-    pub pool_reuse: usize,
 }
 
 impl SearchStats {
@@ -99,7 +92,7 @@ impl SearchStats {
     ///
     /// # Merge rule
     ///
-    /// Each field merges by exactly one of three rules, chosen by what the
+    /// Each field merges by exactly one of two rules, chosen by what the
     /// field *means* across sub-searches:
     ///
     /// * **Sum** — work counters (`states`, `memo_hits`, `streamed`,
@@ -111,9 +104,6 @@ impl SearchStats {
     ///   instance is as wide as its widest block), so the merged seed is
     ///   the maximum, with `None` treated as "no seed ran", not zero.
     ///   Summing here would fabricate a bound no heuristic ever produced.
-    /// * **Max-as-OR** — `pool_reuse`: a 0/1 process-state flag; merging
-    ///   the per-block searches of one call must keep it a flag (the pool
-    ///   was either warm when the call entered or it was not).
     ///
     /// The exhaustive `merge_rule_per_field` test pins every field to its
     /// class — adding a field without choosing its rule breaks the test.
@@ -138,21 +128,17 @@ impl SearchStats {
         self.prep_blocks += other.prep_blocks;
         self.result_cache_hits += other.result_cache_hits;
         self.inflight_dedup += other.inflight_dedup;
-        // A 0/1 process-state flag, not a count: merging per-block searches
-        // of one call keeps it a flag.
-        self.pool_reuse = self.pool_reuse.max(other.pool_reuse);
     }
 
     /// Zeroes the process-history-dependent runtime counters
-    /// (`result_cache_hits`, `inflight_dedup`, `pool_reuse`), leaving the
-    /// deterministic engine counters. The identity test suites compare
-    /// `stats.engine_only()` across cache-on/cache-off and thread-count
-    /// runs — the runtime counters are *expected* to differ there.
+    /// (`result_cache_hits`, `inflight_dedup`), leaving the deterministic
+    /// engine counters. The identity test suites compare
+    /// `stats.engine_only()` across cache-on/cache-off runs — the runtime
+    /// counters are *expected* to differ there.
     pub fn engine_only(&self) -> SearchStats {
         SearchStats {
             result_cache_hits: 0,
             inflight_dedup: 0,
-            pool_reuse: 0,
             ..self.clone()
         }
     }
@@ -195,11 +181,11 @@ mod tests {
         assert_eq!(c.ub_width, Some(Rational::from_frac(3, 2)));
     }
 
-    /// Pins every field to its documented merge class: counters sum,
-    /// `ub_width` maxes (block widths recombine as the maximum), and
-    /// `pool_reuse` stays a 0/1 flag. The exhaustive struct literal (no
-    /// `..Default::default()`) forces this test to be revisited whenever a
-    /// field is added without choosing its rule.
+    /// Pins every field to its documented merge class: counters sum, and
+    /// `ub_width` maxes (block widths recombine as the maximum). The
+    /// exhaustive struct literal (no `..Default::default()`) forces this
+    /// test to be revisited whenever a field is added without choosing its
+    /// rule.
     #[test]
     fn merge_rule_per_field() {
         let mut a = SearchStats {
@@ -220,7 +206,6 @@ mod tests {
             prep_blocks: 16,
             result_cache_hits: 17,
             inflight_dedup: 18,
-            pool_reuse: 0,
         };
         let b = SearchStats {
             states: 100,
@@ -240,7 +225,6 @@ mod tests {
             prep_blocks: 100,
             result_cache_hits: 100,
             inflight_dedup: 100,
-            pool_reuse: 1,
         };
         a.merge(&b);
         let expected = SearchStats {
@@ -263,8 +247,6 @@ mod tests {
             prep_blocks: 116,
             result_cache_hits: 117,
             inflight_dedup: 118,
-            // Flag: maxed, not summed.
-            pool_reuse: 1,
         };
         assert_eq!(a, expected);
         // `None` means "no seed ran", not zero: it never wins the max and
@@ -275,9 +257,5 @@ mod tests {
         let mut seeded = expected.clone();
         seeded.merge(&SearchStats::default());
         assert_eq!(seeded.ub_width, Some(Rational::from_frac(5, 2)));
-        // Merging is associative-compatible with the flag rule: a third
-        // merge keeps pool_reuse a flag.
-        seeded.merge(&expected);
-        assert_eq!(seeded.pool_reuse, 1);
     }
 }

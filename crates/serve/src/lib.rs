@@ -18,18 +18,20 @@
 //! | `POST /solve/batch` | many instances, solved in input order            |
 //! | `GET /metrics`      | live Prometheus render of the `obs` registry     |
 //! | `GET /healthz`      | liveness (always 200 while the process runs)     |
-//! | `GET /readyz`       | 200 once the pool spun up + warmup solve is done |
+//! | `GET /readyz`       | 200 once the warmup solve is done                |
 //! | `GET /version`      | crate version + schema tags                      |
 //! | `POST /admin/drain` | graceful shutdown (stop accepting, drain, flush) |
 //!
 //! # Concurrency model
 //!
 //! Connections are handled thread-per-connection with keep-alive, but
-//! solves are admitted one at a time through a gate mutex, because one
-//! engine search already saturates the shared worker pool; a batch runs
-//! its instances one after another under one admission. The gate makes the
-//! queue-depth gauge and the admission-wait histogram meaningful, and
-//! makes per-request trace arm/drain race-free.
+//! solves are admitted one at a time through a gate mutex, because the
+//! span collector is process-global: a request arms tracing and drains
+//! the collector as its own trace, which is race-free only while one
+//! solve runs. Every solve runs on its connection's thread; a batch runs
+//! its instances one after another under one admission. The gate also
+//! makes the queue-depth gauge and the admission-wait histogram
+//! meaningful.
 //!
 //! # Deadlines and drain
 //!

@@ -1,6 +1,6 @@
 //! The daemon's service metrics, registered in the process-wide `obs`
 //! registry so `GET /metrics` renders them live next to the engine's
-//! own solve/cache/pool metrics. The catalog lives in
+//! own solve and cache metrics. The catalog lives in
 //! `crates/obs/README.md`.
 
 use obs::metrics::{
@@ -76,7 +76,7 @@ pub struct ServiceMetrics {
     /// `hgtool_serve_slow_requests_total` — requests over the
     /// `HGTOOL_SLOW_REQUEST_MS` threshold.
     pub slow_requests: Arc<Counter>,
-    /// `hgtool_serve_ready` — 0 until the pool warmup solve finished.
+    /// `hgtool_serve_ready` — 0 until the warmup solve finished.
     pub ready: Arc<Gauge>,
     requests: Vec<(Endpoint, Arc<Counter>)>,
     latency: Vec<(Endpoint, Arc<Histogram>)>,
@@ -135,10 +135,7 @@ pub fn handles() -> &'static ServiceMetrics {
             "hgtool_serve_slow_requests_total",
             "Requests over the HGTOOL_SLOW_REQUEST_MS threshold",
         ),
-        ready: gauge(
-            "hgtool_serve_ready",
-            "1 once the worker pool spun up and the warmup solve finished",
-        ),
+        ready: gauge("hgtool_serve_ready", "1 once the warmup solve finished"),
         requests: Endpoint::ALL
             .iter()
             .map(|&ep| {

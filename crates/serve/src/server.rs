@@ -4,10 +4,10 @@
 use crate::http::{read_request, write_response, RecvError, Response};
 use crate::metrics::handles;
 use crate::service;
+use hypertree_core::ghd;
 use hypertree_core::hypergraph::{generators, Hypergraph};
 use hypertree_core::prep::cancel::{interrupt, CancelToken};
 use hypertree_core::solver::EngineOptions;
-use hypertree_core::{ghd, solver};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,9 +37,7 @@ fn env_u64(var: &str) -> Option<u64> {
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:7878`; port 0 picks an ephemeral one).
     pub addr: String,
-    /// Engine options for every solve. The default forces at least two
-    /// workers so the shared pool actually spins up (same rationale as
-    /// `hgtool metrics`).
+    /// Engine options for every solve.
     pub engine: EngineOptions,
     /// Append the `hgtool-trace/v1` JSONL stream of sampled requests
     /// to this file.
@@ -62,10 +60,7 @@ impl ServeConfig {
     pub fn from_env() -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
-            engine: EngineOptions {
-                threads: Some(solver::default_thread_count().max(2)),
-                ..EngineOptions::default()
-            },
+            engine: EngineOptions::default(),
             trace_json: None,
             max_body_bytes: env_u64(MAX_BODY_ENV).unwrap_or(8 * 1024 * 1024) as usize,
             slow_request_ms: env_u64(SLOW_REQUEST_ENV),
@@ -91,7 +86,8 @@ pub(crate) struct Shared {
     pub(crate) root: CancelToken,
     pub(crate) draining: AtomicBool,
     pub(crate) ready: AtomicBool,
-    /// Solves run one at a time (one search saturates the pool).
+    /// Solves run one at a time: the span collector is process-global,
+    /// and a request drains it as its own trace.
     pub(crate) solve_gate: Mutex<()>,
     pub(crate) next_request: AtomicU64,
     pub(crate) engine_opts: EngineOptions,
@@ -248,8 +244,8 @@ impl Server {
         });
 
         // Readiness: solve a small instance with the configured engine
-        // options so the shared worker pool spins up before the first
-        // real request; /readyz reports 200 once it lands.
+        // options before the first real request; /readyz reports 200 once
+        // it lands.
         let warmup_shared = Arc::clone(&shared);
         let warmup_thread = std::thread::Builder::new()
             .name("serve-warmup".to_string())

@@ -379,9 +379,9 @@ fn solve_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
         }
     };
 
-    // Admission: solves run one at a time (one search already
-    // saturates the shared pool); the gauge and wait histogram make
-    // the queue observable.
+    // Admission: solves run one at a time (the span collector is
+    // process-global); the gauge and wait histogram make the queue
+    // observable.
     m.queue_depth.add(1);
     let wait_started = Instant::now();
     let _gate = shared.solve_gate.lock().expect("solve gate poisoned");

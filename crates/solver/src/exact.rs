@@ -10,7 +10,7 @@
 //! Everything else is shared:
 //!
 //! * [`front_door`] — the isolated-vertex check, the `solve` span, the
-//!   cross-call result cache, the `pool_reuse` counter and the
+//!   cross-call result cache and the
 //!   `hgtool_solve_latency_seconds{strategy}` histogram. `hw` goes
 //!   through it too (`hd::hypertree_width_at_least`).
 //! * [`solve`] — the cache key (with `;floor=` above 1), then `prep`'s
@@ -29,17 +29,18 @@
 //! * [`subset_oracle`] — the subset-bag cross-check, no prep, no seed.
 
 use crate::{
-    pool_is_warm, stream_subset_bags, Admission, CandidateStream, EngineOptions, Guess,
-    SearchContext, SearchState, SearchStats, WidthSolver, MAX_SUBSET_SEARCH_VERTICES,
+    stream_subset_bags, Admission, CandidateStream, EngineOptions, Guess, SearchContext,
+    SearchState, SearchStats, WidthSolver, MAX_SUBSET_SEARCH_VERTICES,
 };
 use arith::Rational;
 use candgen::elimination::{self, MAX_EXACT_VERTICES};
 use candgen::PricedBag;
-use cover::{MemSize, PricingContext, PricingPool, ScatterBound, ShardedCache};
+use cover::{MemSize, PricingContext, ScatterBound, ShardedCache};
 use decomp::Decomposition;
 use hypergraph::fx::FxHashMap;
 use hypergraph::{properties, Hypergraph, VertexSet};
 use obs::metrics::Histogram;
+use std::cell::RefCell;
 use std::fmt::Debug;
 use std::sync::{Arc, OnceLock};
 
@@ -48,14 +49,15 @@ const COVERABLE: &str = "no isolated vertices, so every bag is coverable";
 
 /// A bag measure: what distinguishes the exact `ghw` search from the
 /// exact `fhw` one.
-pub trait Measure: Send + Sync + 'static {
+pub trait Measure {
     /// The width: `usize` for `ρ`, an exact [`Rational`] for `ρ*`.
     type Cost: Ord + Clone + Debug + From<usize> + Into<Rational> + MemSize + Send + Sync + 'static;
     /// A cached engine price ([`cover::PricedRho`] / [`cover::PricedRhoStar`]).
-    type Priced: Clone + Send + Sync + 'static;
-    /// State of sequential pricing: none for `ρ`, a warm LP context for
-    /// `ρ*` (the DP and the heuristic bound walk related bags in a
-    /// deterministic order, so each LP starts from the previous basis).
+    type Priced: Clone;
+    /// Pricing state: none for `ρ`, an LP context for `ρ*`. The DP and the
+    /// heuristic bound walk related bags in a deterministic order, so each
+    /// of their LPs starts from the previous basis; the engine's cache
+    /// misses reuse only the context's buffers and solve cold.
     type Warm: Default;
 
     /// The measure's name: the `solve`/`elim` span field and the latency
@@ -76,13 +78,14 @@ pub trait Measure: Send + Sync + 'static {
     /// Adds the LP counters of sequential pricing to `stats`.
     fn merge_lp(warm: &Self::Warm, stats: &mut SearchStats);
 
-    /// Prices `bag` through the engine's price cache; `pool` solves the
-    /// `ρ*` LPs of cache misses. `None` when `bag` is uncoverable.
+    /// Prices `bag` through the engine's price cache; `warm` solves the
+    /// `ρ*` LP of a cache miss cold, so the LP counters are a sum over the
+    /// priced bags. `None` when `bag` is uncoverable.
     fn price_cached(
         h: &Hypergraph,
         bag: &VertexSet,
         cache: &ShardedCache<VertexSet, Self::Priced>,
-        pool: &PricingPool,
+        warm: &mut Self::Warm,
     ) -> Option<PricedBag<Self::Cost>>;
 
     /// Whether the counting bound reaches `bound` for a bag of `len`
@@ -121,7 +124,7 @@ impl Measure for Rho {
         h: &Hypergraph,
         bag: &VertexSet,
         cache: &cover::RhoCache,
-        _: &PricingPool,
+        _: &mut (),
     ) -> Option<PricedBag<usize>> {
         let (weight, edges) = cover::rho_priced(h, bag, cache)?;
         Some((weight, unit_weights(edges)))
@@ -164,9 +167,9 @@ impl Measure for RhoStar {
         h: &Hypergraph,
         bag: &VertexSet,
         cache: &cover::RhoStarCache,
-        pool: &PricingPool,
+        ctx: &mut PricingContext,
     ) -> Option<PricedBag<Rational>> {
-        cover::rho_star_priced_with(h, bag, cache, pool)
+        cache.get_or_insert_with(bag, || ctx.price(h, bag))
     }
 
     fn counting_reaches(len: usize, r: usize, bound: &Rational) -> bool {
@@ -223,8 +226,8 @@ fn exceeds(bound: &Rational, r: usize, len: usize) -> bool {
 
 /// The front door of every exact width query: rejects isolated vertices,
 /// opens the `solve` span, answers through the cross-call result cache
-/// (`slot`, `key`; `reuse` from [`EngineOptions::reuse_results`]), records
-/// `pool_reuse`, and observes the end-to-end latency under
+/// (`slot`, `key`; `reuse` from [`EngineOptions::reuse_results`]), and
+/// observes the end-to-end latency under
 /// `hgtool_solve_latency_seconds{strategy=measure}`. `measure` is `"hw"`,
 /// `"ghw"` or `"fhw"`.
 pub fn front_door<T>(
@@ -248,9 +251,7 @@ where
         edges = h.num_edges()
     );
     let started = std::time::Instant::now();
-    let warm = pool_is_warm();
-    let (result, mut stats) = prep::cached_query(h, slot, key, reuse, run);
-    stats.pool_reuse = usize::from(warm);
+    let (result, stats) = prep::cached_query(h, slot, key, reuse, run);
     latency(measure).observe_us(started.elapsed().as_micros() as u64);
     (result, stats)
 }
@@ -294,7 +295,7 @@ pub fn solve<M: Measure>(
     }
     front_door(h, M::NAME, M::RESULT_SLOT, key, opts.reuse_results, || {
         prep::run_minimizer(h, opts.prep, |block| {
-            solve_block::<M>(block, cutoff.clone(), &floor, opts)
+            solve_block::<M>(block, cutoff.clone(), &floor)
         })
     })
 }
@@ -304,7 +305,6 @@ fn solve_block<M: Measure>(
     h: &Hypergraph,
     cutoff: Option<M::Cost>,
     floor: &M::Cost,
-    opts: EngineOptions,
 ) -> (Option<(M::Cost, Decomposition)>, SearchStats) {
     // The seed is the integral heuristic bound for both measures: `fhw <=
     // ghw`, and integral weights are a valid fractional cover. Under `ρ`
@@ -340,8 +340,8 @@ fn solve_block<M: Measure>(
         // `floor`), so the seed stands.
         Some(None)
     } else if let (Some(prices), Some(cfg)) = (prices, space) {
-        let strategy = Arc::new(Search::new(h, Some(eff), prices, Bags::EdgeUnion(cfg)));
-        let cx = SearchContext::with_options(opts);
+        let strategy = Search::new(h, Some(eff), prices, Bags::EdgeUnion(cfg));
+        let mut cx = SearchContext::new();
         let result = cx.run(h, &strategy);
         stats.merge(&cx.stats());
         (stats.price_hits, stats.price_misses) = strategy.prices.cache.counters();
@@ -486,9 +486,8 @@ pub fn upper_bound<M: Measure>(
 
 /// The subset-bag cross-check oracle: the engine search proposing every
 /// bag `conn ⊆ B ⊆ conn ∪ C`, priced by `M`, hard-gated at
-/// [`MAX_SUBSET_SEARCH_VERTICES`] vertices. Runs sequentially, without
-/// preprocessing or seeding, so it shares nothing with [`solve`] beyond
-/// the engine itself.
+/// [`MAX_SUBSET_SEARCH_VERTICES`] vertices. Runs without preprocessing or
+/// seeding, so it shares nothing with [`solve`] beyond the engine itself.
 pub fn subset_oracle<M: Measure>(
     h: &Hypergraph,
     cutoff: Option<M::Cost>,
@@ -496,29 +495,28 @@ pub fn subset_oracle<M: Measure>(
     if h.has_isolated_vertices() || h.num_vertices() > MAX_SUBSET_SEARCH_VERTICES {
         return None;
     }
-    let strategy = Arc::new(Search::<M>::new(h, cutoff, Prices::new(), Bags::Subset));
-    let cx = SearchContext::with_options(EngineOptions::sequential());
-    cx.run(h, &strategy)
+    let strategy = Search::<M>::new(h, cutoff, Prices::new(), Bags::Subset);
+    SearchContext::new().run(h, &strategy)
 }
 
 /// The engine-side prices of one search: the measure's price cache,
-/// created with the search and dropped with it, and the pooled LP
-/// contexts pricing `ρ*` misses.
+/// created with the search and dropped with it, and the pricing state
+/// that solves `ρ*` misses.
 struct Prices<M: Measure> {
     cache: ShardedCache<VertexSet, M::Priced>,
-    pool: PricingPool,
+    warm: RefCell<M::Warm>,
 }
 
 impl<M: Measure> Prices<M> {
     fn new() -> Self {
         Prices {
             cache: ShardedCache::new(),
-            pool: PricingPool::new(),
+            warm: RefCell::default(),
         }
     }
 
     fn price(&self, h: &Hypergraph, bag: &VertexSet) -> Option<PricedBag<M::Cost>> {
-        M::price_cached(h, bag, &self.cache, &self.pool)
+        M::price_cached(h, bag, &self.cache, &mut self.warm.borrow_mut())
     }
 }
 
@@ -569,8 +567,8 @@ impl Gate {
 struct Search<M: Measure> {
     cutoff: Option<M::Cost>,
     gate: Gate,
-    /// `bag -> price`: bags repeat heavily across search states and
-    /// worker threads, and pricing is the expensive part of admission.
+    /// `bag -> price`: bags repeat heavily across search states, and
+    /// pricing is the expensive part of admission.
     prices: Prices<M>,
     bags: Bags,
     /// Generated/filtered tallies of the edge-union streams.

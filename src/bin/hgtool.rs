@@ -11,7 +11,7 @@
 //!                                     --stats adds engine + LP-cache +
 //!                                     candidate-generation + simplex
 //!                                     (pivot/warm-start) + runtime
-//!                                     (result-cache/dedup/pool) counters,
+//!                                     (result-cache/dedup) counters,
 //!                                     --no-prep bypasses the preprocessing
 //!                                     pipeline (also: HGTOOL_NO_PREP env
 //!                                     var, which vetoes the result cache
@@ -239,22 +239,14 @@ fn emit_trace(topts: &TraceOpts, records: &[obs::trace::SpanRecord]) -> Result<(
 /// `hgtool metrics`: run the batch twice — a cold pass, then a warm pass
 /// whose lookups come back from the result cache — and print the
 /// process-lifetime metrics registry in Prometheus text exposition format.
-/// Two passes make the cache/pool gauges meaningfully nonzero: hit
-/// counters, byte occupancy, and the pool-thread gauge all reflect real
-/// traffic rather than an idle registry.
+/// Two passes make the cache gauges meaningfully nonzero: hit counters
+/// and byte occupancy reflect real traffic rather than an idle registry.
 fn metrics_cmd(files: &[String]) -> Result<(), String> {
     let mut instances = Vec::with_capacity(files.len());
     for f in files {
         instances.push(load(f)?);
     }
-    // At least two workers, so the shared pool actually spins up and the
-    // pool gauges describe real traffic even on a single-core host. The
-    // engine's counters are thread-count-invariant, so this changes no
-    // reported number besides the pool metrics themselves.
-    let opts = EngineOptions {
-        threads: Some(hypertree::solver::default_thread_count().max(2)),
-        ..EngineOptions::default()
-    };
+    let opts = EngineOptions::default();
     for pass in ["cold", "warm"] {
         let solved = instances
             .iter()
@@ -542,10 +534,6 @@ fn widths(
     println!("fhw = {}", fmt(fhw.map(|(k, _)| k.to_string())));
     if stats {
         println!();
-        println!(
-            "threads: {} (override with HGTOOL_THREADS; counters are identical at every count)",
-            hypertree::solver::default_thread_count()
-        );
         if prep::enabled(opts.prep) {
             println!(
                 "prep: on (hw decision profile; ghw/fhw minimizer profile; \
@@ -588,11 +576,11 @@ fn widths(
             );
         }
         println!();
-        println!("engine     result-cache-hits  inflight-dedup  pool-warm");
+        println!("engine     result-cache-hits  inflight-dedup");
         for (name, t) in [("hw", &s.hw), ("ghw", &s.ghw), ("fhw", &s.fhw)] {
             println!(
-                "{name:<10} {:>17} {:>14} {:>9}",
-                t.result_cache_hits, t.inflight_dedup, t.pool_reuse,
+                "{name:<10} {:>17} {:>14}",
+                t.result_cache_hits, t.inflight_dedup,
             );
         }
         if obs::trace::enabled() {
@@ -624,8 +612,8 @@ fn widths(
 }
 
 /// `hgtool widths` over several files: [`hypertree::exact_widths_with_opts`]
-/// on each, in input order. Every search multiplexes the one worker pool,
-/// and repeated instances resolve from the cross-call result cache.
+/// on each, in input order; repeated instances resolve from the
+/// cross-call result cache.
 fn widths_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), String> {
     let mut opts = EngineOptions::default();
     if no_prep {
@@ -648,11 +636,10 @@ fn widths_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), Stri
                     let hits =
                         s.hw.result_cache_hits + s.ghw.result_cache_hits + s.fhw.result_cache_hits;
                     let dedup = s.hw.inflight_dedup + s.ghw.inflight_dedup + s.fhw.inflight_dedup;
-                    let warm = s.hw.pool_reuse.max(s.ghw.pool_reuse).max(s.fhw.pool_reuse);
                     let states = s.hw.states + s.ghw.states + s.fhw.states;
                     line.push_str(&format!(
                         "   states={states} result-cache-hits={hits} \
-                         inflight-dedup={dedup} pool-warm={warm}"
+                         inflight-dedup={dedup}"
                     ));
                 }
                 println!("{line}");

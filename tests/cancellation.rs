@@ -7,8 +7,6 @@
 //!
 //! Each test owns its instance: the result cache is process-wide, and an
 //! answer another test cached would return before any poll.
-//!
-//! Runs in the `HGTOOL_THREADS={1,4}` CI matrix.
 
 use hypertree::arith::Rational;
 use hypertree::decomp::Decomposition;
@@ -40,7 +38,7 @@ fn honours_the_token<W: Debug + PartialEq>(
         "the unwind carries the interrupt payload, not a panic"
     );
 
-    let sequential = EngineOptions::with_threads(1);
+    let sequential = EngineOptions::sequential();
     let (result, stats) = solve(h, sequential);
     let (w, d) = result.expect("the instance is in exact range");
     assert_eq!(w, width);

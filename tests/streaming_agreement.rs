@@ -3,16 +3,11 @@
 //! pre-engine implementations kept exactly for this purpose — the retired
 //! elimination-order DP (`candgen::elimination`) for `ghw`/`fhw`, and the
 //! legacy private strict-HD recursion (`fhd::check_fhd_bdp_legacy`) for
-//! `Check(FHD, k)` — and searches at every thread count must return
-//! identical widths, witnesses *and* [`SearchStats`] (the in-flight memo
-//! dedup plus round-snapshot bounds make the whole search deterministic).
-//!
-//! The `HGTOOL_THREADS` environment variable shifts the default worker
-//! count of every engine entry point; CI runs this suite at 1, 4 and 8.
+//! `Check(FHD, k)`.
 
 use hypertree::arith::{rat, Rational};
 use hypertree::decomp::validate;
-use hypertree::hypergraph::{generators, parser, Hypergraph};
+use hypertree::hypergraph::{generators, Hypergraph};
 use hypertree::solver::EngineOptions;
 use hypertree::{candgen, cover};
 use hypertree::{fhd, ghd, hd};
@@ -72,48 +67,6 @@ proptest! {
 }
 
 proptest! {
-    // Each case runs the fhw search at four thread counts, twice (with and
-    // without a cutoff); fewer cases keep the suite fast.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The work-stealing pool is fully deterministic: widths, witnesses
-    /// and every `SearchStats` counter are identical at thread counts
-    /// 1, 2, 4 and 8 — including under cutoffs, where the bound snapshot
-    /// is the tighter of cutoff and best-so-far.
-    #[test]
-    fn searches_are_identical_across_thread_counts(h in arb_hypergraph()) {
-        for cutoff in [None, Some(rat(2, 1))] {
-            let (baseline, base_stats) =
-                fhd::fhw_exact_with_stats(&h, cutoff.clone(), EngineOptions::sequential());
-            for threads in [2usize, 4, 8] {
-                let (result, stats) = fhd::fhw_exact_with_stats(
-                    &h,
-                    cutoff.clone(),
-                    EngineOptions::with_threads(threads),
-                );
-                // Width AND witness: the first-minimum merge reproduces the
-                // sequential engine's plan choice exactly.
-                prop_assert_eq!(
-                    &baseline, &result,
-                    "fhw result at {} threads (cutoff {:?}) on {:?}", threads, cutoff, h
-                );
-                // Engine counters only: `pool_reuse` records whether the
-                // shared pool was already warm, which depends on process
-                // history (and is always 0 on the sequential baseline).
-                prop_assert_eq!(
-                    base_stats.engine_only(), stats.engine_only(),
-                    "fhw stats at {} threads (cutoff {:?}) on {:?}", threads, cutoff, h
-                );
-            }
-            if let Some((w, d)) = baseline {
-                prop_assert_eq!(validate::validate_fhd(&h, &d), Ok(()));
-                prop_assert!(d.width() <= w);
-            }
-        }
-    }
-}
-
-proptest! {
     // The strict-HD check prices separators of an augmented hypergraph;
     // fewer, smaller cases keep the suite fast.
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -147,74 +100,6 @@ proptest! {
                 prop_assert_eq!(validate::validate_fhd(&h, &d.clone()), Ok(()), "{}", name);
                 prop_assert!(d.width() <= k, "{} witness exceeds {}", name, k);
             }
-        }
-    }
-}
-
-/// The in-flight memo dedup regression (ROADMAP's `threads > 1` stats bug):
-/// on the whole bench corpus, the 19–30-vertex scaling corpus and the
-/// shipped example instance, `ghw` and `fhw` stats from `with_threads(4)`
-/// equal `with_threads(1)` exactly — states are no longer double-evaluated
-/// and counters no longer inflate.
-#[test]
-fn stats_are_thread_count_invariant_on_the_example_instances() {
-    let mut instances: Vec<(String, Hypergraph)> = hypertree_bench::corpus()
-        .into_iter()
-        .chain(hypertree_bench::large_corpus())
-        .map(|w| (w.name, w.hypergraph))
-        .collect();
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/examples/data/example_4_3.hg"
-    ))
-    .expect("example instance file");
-    instances.push((
-        "examples/data/example_4_3.hg".into(),
-        parser::parse(&text).expect("parsable example"),
-    ));
-    for (name, h) in instances {
-        let (ghw_seq, ghw_seq_stats) =
-            ghd::ghw_exact_with_stats(&h, None, EngineOptions::sequential());
-        let (ghw_par, ghw_par_stats) =
-            ghd::ghw_exact_with_stats(&h, None, EngineOptions::with_threads(4));
-        assert_eq!(ghw_seq, ghw_par, "{name}: ghw result");
-        // `engine_only` strips `pool_reuse` — whether the shared pool was
-        // already warm depends on process history, not on the search.
-        assert_eq!(
-            ghw_seq_stats.engine_only(),
-            ghw_par_stats.engine_only(),
-            "{name}: ghw stats"
-        );
-
-        let (fhw_seq, fhw_seq_stats) =
-            fhd::fhw_exact_with_stats(&h, None, EngineOptions::sequential());
-        let (fhw_par, fhw_par_stats) =
-            fhd::fhw_exact_with_stats(&h, None, EngineOptions::with_threads(4));
-        assert_eq!(fhw_seq, fhw_par, "{name}: fhw result");
-        assert_eq!(
-            fhw_seq_stats.engine_only(),
-            fhw_par_stats.engine_only(),
-            "{name}: fhw stats"
-        );
-
-        // The full-struct equality above already covers these, but the
-        // simplex work counters are the ones a scheduling leak would
-        // corrupt first (a warm start on a pool path would make pivot
-        // counts order-dependent) — name them explicitly so a failure
-        // points at the counter, not just "stats differ".
-        for (engine, seq, par) in [
-            ("ghw", &ghw_seq_stats, &ghw_par_stats),
-            ("fhw", &fhw_seq_stats, &fhw_par_stats),
-        ] {
-            assert_eq!(seq.lp_pivots, par.lp_pivots, "{name}: {engine} lp_pivots");
-            assert_eq!(
-                seq.lp_warm_starts, par.lp_warm_starts,
-                "{name}: {engine} lp_warm_starts"
-            );
-            assert_eq!(
-                seq.lp_cold_solves, par.lp_cold_solves,
-                "{name}: {engine} lp_cold_solves"
-            );
         }
     }
 }

@@ -3,9 +3,9 @@
 //! Two guarantees, both load-bearing for `crates/obs`:
 //!
 //! * **No feedback** — widths, witnesses and the deterministic engine
-//!   counters are byte-identical with tracing on or off, at every thread
-//!   count. The span layer never steers search scheduling, admission or
-//!   pricing; it only records what happened.
+//!   counters are byte-identical with tracing on or off. The span layer
+//!   never steers the search, admission or pricing; it only records what
+//!   happened.
 //! * **Honest machine output** — the `--trace-json` JSONL stream follows
 //!   the documented `hgtool-trace/v1` schema line by line (validated here
 //!   with the crate's own dependency-free JSON parser over the vendored
@@ -45,24 +45,15 @@ fn corpus() -> Vec<(String, Hypergraph)> {
     out
 }
 
-/// Options that make repeated runs self-contained: no cross-call result
-/// reuse, so every run does identical work regardless of process history,
-/// and the engine counters compare exactly.
-fn fresh_opts(threads: usize) -> EngineOptions {
-    EngineOptions {
-        threads: Some(threads),
-        reuse_results: false,
-        ..EngineOptions::default()
-    }
-}
-
 /// One full solve sweep over the corpus, rendered to a comparison string:
 /// widths, witness shapes and the deterministic engine counters of all
-/// three measures per instance.
-fn solve_fingerprint(instances: &[(String, Hypergraph)], threads: usize) -> String {
+/// three measures per instance. No cross-call result reuse, so every run
+/// does identical work regardless of process history, and the engine
+/// counters compare exactly.
+fn solve_fingerprint(instances: &[(String, Hypergraph)]) -> String {
     let mut out = String::new();
     for (name, h) in instances {
-        let opts = fresh_opts(threads);
+        let opts = EngineOptions::sequential();
         let (hw, hw_stats) = hd::hypertree_width_with_stats(h, 6, opts);
         let (ghw, ghw_stats) = ghd::ghw_exact_with_stats(h, None, opts);
         let (fhw, fhw_stats) = fhd::fhw_exact_with_stats(h, None, opts);
@@ -86,30 +77,25 @@ fn solve_fingerprint(instances: &[(String, Hypergraph)], threads: usize) -> Stri
     out
 }
 
-/// Tracing on vs off, at 1, 4 and 8 threads: the nine sweeps produce one
-/// byte-identical fingerprint. This is the no-feedback guarantee — span
-/// collection must not perturb widths, witnesses or counters.
+/// Tracing on vs off: the two sweeps produce one byte-identical
+/// fingerprint. This is the no-feedback guarantee — span collection must
+/// not perturb widths, witnesses or counters.
 #[test]
 fn tracing_never_changes_widths_witnesses_or_counters() {
     let _guard = trace_lock();
     let instances = corpus();
     let mut fingerprints = Vec::new();
-    for threads in [1, 4, 8] {
-        for on in [false, true] {
-            obs::trace::set_enabled(on);
-            fingerprints.push((threads, on, solve_fingerprint(&instances, threads)));
-            // Discard whatever the traced sweeps recorded; this test is
-            // about the solves, not the spans.
-            obs::trace::drain();
-        }
+    for on in [false, true] {
+        obs::trace::set_enabled(on);
+        fingerprints.push((on, solve_fingerprint(&instances)));
+        // Discard whatever the traced sweeps recorded; this test is
+        // about the solves, not the spans.
+        obs::trace::drain();
     }
     obs::trace::set_enabled(false);
-    let (_, _, baseline) = &fingerprints[0];
-    for (threads, on, fp) in &fingerprints {
-        assert_eq!(
-            fp, baseline,
-            "solve fingerprint diverged at threads={threads} tracing={on}"
-        );
+    let (_, baseline) = &fingerprints[0];
+    for (on, fp) in &fingerprints {
+        assert_eq!(fp, baseline, "solve fingerprint diverged at tracing={on}");
     }
 }
 
@@ -121,7 +107,7 @@ fn disabled_tracing_records_no_spans() {
     obs::trace::set_enabled(false);
     obs::trace::drain();
     let instances = corpus();
-    solve_fingerprint(&instances[..2.min(instances.len())], 1);
+    solve_fingerprint(&instances[..2.min(instances.len())]);
     assert!(obs::trace::drain().is_empty());
 }
 
@@ -137,10 +123,7 @@ fn jsonl_stream_follows_the_documented_schema() {
     obs::trace::drain();
     // Default options (result reuse on): the runtime admission path runs,
     // so its `result_cache` spans are part of the stream.
-    let opts = EngineOptions {
-        threads: Some(1),
-        ..EngineOptions::default()
-    };
+    let opts = EngineOptions::default();
     for (_, h) in &instances {
         ghd::ghw_exact_with_stats(h, None, opts);
         fhd::fhw_exact_with_stats(h, None, opts);
