@@ -43,11 +43,11 @@ pub fn corpus() -> Vec<Workload> {
 }
 
 /// The 19–30-vertex scaling corpus: instances beyond the old 18-vertex
-/// subset-search wall, exercising the candgen edge-union engine
-/// (`cycle(26)` also exceeds the 24-vertex elimination-DP window — it was
-/// a hard `None` before candgen), the seeded DP window and the per-block
-/// pipeline at scale. Kept separate from [`corpus`] so only the suites
-/// that want it pay the larger runtimes.
+/// subset-search wall, exercising the seeded DP window (both measures up
+/// to 24 vertices), the candgen edge-union engine past it (`cycle(26)`,
+/// a hard `None` before candgen) and the per-block pipeline at scale.
+/// Kept separate from [`corpus`] so only the suites that want it pay the
+/// larger runtimes.
 pub fn large_corpus() -> Vec<Workload> {
     vec![
         w("cycle(20)", generators::cycle(20)),

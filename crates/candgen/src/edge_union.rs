@@ -3,13 +3,15 @@
 //! For a search state `(C, conn)` the exact `ghw`/`fhw` engines used to
 //! propose every vertex subset `conn ⊆ B ⊆ conn ∪ C` — `O(2^|C|)` bags,
 //! the wall behind the old 18-vertex gate. This module instead streams
-//! bags of the *bag-maximal normal form*: every width-`k` GHD normalizes
-//! so that each bag is `⋃S ∩ (C ∪ conn)` for a set `S` of at most `k`
-//! edges (the bag's minimum edge cover, with the bag enlarged to
-//! everything the cover touches inside the region — Gottlob–Leone–
-//! Scarcello's complete form, the candidate discipline of HyperBench's
-//! BalancedGo). That makes the space `O(m^k)` in the edge count instead
-//! of `O(2^n)` in the vertex count.
+//! bags `⋃S ∩ (C ∪ conn)` for sets `S` of at most `k` edges: a cover
+//! with its bag enlarged to everything it touches inside the region.
+//! That is det-k's HD normal form (Gottlob–Leone–Scarcello; the
+//! candidate discipline of HyperBench's BalancedGo), and it makes the
+//! space `O(m^k)` in the edge count instead of `O(2^n)` in the vertex
+//! count. Every width-`k` HD normalizes to it; a GHD need not, since
+//! the enlargement can break connectedness below the node, so the form
+//! is complete for GHDs only at `k = 1` (see `solver::exact`, which
+//! searches it only past the elimination DP's window).
 //!
 //! The stream applies, in order, per generated union:
 //!
@@ -69,16 +71,16 @@ impl EdgeUnionConfig {
     }
 }
 
-/// The default saturation cap for [`stream_size_bound`]. The exact
-/// minimizer (`solver::exact`, under `ρ`) sends a block to the edge-union
-/// engine only while the block's bound stays below it, else to the
-/// elimination DP.
+/// The default saturation cap for [`stream_size_bound`]. Past the
+/// elimination DP's window, the exact minimizer (`solver::exact`, under
+/// `ρ`) sends a block to the edge-union engine only while the block's
+/// bound stays below it, and otherwise answers `None`.
 pub const DEFAULT_STREAM_CAP: u64 = 50_000;
 
 /// Number of non-empty subsets of a `pool`-element set with at most
 /// `max_edges` elements, saturating at `cap` — the feasibility estimate
-/// `solver::exact` gates the edge-union engine on before falling back to
-/// the elimination DP.
+/// `solver::exact` gates the edge-union engine on past the elimination
+/// DP's window.
 pub fn stream_size_bound(pool: usize, max_edges: usize, cap: u64) -> u64 {
     let mut total: u64 = 0;
     let mut binom: u64 = 1;

@@ -4,16 +4,18 @@
 //! (`O(2^n)` bags per component, hard-gated at 18 vertices). This crate
 //! owns the two replacements that break that wall:
 //!
-//! * [`edge_union`] — streams candidate bags in the bag-maximal normal
-//!   form (component-restricted unions of at most `k` edges),
-//!   deduplicated, restriction-maximal, balanced-separator-filtered and
-//!   pre-gated — an `O(m^k)` space in the edge count;
+//! * [`edge_union`] — streams candidate bags in det-k's HD normal form
+//!   (component-restricted unions of at most `k` edges), deduplicated,
+//!   restriction-maximal, balanced-separator-filtered and pre-gated — an
+//!   `O(m^k)` space in the edge count, searched for `ghw` past the DP's
+//!   window;
 //! * [`ub`] — heuristic, witness-backed upper bounds from min-degree /
 //!   min-fill elimination orderings plus a greedy local-search pass,
 //!   whose `ub(h)` seeds the minimizers' cutoffs from the first round
-//!   (and certifies a failed seeded search as the exact answer);
+//!   (and certifies a failed seeded DP search as the exact answer);
 //! * [`elimination`] — the exact elimination-order DP (up to 24
-//!   vertices) and the elimination-tree routine that turns any ordering,
+//!   vertices), which answers every block in that window under both
+//!   measures, and the elimination-tree routine that turns any ordering,
 //!   the heuristic's or the DP's, into its witness decomposition.
 //!
 //! The crate sits below `solver` (beside `prep`): it produces plain

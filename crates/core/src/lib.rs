@@ -97,8 +97,8 @@ pub fn analyze_structure(h: &Hypergraph, vc_limit: usize) -> StructureReport {
 pub struct ExactWidths {
     /// Hypertree width (`det-k-decomp` on the shared search engine).
     pub hw: usize,
-    /// Generalized hypertree width (shared-engine edge-union search with
-    /// `rho`).
+    /// Generalized hypertree width (seeded elimination-order DP with
+    /// `rho`: every block fits the DP's 24-vertex window, as `fhw`'s must).
     pub ghw: usize,
     /// Fractional hypertree width (seeded elimination-order DP with
     /// `rho*`), exact rational.
@@ -125,7 +125,8 @@ pub struct WidthStats {
     /// `det-k-decomp` counters, summed over the checks that ran (from
     /// `k = ghw` up).
     pub hw: solver::SearchStats,
-    /// Exact-`ghw` edge-union search counters.
+    /// Exact-`ghw` counters (the heuristic seed; the DP answered every
+    /// block, so the edge-union engine's counters are zero).
     pub ghw: solver::SearchStats,
     /// Exact-`fhw` counters (the heuristic seed and the DP's LP work).
     pub fhw: solver::SearchStats,

@@ -1,10 +1,13 @@
 //! Exact `ghw`: the `ρ` instantiation of [`solver::exact`].
 //!
 //! Each block is seeded by the witness-backed heuristic bound `ub`, then
-//! searched by the `candgen` edge-union engine when its candidate space is
-//! feasible (every GHD of width `< b` normalizes to unions of `< b`
-//! edges), by the elimination DP otherwise (up to 24 vertices). A search
-//! that fails at the seeded cutoff *is* the exact answer `ub`.
+//! searched by the elimination DP when it has at most 24 vertices. The DP
+//! is complete for any monotone bag measure, so a DP search that fails at
+//! the seeded cutoff *is* the exact answer `ub`. A block past that window
+//! runs the `candgen` edge-union engine when its candidate space is
+//! feasible. That engine searches det-k's HD normal form, which is
+//! complete for GHDs only at budget 1, so past the window a failure at
+//! budget ≥ 2 leaves `ub` an upper bound the engine could not beat.
 //! [`ghw_exact_at_least`] also takes a proven lower bound (the front door
 //! passes `⌈fhw⌉`). The subset enumerator survives as
 //! [`ghw_exact_subset_oracle`], the small-instance cross-check.
@@ -110,11 +113,24 @@ mod tests {
 
     #[test]
     fn breaks_the_subset_vertex_wall() {
+        use crate::check::{check_ghd_bip, GhdAnswer};
+        use crate::subedges::{bip_subedges, SubedgeLimits};
         // 26 vertices: beyond the old 18-vertex subset gate AND the
         // 24-vertex elimination-DP window — formerly a hard `None`.
         assert_ghw(&generators::cycle(26), 2);
-        // 20 vertices: formerly elimination-DP territory, now engine-exact.
+        // 20 vertices: past the subset gate, inside the DP's window.
         assert_ghw(&generators::grid(2, 10), 2);
+        // 27 vertices: past the window, so the edge-union engine searches.
+        // The paper's own check confirms it independently: certified no
+        // at k = 1, yes at k = 2.
+        let h = generators::grid(3, 9);
+        let (_, stats) = ghw_exact_with_stats(&h, None, EngineOptions::sequential());
+        assert!(stats.states > 0, "the engine searched");
+        assert_ghw(&h, 2);
+        let limits = SubedgeLimits::default();
+        assert!(!bip_subedges(&h, 1, limits).truncated);
+        assert!(matches!(check_ghd_bip(&h, 1, limits), GhdAnswer::No));
+        assert!(check_ghd_bip(&h, 2, limits).is_yes());
     }
 
     #[test]

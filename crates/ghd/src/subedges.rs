@@ -21,7 +21,8 @@ use std::collections::HashSet;
 pub struct SubedgeLimits {
     /// Take all `2^|X|` subsets of a candidate `X` only when `|X|` is at
     /// most this (the paper's bound is `k·i` under the `i`-BIP). Larger
-    /// candidates are kept whole (sound; complete whenever the bound holds).
+    /// candidates are kept whole, which is sound but not complete, so it
+    /// is reported via [`SubedgeSet::truncated`].
     pub max_subset_size: usize,
     /// Hard cap on the number of generated subedges (safety valve; hitting
     /// it is reported via [`SubedgeSet::truncated`]).
@@ -44,8 +45,9 @@ pub struct SubedgeSet {
     pub subedges: Vec<VertexSet>,
     /// For every subedge, one originator edge of `H` containing it.
     pub originators: Vec<usize>,
-    /// True iff [`SubedgeLimits::max_subedges`] cut enumeration short —
-    /// completeness of the `iff` in Theorem 4.11/4.15 is then not guaranteed.
+    /// True iff a [`SubedgeLimits`] cut enumeration short (a candidate
+    /// kept whole, or the subedge cap hit) — completeness of the `iff` in
+    /// Theorem 4.11/4.15 is then not guaranteed.
     pub truncated: bool,
 }
 
@@ -188,9 +190,13 @@ fn candidates_to_subedges(
                     break 'outer;
                 }
             }
-        } else if !emit(cand, orig, &mut subedges, &mut originators) {
+        } else {
+            // Kept whole, its proper subsets are missing: completeness
+            // is no longer guaranteed.
             truncated = true;
-            break 'outer;
+            if !emit(cand, orig, &mut subedges, &mut originators) {
+                break 'outer;
+            }
         }
     }
     SubedgeSet {
@@ -346,6 +352,15 @@ mod tests {
             .into_iter()
             .collect();
         assert!(bip.is_subset(&bmip));
+    }
+
+    #[test]
+    fn a_candidate_kept_whole_is_reported() {
+        // e0 ∩ e1 has 9 vertices, past `max_subset_size` (8): its subsets
+        // are not enumerated, so the set is incomplete.
+        let h = Hypergraph::from_edges(11, vec![(0..10).collect(), (1..11).collect()]);
+        let f = bip_subedges(&h, 1, SubedgeLimits::default());
+        assert!(f.truncated);
     }
 
     #[test]

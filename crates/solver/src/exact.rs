@@ -6,8 +6,8 @@
 //! ([`RhoStar`]). A [`Measure`] owns only what differs between them: the
 //! cost type, pricing through the engine's price cache and through a
 //! sequential (warm-LP) context, the rank and scattered-set bounds, the
-//! result-cache slot, and whether the width has the edge-union normal form.
-//! Everything else is shared:
+//! result-cache slot, and whether blocks past the DP's window may try the
+//! edge-union engine. Everything else is shared:
 //!
 //! * [`front_door`] — the isolated-vertex check, the `solve` span, the
 //!   cross-call result cache and the
@@ -15,18 +15,24 @@
 //!   through it too (`hd::hypertree_width_at_least`).
 //! * [`solve`] — the cache key (with `;floor=` above 1), then `prep`'s
 //!   minimizer pipeline with one seeded solver per block: the integral
-//!   heuristic seed, then the `candgen` edge-union engine when the measure
-//!   has that normal form and the candidate space is feasible, then the
-//!   elimination DP up to [`MAX_EXACT_VERTICES`] vertices, else `None`.
-//!   A search that fails below a seeded cutoff is the exact answer `ub`,
-//!   certified by the seed's witness. Engine admission and the DP share
-//!   one lower-bound gate: the DP tests each bag against the seeded
-//!   cutoff before pricing it, and keeps every priced bag's weights for
-//!   the witness.
+//!   heuristic seed, then the elimination DP for a block of at most
+//!   [`MAX_EXACT_VERTICES`] vertices under both measures. Past that
+//!   window, a `ρ` block runs the `candgen` edge-union engine when its
+//!   candidate space is feasible, and any other block answers `None`.
+//!   A search that fails below a seeded cutoff is the answer `ub`,
+//!   certified by the seed's witness; the DP is complete for any
+//!   monotone bag measure, so inside the window that answer is exact.
+//!   Engine admission and the DP share one lower-bound gate: the DP tests
+//!   each bag against the seeded cutoff before pricing it, and keeps
+//!   every priced bag's weights for the witness.
 //! * [`solve_by_elimination`] — every block answered by the DP alone (the
 //!   independent reference of the agreement tests and the benchmark).
 //! * [`upper_bound`] — the heuristic bound alone, priced by the measure.
 //! * [`subset_oracle`] — the subset-bag cross-check, no prep, no seed.
+//!
+//! Every `ρ` pricing runs inside one `price` span (`kind = "rho"`): a DP
+//! or seed bag in [`Rho`]'s sequential pricing, an engine bag on its
+//! cache miss (`cover::rho_priced`).
 
 use crate::{
     stream_subset_bags, Admission, CandidateStream, EngineOptions, Guess, SearchContext,
@@ -65,11 +71,14 @@ pub trait Measure {
     const NAME: &'static str;
     /// The result-cache slot.
     const RESULT_SLOT: &'static str;
-    /// Whether every decomposition of width `< b` normalizes to one whose
-    /// bags are unions of `< b` edges (the bag-maximal normal form). True
-    /// of `ρ` only: its blocks try the edge-union engine, and their
-    /// (integral) seed prices through the engine's cache. `ρ*` creates no
-    /// price cache in [`solve`].
+    /// Whether a block past the DP's window tries the `candgen`
+    /// edge-union engine. Its candidates are det-k's HD normal form, bags
+    /// `⋃S ∩ (C ∪ conn)` for `|S| < b`, which is complete for GHDs only at
+    /// budget 1 (`ghw ≤ 1` is α-acyclicity, where `hw = ghw`); at budget
+    /// ≥ 2 a failed search proves nothing, so the engine is used past the
+    /// window only, where no complete search is in range. True of `ρ`
+    /// only: such a block's (integral) seed prices through the engine's
+    /// cache. `ρ*` creates no price cache in [`solve`].
     const EDGE_UNION: bool;
 
     /// Prices `bag` sequentially (the DP, the heuristic bound).
@@ -114,6 +123,7 @@ impl Measure for Rho {
     const EDGE_UNION: bool = true;
 
     fn price_warm(_: &mut (), h: &Hypergraph, bag: &VertexSet) -> PricedBag<usize> {
+        let _span = obs::span!("price", kind = "rho", bag = bag.len());
         let c = cover::integral_cover(h, bag).expect(COVERABLE);
         (c.weight(), unit_weights(c.edges))
     }
@@ -307,10 +317,12 @@ fn solve_block<M: Measure>(
     floor: &M::Cost,
 ) -> (Option<(M::Cost, Decomposition)>, SearchStats) {
     // The seed is the integral heuristic bound for both measures: `fhw <=
-    // ghw`, and integral weights are a valid fractional cover. Under `ρ`
-    // it prices through the price cache the engine then searches with,
-    // so the seed's covers are warm capital, not overhead.
-    let prices = M::EDGE_UNION.then(Prices::<M>::new);
+    // ghw`, and integral weights are a valid fractional cover. Inside the
+    // window the DP answers, so the seed is priced sequentially. Past it,
+    // under `ρ`, the seed prices through the price cache the engine then
+    // searches with, so its covers are warm capital, not overhead.
+    let in_window = h.num_vertices() <= MAX_EXACT_VERTICES;
+    let prices = (M::EDGE_UNION && !in_window).then(Prices::<M>::new);
     let (ub, ub_witness) = match &prices {
         Some(p) => candgen::upper_bound(h, |bag| p.price(h, bag).expect(COVERABLE)),
         None => {
@@ -319,7 +331,7 @@ fn solve_block<M: Measure>(
         }
     };
     // The search only has to beat `eff`: a failure at a *seeded* cutoff
-    // (`ub` tighter than the caller's) is the exact answer `ub`.
+    // (`ub` tighter than the caller's) is the answer `ub`.
     let seeded = cutoff.as_ref().is_none_or(|c| ub < *c);
     let eff = if seeded {
         ub.clone()
@@ -330,16 +342,15 @@ fn solve_block<M: Measure>(
         ub_width: Some(ub.clone().into()),
         ..SearchStats::default()
     };
-    let space = M::EDGE_UNION
-        .then(|| edge_union_space(h, eff.clone().into()))
-        .flatten();
     let searched = if eff <= *floor {
         // At floor 1 nothing beats width 1 (every nonempty bag costs at
         // least 1). Above it, a narrower witness for this block could not
         // lower the instance's width (the maximum over blocks, at least
         // `floor`), so the seed stands.
         Some(None)
-    } else if let (Some(prices), Some(cfg)) = (prices, space) {
+    } else if in_window {
+        Some(by_elimination::<M>(h, Some(eff), &mut stats))
+    } else if let (Some(prices), Some(cfg)) = (prices, edge_union_space(h, eff.clone().into())) {
         let strategy = Search::new(h, Some(eff), prices, Bags::EdgeUnion(cfg));
         let mut cx = SearchContext::new();
         let result = cx.run(h, &strategy);
@@ -348,8 +359,6 @@ fn solve_block<M: Measure>(
         stats.cand_generated = strategy.counters.generated();
         stats.cand_filtered = strategy.counters.filtered();
         Some(result)
-    } else if h.num_vertices() <= MAX_EXACT_VERTICES {
-        Some(by_elimination::<M>(h, Some(eff), &mut stats))
     } else {
         // No exact engine in range: `ub` stays an upper bound only.
         None
@@ -359,8 +368,10 @@ fn solve_block<M: Measure>(
             debug_assert!(d.width() <= w.clone().into());
             Some((w, d))
         }
-        // The search is complete below `eff`, so failing it pins the
-        // width to exactly `ub` when the cutoff was ours.
+        // The DP is complete below `eff`, so failing it pins the width
+        // to exactly `ub` when the cutoff was ours. Past the window the
+        // engine's failure is complete only at budget 1; above it `ub` is
+        // the narrowest witness in reach.
         Some(None) if seeded => {
             debug_assert!(ub_witness.width() <= ub.clone().into());
             Some((ub, ub_witness))
@@ -370,10 +381,10 @@ fn solve_block<M: Measure>(
     (result, stats)
 }
 
-/// The edge-union candidate space below `eff` when it is feasible: any
-/// decomposition of width `< eff` normalizes to unions of at most
-/// `⌈eff⌉ - 1` edges, and the engine runs only while the per-state
-/// enumeration (`Σ C(m, i)` over those sizes) stays below
+/// The edge-union candidate space below `eff` when it is feasible: bags
+/// that are unions of at most `⌈eff⌉ - 1` edge restrictions (det-k's HD
+/// normal form, see [`Measure::EDGE_UNION`]), searched only while the
+/// per-state enumeration (`Σ C(m, i)` over those sizes) stays below
 /// [`candgen::DEFAULT_STREAM_CAP`] unions.
 fn edge_union_space(h: &Hypergraph, eff: Rational) -> Option<candgen::EdgeUnionConfig> {
     let budget = eff.ceil().to_i64().map_or(0, |c| c.max(1) as usize - 1);
@@ -522,7 +533,7 @@ impl<M: Measure> Prices<M> {
 
 /// Which candidate-bag space the search streams.
 enum Bags {
-    /// The `candgen` edge-union space (bag-maximal normal form).
+    /// The `candgen` edge-union space (det-k's HD normal form).
     EdgeUnion(candgen::EdgeUnionConfig),
     /// Every subset bag — the cross-check oracle.
     Subset,

@@ -48,9 +48,9 @@ use prep::cancel::CancelToken;
 /// Practical vertex limit for the subset-enumerating bag stream
 /// ([`stream_subset_bags`]): it proposes every bag `conn ⊆ B ⊆ conn ∪ C`,
 /// which is exponential in `|C|`. This gate does not bound the exact
-/// range ([`exact::solve`] runs the edge-union engine and the elimination
-/// DP); the subset stream survives as the small-instance cross-check,
-/// [`exact::subset_oracle`].
+/// range ([`exact::solve`] runs the elimination DP up to 24 vertices and
+/// the edge-union engine past them); the subset stream survives as the
+/// small-instance cross-check, [`exact::subset_oracle`].
 pub const MAX_SUBSET_SEARCH_VERTICES: usize = 18;
 
 /// Always 1: every search runs on the calling thread. Inert, like

@@ -1,9 +1,9 @@
 //! Every exact solve path honours the ambient cancellation token: the
-//! elimination DP behind exact `fhw`, the edge-union engine behind exact
-//! `ghw`, and det-k-decomp behind `hw`. Under a pre-cancelled token a call
-//! unwinds with the interrupt payload and abandons its result-cache
-//! claim, so the next call searches afresh; under a live token nothing
-//! changes.
+//! elimination DP behind exact `fhw` and in-window `ghw`, the edge-union
+//! engine behind past-window `ghw`, and det-k-decomp behind `hw`. Under a
+//! pre-cancelled token a call unwinds with the interrupt payload and
+//! abandons its result-cache claim, so the next call searches afresh;
+//! under a live token nothing changes.
 //!
 //! Each test owns its instance: the result cache is process-wide, and an
 //! answer another test cached would return before any poll.
@@ -69,8 +69,16 @@ fn elimination_dp_honours_the_token() {
 }
 
 #[test]
-fn edge_union_engine_honours_the_token() {
+fn elimination_dp_honours_the_token_under_rho() {
     let h = generators::grid(3, 4);
+    let stats = honours_the_token(&h, 2, |h, opts| ghd::ghw_exact_with_stats(h, None, opts));
+    assert_eq!(stats.states, 0, "the DP answered, not the engine");
+}
+
+#[test]
+fn edge_union_engine_honours_the_token() {
+    // 26 vertices: past the DP's window.
+    let h = generators::cycle(26);
     let stats = honours_the_token(&h, 2, |h, opts| ghd::ghw_exact_with_stats(h, None, opts));
     assert!(stats.states > 0, "the engine searched past the seed");
 }

@@ -1,6 +1,6 @@
-//! Agreement suite for the `candgen` subsystem: the edge-union-driven
-//! `ghw`/`fhw` engines must agree with the retained subset-bag oracle, the
-//! independent elimination DP and the DP's prepped front doors
+//! Agreement suite for the `candgen` subsystem: the exact `ghw`/`fhw`
+//! solve paths must agree with the retained subset-bag oracle, the
+//! elimination DP run directly and the DP's prepped front doors
 //! (`*_exact_elimination_with_stats`) on small instances, the heuristic upper
 //! bounds must be sound (`ub >= exact`) with witnesses that re-validate,
 //! and the ≥19-vertex instances that motivated the subsystem must now
@@ -191,7 +191,8 @@ fn breaks_the_eighteen_vertex_wall() {
 
 #[test]
 fn candidate_counters_are_reported_and_thread_invariant() {
-    let h = generators::example_4_3();
+    // Past the DP's window, so the edge-union generator runs.
+    let h = generators::cycle(26);
     let (r1, s1) = ghd::ghw_exact_with_stats(&h, None, opts());
     let (r2, s2) = ghd::ghw_exact_with_stats(&h, None, opts());
     assert_eq!(r1.map(|(w, _)| w), r2.as_ref().map(|(w, _)| *w));

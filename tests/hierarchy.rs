@@ -6,7 +6,7 @@ use hypertree::arith::{rat, Rational};
 use hypertree::decomp::validate;
 use hypertree::hypergraph::{generators, Hypergraph, VertexSet};
 use hypertree::solver::EngineOptions;
-use hypertree::{exact_widths, fhd, ghd, hd, ExactWidths};
+use hypertree::{exact_widths, exact_widths_with_opts, fhd, ghd, hd, ExactWidths};
 
 fn corpus() -> Vec<(String, Hypergraph)> {
     let mut out: Vec<(String, Hypergraph)> = vec![
@@ -149,7 +149,9 @@ fn relabel(h: &Hypergraph, seed: u64) -> Hypergraph {
 /// The front door computes fhw, then ghw with floor `⌈fhw⌉`, then hw with
 /// floor `ghw`. Its widths must equal the unfloored per-measure entry
 /// points', the floored hw search must return the per-measure witness
-/// byte for byte, and the floored ghw witness must validate.
+/// byte for byte, and the floored ghw witness must validate. Up to 12
+/// vertices, ghw must also equal the subset-bag oracle's, which shares
+/// neither prep, nor the seed, nor the DP with the solve path.
 #[test]
 fn floors_agree_with_per_measure_widths() {
     let mut instances = corpus();
@@ -182,6 +184,10 @@ fn floors_agree_with_per_measure_widths() {
         assert!(fhw <= Rational::from(ghw), "{name}: fhw > ghw");
         assert!(ghw <= hw, "{name}: ghw > hw");
         assert!(hw <= 3 * ghw + 1, "{name}: AGG bound violated");
+        if h.num_vertices() <= 12 {
+            let oracle = ghd::ghw_exact_subset_oracle(&h, None).map(|(w, _)| w);
+            assert_eq!(Some(ghw), oracle, "{name}: ghw vs the subset oracle");
+        }
 
         let front = exact_widths(&h, 8).unwrap_or_else(|| panic!("{name}: front door"));
         let expected = ExactWidths {
@@ -216,5 +222,30 @@ fn floors_agree_with_per_measure_widths() {
             floored_ghw_d.width() <= Rational::from(ghw),
             "{name}: floored ghw witness too wide"
         );
+    }
+}
+
+/// Example 4.3 separates ghw = 2 from hw = 3 (fhw = 2), whatever the
+/// vertex numbering: every relabelling must report the paper's widths,
+/// through the per-measure entry point and through the front door.
+#[test]
+fn example_4_3_relabellings_have_the_papers_widths() {
+    let base = generators::example_4_3();
+    let opts = EngineOptions {
+        reuse_results: false,
+        ..EngineOptions::default()
+    };
+    let papers = ExactWidths {
+        hw: 3,
+        ghw: 2,
+        fhw: Rational::from(2usize),
+    };
+    for seed in 0..300u64 {
+        let h = relabel(&base, seed);
+        let (ghw, _) = ghd::ghw_exact_with_stats(&h, None, opts);
+        assert_eq!(ghw.map(|(w, _)| w), Some(2), "relabel{seed}: ghw");
+        let (front, _) = exact_widths_with_opts(&h, 8, opts)
+            .unwrap_or_else(|| panic!("relabel{seed}: front door"));
+        assert_eq!(front, papers, "relabel{seed}: front door");
     }
 }

@@ -22,10 +22,11 @@ fn process_threads() -> usize {
 #[test]
 fn an_exact_solve_starts_no_thread() {
     let before = process_threads();
+    // cycle(26) is past the DP's window, so the edge-union engine runs.
     let (result, stats) =
-        ghd::ghw_exact_with_stats(&generators::grid(3, 4), None, EngineOptions::default());
+        ghd::ghw_exact_with_stats(&generators::cycle(26), None, EngineOptions::default());
     let after = process_threads();
-    assert!(result.is_some(), "grid(3,4) is in exact range");
+    assert!(result.is_some(), "cycle(26) is in the engine's range");
     assert!(stats.states > 0, "the edge-union engine ran");
     assert!(
         after <= before,

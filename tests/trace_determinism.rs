@@ -16,9 +16,10 @@
 //! collector are process-global, so toggling them from concurrently
 //! running tests would interleave spans across tests.
 
-use hypertree::hypergraph::{parser, Hypergraph};
+use hypertree::hypergraph::{generators, parser, Hypergraph};
 use hypertree::solver::EngineOptions;
 use hypertree::{fhd, ghd, hd};
+use obs::trace::{FieldValue, SpanRecord};
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
 
@@ -122,11 +123,13 @@ fn jsonl_stream_follows_the_documented_schema() {
     obs::trace::set_enabled(true);
     obs::trace::drain();
     // Default options (result reuse on): the runtime admission path runs,
-    // so its `result_cache` spans are part of the stream.
+    // so its `result_cache` spans are part of the stream. The corpus is
+    // inside the DP's window, so det-k is the only engine user here.
     let opts = EngineOptions::default();
     for (_, h) in &instances {
         ghd::ghw_exact_with_stats(h, None, opts);
         fhd::fhw_exact_with_stats(h, None, opts);
+        hd::hypertree_width_with_stats(h, 8, opts);
     }
     let records = obs::trace::drain();
     obs::trace::set_enabled(false);
@@ -198,8 +201,17 @@ fn jsonl_stream_follows_the_documented_schema() {
     assert_eq!(seen_ids.len(), records.len(), "span ids are unique");
 
     // The whole pipeline is covered: prep passes, candidate generation,
-    // engine state evaluation, pricing, runtime admission, solve roots.
-    for required in ["solve", "result_cache", "prep", "candgen", "state", "price"] {
+    // engine state evaluation, the elimination DP, pricing, runtime
+    // admission, solve roots.
+    for required in [
+        "solve",
+        "result_cache",
+        "prep",
+        "candgen",
+        "state",
+        "elim",
+        "price",
+    ] {
         assert!(
             seen_names.contains(required),
             "span taxonomy is missing {required:?} (saw {seen_names:?})"
@@ -215,4 +227,36 @@ fn jsonl_stream_follows_the_documented_schema() {
         assert!(stack.starts_with("thread-"), "stack is thread-rooted");
         weight.parse::<u64>().expect("folded weight is integral");
     }
+
+    // Every `ρ` pricing runs in exactly one `price` span: an in-window
+    // ghw solve prices its bags under the DP's `elim` span, and no
+    // `price` span nests inside another.
+    obs::trace::set_enabled(true);
+    ghd::ghw_exact_with_stats(&generators::grid(3, 4), None, EngineOptions::sequential());
+    let records = obs::trace::drain();
+    obs::trace::set_enabled(false);
+    let ids_named = |name: &str| -> BTreeSet<u64> {
+        records
+            .iter()
+            .filter(|r| r.name == name)
+            .map(|r| r.id)
+            .collect()
+    };
+    let (elim, price) = (ids_named("elim"), ids_named("price"));
+    let rho = FieldValue::Str("rho".into());
+    let is_rho = |r: &&SpanRecord| r.name == "price" && r.fields.contains(&("kind", rho.clone()));
+    assert!(
+        records
+            .iter()
+            .filter(is_rho)
+            .any(|r| r.parent.is_some_and(|p| elim.contains(&p))),
+        "no rho price span under elim"
+    );
+    assert!(
+        records
+            .iter()
+            .filter(|r| r.name == "price")
+            .all(|r| r.parent.is_none_or(|p| !price.contains(&p))),
+        "a price span nests inside another"
+    );
 }
