@@ -141,8 +141,8 @@ pub fn edge_union_bags<'a>(
     conn: &VertexSet,
     cfg: &EdgeUnionConfig,
     counters: &'a Counters,
-    gate: impl Fn(&VertexSet) -> bool + Send + 'a,
-) -> impl Iterator<Item = VertexSet> + Send + 'a {
+    gate: impl Fn(&VertexSet) -> bool + 'a,
+) -> impl Iterator<Item = VertexSet> + 'a {
     let region = comp.union(conn);
     let pool = restriction_pool(h, &region);
     let comp = comp.clone();

@@ -38,7 +38,7 @@ pub use edge_union::{
 };
 pub use ub::{elimination_order, upper_bound, OrderHeuristic, PricedBag};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Tallies of one enumeration: how many candidate bags were generated and
 /// how many the filters discarded. Strategies hold one per search and
@@ -47,8 +47,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// on one thread.
 #[derive(Debug, Default)]
 pub struct Counters {
-    generated: AtomicUsize,
-    filtered: AtomicUsize,
+    generated: Cell<usize>,
+    filtered: Cell<usize>,
 }
 
 impl Counters {
@@ -59,21 +59,21 @@ impl Counters {
 
     /// Records one generated candidate.
     pub fn count_generated(&self) {
-        self.generated.fetch_add(1, Ordering::Relaxed);
+        self.generated.set(self.generated.get() + 1);
     }
 
     /// Records one filtered (discarded) candidate.
     pub fn count_filtered(&self) {
-        self.filtered.fetch_add(1, Ordering::Relaxed);
+        self.filtered.set(self.filtered.get() + 1);
     }
 
     /// Total candidates generated so far.
     pub fn generated(&self) -> usize {
-        self.generated.load(Ordering::Relaxed)
+        self.generated.get()
     }
 
     /// Total candidates filtered so far.
     pub fn filtered(&self) -> usize {
-        self.filtered.load(Ordering::Relaxed)
+        self.filtered.get()
     }
 }

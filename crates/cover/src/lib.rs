@@ -3,8 +3,8 @@
 //! * [`integral`] — edge cover number `rho` (ILP via branch-and-bound) and
 //!   the greedy ln(n)-approximation.
 //! * [`fractional`] — fractional edge cover number `rho*` via exact LP.
-//! * [`cache`] — concurrent sharded `ρ`/`ρ*` price caches shared by the
-//!   width-search strategies (each distinct bag is priced once per search).
+//! * [`cache`] — [`PriceMemo`], the price memo each width search owns
+//!   (each distinct bag is priced once per search).
 //! * [`pricing`] — reusable simplex workspaces solving `ρ*` through the
 //!   packing dual (single-phase, warm-startable, allocation-free).
 //! * [`transversal`] — `tau`, `tau*`, and the integrality gap `tigap`.
@@ -22,9 +22,7 @@ pub mod pricing;
 pub mod support;
 pub mod transversal;
 
-pub use cache::{
-    rho_priced, Claim, PricedRho, PricedRhoStar, RhoCache, RhoStarCache, ShardedCache,
-};
+pub use cache::PriceMemo;
 pub use fractional::{
     bag_rank, covered_vertices, fractional_cover, is_fractional_cover, rho_star, FractionalCover,
     ScatterBound,

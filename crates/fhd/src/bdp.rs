@@ -23,7 +23,7 @@
 
 use crate::subedges::{hdk_subedges, HdkParams};
 use arith::Rational;
-use cover::ShardedCache;
+use cover::PriceMemo;
 use decomp::{Decomposition, Node};
 use ghd::check::{augment, Augmented};
 use hypergraph::{components, properties, Hypergraph, VertexSet};
@@ -138,7 +138,7 @@ fn check_fhd_bdp_piece(
         k: k.clone(),
         support_bound: bounds.support,
         max_union: bounds.union,
-        sep_cache: ShardedCache::new(),
+        sep_cache: PriceMemo::new(),
         scope_cache: RefCell::new(None),
     };
     let mut cx = SearchContext::new();
@@ -210,8 +210,8 @@ type PricedSep = Option<(Rational, Vec<(usize, Rational)>)>;
 /// are separators `S ⊆ E(H')` with `|S| <= ⌊k·d⌋` whose edges stay inside
 /// the strictness span `comp ∪ V(R)`, streamed in the legacy DFS pre-order
 /// with the `⌊k·rank⌋` union prune applied to whole subtrees; admission
-/// enforces `rho*(H_λ) <= k` through a shared separator price cache whose
-/// entries double as the witness cover (one LP per separator, total).
+/// enforces `rho*(H_λ) <= k` through the search's separator price memo,
+/// whose entries double as the witness cover (one LP per separator, total).
 struct StrictHd {
     /// The augmented instance `H' = H ∪ h_{d,k}(H)` the search runs on.
     aug: Augmented,
@@ -221,7 +221,7 @@ struct StrictHd {
     /// `sorted S -> (rho*(H_λ), optimal cover of ⋃S by S)` — shared across
     /// search states, and consulted again (not re-solved) when an admitted
     /// separator's witness weights are built.
-    sep_cache: ShardedCache<Vec<usize>, PricedSep>,
+    sep_cache: PriceMemo<Vec<usize>, PricedSep>,
     /// One-slot memo for the per-state derivation: the engine calls
     /// [`WidthSolver::state_key`] and then [`WidthSolver::candidates`] on
     /// the same state back to back, and both need the `(usable, allowed)`
@@ -277,7 +277,7 @@ impl StrictHd {
         (usable, allowed)
     }
 
-    /// `rho*(H_λ) <= k` with the witness cover, via the shared cache. Two
+    /// `rho*(H_λ) <= k` with the witness cover, via the separator memo. Two
     /// exact-safe filters keep the LP off trivial separators: all-ones
     /// weights give `rho* <= |S|` (and already *are* a conforming witness
     /// cover when `|S| <= k`), and counting coverage gives

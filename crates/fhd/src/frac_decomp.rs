@@ -17,7 +17,7 @@
 //! with the engine recursing on the `[V(S) ∪ W_s]`-components inside `C_r`.
 
 use arith::Rational;
-use cover::ShardedCache;
+use cover::PriceMemo;
 use decomp::Decomposition;
 use hypergraph::{Hypergraph, VertexSet};
 use lp::{Cmp, LinearProgram, LpResult};
@@ -91,7 +91,7 @@ fn frac_decomp_piece(
         budget,
         l_max,
         c: params.c,
-        shadow: ShardedCache::new(),
+        shadow: PriceMemo::new(),
     };
     let mut cx = SearchContext::new();
     let result = cx.run(h, &strategy).map(|(_, d)| d);
@@ -152,7 +152,7 @@ struct FracDecomp {
 }
 
 /// `(budget, sorted separator, shadow) -> γ` memo for the (2.a) LP.
-type ShadowCache = ShardedCache<(Rational, Vec<usize>, VertexSet), Option<Vec<(usize, Rational)>>>;
+type ShadowCache = PriceMemo<(Rational, Vec<usize>, VertexSet), Option<Vec<(usize, Rational)>>>;
 
 impl WidthSolver for FracDecomp {
     type Cost = Rational;

@@ -1,8 +1,8 @@
 //! A tiny deterministic multiply-rotate hasher for the search hot path.
 //!
 //! The width searches hash [`crate::VertexSet`]s millions of times —
-//! candidate dedup sets, the engine's state memo, the sharded price
-//! caches — and the standard library's DoS-resistant SipHash is the
+//! candidate dedup sets, the engine's state memo, the per-search price
+//! memos — and the standard library's DoS-resistant SipHash is the
 //! wrong trade there: the keys are machine words produced by the search
 //! itself, not attacker-controlled input. This is the multiply-rotate
 //! scheme of rustc's `FxHasher` (public domain algorithm): one rotate,

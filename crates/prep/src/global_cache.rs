@@ -3,35 +3,43 @@
 //! [`cached_query`] keeps each whole answer — width, lifted witness and the
 //! engine counters of the run that computed it — across calls, so a
 //! repeated query skips the search entirely, and an identical query already
-//! in flight is deduplicated through the cache's `Pending` claim machinery
-//! (the second caller parks and adopts the first one's answer).
+//! in flight is deduplicated (the second caller parks on the first one's
+//! `Pending` claim and adopts its answer).
 //!
 //! An answer is stored under one key: the instance's vertex count and
 //! [`CanonicalForm`], the strategy slot and a parameter string covering
 //! everything the answer depends on. The key holds the canonical form
 //! itself, so two instances share an answer only when their incidence
-//! structure is identical (names aside); no hash collision can mix them.
+//! structure is identical (names aside); no hash collision can mix them,
+//! and the map keeps the standard library's keyed hasher, since keys come
+//! from outside the program.
+//!
+//! One mutex guards claims, answers and their LRU order: a map from query
+//! to `Pending` or `Done { answer, tick, bytes }`, the tick order of the
+//! answers and their byte total. A hit takes the lock once, a miss twice
+//! (claim, store); the search runs unlocked in between, since det-k's
+//! `result-hw-check` queries nest inside `result-hw`.
 //!
 //! Memory: the answers share one byte budget ([`BUDGET_ENV`], default
-//! 64 MiB), estimated via [`cover::MemSize`] when an answer is stored. One
-//! mutex-guarded LRU index maps tick → query and query → (tick, bytes) and
-//! keeps the running byte total. A hit moves its answer to a fresh tick;
-//! a store evicts least-recent answers while the total exceeds the budget,
-//! never the answer just stored. The budget therefore holds after every
-//! store, and a call costs `O(log n)` in the `n` resident answers.
+//! 64 MiB), estimated via [`cover::MemSize`] when an answer is stored. A
+//! hit moves its answer to a fresh tick; a store evicts least-recent
+//! answers while the total exceeds the budget, never the answer just
+//! stored and never a claim (claims have no tick). The budget therefore
+//! holds after every store, and a call costs `O(log n)` in the `n`
+//! resident answers.
 //!
 //! Determinism: widths, witnesses and engine counters are unaffected (a
 //! hit replays the stored answer byte for byte); only the runtime counters
-//! `result_cache_hits` and `inflight_dedup` record the cache. Price caches
+//! `result_cache_hits` and `inflight_dedup` record the cache. Price memos
 //! never outlive their search.
 
 use crate::fingerprint::{canonical_form, CanonicalForm};
 use crate::stats::SearchStats;
-use cover::{Claim, MemSize, ShardedCache};
+use cover::MemSize;
 use hypergraph::Hypergraph;
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Environment variable overriding the result cache's byte budget.
 pub const BUDGET_ENV: &str = "HGTOOL_CACHE_BYTES";
@@ -61,25 +69,47 @@ impl MemSize for Query {
 /// A stored `(result, stats)` pair, type-erased (the slot fixes the type).
 type Answer = Arc<dyn Any + Send + Sync>;
 
-/// The LRU index over resident answers: tick → query (least recent
-/// first), query → (tick, bytes), the next tick to hand out and the
-/// running sum of every resident answer's bytes. `resident` keeps the
-/// default hasher: queries carry instances from outside the program.
-#[derive(Default)]
-struct Lru {
-    order: BTreeMap<u64, Arc<Query>>,
-    resident: HashMap<Arc<Query>, (u64, usize)>,
-    next_tick: u64,
-    total_bytes: usize,
+/// One query's state.
+enum Entry {
+    /// A caller claimed the query and is running its search; duplicates
+    /// park on [`ResultCache::resolved`].
+    Pending,
+    /// The answer, its place in the tick order and its charged bytes.
+    Done {
+        answer: Answer,
+        tick: u64,
+        bytes: usize,
+    },
 }
 
-/// The cross-call result cache: claims and answers in one sharded map,
-/// beside the LRU index that budgets them. Obtain the process-wide one
-/// through [`global`]; tests build private instances with
-/// [`ResultCache::new`].
+/// Everything the one lock guards.
+#[derive(Default)]
+struct Table {
+    entries: HashMap<Arc<Query>, Entry>,
+    /// Tick → query of every `Done` entry, least recent first.
+    order: BTreeMap<u64, Arc<Query>>,
+    next_tick: u64,
+    /// The sum of every `Done` entry's bytes.
+    total_bytes: usize,
+    /// Callers parked on a `Pending` entry, so a store or an abandon with
+    /// nobody waiting skips the notify.
+    waiters: usize,
+}
+
+impl Table {
+    /// `(approx_bytes, len)` of the resident answers.
+    fn occupancy(&self) -> (usize, usize) {
+        (self.total_bytes, self.order.len())
+    }
+}
+
+/// The cross-call result cache: claims, answers and their LRU order under
+/// one lock. Obtain the process-wide one through [`global`]; tests build
+/// private instances with [`ResultCache::new`].
 pub struct ResultCache {
-    answers: ShardedCache<Arc<Query>, Answer>,
-    lru: Mutex<Lru>,
+    table: Mutex<Table>,
+    /// Signalled when a `Pending` entry resolves or is abandoned.
+    resolved: Condvar,
     budget: usize,
 }
 
@@ -99,10 +129,14 @@ impl ResultCache {
     /// An empty cache with the given byte budget.
     pub fn new(budget: usize) -> Self {
         ResultCache {
-            answers: ShardedCache::new(),
-            lru: Mutex::new(Lru::default()),
+            table: Mutex::default(),
+            resolved: Condvar::new(),
             budget,
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().expect("result cache poisoned")
     }
 
     /// Routes one whole-query computation through the cache: `(h, slot,
@@ -119,8 +153,9 @@ impl ResultCache {
     /// * An identical query *in flight* parks on the entry's `Pending`
     ///   claim and adopts the owner's answer (`inflight_dedup = 1` on top
     ///   of the hit) — exactly one search runs however many threads ask.
-    /// * If the owning computation panics, the claim is abandoned and one
-    ///   parked waiter re-runs (nobody deadlocks on a poisoned entry).
+    /// * If the owning computation unwinds, the claim is abandoned and one
+    ///   parked waiter runs the search itself (nobody deadlocks on a
+    ///   dead claim).
     pub fn query<R>(
         &self,
         h: &Hypergraph,
@@ -143,10 +178,36 @@ impl ResultCache {
             key,
         });
         let metrics = cache_metrics::handles();
-        let (claim, waited) = self.answers.claim_tracking_wait(&query);
-        let answer = match claim {
-            Claim::Hit(stored) => {
-                self.touch(&query);
+        let mut table = self.lock();
+        let mut waited = false;
+        // Resolve a hit, park on a claim, or claim the query.
+        let stored = loop {
+            let t = &mut *table;
+            match t.entries.get_mut(&query) {
+                Some(Entry::Done { answer, tick, .. }) => {
+                    // A hit moves its answer to a fresh tick.
+                    let held = t.order.remove(tick).expect("answers are ordered");
+                    *tick = t.next_tick;
+                    t.next_tick += 1;
+                    t.order.insert(*tick, held);
+                    let answer = Arc::clone(answer);
+                    break Some((answer, table.occupancy()));
+                }
+                Some(Entry::Pending) => {
+                    waited = true;
+                    table.waiters += 1;
+                    table = self.resolved.wait(table).expect("result cache poisoned");
+                    table.waiters -= 1;
+                }
+                None => {
+                    t.entries.insert(Arc::clone(&query), Entry::Pending);
+                    break None;
+                }
+            }
+        };
+        drop(table);
+        let (answer, (bytes, entries)) = match stored {
+            Some((stored, occupancy)) => {
                 let (result, mut stats) = stored
                     .downcast_ref::<(R, SearchStats)>()
                     .expect("slot name reused with a different result type")
@@ -161,80 +222,81 @@ impl ResultCache {
                     span.record("hit", true);
                     span.record("deduped", waited);
                 }
-                (result, stats)
+                ((result, stats), occupancy)
             }
-            Claim::Owner => {
+            None => {
                 metrics.misses.inc();
                 if let Some(span) = span.as_ref() {
                     span.record("hit", false);
                 }
                 let guard = QueryGuard {
-                    cache: &self.answers,
-                    query: Some(&query),
+                    cache: self,
+                    query: Some(&*query),
                 };
                 let (result, stats) = run();
                 guard.disarm();
                 let bytes = query.approx_bytes() + result.approx_bytes() + stats.approx_bytes();
-                let stored: Answer = Arc::new((result.clone(), stats.clone()));
-                self.answers.complete(Arc::clone(&query), stored);
-                self.store(query, bytes);
-                (result, stats)
+                let answer: Answer = Arc::new((result.clone(), stats.clone()));
+                let occupancy = self.store(query, answer, bytes);
+                ((result, stats), occupancy)
             }
         };
-        let (bytes, entries) = self.occupancy();
         metrics.bytes.set(bytes as i64);
         metrics.entries.set(entries as i64);
         answer
     }
 
-    /// Moves a resident answer to a fresh tick (a no-op once evicted).
-    fn touch(&self, query: &Arc<Query>) {
-        let mut guard = self.lru.lock().expect("result cache poisoned");
-        let lru = &mut *guard;
-        if let Some((tick, _)) = lru.resident.get_mut(query) {
-            let query = lru.order.remove(tick).expect("indexed answers are ordered");
-            *tick = lru.next_tick;
-            lru.order.insert(*tick, query);
-            lru.next_tick += 1;
+    /// Replaces the caller's `Pending` claim with its answer at a fresh
+    /// tick, then evicts from the front of the order while the total
+    /// exceeds the budget. The new answer holds the newest tick, so it is
+    /// the front only once every other answer is gone — and it stays.
+    /// Returns the occupancy after the store and wakes parked duplicates.
+    fn store(&self, query: Arc<Query>, answer: Answer, bytes: usize) -> (usize, usize) {
+        let mut table = self.lock();
+        let tick = table.next_tick;
+        table.next_tick += 1;
+        table.order.insert(tick, Arc::clone(&query));
+        table.total_bytes += bytes;
+        let entry = Entry::Done {
+            answer,
+            tick,
+            bytes,
+        };
+        let claim = table.entries.insert(query, entry);
+        debug_assert!(matches!(claim, Some(Entry::Pending)));
+        while table.total_bytes > self.budget && table.order.len() > 1 {
+            let (_, victim) = table.order.pop_first().expect("more than one answer");
+            if let Some(Entry::Done { bytes, .. }) = table.entries.remove(&victim) {
+                table.total_bytes -= bytes;
+            }
+        }
+        let occupancy = table.occupancy();
+        self.unlock(table);
+        occupancy
+    }
+
+    /// Drops the caller's unresolved claim (it is unwinding) and wakes
+    /// parked duplicates, one of which claims the query again. Runs in a
+    /// drop, so a poisoned lock is left for the next caller to report.
+    fn abandon(&self, query: &Query) {
+        if let Ok(mut table) = self.table.lock() {
+            table.entries.remove(query);
+            self.unlock(table);
         }
     }
 
-    /// Indexes a just-completed answer of `bytes` at a fresh tick, then
-    /// evicts from the LRU front while the total exceeds the budget. The
-    /// new answer holds the newest tick, so it is the front only once every
-    /// other answer is gone — and it stays.
-    fn store(&self, query: Arc<Query>, bytes: usize) {
-        let mut guard = self.lru.lock().expect("result cache poisoned");
-        let lru = &mut *guard;
-        let tick = lru.next_tick;
-        lru.next_tick += 1;
-        if let Some((old_tick, old_bytes)) = lru.resident.insert(Arc::clone(&query), (tick, bytes))
-        {
-            lru.order.remove(&old_tick);
-            lru.total_bytes -= old_bytes;
+    /// Unlocks `table`, waking parked duplicates if there are any.
+    fn unlock(&self, table: MutexGuard<'_, Table>) {
+        let wake = table.waiters > 0;
+        drop(table);
+        if wake {
+            self.resolved.notify_all();
         }
-        lru.order.insert(tick, query);
-        lru.total_bytes += bytes;
-        while lru.total_bytes > self.budget && lru.order.len() > 1 {
-            let (_, victim) = lru.order.pop_first().expect("more than one answer");
-            let (_, victim_bytes) = lru
-                .resident
-                .remove(&victim)
-                .expect("ordered answers are indexed");
-            lru.total_bytes -= victim_bytes;
-            self.answers.remove(&victim);
-        }
-    }
-
-    /// `(approx_bytes, len)` read under one lock.
-    fn occupancy(&self) -> (usize, usize) {
-        let lru = self.lru.lock().expect("result cache poisoned");
-        (lru.total_bytes, lru.order.len())
     }
 
     /// Answers resident.
     pub fn len(&self) -> usize {
-        self.occupancy().1
+        self.lock().occupancy().1
     }
 
     /// True when no answer is resident.
@@ -244,7 +306,7 @@ impl ResultCache {
 
     /// The running byte estimate of the resident answers.
     pub fn approx_bytes(&self) -> usize {
-        self.occupancy().0
+        self.lock().occupancy().0
     }
 }
 
@@ -306,10 +368,11 @@ mod cache_metrics {
 }
 
 /// Abandons an owned result claim on unwind unless disarmed, so a
-/// panicking search cannot strand parked duplicate queries forever.
+/// search that panics or is canceled cannot strand parked duplicate
+/// queries.
 struct QueryGuard<'c> {
-    cache: &'c ShardedCache<Arc<Query>, Answer>,
-    query: Option<&'c Arc<Query>>,
+    cache: &'c ResultCache,
+    query: Option<&'c Query>,
 }
 
 impl QueryGuard<'_> {
@@ -360,28 +423,28 @@ mod tests {
         (v, stats.result_cache_hits == 1)
     }
 
-    /// Re-sums every resident answer from the stored values (not from the
-    /// index's recorded bytes) and checks it against the running total,
-    /// and the index against the sharded storage.
+    /// Re-sums every answer from the stored values (not from the recorded
+    /// bytes) and checks it against the running total, checks that the
+    /// tick order holds exactly the answered queries at their ticks, and
+    /// that no claim is left `Pending`.
     fn assert_accounting(cache: &ResultCache) {
-        let lru = cache.lru.lock().expect("index");
-        let resum: usize = lru
-            .order
-            .values()
-            .map(|q| {
-                let stored = cache.answers.get(q).expect("indexed answers are stored");
-                let (v, s) = stored
-                    .downcast_ref::<(u32, SearchStats)>()
-                    .expect("test answers");
-                q.approx_bytes() + v.approx_bytes() + s.approx_bytes()
-            })
-            .sum();
-        assert_eq!(lru.total_bytes, resum, "running total");
-        assert_eq!(lru.resident.len(), lru.order.len(), "index halves agree");
+        let table = cache.lock();
+        let mut resum = 0;
+        for (q, entry) in &table.entries {
+            let Entry::Done { answer, tick, .. } = entry else {
+                panic!("a Pending claim was left behind");
+            };
+            let (v, s) = answer
+                .downcast_ref::<(u32, SearchStats)>()
+                .expect("test answers");
+            resum += q.approx_bytes() + v.approx_bytes() + s.approx_bytes();
+            assert!(table.order.get(tick) == Some(q), "answer out of order");
+        }
+        assert_eq!(table.total_bytes, resum, "running total");
         assert_eq!(
-            cache.answers.len(),
-            lru.order.len(),
-            "storage and index agree"
+            table.order.len(),
+            table.entries.len(),
+            "order and map agree"
         );
     }
 
@@ -487,8 +550,8 @@ mod tests {
             assert!(total <= budget || order == [id], "step {step}: over budget");
 
             {
-                let lru = cache.lru.lock().expect("index");
-                let residents: Vec<&Arc<Query>> = lru.order.values().collect();
+                let table = cache.lock();
+                let residents: Vec<&Arc<Query>> = table.order.values().collect();
                 let expected: Vec<&Arc<Query>> = order.iter().map(|&o| &keys[o]).collect();
                 assert!(residents == expected, "step {step}: residents differ");
             }
@@ -533,18 +596,8 @@ mod tests {
                 });
             }
         });
-        // No claim is left Pending: a fresh claim on every query resolves
-        // without parking (an owner is released again).
-        for h in &instances {
-            let q = query_of(h, "q");
-            let (claim, waited) = cache.answers.claim_tracking_wait(&q);
-            assert!(!waited, "a Pending claim was left behind");
-            if let Claim::Owner = claim {
-                cache.answers.abandon(&q);
-            }
-        }
         assert_accounting(&cache);
-        let (bytes, len) = cache.occupancy();
+        let (bytes, len) = cache.lock().occupancy();
         assert!(len >= 1);
         assert!(bytes <= budget || len == 1, "{bytes} bytes over {budget}");
     }
@@ -633,5 +686,79 @@ mod tests {
             (3_u32, SearchStats::default())
         });
         assert_eq!(v, 3);
+    }
+
+    /// However many threads race into one fresh query, its search runs
+    /// once: one miss, and every other caller parks on the claim and
+    /// adopts the answer. The owner holds its claim until all the others
+    /// have parked.
+    #[test]
+    fn racing_computations_charge_one_miss_per_key() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cache = ResultCache::new(1 << 20);
+        let h = generators::cycle(5);
+        let runs = AtomicUsize::new(0);
+        let workers = 8;
+        let start = std::sync::Barrier::new(workers);
+        let stats: Vec<SearchStats> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let (v, stats) = cache.query(&h, SLOT, "race".into(), true, || {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            while cache.lock().waiters < workers - 1 {
+                                std::thread::yield_now();
+                            }
+                            (23_u32, SearchStats::default())
+                        });
+                        assert_eq!(v, 23);
+                        stats
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|t| t.join().expect("racer"))
+                .collect()
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "the search ran once");
+        let hits: usize = stats.iter().map(|s| s.result_cache_hits).sum();
+        let parked: usize = stats.iter().map(|s| s.inflight_dedup).sum();
+        assert_eq!(hits, workers - 1, "one miss, every other caller a hit");
+        assert_eq!(parked, workers - 1, "every other caller parked in flight");
+        assert_eq!(cache.len(), 1);
+        assert_accounting(&cache);
+    }
+
+    /// An owner that unwinds while a duplicate is parked on its claim
+    /// promotes the duplicate: it runs the query itself and gets its own
+    /// answer, and no `Pending` entry remains.
+    #[test]
+    fn abandon_promotes_a_waiter_to_owner() {
+        let cache = ResultCache::new(1 << 20);
+        let h = generators::cycle(4);
+        std::thread::scope(|s| {
+            let owner = s.spawn(|| {
+                cache.query::<u32>(&h, SLOT, "x".into(), true, || {
+                    // Hold the claim until the duplicate has parked on it.
+                    while cache.lock().waiters == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("the owner unwinds")
+                })
+            });
+            while !matches!(cache.lock().entries.values().next(), Some(Entry::Pending)) {
+                std::thread::yield_now();
+            }
+            let (v, stats) = cache.query(&h, SLOT, "x".into(), true, || {
+                (9_u32, SearchStats::default())
+            });
+            assert!(owner.join().is_err(), "the owner panicked");
+            assert_eq!(v, 9, "the promoted waiter ran the query itself");
+            assert_eq!((stats.result_cache_hits, stats.inflight_dedup), (0, 0));
+        });
+        assert_accounting(&cache);
+        assert_eq!(ask(&cache, &h, "x", 0), (9, true), "its answer is stored");
     }
 }

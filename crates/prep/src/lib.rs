@@ -16,7 +16,8 @@
 //!    [`lift`] module stitches the block trees back into one witness;
 //! 3. [`global_cache`] — the process-lifetime result cache: whole-query
 //!    answers ([`cached_query`]), keyed by the instance's canonical form,
-//!    which a repeated call adopts instead of searching.
+//!    which a repeated call adopts instead of searching; claims, answers
+//!    and their LRU order sit under one lock.
 //!
 //! See `src/README.md` for the pass catalog, the trace/lift contract, the
 //! fingerprint definition and the cache lifetime rules.

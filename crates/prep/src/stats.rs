@@ -13,9 +13,9 @@ use arith::Rational;
 /// Counters of one width search, exposed through `SearchContext::stats`
 /// for tests, `hgtool widths --stats` and the benchmark. The engine
 /// fills the state/candidate counters; the strategy wrappers merge their
-/// price-cache counters (each search owns its price cache, under every
-/// option), the candidate-generator tallies and the preprocessing
-/// reduction counts on top.
+/// price-memo counters (each search owns its memo, under every option),
+/// the candidate-generator tallies and the preprocessing reduction counts
+/// on top.
 ///
 /// Deterministic: every engine counter is identical across runs — the
 /// search is one sequential recursion that evaluates each state once.
@@ -31,10 +31,10 @@ pub struct SearchStats {
     pub streamed: usize,
     /// Guesses admitted (priced successfully under the bound).
     pub admitted: usize,
-    /// Cover/LP price-cache hits (ρ/ρ* priced bags served from this
-    /// search's cache).
+    /// Price-memo hits: prices served from this search's
+    /// [`cover::PriceMemo`] without pricing again.
     pub price_hits: usize,
-    /// Cover/LP price-cache misses (ρ/ρ* prices actually computed).
+    /// Price-memo misses: prices actually computed, one per distinct key.
     pub price_misses: usize,
     /// Candidate bags produced by the `candgen` edge-union enumerator
     /// before its filters ran (0 on the subset-oracle and fallback paths).
@@ -44,13 +44,14 @@ pub struct SearchStats {
     /// `cand_generated - cand_filtered` is what the engine actually
     /// streamed from `candgen`.
     pub cand_filtered: usize,
-    /// Simplex (Bland) iterations across every `ρ*` LP solve. Each bag is
-    /// priced exactly once and the engine path solves it cold, so this is
-    /// a pure per-bag sum.
+    /// Simplex (Bland) iterations across every `ρ*` LP solve of the
+    /// search's pricing context. The context prices its bags on one
+    /// thread in a deterministic order, so the count is deterministic
+    /// too, though not a per-bag sum: each solve starts from the previous
+    /// basis.
     pub lp_pivots: u64,
-    /// `ρ*` LP solves that warm-started from a retained basis (only the
-    /// heuristic upper bounds and the elimination orderings warm-start;
-    /// the engine's price cache never does).
+    /// `ρ*` LP solves that warm-started from the previous bag's retained
+    /// basis (every `ρ*` pricing tries to).
     pub lp_warm_starts: u64,
     /// `ρ*` LP solves performed from scratch (including warm-start
     /// fallbacks after a basis infeasibility).

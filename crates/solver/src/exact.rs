@@ -4,10 +4,10 @@
 //! `ghw` and `fhw` are the same decomposition problem under two bag
 //! measures: integral edge covers `ρ` ([`Rho`]) and fractional ones `ρ*`
 //! ([`RhoStar`]). A [`Measure`] owns only what differs between them: the
-//! cost type, pricing through the engine's price cache and through a
-//! sequential (warm-LP) context, the rank and scattered-set bounds, the
-//! result-cache slot, and whether blocks past the DP's window may try the
-//! edge-union engine. Everything else is shared:
+//! cost type, the one sequential (warm-LP) pricing function, the rank and
+//! scattered-set bounds, the result-cache slot, and whether blocks past
+//! the DP's window may try the edge-union engine. Everything else is
+//! shared:
 //!
 //! * [`front_door`] — the isolated-vertex check, the `solve` span, the
 //!   cross-call result cache and the
@@ -30,9 +30,9 @@
 //! * [`upper_bound`] — the heuristic bound alone, priced by the measure.
 //! * [`subset_oracle`] — the subset-bag cross-check, no prep, no seed.
 //!
-//! Every `ρ` pricing runs inside one `price` span (`kind = "rho"`): a DP
-//! or seed bag in [`Rho`]'s sequential pricing, an engine bag on its
-//! cache miss (`cover::rho_priced`).
+//! Every pricing goes through [`Measure::price_warm`], which runs inside
+//! one `price` span: the DP's bags, the seed's bags, and an engine bag on
+//! a miss of its search's [`cover::PriceMemo`] (a hit prices nothing).
 
 use crate::{
     stream_subset_bags, Admission, CandidateStream, EngineOptions, Guess, SearchContext,
@@ -41,7 +41,7 @@ use crate::{
 use arith::Rational;
 use candgen::elimination::{self, MAX_EXACT_VERTICES};
 use candgen::PricedBag;
-use cover::{MemSize, PricingContext, ScatterBound, ShardedCache};
+use cover::{MemSize, PriceMemo, PricingContext, ScatterBound};
 use decomp::Decomposition;
 use hypergraph::fx::FxHashMap;
 use hypergraph::{properties, Hypergraph, VertexSet};
@@ -58,12 +58,10 @@ const COVERABLE: &str = "no isolated vertices, so every bag is coverable";
 pub trait Measure {
     /// The width: `usize` for `ρ`, an exact [`Rational`] for `ρ*`.
     type Cost: Ord + Clone + Debug + From<usize> + Into<Rational> + MemSize + Send + Sync + 'static;
-    /// A cached engine price ([`cover::PricedRho`] / [`cover::PricedRhoStar`]).
-    type Priced: Clone;
-    /// Pricing state: none for `ρ`, an LP context for `ρ*`. The DP and the
-    /// heuristic bound walk related bags in a deterministic order, so each
-    /// of their LPs starts from the previous basis; the engine's cache
-    /// misses reuse only the context's buffers and solve cold.
+    /// Pricing state: none for `ρ`, an LP context for `ρ*`. Every search
+    /// prices on its caller's thread in a deterministic order (the DP, the
+    /// heuristic bound, the engine's memo misses), so each LP starts from
+    /// the previous basis.
     type Warm: Default;
 
     /// The measure's name: the `solve`/`elim` span field and the latency
@@ -77,25 +75,16 @@ pub trait Measure {
     /// budget 1 (`ghw ≤ 1` is α-acyclicity, where `hw = ghw`); at budget
     /// ≥ 2 a failed search proves nothing, so the engine is used past the
     /// window only, where no complete search is in range. True of `ρ`
-    /// only: such a block's (integral) seed prices through the engine's
-    /// cache. `ρ*` creates no price cache in [`solve`].
+    /// only: such a block's (integral) seed prices through the memo the
+    /// engine then searches with. `ρ*` creates no price memo in [`solve`].
     const EDGE_UNION: bool;
 
-    /// Prices `bag` sequentially (the DP, the heuristic bound).
+    /// Prices `bag` in one `price` span, continuing from `warm` (the DP,
+    /// the heuristic bound, an engine memo miss).
     fn price_warm(warm: &mut Self::Warm, h: &Hypergraph, bag: &VertexSet) -> PricedBag<Self::Cost>;
 
     /// Adds the LP counters of sequential pricing to `stats`.
     fn merge_lp(warm: &Self::Warm, stats: &mut SearchStats);
-
-    /// Prices `bag` through the engine's price cache; `warm` solves the
-    /// `ρ*` LP of a cache miss cold, so the LP counters are a sum over the
-    /// priced bags. `None` when `bag` is uncoverable.
-    fn price_cached(
-        h: &Hypergraph,
-        bag: &VertexSet,
-        cache: &ShardedCache<VertexSet, Self::Priced>,
-        warm: &mut Self::Warm,
-    ) -> Option<PricedBag<Self::Cost>>;
 
     /// Whether the counting bound reaches `bound` for a bag of `len`
     /// vertices when one edge covers at most `r` of them: a cover needs
@@ -115,7 +104,6 @@ pub struct RhoStar;
 
 impl Measure for Rho {
     type Cost = usize;
-    type Priced = cover::PricedRho;
     type Warm = ();
 
     const NAME: &'static str = "ghw";
@@ -130,16 +118,6 @@ impl Measure for Rho {
 
     fn merge_lp(_: &(), _: &mut SearchStats) {}
 
-    fn price_cached(
-        h: &Hypergraph,
-        bag: &VertexSet,
-        cache: &cover::RhoCache,
-        _: &mut (),
-    ) -> Option<PricedBag<usize>> {
-        let (weight, edges) = cover::rho_priced(h, bag, cache)?;
-        Some((weight, unit_weights(edges)))
-    }
-
     fn counting_reaches(len: usize, r: usize, bound: &usize) -> bool {
         r == 0 || len.div_ceil(r) >= *bound
     }
@@ -151,7 +129,6 @@ impl Measure for Rho {
 
 impl Measure for RhoStar {
     type Cost = Rational;
-    type Priced = cover::PricedRhoStar;
     type Warm = PricingContext;
 
     const NAME: &'static str = "fhw";
@@ -171,15 +148,6 @@ impl Measure for RhoStar {
         stats.lp_pivots += lp.pivots;
         stats.lp_warm_starts += lp.warm_starts;
         stats.lp_cold_solves += lp.cold_solves;
-    }
-
-    fn price_cached(
-        h: &Hypergraph,
-        bag: &VertexSet,
-        cache: &cover::RhoStarCache,
-        ctx: &mut PricingContext,
-    ) -> Option<PricedBag<Rational>> {
-        cache.get_or_insert_with(bag, || ctx.price(h, bag))
     }
 
     fn counting_reaches(len: usize, r: usize, bound: &Rational) -> bool {
@@ -319,12 +287,12 @@ fn solve_block<M: Measure>(
     // The seed is the integral heuristic bound for both measures: `fhw <=
     // ghw`, and integral weights are a valid fractional cover. Inside the
     // window the DP answers, so the seed is priced sequentially. Past it,
-    // under `ρ`, the seed prices through the price cache the engine then
-    // searches with, so its covers are warm capital, not overhead.
+    // under `ρ`, the seed prices through the memo the engine then searches
+    // with, so its covers are warm capital, not overhead.
     let in_window = h.num_vertices() <= MAX_EXACT_VERTICES;
     let prices = (M::EDGE_UNION && !in_window).then(Prices::<M>::new);
     let (ub, ub_witness) = match &prices {
-        Some(p) => candgen::upper_bound(h, |bag| p.price(h, bag).expect(COVERABLE)),
+        Some(p) => candgen::upper_bound(h, |bag| p.price(h, bag)),
         None => {
             let (ub, d) = candgen::upper_bound(h, |bag| Rho::price_warm(&mut (), h, bag));
             (M::Cost::from(ub), d)
@@ -355,7 +323,7 @@ fn solve_block<M: Measure>(
         let mut cx = SearchContext::new();
         let result = cx.run(h, &strategy);
         stats.merge(&cx.stats());
-        (stats.price_hits, stats.price_misses) = strategy.prices.cache.counters();
+        (stats.price_hits, stats.price_misses) = strategy.prices.memo.counters();
         stats.cand_generated = strategy.counters.generated();
         stats.cand_filtered = strategy.counters.filtered();
         Some(result)
@@ -510,24 +478,27 @@ pub fn subset_oracle<M: Measure>(
     SearchContext::new().run(h, &strategy)
 }
 
-/// The engine-side prices of one search: the measure's price cache,
-/// created with the search and dropped with it, and the pricing state
-/// that solves `ρ*` misses.
+/// The engine-side prices of one search: a memo of the measure's prices,
+/// created with the search and dropped with it, and the pricing state its
+/// misses continue from.
 struct Prices<M: Measure> {
-    cache: ShardedCache<VertexSet, M::Priced>,
+    memo: PriceMemo<VertexSet, PricedBag<M::Cost>>,
     warm: RefCell<M::Warm>,
 }
 
 impl<M: Measure> Prices<M> {
     fn new() -> Self {
         Prices {
-            cache: ShardedCache::new(),
+            memo: PriceMemo::new(),
             warm: RefCell::default(),
         }
     }
 
-    fn price(&self, h: &Hypergraph, bag: &VertexSet) -> Option<PricedBag<M::Cost>> {
-        M::price_cached(h, bag, &self.cache, &mut self.warm.borrow_mut())
+    /// `bag`'s price; its instance has no isolated vertices, so every bag
+    /// is coverable.
+    fn price(&self, h: &Hypergraph, bag: &VertexSet) -> PricedBag<M::Cost> {
+        self.memo
+            .get_or_insert_with(bag, || M::price_warm(&mut self.warm.borrow_mut(), h, bag))
     }
 }
 
@@ -574,7 +545,7 @@ impl Gate {
 }
 
 /// The exact minimizing strategy under `M`: candidate bags priced through
-/// the search's price cache, hopeless ones rejected by the [`Gate`] first.
+/// the search's price memo, hopeless ones rejected by the [`Gate`] first.
 struct Search<M: Measure> {
     cutoff: Option<M::Cost>,
     gate: Gate,
@@ -639,12 +610,12 @@ impl<M: Measure> WidthSolver for Search<M> {
     ) -> Option<Admission<M::Cost>> {
         let bag = &guess.extra;
         // The gate ahead of pricing: once a cheap decomposition is known,
-        // hopeless bags die here — no cover search or LP, no cache
+        // hopeless bags die here — no cover search or LP, no memo
         // traffic, no admission construction.
         if bound.is_some_and(|b| self.gate.reaches::<M>(h, bag, b)) {
             return None;
         }
-        let (cost, weights) = self.prices.price(h, bag)?;
+        let (cost, weights) = self.prices.price(h, bag);
         Some(Admission {
             split: bag.clone(),
             bag: bag.clone(),

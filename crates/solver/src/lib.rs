@@ -64,7 +64,7 @@ pub fn default_thread_count() -> usize {
 /// `prep` and `reuse_results` are consumed by the strategy wrappers (the
 /// `_with_stats` entry points of the five width solvers), which run the
 /// `prep` crate's simplification/block pipeline and cross-call result
-/// cache *around* the engine. Price caches are private to each search
+/// cache *around* the engine. Price memos are private to each search
 /// under every option, so the `price_*` counters are that search's own.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
@@ -285,7 +285,7 @@ struct Plan {
 /// in `prep` (so the prepare→solve→lift wrappers can fill the reduction
 /// counters while staying below this crate) and is re-exported here; the
 /// engine fills the state/candidate counters, the strategy wrappers merge
-/// price-cache and candidate-generation tallies on top.
+/// price-memo and candidate-generation tallies on top.
 pub use prep::SearchStats;
 
 pub mod exact;

@@ -1,10 +1,11 @@
 //! Agreement suite for the `candgen` subsystem: the exact `ghw`/`fhw`
 //! solve paths must agree with the retained subset-bag oracle, the
 //! elimination DP run directly and the DP's prepped front doors
-//! (`*_exact_elimination_with_stats`) on small instances, the heuristic upper
-//! bounds must be sound (`ub >= exact`) with witnesses that re-validate,
-//! and the ≥19-vertex instances that motivated the subsystem must now
-//! resolve exactly.
+//! (`*_exact_elimination_with_stats`) on small instances, and exact `ghw`
+//! with the paper's `check_ghd_bip` at `ghw` and `ghw - 1`; the heuristic
+//! upper bounds must be sound (`ub >= exact`) with witnesses that
+//! re-validate, and the ≥19-vertex instances that motivated the subsystem
+//! must now resolve exactly.
 
 use hypertree::arith::Rational;
 use hypertree::decomp::validate;
@@ -73,6 +74,24 @@ proptest! {
             prop_assert_eq!(validate::validate_ghd(&h, &d), Ok(()), "ghw witness");
             prop_assert!(d.width() <= Rational::from(w));
             prop_assert!(stats.ub_width.is_some(), "heuristic seed recorded");
+            // The paper's own check (det-k on `H ∪ f(H, k)`), sharing no
+            // search code with the minimizer: yes at ghw, and a certified
+            // no one below whenever its subedge set is complete.
+            let limits = ghd::SubedgeLimits::default();
+            prop_assert!(
+                ghd::check_ghd_bip(&h, w, limits).is_yes(),
+                "check at ghw {} on {:?}",
+                w,
+                h
+            );
+            if w > 1 && !ghd::bip_subedges(&h, w - 1, limits).truncated {
+                prop_assert!(
+                    matches!(ghd::check_ghd_bip(&h, w - 1, limits), ghd::GhdAnswer::No),
+                    "check at ghw - 1 = {} on {:?}",
+                    w - 1,
+                    h
+                );
+            }
         }
         if let Some((w, d)) = front_door {
             prop_assert_eq!(validate::validate_ghd(&h, &d), Ok(()), "DP front-door ghw witness");
