@@ -67,28 +67,39 @@ mod tests {
 
     #[test]
     fn prices_each_bag_once() {
-        let h = generators::cycle(3);
+        let h = generators::cycle(4);
         let memo = PriceMemo::new();
         let mut ctx = PricingContext::new();
-        let bag = h.all_vertices();
-        let first = memo.get_or_insert_with(&bag, || ctx.price(&h, &bag));
-        assert_eq!(first.as_ref().expect("coverable").0, rat(3, 2));
-        let again = memo.get_or_insert_with(&bag, || ctx.price(&h, &bag));
-        assert_eq!(first, again);
-        assert_eq!(memo.counters(), (1, 1));
-        // The hit ran no LP: the context solved once.
-        assert_eq!(ctx.stats().cold_solves, 1);
-        assert_eq!(ctx.stats().warm_starts, 0);
+        let bags: Vec<VertexSet> = (0..h.num_vertices())
+            .map(|v| {
+                let mut bag = h.all_vertices();
+                bag.remove(v);
+                bag
+            })
+            .collect();
+        let first: Vec<_> = bags
+            .iter()
+            .map(|bag| memo.get_or_insert_with(bag, || ctx.price(&h, bag)))
+            .collect();
+        assert_eq!(memo.counters(), (0, bags.len()), "one miss per key");
+        for (bag, priced) in bags.iter().zip(&first) {
+            assert_eq!(priced.as_ref().expect("coverable").0, rat(2, 1));
+            let again = memo.get_or_insert_with(bag, || panic!("a hit must not price"));
+            assert_eq!(&again, priced);
+        }
+        assert_eq!(memo.counters(), (bags.len(), bags.len()), "hits afterwards");
+    }
 
-        // An uncoverable bag caches its failure: one miss, then hits.
+    #[test]
+    fn uncoverable_bags_cache_their_failure() {
         let h = Hypergraph::from_edges(3, vec![vec![0, 1]]);
         let memo = PriceMemo::new();
+        let mut ctx = PricingContext::new();
         let bag = VertexSet::from_iter([2]);
         for _ in 0..3 {
-            let priced = memo.get_or_insert_with(&bag, || ctx.price(&h, &bag));
-            assert_eq!(priced, None);
+            assert_eq!(memo.get_or_insert_with(&bag, || ctx.price(&h, &bag)), None);
         }
         assert_eq!(memo.counters(), (2, 1));
-        assert_eq!(ctx.stats().cold_solves, 1, "uncoverable bags run no LP");
+        assert_eq!(ctx.stats().cold_solves, 0, "uncoverable bags run no LP");
     }
 }

@@ -225,4 +225,24 @@ mod tests {
         assert!(warm.stats().warm_starts >= 1);
         assert!(warm.stats().pivots <= cold.stats().pivots);
     }
+
+    #[test]
+    fn pool_prices_through_the_cache_exactly_once() {
+        let h = generators::cycle(3);
+        let memo = crate::PriceMemo::new();
+        let mut ctx = PricingContext::new();
+        let bag = h.all_vertices();
+        let first = memo
+            .get_or_insert_with(&bag, || ctx.price(&h, &bag))
+            .expect("coverable");
+        assert_eq!(first.0, rat(3, 2));
+        let again = memo
+            .get_or_insert_with(&bag, || ctx.price(&h, &bag))
+            .expect("coverable");
+        assert_eq!(first, again);
+        assert_eq!(memo.counters(), (1, 1));
+        let stats = ctx.stats();
+        assert_eq!(stats.cold_solves, 1, "second lookup was a cache hit");
+        assert_eq!(stats.warm_starts, 0);
+    }
 }
