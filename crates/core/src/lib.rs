@@ -113,8 +113,10 @@ pub struct ExactWidths {
 /// for the next search: `fhw` first (the seeded elimination DP), then
 /// `ghw` with floor `⌈fhw⌉` ([`ghd::ghw_exact_at_least`]), then `hw` with
 /// floor `ghw` ([`hd::hypertree_width_at_least`], which starts
-/// `det-k-decomp` at `k = ghw`). The widths equal the per-measure entry
-/// points'.
+/// `det-k-decomp` at `k = ghw`). `fhw` and `ghw` are asked of one
+/// [`solver::exact::Instance`], so the minimizer prep and each block's
+/// integral seed are built once, by `fhw`. The widths equal the
+/// per-measure entry points'.
 pub fn exact_widths(h: &Hypergraph, max_hw: usize) -> Option<ExactWidths> {
     exact_widths_with_stats(h, max_hw).map(|(w, _)| w)
 }
@@ -126,14 +128,17 @@ pub struct WidthStats {
     /// `k = ghw` up).
     pub hw: solver::SearchStats,
     /// Exact-`ghw` counters (the heuristic seed; the DP answered every
-    /// block, so the edge-union engine's counters are zero).
+    /// block, so the edge-union engine's counters are zero). The seed and
+    /// the prep counts are those `fhw` built: built once, reported in both
+    /// measures' stats.
     pub ghw: solver::SearchStats,
     /// Exact-`fhw` counters (the heuristic seed and the DP's LP work).
     pub fhw: solver::SearchStats,
 }
 
 /// As [`exact_widths`], also reporting the counters of each of the three
-/// searches, run with [`solver::EngineOptions::default`].
+/// searches, run with [`solver::EngineOptions::default`]. Each measure's
+/// counters equal its per-measure entry point's, the shared seed included.
 pub fn exact_widths_with_stats(h: &Hypergraph, max_hw: usize) -> Option<(ExactWidths, WidthStats)> {
     exact_widths_with_opts(h, max_hw, solver::EngineOptions::default())
 }
@@ -147,10 +152,11 @@ pub fn exact_widths_with_opts(
     max_hw: usize,
     opts: solver::EngineOptions,
 ) -> Option<(ExactWidths, WidthStats)> {
-    let (fhw, fhw_stats) = fhd::fhw_exact_with_stats(h, None, opts);
+    let mut instance = solver::exact::Instance::new(h, opts);
+    let (fhw, fhw_stats) = fhd::fhw_exact_on(&mut instance, None);
     let (fhw, _) = fhw?;
     let fhw_ceil = fhw.ceil().to_i64().map_or(1, |c| c.max(1) as usize);
-    let (ghw, ghw_stats) = ghd::ghw_exact_at_least(h, fhw_ceil, opts);
+    let (ghw, ghw_stats) = ghd::ghw_exact_on(&mut instance, fhw_ceil);
     let (ghw, _) = ghw?;
     if ghw > max_hw {
         return None;

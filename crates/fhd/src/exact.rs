@@ -34,6 +34,15 @@ pub fn fhw_exact_with_stats(
     exact::solve::<RhoStar>(h, cutoff, Rational::one(), opts)
 }
 
+/// As [`fhw_exact_with_stats`] on a shared [`exact::Instance`]: reuses the
+/// prep and the seeds that an earlier measure built on it.
+pub fn fhw_exact_on(
+    instance: &mut exact::Instance<'_>,
+    cutoff: Option<Rational>,
+) -> (Option<(Rational, Decomposition)>, SearchStats) {
+    instance.solve::<RhoStar>(cutoff, Rational::one())
+}
+
 /// `fhw(H)` by the elimination-order DP alone, without the heuristic
 /// seed (the independent reference of the agreement tests and the
 /// benchmark); `None` when a reduced block exceeds 24 vertices.

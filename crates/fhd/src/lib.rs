@@ -34,8 +34,8 @@ pub use bdp::{
     FhdAnswer,
 };
 pub use exact::{
-    fhw_exact, fhw_exact_elimination_with_stats, fhw_exact_subset_oracle, fhw_exact_with_stats,
-    fhw_upper_bound, fhw_upper_bound_with_stats,
+    fhw_exact, fhw_exact_elimination_with_stats, fhw_exact_on, fhw_exact_subset_oracle,
+    fhw_exact_with_stats, fhw_upper_bound, fhw_upper_bound_with_stats,
 };
 pub use forest::{intersection_forest, IntersectionForest};
 pub use frac_decomp::{fhw_frac_search, frac_decomp, frac_decomp_with_stats, FracDecompParams};

@@ -45,6 +45,16 @@ pub fn ghw_exact_at_least(
     exact::solve::<Rho>(h, None, floor, opts)
 }
 
+/// As [`ghw_exact_at_least`] on a shared [`exact::Instance`]: reuses the
+/// prep and the seeds that an earlier measure built on it (floor 1 is
+/// [`ghw_exact_with_stats`] without a cutoff).
+pub fn ghw_exact_on(
+    instance: &mut exact::Instance<'_>,
+    floor: usize,
+) -> (Option<(usize, Decomposition)>, SearchStats) {
+    instance.solve::<Rho>(None, floor)
+}
+
 /// `ghw(H)` by the elimination-order DP alone, no seed and no engine
 /// search (the independent reference of the agreement tests and the
 /// benchmark); `None` when a reduced block exceeds 24 vertices.

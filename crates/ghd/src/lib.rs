@@ -16,8 +16,8 @@ pub use check::{
     Augmented, GhdAnswer,
 };
 pub use exact::{
-    ghw_exact, ghw_exact_at_least, ghw_exact_subset_oracle, ghw_exact_with_stats, ghw_upper_bound,
-    ghw_upper_bound_with_stats,
+    ghw_exact, ghw_exact_at_least, ghw_exact_on, ghw_exact_subset_oracle, ghw_exact_with_stats,
+    ghw_upper_bound, ghw_upper_bound_with_stats,
 };
 pub use subedges::{
     bip_subedges, bmip_subedges, union_of_intersections_tree, SubedgeLimits, SubedgeSet, UoiNode,

@@ -17,8 +17,9 @@
 //! One mutex guards claims, answers and their LRU order: a map from query
 //! to `Pending` or `Done { answer, tick, bytes }`, the tick order of the
 //! answers and their byte total. A hit takes the lock once, a miss twice
-//! (claim, store); the search runs unlocked in between, since det-k's
-//! `result-hw-check` queries nest inside `result-hw`.
+//! (claim, store); the search runs unlocked in between. A search can run
+//! for seconds and can unwind on cancel, and other threads' queries (serve's
+//! connections, its warm-up) must not wait behind it.
 //!
 //! Memory: the answers share one byte budget ([`BUDGET_ENV`], default
 //! 64 MiB), estimated via [`cover::MemSize`] when an answer is stored. A

@@ -188,22 +188,26 @@ pub fn run_decision<T>(
     (result.map(|(t, d)| (t, prepared.lift(vec![d]))), stats)
 }
 
-/// The prepare→solve→lift wrapper shared by the minimizing strategies
-/// (`ghw`/`fhw`): run the full [`Profile::Minimizer`] pipeline, solve each
-/// biconnected block independently with `solve`, combine the width as the
+/// The solve→lift loop shared by the minimizing strategies (`ghw`/`fhw`)
+/// over `h`'s [`Profile::Minimizer`] preparation: solve each biconnected
+/// block independently with `solve` (given the block's index in
+/// [`Prepared::blocks`] and its hypergraph), combine the width as the
 /// maximum over blocks, stitch the block witnesses and lift the result
 /// back to `h`. Any block failing (`None`, e.g. too large for the exact
 /// engines or cut off) fails the whole call, with the merged stats of the
 /// blocks solved so far.
+///
+/// The caller prepares, so that several measures of one instance can share
+/// one preparation. `prepared` is `None` when preprocessing is off
+/// ([`enabled`]); `solve` then runs once, on `h` itself as block 0.
 pub fn run_minimizer<C: PartialOrd>(
     h: &Hypergraph,
-    opt_in: bool,
-    mut solve: impl FnMut(&Hypergraph) -> (Option<(C, Decomposition)>, SearchStats),
+    prepared: Option<&Prepared>,
+    mut solve: impl FnMut(usize, &Hypergraph) -> (Option<(C, Decomposition)>, SearchStats),
 ) -> (Option<(C, Decomposition)>, SearchStats) {
-    if !enabled(opt_in) {
-        return solve(h);
-    }
-    let prepared = prepare(h, Profile::Minimizer);
+    let Some(prepared) = prepared else {
+        return solve(0, h);
+    };
     let mut stats = SearchStats {
         prep_vertices_removed: prepared.stats.vertices_removed,
         prep_edges_removed: prepared.stats.edges_removed,
@@ -212,8 +216,8 @@ pub fn run_minimizer<C: PartialOrd>(
     };
     let mut parts = Vec::with_capacity(prepared.blocks.len());
     let mut best: Option<C> = None;
-    for block in &prepared.blocks {
-        let (result, s) = solve(&block.hypergraph);
+    for (i, block) in prepared.blocks.iter().enumerate() {
+        let (result, s) = solve(i, &block.hypergraph);
         stats.merge(&s);
         let Some((w, d)) = result else {
             return (None, stats);

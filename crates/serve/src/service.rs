@@ -7,8 +7,10 @@
 use crate::http::{json_escape, Request, Response};
 use crate::metrics::{handles, Endpoint};
 use crate::server::Shared;
+use hypertree_core::arith::Rational;
 use hypertree_core::hypergraph::{parser, Hypergraph};
 use hypertree_core::prep::cancel::{interrupt, with_cancel};
+use hypertree_core::solver::exact;
 use hypertree_core::{fhd, ghd, hd, solver};
 use obs::json::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -118,7 +120,7 @@ struct SolveBody {
     cached: bool,
 }
 
-fn rat_json(w: &hypertree_core::arith::Rational) -> String {
+fn rat_json(w: &Rational) -> String {
     // Integral rationals serialize as JSON numbers, true fractions as
     // their exact `p/q` string — both are the direct API's `Display`.
     let s = w.to_string();
@@ -133,13 +135,15 @@ fn cached(stats: &solver::SearchStats) -> bool {
     stats.result_cache_hits > 0
 }
 
-/// Solves one instance through the per-measure entry points, so widths
-/// and witnesses are byte-identical to the direct API. A `widths`
-/// request computes bottom-up like `exact_widths_with_opts`: fhw, then
-/// ghw, then hw with `det-k-decomp` starting at `k = ghw` (which leaves
-/// hw's width and witness unchanged). The response keeps the hw, ghw,
-/// fhw order. `None` means out of the exact engines' range (or
-/// `hw > max_hw`).
+/// Solves one instance with the per-measure entry points' computations,
+/// so widths and witnesses are byte-identical to the direct API. A
+/// `widths` request runs fhw, then ghw, then hw with `det-k-decomp`
+/// starting at `k = ghw` (which leaves hw's width and witness unchanged).
+/// Unlike `exact_widths_with_opts`, ghw runs at floor 1, not `⌈fhw⌉`, so
+/// its witness is `ghw_exact_with_stats`'s. fhw and ghw are asked of one
+/// [`exact::Instance`], so the minimizer prep and each block's seed are
+/// built once. The response keeps the hw, ghw, fhw order. `None` means
+/// out of the exact engines' range (or `hw > max_hw`).
 fn solve(h: &Hypergraph, p: &SolveParams, opts: solver::EngineOptions) -> Option<SolveBody> {
     let mut body = SolveBody {
         widths: Vec::new(),
@@ -160,13 +164,14 @@ fn solve(h: &Hypergraph, p: &SolveParams, opts: solver::EngineOptions) -> Option
     // Solved bottom-up, answered in the hw, ghw, fhw order.
     let mut solved = Vec::new();
     let mut floor = 1;
+    let mut instance = exact::Instance::new(h, opts);
     if matches!(p.measure, MeasureSel::Widths | MeasureSel::Fhw) {
-        let (fhw, stats) = fhd::fhw_exact_with_stats(h, None, opts);
+        let (fhw, stats) = fhd::fhw_exact_on(&mut instance, None);
         let (w, d) = fhw?;
         solved.push(("fhw", rat_json(&w), d, stats));
     }
     if matches!(p.measure, MeasureSel::Widths | MeasureSel::Ghw) {
-        let (ghw, stats) = ghd::ghw_exact_with_stats(h, None, opts);
+        let (ghw, stats) = ghd::ghw_exact_on(&mut instance, 1);
         let (k, d) = ghw?;
         floor = k;
         solved.push(("ghw", k.to_string(), d, stats));

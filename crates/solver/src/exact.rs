@@ -25,6 +25,14 @@
 //!   Engine admission and the DP share one lower-bound gate: the DP tests
 //!   each bag against the seeded cutoff before pricing it, and keeps
 //!   every priced bag's weights for the witness.
+//! * [`Instance`] — what [`solve`] runs through: one call's minimizer
+//!   prep and each block's integral seed, built on first use. The seed
+//!   does not depend on the measure, so a caller asking for both `fhw`
+//!   and `ghw` (`exact_widths_with_opts`, serve's `widths` request,
+//!   `hgtool widths`) asks one `Instance` for both, and the second measure
+//!   prepares and seeds nothing. Its answers and counters are those of a
+//!   standalone [`solve`]; its trace lacks the first measure's `prep`
+//!   span, seed `candgen` span and seed `price` spans.
 //! * [`solve_by_elimination`] — every block answered by the DP alone (the
 //!   independent reference of the agreement tests and the benchmark).
 //! * [`upper_bound`] — the heuristic bound alone, priced by the measure.
@@ -76,7 +84,9 @@ pub trait Measure {
     /// ≥ 2 a failed search proves nothing, so the engine is used past the
     /// window only, where no complete search is in range. True of `ρ`
     /// only: such a block's (integral) seed prices through the memo the
-    /// engine then searches with. `ρ*` creates no price memo in [`solve`].
+    /// engine then searches with, even when an earlier measure of its
+    /// [`Instance`] already seeded the block. `ρ*` creates no price memo
+    /// in [`solve`].
     const EDGE_UNION: bool;
 
     /// Prices `bag` in one `price` span, continuing from `warm` (the DP,
@@ -249,7 +259,8 @@ fn latency(measure: &'static str) -> &'static Arc<Histogram> {
 }
 
 /// The exact width of `h` under `M` with an optimal witness, through
-/// [`front_door`] and `prep`'s minimizer pipeline (see the module docs).
+/// [`front_door`] and `prep`'s minimizer pipeline (see the module docs):
+/// [`Instance::solve`] on a fresh [`Instance`].
 ///
 /// `floor <= width(h)` is a proven lower bound (e.g. `⌈fhw⌉` for `ghw`):
 /// a block whose seed is already at most `floor` keeps its seed witness
@@ -265,39 +276,115 @@ pub fn solve<M: Measure>(
     floor: M::Cost,
     opts: EngineOptions,
 ) -> (Option<(M::Cost, Decomposition)>, SearchStats) {
-    let one = M::Cost::from(1);
-    let floor = floor.max(one.clone());
-    let mut key = format!("cutoff={cutoff:?};prep={};backend=auto", opts.prep);
-    if floor > one {
-        key.push_str(&format!(";floor={floor:?}"));
-    }
-    front_door(h, M::NAME, M::RESULT_SLOT, key, opts.reuse_results, || {
-        prep::run_minimizer(h, opts.prep, |block| {
-            solve_block::<M>(block, cutoff.clone(), &floor)
-        })
-    })
+    Instance::new(h, opts).solve::<M>(cutoff, floor)
 }
 
-/// Solves one (already preprocessed) block; see the module docs.
+/// One block's integral heuristic seed: its width and witness.
+type Seed = (usize, Decomposition);
+
+/// One call's view of an instance under `prep`'s minimizer pipeline: the
+/// blocks and each block's integral seed, each built on first use and
+/// shared by every measure the call solves on it. A caller that wants both
+/// `fhw` and `ghw` of one instance asks one `Instance` for both, in either
+/// order, and the second measure prepares and seeds nothing; its widths,
+/// witnesses and counters are those of a standalone [`solve`].
+///
+/// A plain value owned by one call: no lock, no global, and nothing of it
+/// outlives the call. It prepares only inside the result cache's miss
+/// path, so a cache hit builds nothing.
+pub struct Instance<'h> {
+    h: &'h Hypergraph,
+    opts: EngineOptions,
+    /// Built by the first measure that misses the result cache.
+    blocks: Option<Blocks>,
+}
+
+/// The prepared blocks of an [`Instance`], with one seed slot per block.
+struct Blocks {
+    /// `None` when preprocessing is off: `h` itself is the one block.
+    prepared: Option<prep::Prepared>,
+    /// Filled by the first measure that solves the block.
+    seeds: Vec<Option<Seed>>,
+}
+
+impl<'h> Instance<'h> {
+    /// An instance of `h` solved with `opts`; nothing is built yet.
+    pub fn new(h: &'h Hypergraph, opts: EngineOptions) -> Self {
+        Instance {
+            h,
+            opts,
+            blocks: None,
+        }
+    }
+
+    /// The exact width under `M`, as [`solve`] computes it, reusing the
+    /// blocks and seeds that an earlier measure built on this instance.
+    pub fn solve<M: Measure>(
+        &mut self,
+        cutoff: Option<M::Cost>,
+        floor: M::Cost,
+    ) -> (Option<(M::Cost, Decomposition)>, SearchStats) {
+        let one = M::Cost::from(1);
+        let floor = floor.max(one.clone());
+        let mut key = format!("cutoff={cutoff:?};prep={};backend=auto", self.opts.prep);
+        if floor > one {
+            key.push_str(&format!(";floor={floor:?}"));
+        }
+        let (h, reuse) = (self.h, self.opts.reuse_results);
+        front_door(h, M::NAME, M::RESULT_SLOT, key, reuse, || {
+            self.each_block(|block, seed| solve_block::<M>(block, seed, cutoff.clone(), &floor))
+        })
+    }
+
+    /// `prep::run_minimizer` over this instance's blocks (prepared on first
+    /// use), handing `solve` each block with its seed slot.
+    fn each_block<C: PartialOrd>(
+        &mut self,
+        mut solve: impl FnMut(
+            &Hypergraph,
+            &mut Option<Seed>,
+        ) -> (Option<(C, Decomposition)>, SearchStats),
+    ) -> (Option<(C, Decomposition)>, SearchStats) {
+        let (h, opt_in) = (self.h, self.opts.prep);
+        let Blocks { prepared, seeds } = self.blocks.get_or_insert_with(|| {
+            let prepared =
+                prep::enabled(opt_in).then(|| prep::prepare(h, prep::Profile::Minimizer));
+            let n = prepared.as_ref().map_or(1, |p| p.blocks.len());
+            Blocks {
+                prepared,
+                seeds: vec![None; n],
+            }
+        });
+        prep::run_minimizer(h, prepared.as_ref(), |i, block| solve(block, &mut seeds[i]))
+    }
+}
+
+/// Solves one (already preprocessed) block, seeded from `seed` or filling
+/// it; see the module docs.
 fn solve_block<M: Measure>(
     h: &Hypergraph,
+    seed: &mut Option<Seed>,
     cutoff: Option<M::Cost>,
     floor: &M::Cost,
 ) -> (Option<(M::Cost, Decomposition)>, SearchStats) {
     // The seed is the integral heuristic bound for both measures: `fhw <=
     // ghw`, and integral weights are a valid fractional cover. Inside the
-    // window the DP answers, so the seed is priced sequentially. Past it,
-    // under `ρ`, the seed prices through the memo the engine then searches
-    // with, so its covers are warm capital, not overhead.
+    // window the DP answers, so the seed is priced sequentially, once per
+    // instance. Past it, under `ρ`, the seed prices through the memo the
+    // engine then searches with, so its covers are warm capital, not
+    // overhead: that block prices its own seed (its memo counters stay
+    // those of a standalone search) and publishes it for a later measure.
     let in_window = h.num_vertices() <= MAX_EXACT_VERTICES;
     let prices = (M::EDGE_UNION && !in_window).then(Prices::<M>::new);
     let (ub, ub_witness) = match &prices {
-        Some(p) => candgen::upper_bound(h, |bag| p.price(h, bag)),
-        None => {
-            let (ub, d) = candgen::upper_bound(h, |bag| Rho::price_warm(&mut (), h, bag));
-            (M::Cost::from(ub), d)
+        Some(p) => {
+            let (ub, d) = candgen::upper_bound(h, |bag| p.price(h, bag));
+            &*seed.insert((whole(ub), d))
         }
+        None => &*seed
+            .get_or_insert_with(|| candgen::upper_bound(h, |bag| Rho::price_warm(&mut (), h, bag))),
     };
+    let ub = M::Cost::from(*ub);
     // The search only has to beat `eff`: a failure at a *seeded* cutoff
     // (`ub` tighter than the caller's) is the answer `ub`.
     let seeded = cutoff.as_ref().is_none_or(|c| ub < *c);
@@ -342,11 +429,19 @@ fn solve_block<M: Measure>(
         // the narrowest witness in reach.
         Some(None) if seeded => {
             debug_assert!(ub_witness.width() <= ub.clone().into());
-            Some((ub, ub_witness))
+            Some((ub, ub_witness.clone()))
         }
         _ => None,
     };
     (result, stats)
+}
+
+/// An integral cost as a whole number: the past-window seed is priced by
+/// `ρ`, the only [`Measure::EDGE_UNION`] measure.
+fn whole<C: Into<Rational>>(cost: C) -> usize {
+    let cost: Rational = cost.into();
+    debug_assert!(cost.is_integer());
+    cost.ceil().to_i64().expect("a small width") as usize
 }
 
 /// The edge-union candidate space below `eff` when it is feasible: bags
@@ -429,7 +524,7 @@ pub fn solve_by_elimination<M: Measure>(
     }
     let key = format!("cutoff={cutoff:?};prep={};backend=elim", opts.prep);
     prep::cached_query(h, M::RESULT_SLOT, key, opts.reuse_results, || {
-        prep::run_minimizer(h, opts.prep, |block| {
+        Instance::new(h, opts).each_block(|block, _| {
             if block.num_vertices() > MAX_EXACT_VERTICES {
                 return (None, SearchStats::default());
             }
@@ -451,7 +546,7 @@ pub fn upper_bound<M: Measure>(
     if h.num_vertices() == 0 || h.has_isolated_vertices() {
         return (None, SearchStats::default());
     }
-    prep::run_minimizer(h, opts.prep, |block| {
+    Instance::new(h, opts).each_block(|block, _| {
         let mut warm = M::Warm::default();
         let (ub, d) = candgen::upper_bound(block, |bag| M::price_warm(&mut warm, block, bag));
         let mut stats = SearchStats {
@@ -681,5 +776,56 @@ mod tests {
             rho_rejected > 0 && rho_star_rejected > 0,
             "the gate never fired"
         );
+    }
+
+    /// Two measures asked of one [`Instance`], in either order, answer
+    /// exactly as two standalone solves: widths, witnesses and every
+    /// engine counter, the past-window ghw's `price_*` included.
+    #[test]
+    fn shared_instance_matches_standalone_solves() {
+        // Two triangles sharing vertex 2: two blocks.
+        let triangles = Hypergraph::from_edges(
+            5,
+            vec![
+                vec![0, 1],
+                vec![1, 2],
+                vec![2, 0],
+                vec![2, 3],
+                vec![3, 4],
+                vec![4, 2],
+            ],
+        );
+        // cycle(26) is past the window: ghw searches the edge-union
+        // engine, fhw answers `None`.
+        let cycle = generators::cycle(26);
+        let opts = EngineOptions::sequential();
+        type Solved<C> = (Option<(C, String)>, SearchStats);
+        fn rendered<C>(
+            h: &Hypergraph,
+            (r, s): (Option<(C, Decomposition)>, SearchStats),
+        ) -> Solved<C> {
+            (r.map(|(w, d)| (w, d.render(h))), s.engine_only())
+        }
+        for (h, blocks) in [(&triangles, 2), (&cycle, 1)] {
+            let ghw = rendered(h, solve::<Rho>(h, None, 1, opts));
+            let fhw = rendered(h, solve::<RhoStar>(h, None, Rational::one(), opts));
+            assert_eq!(ghw.1.prep_blocks, blocks);
+            let mut instance = Instance::new(h, opts);
+            let ghw_first = rendered(h, instance.solve::<Rho>(None, 1));
+            let fhw_second = rendered(h, instance.solve::<RhoStar>(None, Rational::one()));
+            assert_eq!(ghw_first, ghw, "ghw, then fhw: ghw");
+            assert_eq!(fhw_second, fhw, "ghw, then fhw: fhw");
+            let mut instance = Instance::new(h, opts);
+            let fhw_first = rendered(h, instance.solve::<RhoStar>(None, Rational::one()));
+            let ghw_second = rendered(h, instance.solve::<Rho>(None, 1));
+            assert_eq!(fhw_first, fhw, "fhw, then ghw: fhw");
+            assert_eq!(ghw_second, ghw, "fhw, then ghw: ghw");
+        }
+        let ghw = solve::<Rho>(&cycle, None, 1, opts);
+        assert_eq!(ghw.0.map(|(w, _)| w), Some(2));
+        assert!(ghw.1.price_misses > 0, "the engine memo priced the seed");
+        assert!(solve::<RhoStar>(&cycle, None, Rational::one(), opts)
+            .0
+            .is_none());
     }
 }

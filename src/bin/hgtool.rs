@@ -62,6 +62,7 @@ use hypertree::ghd::{self, SubedgeLimits};
 use hypertree::hypergraph::{parser, Hypergraph};
 use hypertree::prep;
 use hypertree::reduction::{self, Cnf};
+use hypertree::solver::exact;
 use hypertree::solver::EngineOptions;
 use hypertree::{analyze_structure, hd};
 use std::io::Read;
@@ -509,14 +510,16 @@ fn widths(
     // Per-width calls rather than `exact_widths_with_opts`: the candgen
     // edge-union engine reaches instance sizes where the fhw DP no longer
     // answers, so each width degrades to `n/a` independently instead of
-    // failing the whole command. Draining the span buffer between the
-    // calls attributes each span batch to its measure for the phase-time
-    // columns.
+    // failing the whole command. ghw and fhw share one instance: ghw
+    // prepares it and seeds each block, fhw reuses both. Draining the span
+    // buffer between the calls attributes each span batch to its measure
+    // for the phase-time columns.
     let (hw, hw_stats) = hd::hypertree_width_with_stats(h, 8, opts);
     let hw_spans = drain_if_tracing();
-    let (ghw, ghw_stats) = ghd::ghw_exact_with_stats(h, None, opts);
+    let mut instance = exact::Instance::new(h, opts);
+    let (ghw, ghw_stats) = ghd::ghw_exact_on(&mut instance, 1);
     let ghw_spans = drain_if_tracing();
-    let (fhw, fhw_stats) = fhd::fhw_exact_with_stats(h, None, opts);
+    let (fhw, fhw_stats) = fhd::fhw_exact_on(&mut instance, None);
     let fhw_spans = drain_if_tracing();
     if hw.is_none() && ghw.is_none() && fhw.is_none() {
         return Err("instance too large for the exact engines \
@@ -536,8 +539,9 @@ fn widths(
         println!();
         if prep::enabled(opts.prep) {
             println!(
-                "prep: on (hw decision profile; ghw/fhw minimizer profile; \
-                 disable with --no-prep or HGTOOL_NO_PREP)"
+                "prep: on (hw decision profile; ghw/fhw minimizer profile, \
+                 prepared and seeded once by ghw, so fhw's prep and candgen \
+                 phase times read 0; disable with --no-prep or HGTOOL_NO_PREP)"
             );
         } else {
             println!("prep: off");

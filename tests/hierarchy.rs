@@ -6,7 +6,7 @@ use hypertree::arith::{rat, Rational};
 use hypertree::decomp::validate;
 use hypertree::hypergraph::{generators, Hypergraph, VertexSet};
 use hypertree::solver::EngineOptions;
-use hypertree::{exact_widths, exact_widths_with_opts, fhd, ghd, hd, ExactWidths};
+use hypertree::{exact_widths, exact_widths_with_opts, fhd, ghd, hd, ExactWidths, WidthStats};
 
 fn corpus() -> Vec<(String, Hypergraph)> {
     let mut out: Vec<(String, Hypergraph)> = vec![
@@ -148,10 +148,13 @@ fn relabel(h: &Hypergraph, seed: u64) -> Hypergraph {
 
 /// The front door computes fhw, then ghw with floor `⌈fhw⌉`, then hw with
 /// floor `ghw`. Its widths must equal the unfloored per-measure entry
-/// points', the floored hw search must return the per-measure witness
-/// byte for byte, and the floored ghw witness must validate. Up to 12
-/// vertices, ghw must also equal the subset-bag oracle's, which shares
-/// neither prep, nor the seed, nor the DP with the solve path.
+/// points', its counters those of the three per-measure calls it makes
+/// (fhw and ghw share one prep and one seed per block, which must not show
+/// in either measure's counters), the floored hw search must return the
+/// per-measure witness byte for byte, and the floored ghw witness must
+/// validate. Up to 12 vertices, ghw must also equal the subset-bag
+/// oracle's, which shares neither prep, nor the seed, nor the DP with the
+/// solve path.
 #[test]
 fn floors_agree_with_per_measure_widths() {
     let mut instances = corpus();
@@ -178,9 +181,8 @@ fn floors_agree_with_per_measure_widths() {
         let (ghw, _) = ghd::ghw_exact_with_stats(&h, None, opts)
             .0
             .unwrap_or_else(|| panic!("{name}: ghw in range"));
-        let (fhw, _) = fhd::fhw_exact_with_stats(&h, None, opts)
-            .0
-            .unwrap_or_else(|| panic!("{name}: fhw in range"));
+        let (fhw, fhw_stats) = fhd::fhw_exact_with_stats(&h, None, opts);
+        let (fhw, _) = fhw.unwrap_or_else(|| panic!("{name}: fhw in range"));
         assert!(fhw <= Rational::from(ghw), "{name}: fhw > ghw");
         assert!(ghw <= hw, "{name}: ghw > hw");
         assert!(hw <= 3 * ghw + 1, "{name}: AGG bound violated");
@@ -189,7 +191,8 @@ fn floors_agree_with_per_measure_widths() {
             assert_eq!(Some(ghw), oracle, "{name}: ghw vs the subset oracle");
         }
 
-        let front = exact_widths(&h, 8).unwrap_or_else(|| panic!("{name}: front door"));
+        let (front, front_stats) =
+            exact_widths_with_opts(&h, 8, opts).unwrap_or_else(|| panic!("{name}: front door"));
         let expected = ExactWidths {
             hw,
             ghw,
@@ -197,9 +200,8 @@ fn floors_agree_with_per_measure_widths() {
         };
         assert_eq!(front, expected, "{name}: front door vs per-measure");
 
-        let (floored_hw, floored_hw_d) = hd::hypertree_width_at_least(&h, ghw, 8, opts)
-            .0
-            .unwrap_or_else(|| panic!("{name}: floored hw"));
+        let (floored_hw, floored_hw_stats) = hd::hypertree_width_at_least(&h, ghw, 8, opts);
+        let (floored_hw, floored_hw_d) = floored_hw.unwrap_or_else(|| panic!("{name}: floored hw"));
         assert_eq!(floored_hw, hw, "{name}: floored hw");
         assert_eq!(
             floored_hw_d.render(&h),
@@ -208,9 +210,9 @@ fn floors_agree_with_per_measure_widths() {
         );
 
         let fhw_ceil = fhw.ceil().to_i64().expect("small width") as usize;
-        let (floored_ghw, floored_ghw_d) = ghd::ghw_exact_at_least(&h, fhw_ceil, opts)
-            .0
-            .unwrap_or_else(|| panic!("{name}: floored ghw"));
+        let (floored_ghw, floored_ghw_stats) = ghd::ghw_exact_at_least(&h, fhw_ceil, opts);
+        let (floored_ghw, floored_ghw_d) =
+            floored_ghw.unwrap_or_else(|| panic!("{name}: floored ghw"));
         assert_eq!(floored_ghw, ghw, "{name}: floored ghw");
         assert_eq!(
             validate::validate_ghd(&h, &floored_ghw_d),
@@ -222,6 +224,13 @@ fn floors_agree_with_per_measure_widths() {
             floored_ghw_d.width() <= Rational::from(ghw),
             "{name}: floored ghw witness too wide"
         );
+
+        let per_measure = WidthStats {
+            hw: floored_hw_stats.engine_only(),
+            ghw: floored_ghw_stats.engine_only(),
+            fhw: fhw_stats.engine_only(),
+        };
+        assert_eq!(front_stats, per_measure, "{name}: front door counters");
     }
 }
 

@@ -260,3 +260,57 @@ fn jsonl_stream_follows_the_documented_schema() {
         "a price span nests inside another"
     );
 }
+
+/// A cold front-door verdict prepares each profile once and seeds each
+/// block once: fhw and ghw share one minimizer prep and one integral seed
+/// per block, and hw runs the decision prep.
+#[test]
+fn a_verdict_prepares_once_and_seeds_each_block_once() {
+    let _guard = trace_lock();
+    // Two triangles sharing vertex 2: two blocks.
+    let triangles = Hypergraph::from_edges(
+        5,
+        vec![
+            vec![0, 1],
+            vec![1, 2],
+            vec![2, 0],
+            vec![2, 3],
+            vec![3, 4],
+            vec![4, 2],
+        ],
+    );
+    for (name, h, blocks) in [
+        ("example_4_3", generators::example_4_3(), 1),
+        ("two triangles", triangles, 2),
+    ] {
+        obs::trace::set_enabled(true);
+        obs::trace::drain();
+        let (_, stats) = hypertree::exact_widths_with_opts(&h, 8, EngineOptions::sequential())
+            .unwrap_or_else(|| panic!("{name}: in range"));
+        let records = obs::trace::drain();
+        obs::trace::set_enabled(false);
+        let count = |span: &str, field: &'static str, value: &str| {
+            let field = (field, FieldValue::Str(value.into()));
+            records
+                .iter()
+                .filter(|r| r.name == span && r.fields.contains(&field))
+                .count()
+        };
+        assert_eq!(stats.fhw.prep_blocks, blocks, "{name}: blocks");
+        assert_eq!(
+            count("prep", "profile", "minimizer"),
+            1,
+            "{name}: minimizer preps"
+        );
+        assert_eq!(
+            count("prep", "profile", "decision"),
+            1,
+            "{name}: decision preps"
+        );
+        assert_eq!(
+            count("candgen", "stage", "upper_bound"),
+            blocks,
+            "{name}: seeds"
+        );
+    }
+}
