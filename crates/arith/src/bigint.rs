@@ -4,10 +4,12 @@
 //! magnitude never has trailing zero limbs and `sign == 0` iff the magnitude
 //! is empty, so equality and hashing can be derived structurally.
 //!
-//! The implementation favours correctness over asymptotic speed: the numbers
-//! appearing in exact simplex pivots over hypergraph covering LPs stay small
-//! (tens of digits), so schoolbook multiplication and binary long division
-//! are more than adequate.
+//! The implementation favours correctness over asymptotic speed: big
+//! integers appear only where a [`crate::Rational`] leaves the `i64` range
+//! (for instance in the `lp` crate's rational restart of a simplex solve
+//! whose `i64` arithmetic overflowed), and such numbers stay small (tens
+//! of digits), so schoolbook multiplication and binary long division are
+//! more than adequate.
 
 use std::cmp::Ordering;
 use std::fmt;

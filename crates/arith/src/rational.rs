@@ -6,12 +6,15 @@
 //!
 //! # Representation
 //!
-//! The overwhelmingly common case in the LP pricing hot path is a rational
-//! whose numerator and denominator both fit an `i64` — simplex pivots over
-//! edge-cover programs stay tiny. Those values are stored inline as
-//! [`Repr::Small`] and never touch the heap: the four field operations run
-//! on `i128` intermediates (two `i64` products can never overflow `i128`),
-//! normalize with a machine-word gcd, and only *promote* to the
+//! The overwhelmingly common case is a rational whose numerator and
+//! denominator both fit an `i64` — widths, cover weights and the values the
+//! `lp` crate's simplex reads off its tableau stay tiny. (That simplex
+//! pivots integral programs on `i64` entries and uses `Rational` entries
+//! only for rational data and overflow restarts.) Those values are stored
+//! inline as [`Repr::Small`] and never touch the heap: the four field
+//! operations run on `i128` intermediates (two `i64` products can never
+//! overflow `i128`), normalize with a machine-word gcd, and only *promote*
+//! to the
 //! [`BigInt`]-backed [`Repr::Big`] when a reduced component falls outside
 //! the `i64` range. Promotion is exact and canonical in the other direction
 //! too: any `Big` whose reduced components fit `i64` is demoted on

@@ -5,14 +5,21 @@
 //! bags (consecutive closed neighborhoods share most of their vertices
 //! and edge rows), so a warm solve re-seats the previous basis and
 //! usually finishes in a few pivots. The cold variant prices every bag
-//! from scratch — the per-bag-pure discipline the parallel engine's
-//! pricing pool keeps. The pivot counts printed at the end are the
-//! "warm starts do less simplex work" demonstration in counter form.
+//! from scratch, so its pivot count is a pure function of each bag. The
+//! pivot counts printed at the end are the "warm starts do less simplex
+//! work" demonstration in counter form.
+//!
+//! The second group runs the unseeded fhw elimination DP, whose warm `ρ*`
+//! solves are the LP-bound part of an exact fhw call, so a change to the
+//! simplex kernel shows at the layer above it; it prints the DP's
+//! `lp_pivots`, which such a change must leave as they are.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hypertree_core::candgen;
 use hypertree_core::cover::PricingContext;
+use hypertree_core::fhd;
 use hypertree_core::hypergraph::{generators, Hypergraph};
+use hypertree_core::solver::EngineOptions;
 use std::time::Duration;
 
 fn quick() -> Criterion {
@@ -66,9 +73,28 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_elimination_dp(c: &mut Criterion) {
+    let mut g = c.benchmark_group("pricing/elimination_dp");
+    for (name, h) in [
+        ("grid3x4", generators::grid(3, 4)),
+        ("clique7", generators::clique(7)),
+    ] {
+        let dp = |h: &Hypergraph| {
+            fhd::fhw_exact_elimination_with_stats(h, None, EngineOptions::sequential())
+        };
+        g.bench_with_input(BenchmarkId::new("fhw_unseeded", name), &h, |b, h| {
+            b.iter(|| dp(h).1.lp_pivots)
+        });
+        let (width, stats) = dp(&h);
+        let width = width.expect("within the DP window").0;
+        eprintln!("{name}: fhw {width}, {} lp_pivots", stats.lp_pivots);
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_cold_vs_warm
+    targets = bench_cold_vs_warm, bench_elimination_dp
 }
 criterion_main!(benches);

@@ -10,6 +10,12 @@
 //! ([`lp::SimplexWorkspace::dual_values`]): the reduced cost of edge `e`'s
 //! slack column at the optimum is exactly `γ(e)`.
 //!
+//! Every coefficient, right-hand side and objective entry of the packing
+//! LP is 0 or 1, so the workspace pivots it on its fraction-free `i64`
+//! tableau and turns only the optimum and the duals into [`Rational`]s
+//! (see the `lp` crate's README; an `i64` overflow would restart the solve
+//! over rationals, with the same pivots and counters).
+//!
 //! Two ways to price, one context either way:
 //!
 //! * **Warm** ([`PricingContext::price_warm`]): every search prices on its

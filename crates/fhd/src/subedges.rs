@@ -5,7 +5,8 @@
 //! `d = k = 2`, so the implementation exposes it as a parameter (soundness
 //! is unconditional — every generated set is a subedge; completeness of the
 //! Theorem 5.22 equivalence holds whenever the arity suffices, and
-//! truncation is reported).
+//! truncation is reported: the family is complete only when one more union
+//! level would add nothing to any edge's intersections).
 
 use ghd::subedges::SubedgeSet;
 use hypergraph::{Hypergraph, VertexSet};
@@ -74,6 +75,7 @@ pub fn hdk_subedges(h: &Hypergraph, d: usize, params: HdkParams) -> SubedgeSet {
     // Level-wise closure over the union side with dedup.
     let mut union_seen: HashSet<VertexSet> = HashSet::new();
     let mut frontier: Vec<VertexSet> = vec![VertexSet::new()];
+    let mut closed = false;
     'outer: for _ in 0..params.union_arity {
         let mut next = Vec::new();
         for u in &frontier {
@@ -100,9 +102,13 @@ pub fn hdk_subedges(h: &Hypergraph, d: usize, params: HdkParams) -> SubedgeSet {
             }
         }
         if next.is_empty() {
+            closed = true;
             break;
         }
         frontier = next;
+    }
+    if !truncated && !closed {
+        truncated = grows_past(h, &base, params.union_arity);
     }
     SubedgeSet {
         subedges,
@@ -111,10 +117,44 @@ pub fn hdk_subedges(h: &Hypergraph, d: usize, params: HdkParams) -> SubedgeSet {
     }
 }
 
+/// True iff some edge's family `{e ∩ U}` grows when `U` may unite
+/// `arity + 1` base sets instead of `arity`. That family is the union
+/// closure of the traces `e ∩ b`, so once a level adds nothing to it, no
+/// later level does. The check runs per edge: in the merged family another
+/// edge may supply a set that this edge's next level still builds on.
+fn grows_past(h: &Hypergraph, base: &[VertexSet], arity: usize) -> bool {
+    h.edges().iter().any(|edge| {
+        let traces: HashSet<VertexSet> = base
+            .iter()
+            .map(|b| edge.intersection(b))
+            .filter(|t| !t.is_empty())
+            .collect();
+        let mut seen: HashSet<VertexSet> = HashSet::from([VertexSet::new()]);
+        let mut frontier = vec![VertexSet::new()];
+        for level in 0..=arity {
+            let mut next = Vec::new();
+            for u in &frontier {
+                for t in &traces {
+                    let mut u2 = u.clone();
+                    u2.union_with(t);
+                    if seen.insert(u2.clone()) {
+                        if level == arity {
+                            return true;
+                        }
+                        next.push(u2);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        false
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypergraph::generators;
+    use hypergraph::{generators, properties};
 
     #[test]
     fn d_intersections_of_triangle() {
@@ -165,6 +205,35 @@ mod tests {
         let big_set: std::collections::HashSet<_> = big.subedges.into_iter().collect();
         assert!(small_set.is_subset(&big_set));
         assert!(big_set.len() >= small_set.len());
+    }
+
+    #[test]
+    fn truncation_reports_a_family_still_growing() {
+        let default = HdkParams::default();
+        for n in [5, 6] {
+            let h = generators::example_5_1(n);
+            for d in [2, properties::degree(&h)] {
+                let f = hdk_subedges(&h, d, default);
+                assert!(f.truncated, "example_5_1({n}) at d = {d}");
+            }
+        }
+        let h = generators::example_5_1(5);
+        let d = properties::degree(&h);
+        let f = hdk_subedges(
+            &h,
+            d,
+            HdkParams {
+                union_arity: 4,
+                ..default
+            },
+        );
+        assert!(!f.truncated);
+        assert_eq!(f.subedges.len(), 31);
+        for h in [generators::example_5_1(4), generators::example_4_3()] {
+            for d in [2, properties::degree(&h)] {
+                assert!(!hdk_subedges(&h, d, default).truncated);
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,33 @@
-//! Exact two-phase primal simplex over rationals, with a reusable
-//! workspace and warm starts.
+//! Exact two-phase primal simplex on a fraction-free tableau, with a
+//! reusable workspace and warm starts.
 //!
 //! All variables are implicitly non-negative, which matches every program in
 //! the paper: fractional edge covers (Definition 2.2), fractional
 //! transversals (Definition 6.22), and the auxiliary programs used to verify
 //! Lemmas 3.5/3.6. Bland's rule guarantees termination without cycling, and
-//! exact [`Rational`] pivots make every optimum a certified rational value —
-//! crucial because widths such as `2 - 1/n` must be reproduced exactly.
+//! exact pivots make every optimum a certified rational value — crucial
+//! because widths such as `2 - 1/n` must be reproduced exactly.
+//!
+//! # The fraction-free tableau
+//!
+//! The tableau does not divide by the pivot (Edmonds/Bareiss elimination).
+//! It stores `M = d·T`, where `T` is the textbook tableau of the current
+//! basis and `d > 0` the magnitude of the basis determinant. A pivot on
+//! `p = M[r][s]` sets every other row to `(M[i]·p − M[i][s]·M[r]) / d`,
+//! keeps the pivot row, and sets `d` to `p` (negating every entry when
+//! `p < 0`). With integral data every entry of `M`, the reduced-cost row
+//! included, is a minor of the initial tableau, so the division by `d` is
+//! exact and the entries stay integers: such programs run on `i64` with
+//! checked arithmetic, and values, solutions and duals are read off as
+//! `M / d` only at the end. Programs with rational data run on
+//! [`Rational`] entries, and so does the restart of a solve whose `i64`
+//! arithmetic overflows (the whole call, a warm crash included, runs
+//! again; only the finished attempt is counted).
+//!
+//! Since `d > 0`, the sign of an entry of `M` is that of `T`, and the
+//! ratio test compares `M[a][rhs]·M[b][j]` with `M[b][rhs]·M[a][j]`: every
+//! program takes exactly the pivots of the divide-by-pivot tableau, so its
+//! results, duals, pivot counts and warm starts are those of that tableau.
 //!
 //! [`LinearProgram::solve`] is the one-shot entry point. The pricing hot
 //! paths go through [`SimplexWorkspace`] instead, which reuses the tableau
@@ -14,11 +35,14 @@
 //! of the covering LPs), can *warm-start* from the final basis of the
 //! previous solve — see the crate README for the contract.
 
-#![allow(clippy::needless_range_loop)]
-
+use crate::entry::{Entry, Overflow, Step};
 use arith::Rational;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+
+#[cfg(test)]
+mod reference;
 
 /// Optimization direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -232,10 +256,13 @@ impl LinearProgram {
 
     /// Solves the program by two-phase simplex with Bland's rule.
     pub fn solve(&self) -> LpResult {
-        let mut tab = Tableau::default();
-        tab.build_into(self);
-        let mut pivots = 0u64;
-        tab.solve(self, &mut pivots)
+        let mut row_of = HashMap::new();
+        attempt(&mut Tableau::<i64>::default(), self, None, &mut row_of)
+            .or_else(|Overflow| {
+                attempt(&mut Tableau::<Rational>::default(), self, None, &mut row_of)
+            })
+            .expect("rational tableau steps are exact")
+            .0
     }
 
     /// True iff every row is `<=` with a non-negative right-hand side: the
@@ -265,7 +292,13 @@ struct WarmBasis {
 /// that lets covering problems be solved through their packing duals.
 #[derive(Default)]
 pub struct SimplexWorkspace {
-    tab: Tableau,
+    /// The tableau of programs with integral data.
+    int: Tableau<i64>,
+    /// The tableau of programs with rational data, and of the restart of a
+    /// solve whose `i64` arithmetic overflowed.
+    rat: Tableau<Rational>,
+    /// Whether the last solve ran on `rat`.
+    last_rat: bool,
     warm: Option<WarmBasis>,
     /// Scratch: label -> row index of the program being crashed.
     row_of: HashMap<u64, usize>,
@@ -286,13 +319,7 @@ impl SimplexWorkspace {
     /// Solves from scratch, reusing the workspace buffers.
     pub fn solve(&mut self, lp: &LinearProgram) -> LpResult {
         self.warm = None;
-        self.stats.cold_solves += 1;
-        let before = self.stats.pivots;
-        self.tab.build_into(lp);
-        let res = self.tab.solve(lp, &mut self.stats.pivots);
-        self.retain(lp, &res);
-        lp_metrics::record(false, self.stats.pivots - before);
-        res
+        self.run(lp, None)
     }
 
     /// Solves `lp`, warm-starting from the final basis of the previous
@@ -314,42 +341,7 @@ impl SimplexWorkspace {
         if warm.num_vars != lp.num_vars || !lp.is_slack_feasible() {
             return self.solve(lp);
         }
-        self.tab.build_into(lp);
-        self.row_of.clear();
-        for (i, &label) in lp.labels.iter().enumerate() {
-            self.row_of.insert(label, i);
-        }
-        for &(label, var) in &warm.rows {
-            let Some(&row) = self.row_of.get(&label) else {
-                continue; // the labeled row vanished; its slack stays basic
-            };
-            if self.tab.basis[row] < self.tab.num_decision {
-                continue; // row already claimed by an earlier pair
-            }
-            if self.tab.rows[row][var].is_zero() {
-                continue; // singular re-seat; leave the slack basic
-            }
-            self.tab.crash_pivot(row, var);
-        }
-        let m = self.tab.rows.len();
-        let rhs_col = self.tab.num_cols;
-        let crashed_feasible = (0..m).all(|i| !self.tab.rows[i][rhs_col].is_negative());
-        if !crashed_feasible {
-            // Basis infeasibility: rebuild from slacks and solve cold.
-            self.stats.cold_solves += 1;
-            let before = self.stats.pivots;
-            self.tab.build_into(lp);
-            let res = self.tab.solve(lp, &mut self.stats.pivots);
-            self.retain(lp, &res);
-            lp_metrics::record(false, self.stats.pivots - before);
-            return res;
-        }
-        self.stats.warm_starts += 1;
-        let before = self.stats.pivots;
-        let res = self.tab.solve(lp, &mut self.stats.pivots);
-        self.retain(lp, &res);
-        lp_metrics::record(true, self.stats.pivots - before);
-        res
+        self.run(lp, Some(&warm))
     }
 
     /// The optimal dual value of each constraint row of the last solve,
@@ -360,13 +352,38 @@ impl SimplexWorkspace {
     /// its packing dual (`max 1·y, Aᵀy <= 1`), these values are exactly
     /// the optimal cover weights.
     pub fn dual_values(&self) -> Vec<Rational> {
-        (0..self.tab.rows.len())
-            .map(|i| {
-                let col = self.tab.slack_col[i];
-                debug_assert!(col != usize::MAX, "dual_values on a slack-free row");
-                self.tab.obj_row[col].clone()
-            })
-            .collect()
+        if self.last_rat {
+            self.rat.dual_values()
+        } else {
+            self.int.dual_values()
+        }
+    }
+
+    /// One solve, on the `i64` tableau unless the program's data are not
+    /// integral or an `i64` step overflows; then the whole call, crash
+    /// included, restarts over `Rational`. Only the finished attempt is
+    /// counted.
+    fn run(&mut self, lp: &LinearProgram, warm: Option<&WarmBasis>) -> LpResult {
+        let (res, warm_started, pivots) = match attempt(&mut self.int, lp, warm, &mut self.row_of) {
+            Ok(done) => {
+                self.last_rat = false;
+                done
+            }
+            Err(Overflow) => {
+                self.last_rat = true;
+                attempt(&mut self.rat, lp, warm, &mut self.row_of)
+                    .expect("rational tableau steps are exact")
+            }
+        };
+        self.stats.pivots += pivots;
+        if warm_started {
+            self.stats.warm_starts += 1;
+        } else {
+            self.stats.cold_solves += 1;
+        }
+        self.retain(lp, &res);
+        lp_metrics::record(warm_started, pivots);
+        res
     }
 
     /// Retains the final basis for the next warm start (only `<=`-only
@@ -376,12 +393,15 @@ impl SimplexWorkspace {
         if !matches!(res, LpResult::Optimal { .. }) || !lp.is_slack_feasible() {
             return;
         }
-        let rows = self
-            .tab
-            .basis
+        let (basis, num_decision) = if self.last_rat {
+            (&self.rat.basis, self.rat.num_decision)
+        } else {
+            (&self.int.basis, self.int.num_decision)
+        };
+        let rows = basis
             .iter()
             .enumerate()
-            .filter(|&(_, &b)| b < self.tab.num_decision)
+            .filter(|&(_, &b)| b < num_decision)
             .map(|(i, &b)| (lp.labels[i], b))
             .collect();
         self.warm = Some(WarmBasis {
@@ -391,18 +411,68 @@ impl SimplexWorkspace {
     }
 }
 
-/// Dense simplex tableau. Column layout: decision vars, then slack/surplus
-/// vars, then artificial vars; the last column is the right-hand side.
-/// Buffers are reused across `build_into` calls.
+/// One solve of `lp` on `tab`: re-seats `warm`'s basis by crash pivots when
+/// given, falls back to a cold solve when the crashed basis is infeasible,
+/// and returns the result, whether it ran warm, and its Bland pivots.
+fn attempt<E: Entry>(
+    tab: &mut Tableau<E>,
+    lp: &LinearProgram,
+    warm: Option<&WarmBasis>,
+    row_of: &mut HashMap<u64, usize>,
+) -> Step<(LpResult, bool, u64)> {
+    tab.build_into(lp)?;
+    let mut warm_started = false;
+    if let Some(warm) = warm {
+        row_of.clear();
+        for (i, &label) in lp.labels.iter().enumerate() {
+            row_of.insert(label, i);
+        }
+        for &(label, var) in &warm.rows {
+            let Some(&row) = row_of.get(&label) else {
+                continue; // the labeled row vanished; its slack stays basic
+            };
+            if tab.basis[row] < tab.num_decision {
+                continue; // row already claimed by an earlier pair
+            }
+            if tab.rows[row][var].is_zero() {
+                continue; // singular re-seat; leave the slack basic
+            }
+            tab.pivot(row, var, false)?;
+        }
+        let rhs = tab.num_cols;
+        warm_started = tab.rows.iter().all(|row| !row[rhs].is_negative());
+        if !warm_started {
+            // Basis infeasibility: rebuild from slacks and solve cold.
+            tab.build_into(lp)?;
+        }
+    }
+    let mut pivots = 0u64;
+    let res = tab.solve(lp, &mut pivots)?;
+    Ok((res, warm_started, pivots))
+}
+
+/// Dense fraction-free simplex tableau. Column layout: decision vars, then
+/// slack/surplus vars, then artificial vars; the last column is the
+/// right-hand side. Buffers are reused across `build_into` calls.
+///
+/// It stores `M = d·T`, where `T` is the divide-by-pivot tableau and `d > 0`
+/// the magnitude of the basis determinant, so a pivot's only division is an
+/// exact one by `d` (see the module docs). Every decision reads only signs
+/// and cross-multiplied ratios of `M`, which are those of `T`.
 #[derive(Default)]
-struct Tableau {
-    rows: Vec<Vec<Rational>>,
+struct Tableau<E> {
+    /// `M`, row by row.
+    rows: Vec<Vec<E>>,
+    /// `d` times the running reduced-cost row, with `d` times the negated
+    /// objective value in the right-hand-side column. After `solve` it is
+    /// the final phase-2 row, read by [`SimplexWorkspace::dual_values`].
+    obj: Vec<E>,
+    /// `d`.
+    det: E,
     /// Basis variable of each row.
     basis: Vec<usize>,
     /// Slack/surplus column of each row (`usize::MAX` for `=` rows).
     slack_col: Vec<usize>,
-    /// Final reduced-cost row of the last `solve` (phase 2).
-    obj_row: Vec<Rational>,
     num_decision: usize,
     num_structural: usize,
     /// Column index where artificial variables start.
@@ -411,9 +481,9 @@ struct Tableau {
     num_cols: usize,
 }
 
-impl Tableau {
+impl<E: Entry> Tableau<E> {
     /// (Re)builds the tableau for `lp` in place, reusing row buffers.
-    fn build_into(&mut self, lp: &LinearProgram) {
+    fn build_into(&mut self, lp: &LinearProgram) -> Step<()> {
         let m = lp.constraints.len();
         let n = lp.num_vars;
 
@@ -421,9 +491,7 @@ impl Tableau {
         let mut num_slack = 0usize;
         let mut num_art = 0usize;
         for c in &lp.constraints {
-            let rhs_neg = c.rhs.is_negative();
-            let eff = effective_cmp(c.cmp, rhs_neg);
-            match eff {
+            match effective_cmp(c.cmp, c.rhs.is_negative()) {
                 Cmp::Le => num_slack += 1,
                 Cmp::Ge => {
                     num_slack += 1;
@@ -438,185 +506,175 @@ impl Tableau {
         self.rows.resize_with(m, Vec::new);
         for row in &mut self.rows {
             row.clear();
-            row.resize(num_cols + 1, Rational::zero());
+            row.resize(num_cols + 1, E::default());
         }
         self.basis.clear();
         self.basis.resize(m, 0);
         self.slack_col.clear();
         self.slack_col.resize(m, usize::MAX);
+        self.det = E::one();
+        self.num_decision = n;
+        self.num_structural = num_structural;
+        self.art_start = num_structural;
+        self.num_cols = num_cols;
         let mut slack_idx = n;
         let mut art_idx = num_structural;
 
         for (i, c) in lp.constraints.iter().enumerate() {
-            let rhs_neg = c.rhs.is_negative();
-            let flip = rhs_neg;
+            let row = &mut self.rows[i];
+            let flip = c.rhs.is_negative();
+            let signed = |r: &Rational| -> Step<E> {
+                let v = E::from_rational(r)?;
+                if flip {
+                    v.neg()
+                } else {
+                    Ok(v)
+                }
+            };
             for (v, coeff) in &c.coeffs {
                 debug_assert!(*v < n, "constraint references unknown variable {v}");
-                let val = if flip { -coeff } else { coeff.clone() };
-                self.rows[i][*v] = &self.rows[i][*v] + &val;
+                row[*v] = row[*v].add(&signed(coeff)?)?;
             }
-            self.rows[i][num_cols] = if flip { -&c.rhs } else { c.rhs.clone() };
-            match effective_cmp(c.cmp, rhs_neg) {
+            row[num_cols] = signed(&c.rhs)?;
+            match effective_cmp(c.cmp, flip) {
                 Cmp::Le => {
-                    self.rows[i][slack_idx] = Rational::one();
+                    row[slack_idx] = E::one();
                     self.basis[i] = slack_idx;
                     self.slack_col[i] = slack_idx;
                     slack_idx += 1;
                 }
                 Cmp::Ge => {
-                    self.rows[i][slack_idx] = -Rational::one();
+                    row[slack_idx] = E::one().neg()?;
                     self.slack_col[i] = slack_idx;
                     slack_idx += 1;
-                    self.rows[i][art_idx] = Rational::one();
+                    row[art_idx] = E::one();
                     self.basis[i] = art_idx;
                     art_idx += 1;
                 }
                 Cmp::Eq => {
-                    self.rows[i][art_idx] = Rational::one();
+                    row[art_idx] = E::one();
                     self.basis[i] = art_idx;
                     art_idx += 1;
                 }
             }
         }
-
-        self.num_decision = n;
-        self.num_structural = num_structural;
-        self.art_start = num_structural;
-        self.num_cols = num_cols;
+        Ok(())
     }
 
-    /// Builds the reduced-cost row for objective `costs` (indexed over all
-    /// columns), zeroing out basic variables. Returns `(row, value)` where
-    /// `value` is the current objective value.
-    fn reduce_objective(&self, costs: &[Rational]) -> (Vec<Rational>, Rational) {
-        let mut row = costs.to_vec();
-        let mut value = Rational::zero();
-        for (i, &b) in self.basis.iter().enumerate() {
-            if row[b].is_zero() {
+    /// Sets `obj` to `d` times the reduced-cost row of `costs` (one entry
+    /// per column, the right-hand side's 0 last) under the current basis.
+    fn reduce_objective(&mut self, costs: &[E]) -> Step<()> {
+        self.obj.clear();
+        for c in costs {
+            self.obj.push(c.mul(&self.det)?);
+        }
+        for (row, &b) in self.rows.iter().zip(&self.basis) {
+            let factor = &costs[b];
+            if factor.is_zero() {
                 continue;
             }
-            let factor = row[b].clone();
-            for j in 0..self.num_cols {
-                let delta = &factor * &self.rows[i][j];
-                row[j] = &row[j] - &delta;
+            for (o, x) in self.obj.iter_mut().zip(row) {
+                if !x.is_zero() {
+                    *o = o.sub(&factor.mul(x)?)?;
+                }
             }
-            value = &value - &(&factor * &self.rows[i][self.num_cols]);
         }
-        (row, value)
+        Ok(())
     }
 
-    /// Runs simplex iterations (minimization) until optimal or unbounded.
-    /// `allowed_cols` restricts entering columns. Returns `None` on
-    /// unboundedness; otherwise the final objective value (negated running
-    /// total, i.e. the true minimum). `pivots` counts the iterations.
-    fn iterate(
-        &mut self,
-        obj_row: &mut [Rational],
-        obj_value: &mut Rational,
-        allowed_cols: usize,
-        pivots: &mut u64,
-    ) -> Option<()> {
+    /// Runs simplex iterations (minimization) on `obj` until optimal
+    /// (`true`) or unbounded (`false`). `allowed_cols` restricts entering
+    /// columns; `pivots` counts the iterations.
+    fn iterate(&mut self, allowed_cols: usize, pivots: &mut u64) -> Step<bool> {
+        let rhs = self.num_cols;
         loop {
             // Bland's rule: the lowest-index column with a negative reduced cost.
-            let entering = (0..allowed_cols).find(|&j| obj_row[j].is_negative());
-            let Some(j) = entering else {
-                return Some(());
+            let Some(j) = (0..allowed_cols).find(|&j| self.obj[j].is_negative()) else {
+                return Ok(true);
             };
-            // Ratio test; break ties by smallest basis variable (Bland).
-            let mut leaving: Option<(usize, Rational)> = None;
-            for i in 0..self.rows.len() {
-                if !self.rows[i][j].is_positive() {
+            // Ratio test over `M[i][rhs] / M[i][j]` (the same ratios as `T`'s);
+            // break ties by smallest basis variable (Bland).
+            let mut leaving: Option<usize> = None;
+            for (i, row) in self.rows.iter().enumerate() {
+                if !row[j].is_positive() {
                     continue;
                 }
-                let ratio = &self.rows[i][self.num_cols] / &self.rows[i][j];
-                match &leaving {
-                    None => leaving = Some((i, ratio)),
-                    Some((best_i, best)) => {
-                        if ratio < *best || (ratio == *best && self.basis[i] < self.basis[*best_i])
-                        {
-                            leaving = Some((i, ratio));
+                leaving = match leaving {
+                    Some(best) => {
+                        let b = &self.rows[best];
+                        match E::cmp_ratio(&row[rhs], &row[j], &b[rhs], &b[j]) {
+                            Ordering::Less => Some(i),
+                            Ordering::Equal if self.basis[i] < self.basis[best] => Some(i),
+                            _ => Some(best),
                         }
                     }
-                }
+                    None => Some(i),
+                };
             }
-            let Some((pivot_row, _)) = leaving else {
-                return None; // unbounded direction
+            let Some(pivot_row) = leaving else {
+                return Ok(false); // unbounded direction
             };
             *pivots += 1;
-            self.pivot(pivot_row, j, obj_row, obj_value);
+            self.pivot(pivot_row, j, true)?;
         }
     }
 
-    /// Re-seats `pivot_col` as the basic variable of `pivot_row` by plain
-    /// Gaussian elimination — no ratio test, no objective row. Used to
-    /// crash a retained basis into a freshly built tableau; the entry may
-    /// be negative (feasibility is checked afterwards on the RHS column).
-    fn crash_pivot(&mut self, pivot_row: usize, pivot_col: usize) {
-        let mut dummy_row: [Rational; 0] = [];
-        let mut dummy_val = Rational::zero();
-        self.pivot(pivot_row, pivot_col, &mut dummy_row, &mut dummy_val);
-    }
-
-    fn pivot(
-        &mut self,
-        pivot_row: usize,
-        pivot_col: usize,
-        obj_row: &mut [Rational],
-        obj_value: &mut Rational,
-    ) {
-        let pivot = self.rows[pivot_row][pivot_col].clone();
-        debug_assert!(!pivot.is_zero());
-        if pivot != Rational::one() {
-            for j in 0..=self.num_cols {
-                if !self.rows[pivot_row][j].is_zero() {
-                    self.rows[pivot_row][j] = &self.rows[pivot_row][j] / &pivot;
-                }
-            }
+    /// Makes `pivot_col` the basic variable of `pivot_row`, updating `obj`
+    /// too when `with_obj`. Without it this is a Gaussian crash pivot that
+    /// re-seats a retained basis or drives out an artificial; its entry may
+    /// be negative (a warm crash checks feasibility afterwards on the RHS
+    /// column).
+    ///
+    /// With `p = M[r][s]`, every other row becomes `(M[i]·p − M[i][s]·M[r]) / d`
+    /// (an exact division), the pivot row stays, and `d` becomes `p`; after
+    /// a negative `p` every entry is negated so that `d` stays positive.
+    fn pivot(&mut self, pivot_row: usize, pivot_col: usize, with_obj: bool) -> Step<()> {
+        let p = self.rows[pivot_row][pivot_col].clone();
+        debug_assert!(!p.is_zero());
+        let (before, rest) = self.rows.split_at_mut(pivot_row);
+        let (prow, after) = rest.split_first_mut().expect("pivot row exists");
+        let prow: &[E] = prow;
+        for row in before.iter_mut().chain(after) {
+            eliminate(row, prow, pivot_col, &p, &self.det)?;
         }
-        for i in 0..self.rows.len() {
-            if i == pivot_row || self.rows[i][pivot_col].is_zero() {
-                continue;
-            }
-            let factor = self.rows[i][pivot_col].clone();
-            for j in 0..=self.num_cols {
-                if !self.rows[pivot_row][j].is_zero() {
-                    let delta = &factor * &self.rows[pivot_row][j];
-                    self.rows[i][j] = &self.rows[i][j] - &delta;
-                }
-            }
+        if with_obj {
+            eliminate(&mut self.obj, prow, pivot_col, &p, &self.det)?;
         }
-        if !obj_row.is_empty() && !obj_row[pivot_col].is_zero() {
-            let factor = obj_row[pivot_col].clone();
-            for j in 0..self.num_cols {
-                if !self.rows[pivot_row][j].is_zero() {
-                    let delta = &factor * &self.rows[pivot_row][j];
-                    obj_row[j] = &obj_row[j] - &delta;
-                }
+        if p.is_negative() {
+            // Only a crash or drive-out pivot takes a negative entry (the
+            // ratio test picks positive ones), and neither carries `obj`.
+            debug_assert!(!with_obj);
+            for x in self.rows.iter_mut().flatten() {
+                *x = x.neg()?;
             }
-            *obj_value = &*obj_value - &(&factor * &self.rows[pivot_row][self.num_cols]);
+            self.det = p.neg()?;
+        } else {
+            self.det = p;
         }
         self.basis[pivot_row] = pivot_col;
+        Ok(())
     }
 
     /// Two-phase solve from the current basis (phase 1 runs only when the
     /// built tableau needed artificial variables). The final reduced-cost
-    /// row is kept in `self.obj_row` for [`SimplexWorkspace::dual_values`].
-    fn solve(&mut self, lp: &LinearProgram, pivots: &mut u64) -> LpResult {
+    /// row stays in `obj` for [`SimplexWorkspace::dual_values`].
+    fn solve(&mut self, lp: &LinearProgram, pivots: &mut u64) -> Step<LpResult> {
+        let rhs = self.num_cols;
         // Phase 1: minimize the sum of artificial variables.
         if self.art_start < self.num_cols {
-            let mut costs = vec![Rational::zero(); self.num_cols];
-            for c in self.art_start..self.num_cols {
-                costs[c] = Rational::one();
+            let mut costs = vec![E::default(); self.num_cols + 1];
+            for c in &mut costs[self.art_start..self.num_cols] {
+                *c = E::one();
             }
-            let (mut obj_row, mut obj_value) = self.reduce_objective(&costs);
+            self.reduce_objective(&costs)?;
             // Phase 1 is always bounded below by 0.
-            self.iterate(&mut obj_row, &mut obj_value, self.num_cols, pivots)
-                .expect("phase 1 cannot be unbounded");
-            // Current phase-1 objective = -obj_value bookkeeping: obj_value
-            // tracks -(c_B x_B); the attained minimum is -obj_value.
-            let attained = -obj_value;
-            if attained.is_positive() {
-                return LpResult::Infeasible;
+            assert!(
+                self.iterate(self.num_cols, pivots)?,
+                "phase 1 cannot be unbounded"
+            );
+            // `obj[rhs]` is `d` times the negated attained minimum.
+            if self.obj[rhs].is_negative() {
+                return Ok(LpResult::Infeasible);
             }
             // Drive any degenerate artificial variables out of the basis.
             for i in 0..self.rows.len() {
@@ -626,13 +684,10 @@ impl Tableau {
                 let pivot_col = (0..self.art_start).find(|&j| !self.rows[i][j].is_zero());
                 if let Some(j) = pivot_col {
                     // The artificial basic variable is at value 0, so pivoting
-                    // on any nonzero entry keeps feasibility.
-                    if self.rows[i][j].is_negative() {
-                        for col in 0..=self.num_cols {
-                            self.rows[i][col] = -&self.rows[i][col];
-                        }
-                    }
-                    self.crash_pivot(i, j);
+                    // on any nonzero entry keeps feasibility. A negative one
+                    // leaves the same tableau as negating the row first,
+                    // since the pivot row is scaled by its own pivot.
+                    self.pivot(i, j, false)?;
                 }
                 // If the whole row is zero on structural columns the
                 // constraint is redundant; leaving the artificial basic at
@@ -642,37 +697,81 @@ impl Tableau {
 
         // Phase 2: optimize the real objective (as minimization), artificial
         // columns barred from entering.
-        let mut costs = vec![Rational::zero(); self.num_cols];
-        for v in 0..lp.num_vars {
-            costs[v] = match lp.sense {
-                Sense::Minimize => lp.objective[v].clone(),
-                Sense::Maximize => -&lp.objective[v],
+        let mut costs = vec![E::default(); self.num_cols + 1];
+        for (c, o) in costs.iter_mut().zip(&lp.objective) {
+            let o = E::from_rational(o)?;
+            *c = match lp.sense {
+                Sense::Minimize => o,
+                Sense::Maximize => o.neg()?,
             };
         }
-        // Artificial columns must stay at zero: bar them by leaving their
-        // reduced costs non-negative and never selecting them (allowed_cols).
-        let (mut obj_row, mut obj_value) = self.reduce_objective(&costs);
-        let bounded = self
-            .iterate(&mut obj_row, &mut obj_value, self.num_structural, pivots)
-            .is_some();
-        self.obj_row = obj_row;
-        if !bounded {
-            return LpResult::Unbounded;
+        // Artificial columns must stay at zero: bar them by never selecting
+        // them (allowed_cols).
+        self.reduce_objective(&costs)?;
+        if !self.iterate(self.num_structural, pivots)? {
+            return Ok(LpResult::Unbounded);
         }
 
         let mut solution = vec![Rational::zero(); self.num_decision];
-        for (i, &b) in self.basis.iter().enumerate() {
+        for (row, &b) in self.rows.iter().zip(&self.basis) {
             if b < self.num_decision {
-                solution[b] = self.rows[i][self.num_cols].clone();
+                solution[b] = row[rhs].over(&self.det);
             }
         }
-        let min_value = -obj_value;
+        // `obj[rhs] / d` is the negated minimum.
+        let neg_min = self.obj[rhs].over(&self.det);
         let value = match lp.sense {
-            Sense::Minimize => min_value,
-            Sense::Maximize => -min_value,
+            Sense::Minimize => -neg_min,
+            Sense::Maximize => neg_min,
         };
-        LpResult::Optimal { value, solution }
+        Ok(LpResult::Optimal { value, solution })
     }
+
+    /// The dual of each row of the last solve: its slack column's entry of
+    /// the final reduced-cost row.
+    fn dual_values(&self) -> Vec<Rational> {
+        self.slack_col[..self.rows.len()]
+            .iter()
+            .map(|&col| {
+                debug_assert!(col != usize::MAX, "dual_values on a slack-free row");
+                self.obj[col].over(&self.det)
+            })
+            .collect()
+    }
+}
+
+/// One row's share of a pivot on column `s` with pivot `p`, from the pivot
+/// row `prow` and the determinant `d`: `row ← (row·p − row[s]·prow) / d`.
+/// When `p == d` that is `row − row[s]·prow / d`, so a row with
+/// `row[s] == 0` and every column where `prow` is 0 stay as they are.
+fn eliminate<E: Entry>(row: &mut [E], prow: &[E], s: usize, p: &E, d: &E) -> Step<()> {
+    let f = row[s].clone();
+    let unit = *d == E::one();
+    if p == d {
+        if f.is_zero() {
+            return Ok(());
+        }
+        for (x, y) in row.iter_mut().zip(prow) {
+            if y.is_zero() {
+                continue;
+            }
+            let t = f.mul(y)?;
+            *x = x.sub(&if unit { t } else { t.div_exact(d) })?;
+        }
+    } else {
+        for (x, y) in row.iter_mut().zip(prow) {
+            let cross = !f.is_zero() && !y.is_zero();
+            if x.is_zero() && !cross {
+                continue;
+            }
+            let mut t = x.mul(p)?;
+            if cross {
+                t = t.sub(&f.mul(y)?)?;
+            }
+            *x = if unit { t } else { t.div_exact(d) };
+        }
+    }
+    Ok(())
 }
 
 /// Process-lifetime LP work counters, mirroring [`LpStats`] into the
@@ -1006,5 +1105,81 @@ mod tests {
         assert_eq!(ws.solve_warm(&ge).value(), Some(&r(3, 1)));
         assert_eq!(ws.stats().warm_starts, 0);
         assert_eq!(ws.stats().cold_solves, 2);
+    }
+
+    /// `max x0 + x1 + x2` under `B·x_k + Σ_{j≠k} x_j <= B` (row label `k`),
+    /// with `B` near 2^40: the first `i64` pivot multiplies two such
+    /// coefficients and overflows.
+    fn near_overflow() -> LinearProgram {
+        let big = Rational::from_int((1 << 40) + 1);
+        let mut lp = LinearProgram::maximize(3);
+        for v in 0..3 {
+            lp.set_objective(v, Rational::one());
+        }
+        for k in 0..3usize {
+            let coeffs = (0..3)
+                .map(|j| (j, if j == k { big.clone() } else { Rational::one() }))
+                .collect();
+            lp.add_constraint_labeled(k as u64, coeffs, Cmp::Le, big.clone());
+        }
+        lp
+    }
+
+    /// `max x0 + x1 + x2` under `x_k <= 1` (row label `k`): its optimal
+    /// basis seats `x_k` in row `k`, which [`near_overflow`] re-seats by
+    /// crash pivots that overflow `i64`.
+    fn unit_box() -> LinearProgram {
+        let mut lp = LinearProgram::maximize(3);
+        for v in 0..3 {
+            lp.set_objective(v, Rational::one());
+            lp.add_constraint_labeled(v as u64, vec![(v, Rational::one())], Cmp::Le, r(1, 1));
+        }
+        lp
+    }
+
+    #[test]
+    fn cold_overflow_restarts_over_rationals_once() {
+        let lp = near_overflow();
+        let mut probe = Tableau::<i64>::default();
+        assert_eq!(
+            attempt(&mut probe, &lp, None, &mut HashMap::new()).err(),
+            Some(Overflow)
+        );
+        let mut ws = SimplexWorkspace::new();
+        let mut reference = reference::Workspace::default();
+        let res = ws.solve(&lp);
+        assert!(ws.last_rat, "the i64 tableau overflowed");
+        assert_eq!(res, reference.solve(&lp));
+        assert_eq!(res, lp.solve());
+        assert_eq!(ws.dual_values(), reference.dual_values());
+        assert_eq!(ws.stats(), reference.stats());
+        assert_eq!(ws.stats().cold_solves, 1);
+        assert!(ws.stats().pivots > 0);
+        // The retained basis is re-seated by the next warm solve.
+        assert_eq!(ws.solve_warm(&lp), reference.solve_warm(&lp));
+        assert_eq!(ws.stats(), reference.stats());
+        assert_eq!(ws.stats().warm_starts, 1);
+    }
+
+    #[test]
+    fn warm_crash_overflow_restarts_over_rationals_once() {
+        let mut ws = SimplexWorkspace::new();
+        let mut reference = reference::Workspace::default();
+        assert_eq!(ws.solve(&unit_box()), reference.solve(&unit_box()));
+        assert!(!ws.last_rat);
+        let lp = near_overflow();
+        let res = ws.solve_warm(&lp);
+        assert!(ws.last_rat, "the i64 crash overflowed");
+        assert_eq!(res, reference.solve_warm(&lp));
+        assert_eq!(ws.dual_values(), reference.dual_values());
+        assert_eq!(ws.stats(), reference.stats());
+        assert_eq!(ws.stats().warm_starts, 1);
+        assert_eq!(ws.stats().cold_solves, 1);
+        // The basis the rational restart retained is re-seated next.
+        let again = ws.solve_warm(&unit_box());
+        assert!(!ws.last_rat);
+        assert_eq!(again, reference.solve_warm(&unit_box()));
+        assert_eq!(ws.stats(), reference.stats());
+        assert_eq!(ws.stats().warm_starts, 2);
     }
 }
