@@ -43,15 +43,15 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Number of measured iterations aimed for per benchmark.
+    /// The least number of measured iterations per benchmark.
     pub fn sample_size(mut self, n: usize) -> Self {
         assert!(n > 0);
         self.sample_size = n;
         self
     }
 
-    /// Wall-clock budget per benchmark. The shim caps this at 2s to keep
-    /// `cargo bench` runs short.
+    /// The least wall-clock time measured per benchmark. The shim caps
+    /// this at 2s to keep `cargo bench` runs short.
     pub fn measurement_time(mut self, t: Duration) -> Self {
         self.measurement_time = t.min(Duration::from_secs(2));
         self
@@ -198,14 +198,15 @@ impl Bencher {
                 break;
             }
         }
-        // Measurement: stop at the iteration target or the time budget,
-        // whichever comes first (always at least one iteration).
+        // Measurement: stop once both the iteration target and the time
+        // budget are reached, so a fast case is timed over the whole
+        // budget and one scheduling hiccup cannot set its mean.
         let mut iters: u64 = 0;
         let start = Instant::now();
         loop {
             black_box(f());
             iters += 1;
-            if iters >= self.sample_size as u64 || start.elapsed() >= self.measurement_time {
+            if iters >= self.sample_size as u64 && start.elapsed() >= self.measurement_time {
                 break;
             }
         }
@@ -312,6 +313,26 @@ mod tests {
         });
         g.finish();
         assert!(ran);
+    }
+
+    /// Measurement runs until both the iteration target and the time
+    /// budget are reached, whichever comes last.
+    #[test]
+    fn measurement_meets_both_the_sample_size_and_the_time() {
+        let bencher = |sample_size, measurement_time| Bencher {
+            sample_size,
+            warm_up_time: Duration::ZERO,
+            measurement_time,
+            result: None,
+        };
+        let started = Instant::now();
+        let mut fast = bencher(2, Duration::from_millis(20));
+        fast.iter(|| black_box(2 + 2));
+        assert!(started.elapsed() >= Duration::from_millis(20));
+        assert!(fast.result.expect("measured").1 > 2);
+        let mut slow = bencher(3, Duration::ZERO);
+        slow.iter(|| std::thread::sleep(Duration::from_millis(1)));
+        assert_eq!(slow.result.expect("measured").1, 3);
     }
 
     #[test]

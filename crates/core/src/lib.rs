@@ -92,7 +92,10 @@ pub fn analyze_structure(h: &Hypergraph, vc_limit: usize) -> StructureReport {
     }
 }
 
-/// Certified exact widths of a (small) hypergraph.
+/// Certified exact widths of a (small) hypergraph. An α-acyclic
+/// hypergraph has all three equal to 1, certified by its join tree
+/// ([`decomp::join_tree`]) without any prep or search; the fields below
+/// name the engines of a cyclic one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExactWidths {
     /// Hypertree width (`det-k-decomp` on the shared search engine).
@@ -114,14 +117,19 @@ pub struct ExactWidths {
 /// `ghw` with floor `⌈fhw⌉` ([`ghd::ghw_exact_at_least`]), then `hw` with
 /// floor `ghw` ([`hd::hypertree_width_at_least`], which starts
 /// `det-k-decomp` at `k = ghw`). `fhw` and `ghw` are asked of one
-/// [`solver::exact::Instance`], so the minimizer prep and each block's
-/// integral seed are built once, by `fhw`. The widths equal the
+/// [`solver::exact::Instance`], so the join tree, the minimizer prep and
+/// each block's integral seed are built once, by `fhw`. An α-acyclic
+/// instance is answered by its join tree under all three measures (`hw`
+/// at floor 1 asks for it again); a cyclic one pays that one failed GYO,
+/// and `hw` starts at `ghw ≥ 2` without one. The widths equal the
 /// per-measure entry points'.
 pub fn exact_widths(h: &Hypergraph, max_hw: usize) -> Option<ExactWidths> {
     exact_widths_with_stats(h, max_hw).map(|(w, _)| w)
 }
 
-/// Per-engine counters of one [`exact_widths_with_stats`] run.
+/// Per-engine counters of one [`exact_widths_with_stats`] run. On an
+/// α-acyclic instance every counter is zero except `ghw`'s and `fhw`'s
+/// `ub_width = 1`, the join tree's bound.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WidthStats {
     /// `det-k-decomp` counters, summed over the checks that ran (from

@@ -33,7 +33,9 @@ pub fn check_hd(h: &Hypergraph, k: usize) -> Option<Decomposition> {
 
 /// As [`check_hd`], also reporting the engine counters of this check.
 ///
-/// Unless opted out (`opts.prep` / `HGTOOL_NO_PREP`), the instance first
+/// At `k = 1` the check is α-acyclicity: the answer is `h`'s join tree
+/// ([`decomp::join_tree`]), and nothing is prepared or searched. Above it,
+/// unless opted out (`opts.prep` / `HGTOOL_NO_PREP`), the instance first
 /// runs through `prep`'s *decision* profile — duplicate-edge and
 /// twin-vertex collapse only, the passes that provably preserve `hw`'s
 /// special condition (no block splitting: re-rooting a block tree is not
@@ -50,6 +52,9 @@ pub fn check_hd_with_stats(
     let key = format!("k={k};prep={};backend=auto", opts.prep);
     let reuse = opts.reuse_results;
     prep::cached_query(h, "result-hw-check", key, reuse, || {
+        if k == 1 {
+            return (decomp::join_tree(h), SearchStats::default());
+        }
         let (result, stats) = prep::run_decision(h, opts.prep, |block| {
             let (d, s) = check_hd_piece(block, k);
             (d.map(|d| ((), d)), s)
@@ -66,15 +71,18 @@ fn check_hd_piece(h: &Hypergraph, k: usize) -> (Option<Decomposition>, SearchSta
 }
 
 /// `hw(H)` by iterating `k = 1, 2, ...` up to `max_k`; returns the width and
-/// a witness HD, or `None` if `hw(H) > max_k`.
+/// a witness HD, or `None` if `hw(H) > max_k`. `k = 1` is the join tree
+/// ([`decomp::join_tree`]), `k ≥ 2` `det-k-decomp`.
 pub fn hypertree_width(h: &Hypergraph, max_k: usize) -> Option<(usize, Decomposition)> {
     hypertree_width_with_stats(h, max_k, EngineOptions::default()).0
 }
 
 /// As [`hypertree_width`], also reporting the engine counters summed over
-/// the `k = 1, 2, ...` checks. The prep pipeline (which is `k`-independent)
-/// runs once up front; every check of the iteration searches the same
-/// reduced instance and only the final witness is lifted.
+/// the `k = 2, 3, ...` checks. An α-acyclic `h` answers `(1, join tree)`
+/// with zero counters, before any prep. Otherwise the prep pipeline (which
+/// is `k`-independent) runs once up front; every check of the iteration
+/// searches the same reduced instance and only the final witness is
+/// lifted.
 pub fn hypertree_width_with_stats(
     h: &Hypergraph,
     max_k: usize,
@@ -88,7 +96,9 @@ pub fn hypertree_width_with_stats(
 /// checks below `floor` all fail, so the first check that succeeds — and
 /// with it the width and the witness — is the same as from `k = 1`, and
 /// the result-cache entry is shared with [`hypertree_width_with_stats`].
-/// The counters cover only the checks that ran.
+/// The counters cover only the checks that ran. Only at `floor <= 1` is
+/// `k = 1` asked, of the join tree; an exact caller that knows `ghw ≥ 2`
+/// passes it and runs no acyclicity test.
 pub fn hypertree_width_at_least(
     h: &Hypergraph,
     floor: usize,
@@ -97,12 +107,17 @@ pub fn hypertree_width_at_least(
 ) -> (Option<(usize, Decomposition)>, SearchStats) {
     let key = format!("max_k={max_k};prep={};backend=auto", opts.prep);
     solver::exact::front_door(h, "hw", "result-hw", key, opts.reuse_results, || {
+        if floor <= 1 && max_k >= 1 {
+            if let Some(d) = decomp::join_tree(h) {
+                return (Some((1, d)), SearchStats::default());
+            }
+        }
         // The prep pipeline (which is `k`-independent) runs once around
         // the whole iteration; every check searches the same reduced
         // block and only the final witness is lifted.
         prep::run_decision(h, opts.prep, |block| {
             let mut total = SearchStats::default();
-            for k in floor.max(1)..=max_k {
+            for k in floor.max(2)..=max_k {
                 let (d, stats) = check_hd_piece(block, k);
                 total.merge(&stats);
                 if let Some(d) = d {
@@ -173,6 +188,9 @@ mod tests {
     use super::*;
     use decomp::validate;
     use hypergraph::generators;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     fn assert_hw(h: &Hypergraph, expected: usize) {
         if expected > 1 {
@@ -239,6 +257,67 @@ mod tests {
     fn isolated_vertices_rejected() {
         let h = Hypergraph::from_edges(3, vec![vec![0, 1]]);
         assert!(check_hd(&h, 2).is_none());
+    }
+
+    /// `h` with its vertices renumbered and its edges reordered by
+    /// `seed`'s permutations.
+    fn shuffled(h: &Hypergraph, seed: u64) -> Hypergraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut relabel: Vec<usize> = (0..h.num_vertices()).collect();
+        relabel.shuffle(&mut rng);
+        let mut order: Vec<usize> = (0..h.num_edges()).collect();
+        order.shuffle(&mut rng);
+        let edges = order
+            .iter()
+            .map(|&e| h.edge(e).iter().map(|v| relabel[v]).collect())
+            .collect();
+        Hypergraph::from_edges(h.num_vertices(), edges)
+    }
+
+    /// The join tree answers `Check(HD, 1)` as det-k itself does at
+    /// `k = 1` (the strategy alone, no prep), on 540 relabelled and
+    /// reordered instances of acyclic and cyclic families; every tree is an
+    /// HD, a GHD and an FHD of width 1.
+    #[test]
+    fn join_tree_agrees_with_detk_at_width_one() {
+        let mut bases = vec![
+            generators::path(7),
+            generators::star(6),
+            generators::cq_chain(5, 3, 1),
+            generators::cq_chain(4, 4, 2),
+            generators::cq_star(3, 2),
+            generators::cq_snowflake(3, 3),
+            generators::cycle(4),
+            generators::cycle(7),
+            generators::clique(5),
+            generators::grid(2, 4),
+            generators::triangle_chain(3),
+            generators::example_4_3(),
+            generators::example_5_1(4),
+        ];
+        for seed in 0..7 {
+            bases.push(generators::random_acyclic(4 + seed as usize, 3, seed));
+            bases.push(generators::random_bip(9, 7, 2, 3, seed));
+        }
+        let (mut acyclic, mut cyclic) = (0, 0);
+        for (i, base) in bases.iter().enumerate() {
+            for seed in 0..20 {
+                let h = shuffled(base, 1000 * i as u64 + seed);
+                let reference = check_hd_piece(&h, 1).0.is_some();
+                let tree = decomp::join_tree(&h);
+                assert_eq!(tree.is_some(), reference, "base {i}, seed {seed}: {h}");
+                let Some(d) = tree else {
+                    cyclic += 1;
+                    continue;
+                };
+                acyclic += 1;
+                assert_eq!(d.width(), arith::Rational::one());
+                assert_eq!(validate::validate_hd(&h, &d), Ok(()), "{}", d.render(&h));
+                assert_eq!(validate::validate_ghd(&h, &d), Ok(()));
+                assert_eq!(validate::validate_fhd(&h, &d), Ok(()));
+            }
+        }
+        assert!(acyclic + cyclic >= 500 && acyclic >= 150 && cyclic >= 150);
     }
 
     #[test]

@@ -130,61 +130,84 @@ pub fn is_shattered(h: &Hypergraph, x: &[usize]) -> bool {
     traces.len() as u64 == needed
 }
 
-/// α-acyclicity via GYO reduction: repeatedly (a) delete vertices occurring
-/// in at most one edge, (b) delete edges contained in other edges. `H` is
-/// α-acyclic iff everything is eventually deleted. This is exactly the
-/// `hw(H) = 1` / `ghw(H) = 1` criterion used throughout the paper.
+/// α-acyclicity: `H` is α-acyclic iff GYO ear removal
+/// ([`join_tree_parents`]) empties it. This is exactly the `hw(H) = 1` /
+/// `ghw(H) = 1` criterion used throughout the paper. The empty hypergraph
+/// is acyclic.
 pub fn is_alpha_acyclic(h: &Hypergraph) -> bool {
-    let mut edges: Vec<VertexSet> = h.edges().to_vec();
-    let mut alive: Vec<bool> = vec![true; edges.len()];
-    loop {
-        let mut changed = false;
-        // (a) remove ear vertices: occurring in <= 1 live edge.
-        let mut occurs: Vec<usize> = vec![0; h.num_vertices()];
-        for (ei, e) in edges.iter().enumerate() {
-            if alive[ei] {
-                for v in e.iter() {
-                    occurs[v] += 1;
-                }
-            }
-        }
-        for (ei, e) in edges.iter_mut().enumerate() {
-            if !alive[ei] {
+    join_tree_parents(h).is_some()
+}
+
+/// GYO ear removal: the parent edges of a join tree of `h`, or `None` when
+/// `h` is cyclic.
+///
+/// An alive edge `e` is an *ear* when every vertex it shares with the other
+/// alive edges lies in one other alive edge `f`, its witness; an edge that
+/// shares nothing hangs under any other alive edge, which joins disconnected
+/// parts. Passes over the edges in index order drop each ear under its
+/// witness (`parent[e] = Some(f)`) until one edge is left, the root
+/// (`None`); a pass that drops nothing means `h` is cyclic. Dropping an ear
+/// is a sequence of GYO steps (delete `e`'s private vertices, then `e ⊆
+/// f`), and GYO reduction is confluent, so the order never decides
+/// acyclicity. Every vertex's edges stay connected in the tree, since an
+/// ear's shared vertices all lie in its parent.
+pub fn join_tree_parents(h: &Hypergraph) -> Option<Vec<Option<usize>>> {
+    let m = h.num_edges();
+    let mut parent = vec![None; m];
+    let mut alive = vec![true; m];
+    // Alive edges per vertex: a vertex of `e` is shared iff it is above 1.
+    let mut degree: Vec<usize> = (0..h.num_vertices())
+        .map(|v| h.incident_edges(v).len())
+        .collect();
+    let mut left = m;
+    while left > 1 {
+        let before = left;
+        for e in 0..m {
+            if !alive[e] || left == 1 {
                 continue;
             }
-            let lonely: Vec<usize> = e.iter().filter(|&v| occurs[v] <= 1).collect();
-            for v in lonely {
-                e.remove(v);
-                changed = true;
-            }
-            if e.is_empty() {
-                alive[ei] = false;
-            }
-        }
-        // (b) remove edges contained in another live edge.
-        for i in 0..edges.len() {
-            if !alive[i] {
+            let Some(f) = ear_witness(h, e, &alive, &degree) else {
                 continue;
-            }
-            for j in 0..edges.len() {
-                if i != j && alive[j] && edges[i].is_subset(&edges[j]) {
-                    alive[i] = false;
-                    changed = true;
-                    break;
-                }
+            };
+            parent[e] = Some(f);
+            alive[e] = false;
+            left -= 1;
+            for v in h.edge(e).iter() {
+                degree[v] -= 1;
             }
         }
-        if !changed {
-            break;
+        if left == before {
+            return None;
         }
     }
-    alive.iter().all(|a| !a)
+    Some(parent)
+}
+
+/// The edge the alive edge `e` hangs under when it is an ear. A witness
+/// holds every shared vertex, the first one included, so it is found
+/// through that vertex's incidence list.
+fn ear_witness(h: &Hypergraph, e: usize, alive: &[bool], degree: &[usize]) -> Option<usize> {
+    let edge = h.edge(e);
+    let shared = VertexSet::from_iter(edge.iter().filter(|&v| degree[v] > 1));
+    let other = |&f: &usize| f != e && alive[f];
+    match shared.first() {
+        None => (0..h.num_edges()).find(other),
+        Some(v) => h
+            .incident_edges(v)
+            .iter()
+            .copied()
+            .filter(other)
+            .find(|&f| shared.is_subset(h.edge(f))),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn degree_and_rank() {
@@ -270,5 +293,129 @@ mod tests {
         // α-acyclicity is not closed under subhypergraphs — the classic
         // example: big edge plus a cycle inside it.
         assert!(is_alpha_acyclic(&generators::star(5)));
+        assert!(is_alpha_acyclic(&Hypergraph::from_edges(0, vec![])));
+    }
+
+    /// The GYO reduction that the ear removal replaced, kept as its
+    /// reference: repeatedly (a) delete vertices occurring in at most one
+    /// live edge, (b) delete edges contained in another live edge; `H` is
+    /// α-acyclic iff everything is eventually deleted.
+    fn reference_is_alpha_acyclic(h: &Hypergraph) -> bool {
+        let mut edges: Vec<VertexSet> = h.edges().to_vec();
+        let mut alive: Vec<bool> = vec![true; edges.len()];
+        loop {
+            let mut changed = false;
+            // (a) remove ear vertices: occurring in <= 1 live edge.
+            let mut occurs: Vec<usize> = vec![0; h.num_vertices()];
+            for (ei, e) in edges.iter().enumerate() {
+                if alive[ei] {
+                    for v in e.iter() {
+                        occurs[v] += 1;
+                    }
+                }
+            }
+            for (ei, e) in edges.iter_mut().enumerate() {
+                if !alive[ei] {
+                    continue;
+                }
+                let lonely: Vec<usize> = e.iter().filter(|&v| occurs[v] <= 1).collect();
+                for v in lonely {
+                    e.remove(v);
+                    changed = true;
+                }
+                if e.is_empty() {
+                    alive[ei] = false;
+                }
+            }
+            // (b) remove edges contained in another live edge.
+            for i in 0..edges.len() {
+                if !alive[i] {
+                    continue;
+                }
+                for j in 0..edges.len() {
+                    if i != j && alive[j] && edges[i].is_subset(&edges[j]) {
+                        alive[i] = false;
+                        changed = true;
+                        break;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        alive.iter().all(|a| !a)
+    }
+
+    /// Edges of a small draw from `rng`: random edges over at most seven
+    /// vertices (cyclic and acyclic alike) or an α-acyclic CQ.
+    fn draw_edges(rng: &mut StdRng) -> (usize, Vec<Vec<usize>>) {
+        if rng.gen_bool(0.5) {
+            let h = generators::random_acyclic(
+                rng.gen_range(1..6usize),
+                rng.gen_range(2..4usize),
+                rng.next_u64(),
+            );
+            return (
+                h.num_vertices(),
+                h.edges().iter().map(|e| e.to_vec()).collect(),
+            );
+        }
+        let n = rng.gen_range(1..8usize);
+        let edges = (0..rng.gen_range(1..7usize))
+            .map(|_| {
+                let mut e: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.4)).collect();
+                if e.is_empty() {
+                    e.push(rng.gen_range(0..n));
+                }
+                e
+            })
+            .collect();
+        (n, edges)
+    }
+
+    /// A small hypergraph from `seed`: one draw or the disjoint union of
+    /// two, with a duplicate edge and a singleton edge on some draws.
+    fn generated(seed: u64) -> Hypergraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut n, mut edges) = draw_edges(&mut rng);
+        if rng.gen_bool(0.3) {
+            let (m, more) = draw_edges(&mut rng);
+            edges.extend(more.into_iter().map(|e| e.iter().map(|v| v + n).collect()));
+            n += m;
+        }
+        if rng.gen_bool(0.3) {
+            let copy = edges[rng.gen_range(0..edges.len())].clone();
+            edges.insert(rng.gen_range(0..=edges.len()), copy);
+        }
+        if rng.gen_bool(0.3) {
+            edges.insert(rng.gen_range(0..=edges.len()), vec![rng.gen_range(0..n)]);
+        }
+        Hypergraph::from_edges(n, edges)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        /// The ear removal answers as the reference GYO reduction, and its
+        /// parents form a join tree: one root, and every vertex's edges
+        /// connected (exactly one of them has a parent without the vertex).
+        #[test]
+        fn ear_removal_agrees_with_gyo_reduction(seed in any::<u64>()) {
+            let h = generated(seed);
+            let parents = join_tree_parents(&h);
+            prop_assert_eq!(parents.is_some(), reference_is_alpha_acyclic(&h));
+            if let Some(parents) = parents {
+                prop_assert_eq!(parents.iter().filter(|p| p.is_none()).count(), 1);
+                for v in 0..h.num_vertices() {
+                    let tops = h
+                        .incident_edges(v)
+                        .iter()
+                        .filter(|&&e| parents[e].is_none_or(|p| !h.edge(p).contains(v)))
+                        .count();
+                    prop_assert_eq!(tops, usize::from(!h.incident_edges(v).is_empty()));
+                }
+            }
+        }
     }
 }

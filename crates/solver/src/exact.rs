@@ -13,7 +13,10 @@
 //!   cross-call result cache and the
 //!   `hgtool_solve_latency_seconds{strategy}` histogram. `hw` goes
 //!   through it too (`hd::hypertree_width_at_least`).
-//! * [`solve`] — the cache key (with `;floor=` above 1), then `prep`'s
+//! * [`solve`] — the cache key (with `;floor=` above 1), then the join
+//!   tree ([`decomp::join_tree`]): an α-acyclic instance has width 1
+//!   under both measures, answered by that tree with `ub_width = 1` and
+//!   no prep, seed or search. A cyclic one runs `prep`'s
 //!   minimizer pipeline with one seeded solver per block: the integral
 //!   heuristic seed, then the elimination DP for a block of at most
 //!   [`MAX_EXACT_VERTICES`] vertices under both measures. Past that
@@ -25,14 +28,15 @@
 //!   Engine admission and the DP share one lower-bound gate: the DP tests
 //!   each bag against the seeded cutoff before pricing it, and keeps
 //!   every priced bag's weights for the witness.
-//! * [`Instance`] — what [`solve`] runs through: one call's minimizer
-//!   prep and each block's integral seed, built on first use. The seed
-//!   does not depend on the measure, so a caller asking for both `fhw`
-//!   and `ghw` (`exact_widths_with_opts`, serve's `widths` request,
-//!   `hgtool widths`) asks one `Instance` for both, and the second measure
-//!   prepares and seeds nothing. Its answers and counters are those of a
-//!   standalone [`solve`]; its trace lacks the first measure's `prep`
-//!   span, seed `candgen` span and seed `price` spans.
+//! * [`Instance`] — what [`solve`] runs through: one call's join tree,
+//!   minimizer prep and each block's integral seed, built on first use.
+//!   None depends on the measure, so a caller asking for both `fhw` and
+//!   `ghw` (`exact_widths_with_opts`, serve's `widths` request, `hgtool
+//!   widths`) asks one `Instance` for both, and the second measure runs no
+//!   GYO and prepares and seeds nothing. Its answers and counters are
+//!   those of a standalone [`solve`]; its trace lacks the first measure's
+//!   `join_tree` span, `prep` span, seed `candgen` span and seed `price`
+//!   spans.
 //! * [`solve_by_elimination`] — every block answered by the DP alone (the
 //!   independent reference of the agreement tests and the benchmark).
 //! * [`upper_bound`] — the heuristic bound alone, priced by the measure.
@@ -259,8 +263,9 @@ fn latency(measure: &'static str) -> &'static Arc<Histogram> {
 }
 
 /// The exact width of `h` under `M` with an optimal witness, through
-/// [`front_door`] and `prep`'s minimizer pipeline (see the module docs):
-/// [`Instance::solve`] on a fresh [`Instance`].
+/// [`front_door`], then `h`'s join tree when it is α-acyclic or `prep`'s
+/// minimizer pipeline otherwise (see the module docs): [`Instance::solve`]
+/// on a fresh [`Instance`].
 ///
 /// `floor <= width(h)` is a proven lower bound (e.g. `⌈fhw⌉` for `ghw`):
 /// a block whose seed is already at most `floor` keeps its seed witness
@@ -282,20 +287,25 @@ pub fn solve<M: Measure>(
 /// One block's integral heuristic seed: its width and witness.
 type Seed = (usize, Decomposition);
 
-/// One call's view of an instance under `prep`'s minimizer pipeline: the
-/// blocks and each block's integral seed, each built on first use and
-/// shared by every measure the call solves on it. A caller that wants both
-/// `fhw` and `ghw` of one instance asks one `Instance` for both, in either
-/// order, and the second measure prepares and seeds nothing; its widths,
+/// One call's view of an instance: its join tree, and for a cyclic
+/// instance the blocks of `prep`'s minimizer pipeline and each block's
+/// integral seed, each built on first use and shared by every measure the
+/// call solves on it. A caller that wants both `fhw` and `ghw` of one
+/// instance asks one `Instance` for both, in either order, and the second
+/// measure runs no GYO and prepares and seeds nothing; its widths,
 /// witnesses and counters are those of a standalone [`solve`].
 ///
 /// A plain value owned by one call: no lock, no global, and nothing of it
-/// outlives the call. It prepares only inside the result cache's miss
-/// path, so a cache hit builds nothing.
+/// outlives the call. It builds only inside the result cache's miss path,
+/// so a cache hit builds nothing.
 pub struct Instance<'h> {
     h: &'h Hypergraph,
     opts: EngineOptions,
-    /// Built by the first measure that misses the result cache.
+    /// `h`'s join tree (`None` inside when `h` is cyclic), asked by the
+    /// first measure that misses the result cache.
+    join_tree: Option<Option<Decomposition>>,
+    /// Built by the first measure that misses the result cache on a cyclic
+    /// `h`.
     blocks: Option<Blocks>,
 }
 
@@ -313,12 +323,14 @@ impl<'h> Instance<'h> {
         Instance {
             h,
             opts,
+            join_tree: None,
             blocks: None,
         }
     }
 
     /// The exact width under `M`, as [`solve`] computes it, reusing the
-    /// blocks and seeds that an earlier measure built on this instance.
+    /// join tree, blocks and seeds that an earlier measure built on this
+    /// instance.
     pub fn solve<M: Measure>(
         &mut self,
         cutoff: Option<M::Cost>,
@@ -332,6 +344,16 @@ impl<'h> Instance<'h> {
         }
         let (h, reuse) = (self.h, self.opts.reuse_results);
         front_door(h, M::NAME, M::RESULT_SLOT, key, reuse, || {
+            // An α-acyclic `h` has width 1 under every measure, certified
+            // by its join tree: no prep, seed or search.
+            if let Some(d) = self.join_tree.get_or_insert_with(|| decomp::join_tree(h)) {
+                let stats = SearchStats {
+                    ub_width: Some(Rational::one()),
+                    ..SearchStats::default()
+                };
+                let fits = cutoff.as_ref().is_none_or(|c| one < *c);
+                return (fits.then(|| (one, d.clone())), stats);
+            }
             self.each_block(|block, seed| solve_block::<M>(block, seed, cutoff.clone(), &floor))
         })
     }

@@ -531,12 +531,26 @@ fn widths(
         ghw: ghw_stats,
         fhw: fhw_stats,
     };
+    // `hw = 1` exactly when `h` is α-acyclic, and then one join tree
+    // answered all three widths.
+    let join_tree = matches!(hw, Some((1, _)));
     let fmt = |v: Option<String>| v.unwrap_or_else(|| "n/a (out of exact range)".into());
     println!("hw  = {}", fmt(hw.map(|(k, _)| k.to_string())));
     println!("ghw = {}", fmt(ghw.map(|(k, _)| k.to_string())));
     println!("fhw = {}", fmt(fhw.map(|(k, _)| k.to_string())));
     if stats {
         println!();
+        if join_tree {
+            println!(
+                "path: join tree (alpha-acyclic: one GYO ear removal answered \
+                 hw = ghw = fhw = 1; nothing prepared, seeded or searched)"
+            );
+        } else {
+            println!(
+                "path: cyclic (the GYO ear removal failed): hw runs det-k from \
+                 k = 2, ghw and fhw seed and search each block"
+            );
+        }
         if prep::enabled(opts.prep) {
             println!(
                 "prep: on (hw decision profile; ghw/fhw minimizer profile, \

@@ -80,6 +80,23 @@ fn widths_stats_surfaces_engine_counters() {
 }
 
 #[test]
+fn widths_stats_names_the_join_tree_path() {
+    let (ok, out) = hgtool(
+        &["widths", "--stats", "-"],
+        Some("r1(a,b,c),\nr2(c,d),\nr3(d,e)."),
+    );
+    assert!(ok, "hgtool widths --stats failed:\n{out}");
+    assert!(out.contains("hw  = 1"), "missing hw = 1 in:\n{out}");
+    assert!(
+        out.contains("path: join tree"),
+        "missing path line in:\n{out}"
+    );
+    let (ok, out) = hgtool(&["widths", "--stats", "-"], Some(&example_4_3_text()));
+    assert!(ok, "hgtool widths --stats failed:\n{out}");
+    assert!(out.contains("path: cyclic"), "missing path line in:\n{out}");
+}
+
+#[test]
 fn widths_no_prep_matches_default_widths() {
     let (ok, out) = hgtool(
         &["widths", "--stats", "--no-prep", "-"],

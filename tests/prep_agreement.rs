@@ -5,9 +5,9 @@
 //! on the original instance.
 
 use hypertree::arith::Rational;
-use hypertree::decomp::validate;
-use hypertree::hypergraph::{generators, Hypergraph};
-use hypertree::solver::EngineOptions;
+use hypertree::decomp::{validate, Decomposition};
+use hypertree::hypergraph::{generators, properties, Hypergraph};
+use hypertree::solver::{EngineOptions, SearchStats};
 use hypertree::{fhd, ghd, hd, prep};
 use proptest::prelude::*;
 
@@ -42,6 +42,22 @@ fn without_prep() -> EngineOptions {
     with_prep().without_prep()
 }
 
+/// The join-tree answer of an α-acyclic instance: nothing prepared or
+/// searched, the seed-free bound 1 recorded, and every bag the whole edge
+/// that covers it.
+fn assert_join_tree(h: &Hypergraph, d: &Decomposition, stats: &SearchStats) {
+    assert_eq!(stats.prep_blocks, 0, "no prep on {h:?}");
+    assert_eq!(stats.states, 0, "no search on {h:?}");
+    assert_eq!(stats.ub_width, Some(Rational::one()));
+    assert_eq!(d.len(), h.num_edges(), "one bag per edge");
+    for node in d.nodes() {
+        let [(e, _)] = node.weights[..] else {
+            panic!("one cover edge per bag: {}", d.render(h));
+        };
+        assert_eq!(&node.bag, h.edge(e), "a whole edge: {}", d.render(h));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -54,10 +70,16 @@ proptest! {
             without.map(|(w, _)| w),
             "ghw drifted under prep on {:?}", h
         );
-        prop_assert!(prep_disabled() || stats.prep_blocks >= 1, "prep ran");
-        if let Some((w, d)) = with {
-            prop_assert_eq!(validate::validate_ghd(&h, &d), Ok(()), "lifted ghw witness");
-            prop_assert!(d.width() <= Rational::from(w));
+        if let Some((w, d)) = &with {
+            prop_assert_eq!(validate::validate_ghd(&h, d), Ok(()), "lifted ghw witness");
+            prop_assert!(d.width() <= Rational::from(*w));
+        }
+        if properties::is_alpha_acyclic(&h) {
+            let (w, d) = with.expect("width 1");
+            prop_assert_eq!(w, 1);
+            assert_join_tree(&h, &d, &stats);
+        } else {
+            prop_assert!(prep_disabled() || stats.prep_blocks >= 1, "prep ran");
         }
     }
 
@@ -70,10 +92,16 @@ proptest! {
             without.map(|(w, _)| w),
             "fhw drifted under prep on {:?}", h
         );
-        prop_assert!(prep_disabled() || stats.prep_blocks >= 1, "prep ran");
-        if let Some((w, d)) = with {
-            prop_assert_eq!(validate::validate_fhd(&h, &d), Ok(()), "lifted fhw witness");
-            prop_assert!(d.width() <= w);
+        if let Some((w, d)) = &with {
+            prop_assert_eq!(validate::validate_fhd(&h, d), Ok(()), "lifted fhw witness");
+            prop_assert!(d.width() <= *w);
+        }
+        if properties::is_alpha_acyclic(&h) {
+            let (w, d) = with.expect("width 1");
+            prop_assert_eq!(w, Rational::one());
+            assert_join_tree(&h, &d, &stats);
+        } else {
+            prop_assert!(prep_disabled() || stats.prep_blocks >= 1, "prep ran");
         }
     }
 
@@ -263,39 +291,26 @@ fn block_split_witnesses_stitch_back() {
     assert_eq!(validate::validate_fhd(&h, &d), Ok(()));
 }
 
-/// An α-acyclic instance collapses under GYO — and since the candgen
-/// heuristic bound finds `ub = 1` (nothing beats width 1, so the seeded
-/// search is trivially over), *neither* path runs any engine states at
-/// all: the whole answer comes from the witness-backed bound.
+/// An α-acyclic instance collapses under GYO to one trivial block, and the
+/// exact path never prepares it: its join tree is the width-1 answer, with
+/// or without prep.
 #[test]
 fn gyo_collapse_shrinks_the_search() {
-    if prep_disabled() {
-        return;
-    }
     let h = generators::cq_chain(5, 3, 1);
-    let (with, with_stats) = fhd::fhw_exact_with_stats(&h, None, with_prep());
-    let (without, without_stats) = fhd::fhw_exact_with_stats(&h, None, without_prep());
-    assert_eq!(
-        with.as_ref().map(|(w, _)| w.clone()),
-        without.map(|(w, _)| w)
-    );
-    assert!(with_stats.prep_vertices_removed > 0);
-    assert_eq!(
-        without_stats.ub_width,
-        Some(Rational::one()),
-        "seed is tight"
-    );
-    assert_eq!(
-        without_stats.states, 0,
-        "the unprepped acyclic instance resolves from the seeded bound without a search"
-    );
+    let prepared = prep::prepare(&h, prep::Profile::Minimizer);
+    assert!(prepared.stats.vertices_removed > 0);
+    assert_eq!(prepared.blocks.len(), 1);
     assert!(
-        with_stats.states <= 1,
-        "prep collapses the instance to a remnant the engine solves in one state, got {}",
-        with_stats.states
+        prepared.blocks[0].hypergraph.num_edges() <= 1,
+        "GYO leaves one edge"
     );
-    let (_, d) = with.expect("acyclic instance decomposes");
-    assert_eq!(validate::validate_fhd(&h, &d), Ok(()));
+    for opts in [with_prep(), without_prep()] {
+        let (result, stats) = fhd::fhw_exact_with_stats(&h, None, opts);
+        let (w, d) = result.expect("acyclic instance decomposes");
+        assert_eq!(w, Rational::one());
+        assert_join_tree(&h, &d, &stats);
+        assert_eq!(validate::validate_fhd(&h, &d), Ok(()));
+    }
 }
 
 /// `HGTOOL_NO_PREP` would make this whole suite vacuous — make sure the

@@ -106,11 +106,13 @@ proptest! {
 
 /// Decision streams must stop early: on an acyclic instance the first
 /// admitted candidate per state wins, so the engine pulls far fewer guesses
-/// than the full `det-k-decomp` candidate space.
+/// than the full `det-k-decomp` candidate space. At `k = 1` the check is
+/// the join tree, so det-k runs at `k = 2`, where a single edge still wins
+/// before any pair is pulled.
 #[test]
 fn decision_searches_short_circuit_on_the_first_witness() {
     let h = generators::cq_chain(5, 3, 1);
-    let (d, stats) = hd::check_hd_with_stats(&h, 1, EngineOptions::default());
+    let (d, stats) = hd::check_hd_with_stats(&h, 2, EngineOptions::default());
     assert!(d.is_some(), "chains are acyclic");
     assert!(stats.streamed > 0);
     assert!(

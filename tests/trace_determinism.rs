@@ -16,8 +16,9 @@
 //! collector are process-global, so toggling them from concurrently
 //! running tests would interleave spans across tests.
 
+use hypertree::arith::Rational;
 use hypertree::hypergraph::{generators, parser, Hypergraph};
-use hypertree::solver::EngineOptions;
+use hypertree::solver::{EngineOptions, SearchStats};
 use hypertree::{fhd, ghd, hd};
 use obs::trace::{FieldValue, SpanRecord};
 use std::collections::BTreeSet;
@@ -312,5 +313,44 @@ fn a_verdict_prepares_once_and_seeds_each_block_once() {
             blocks,
             "{name}: seeds"
         );
+    }
+}
+
+/// An α-acyclic verdict is answered by its join tree: a cold front-door
+/// verdict with reuse off answers width 1 three times, opens no `prep`,
+/// `candgen`, `state` or `elim` span, and counts nothing but ghw's and
+/// fhw's bound 1. fhw and ghw share one instance, so one `join_tree` span
+/// serves both, and hw at floor 1 opens the other.
+#[test]
+fn an_acyclic_verdict_is_answered_by_its_join_tree() {
+    let _guard = trace_lock();
+    for (name, h) in [
+        ("cq_chain(5,3,1)", generators::cq_chain(5, 3, 1)),
+        ("random_acyclic(8,3,5)", generators::random_acyclic(8, 3, 5)),
+    ] {
+        obs::trace::set_enabled(true);
+        obs::trace::drain();
+        let (w, stats) = hypertree::exact_widths_with_opts(&h, 8, EngineOptions::sequential())
+            .unwrap_or_else(|| panic!("{name}: in range"));
+        let records = obs::trace::drain();
+        obs::trace::set_enabled(false);
+        assert_eq!((w.hw, w.ghw, w.fhw), (1, 1, Rational::one()), "{name}");
+        for span in ["prep", "candgen", "state", "elim"] {
+            assert!(
+                records.iter().all(|r| r.name != span),
+                "{name}: a {span} span"
+            );
+        }
+        let acyclic = ("acyclic", FieldValue::Bool(true));
+        let trees = records.iter().filter(|r| r.name == "join_tree");
+        assert!(trees.clone().all(|r| r.fields.contains(&acyclic)), "{name}");
+        assert_eq!(trees.count(), 2, "{name}: join trees");
+        let bound = SearchStats {
+            ub_width: Some(Rational::one()),
+            ..SearchStats::default()
+        };
+        assert_eq!(stats.hw.engine_only(), SearchStats::default(), "{name}: hw");
+        assert_eq!(stats.ghw.engine_only(), bound, "{name}: ghw");
+        assert_eq!(stats.fhw.engine_only(), bound, "{name}: fhw");
     }
 }
