@@ -15,7 +15,7 @@
 
 use crate::frac_decomp::{frac_decomp, FracDecompParams};
 use arith::Rational;
-use decomp::{Decomposition, Node};
+use decomp::Decomposition;
 use ghd::subedges::SubedgeSet;
 use hypergraph::{properties, Hypergraph, VertexSet};
 use std::collections::HashSet;
@@ -142,44 +142,7 @@ pub fn approx_fhd_bip(
     };
     let d = frac_decomp(&aug.hypergraph, &params)?;
     // Project weights on subedges back to originators.
-    Some(project(h, &aug, &d))
-}
-
-fn project(h: &Hypergraph, aug: &ghd::check::Augmented, d: &Decomposition) -> Decomposition {
-    fn convert(
-        aug: &ghd::check::Augmented,
-        d: &Decomposition,
-        u: usize,
-        out: &mut Decomposition,
-        parent: Option<usize>,
-    ) {
-        let mut weights: Vec<(usize, Rational)> = Vec::new();
-        for (e, w) in &d.node(u).weights {
-            let orig = aug.originator[*e];
-            match weights.iter_mut().find(|(o, _)| *o == orig) {
-                Some((_, w0)) => *w0 = (&*w0 + w).min(Rational::one()),
-                None => weights.push((orig, w.clone())),
-            }
-        }
-        let node = Node {
-            bag: d.node(u).bag.clone(),
-            weights,
-        };
-        let id = match parent {
-            None => {
-                *out.node_mut(0) = node;
-                0
-            }
-            Some(p) => out.add_child(p, node),
-        };
-        for &c in d.children(u) {
-            convert(aug, d, c, out, Some(id));
-        }
-    }
-    let _ = h;
-    let mut out = Decomposition::new(Node::integral(VertexSet::new(), []));
-    convert(aug, d, d.root(), &mut out, None);
-    out
+    Some(aug.project(&d))
 }
 
 #[cfg(test)]

@@ -46,16 +46,6 @@ pub enum FhdAnswer {
     Unknown,
 }
 
-impl cover::MemSize for FhdAnswer {
-    fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + match self {
-                FhdAnswer::Yes(d) => cover::MemSize::approx_bytes(d.as_ref()),
-                FhdAnswer::No | FhdAnswer::Unknown => 0,
-            }
-    }
-}
-
 impl FhdAnswer {
     /// The witness, if any.
     pub fn decomposition(&self) -> Option<&Decomposition> {
@@ -81,8 +71,9 @@ pub fn check_fhd_bdp(h: &Hypergraph, k: &Rational, params: HdkParams) -> FhdAnsw
     check_fhd_bdp_with_stats(h, k, params, EngineOptions::default()).0
 }
 
-/// As [`check_fhd_bdp`], also reporting engine and separator-LP cache
-/// counters.
+/// As [`check_fhd_bdp`], also reporting engine and separator-LP memo
+/// counters. A one-shot check: every call searches, whatever
+/// `opts.reuse_results` says (only the width queries are cached).
 pub fn check_fhd_bdp_with_stats(
     h: &Hypergraph,
     k: &Rational,
@@ -92,34 +83,26 @@ pub fn check_fhd_bdp_with_stats(
     if h.has_isolated_vertices() || !k.is_positive() {
         return (FhdAnswer::No, SearchStats::default());
     }
-    let key = format!(
-        "k={:?};arity={};max_sub={};prep={};backend=auto",
-        k, params.union_arity, params.max_subedges, opts.prep
-    );
-    let reuse = opts.reuse_results;
-    prep::cached_query(h, "result-fhd-bdp", key, reuse, || {
-        // Decision profile (duplicate edges + twin vertices): `fhw` and
-        // the strictness trace are preserved exactly, and the lifted
-        // witness stays a valid FHD of `h` at the same width. The
-        // `No`/`Unknown` distinction travels around the generic wrapper
-        // in `verdict`.
-        let mut verdict = FhdAnswer::No;
-        let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-            let (answer, s) = check_fhd_bdp_piece(block, k, params);
-            match answer {
-                FhdAnswer::Yes(d) => (Some(((), *d)), s),
-                other => {
-                    verdict = other;
-                    (None, s)
-                }
+    // Decision profile (duplicate edges + twin vertices): `fhw` and the
+    // strictness trace are preserved exactly, and the lifted witness stays
+    // a valid FHD of `h` at the same width. The `No`/`Unknown` distinction
+    // travels around the generic wrapper in `verdict`.
+    let mut verdict = FhdAnswer::No;
+    let (result, stats) = prep::run_decision(h, opts.prep, |block| {
+        let (answer, s) = check_fhd_bdp_piece(block, k, params);
+        match answer {
+            FhdAnswer::Yes(d) => (Some(((), *d)), s),
+            other => {
+                verdict = other;
+                (None, s)
             }
-        });
-        let answer = match result {
-            Some((_, d)) => FhdAnswer::Yes(Box::new(d)),
-            None => verdict,
-        };
-        (answer, stats)
-    })
+        }
+    });
+    let answer = match result {
+        Some((_, d)) => FhdAnswer::Yes(Box::new(d)),
+        None => verdict,
+    };
+    (answer, stats)
 }
 
 /// Runs the Theorem 5.2 search proper on an (already preprocessed)
@@ -319,23 +302,6 @@ fn price_separator(h: &Hypergraph, sep: &[usize], vs: &VertexSet) -> PricedSep {
     Some((c.weight, weights))
 }
 
-/// Maps a cover of `H'` edges onto originator edges of `H`, capping merged
-/// weights at one (two subedges of one originator: their combined weight on
-/// the originator still covers both parts).
-fn push_to_originators(aug: &Augmented, cover: &[(usize, Rational)]) -> Vec<(usize, Rational)> {
-    let mut weights: Vec<(usize, Rational)> = Vec::new();
-    for (e, w) in cover {
-        let orig = aug.originator[*e];
-        match weights.iter_mut().find(|(o, _)| *o == orig) {
-            Some((_, w0)) => {
-                *w0 = (&*w0 + w).min(Rational::one());
-            }
-            None => weights.push((orig, w.clone())),
-        }
-    }
-    weights
-}
-
 impl WidthSolver for StrictHd {
     type Cost = Rational;
 
@@ -374,16 +340,15 @@ impl WidthSolver for StrictHd {
         _bound: Option<&Rational>,
     ) -> Option<Admission<Rational>> {
         // The stream carries V(S) in `extra`; the engine checks the cover
-        // condition (`conn ⊆ bag`) and progress (`split ∩ comp != ∅`).
+        // condition (`conn ⊆ bag`) and progress (`bag ∩ comp != ∅`).
         let vs = &guess.extra;
         if !state.conn.is_subset(vs) || !vs.intersects(state.comp) {
             return None;
         }
         let sep_cover = self.cover_ok(&guess.edges, vs)?;
-        let weights = push_to_originators(&self.aug, &sep_cover);
+        let weights = self.aug.to_originators(&sep_cover);
         let cost: Rational = weights.iter().map(|(_, w)| w.clone()).sum();
         Some(Admission {
-            split: vs.clone(),
             bag: vs.clone(),
             cost,
             weights,
@@ -639,7 +604,7 @@ fn build_fhd(h: &Hypergraph, aug: &Augmented, search: &StrictSearch, plan: usize
         let (_, cover) = price_separator(hp, sep, &bag).expect("separator covers its own union");
         Node {
             bag,
-            weights: push_to_originators(aug, &cover),
+            weights: aug.to_originators(&cover),
         }
     }
 

@@ -45,7 +45,8 @@ pub fn fhw_exact_on(
 
 /// `fhw(H)` by the elimination-order DP alone, without the heuristic
 /// seed (the independent reference of the agreement tests and the
-/// benchmark); `None` when a reduced block exceeds 24 vertices.
+/// benchmark); `None` when a reduced block exceeds 24 vertices. Uncached:
+/// every call searches.
 pub fn fhw_exact_elimination_with_stats(
     h: &Hypergraph,
     cutoff: Option<Rational>,

@@ -46,7 +46,8 @@ pub fn frac_decomp(h: &Hypergraph, params: &FracDecompParams) -> Option<Decompos
 }
 
 /// As [`frac_decomp`], also reporting the engine counters, with explicit
-/// preprocessing and caching options.
+/// preprocessing options. A one-shot check: every call searches, whatever
+/// `opts.reuse_results` says (only the width queries are cached).
 pub fn frac_decomp_with_stats(
     h: &Hypergraph,
     params: &FracDecompParams,
@@ -56,27 +57,20 @@ pub fn frac_decomp_with_stats(
     if h.has_isolated_vertices() {
         return (None, SearchStats::default());
     }
-    let key = format!(
-        "k={:?};eps={:?};c={};prep={};backend=auto",
-        params.k, params.eps, params.c, opts.prep
-    );
-    let reuse = opts.reuse_results;
-    prep::cached_query(h, "result-frac-decomp", key, reuse, || {
-        // Decision profile: duplicate-edge and twin-vertex collapse only —
-        // the passes whose lifts preserve the weak special condition. The
-        // `c` bound is checked on the *reduced* instance, so acceptance is
-        // one-sided monotone: anything the unprepped algorithm accepts is
-        // still accepted (an FHD with a c-bounded part projects onto the
-        // collapsed instance), and everything accepted lifts to a valid
-        // width-(k+ε) witness of `h` — but collapsed twins need fewer
-        // `W_s` slots, so prep can accept where the raw algorithm's
-        // c-relative completeness gave up.
-        let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-            let (d, s) = frac_decomp_piece(block, params);
-            (d.map(|d| ((), d)), s)
-        });
-        (result.map(|(_, d)| d), stats)
-    })
+    // Decision profile: duplicate-edge and twin-vertex collapse only —
+    // the passes whose lifts preserve the weak special condition. The
+    // `c` bound is checked on the *reduced* instance, so acceptance is
+    // one-sided monotone: anything the unprepped algorithm accepts is
+    // still accepted (an FHD with a c-bounded part projects onto the
+    // collapsed instance), and everything accepted lifts to a valid
+    // width-(k+ε) witness of `h` — but collapsed twins need fewer
+    // `W_s` slots, so prep can accept where the raw algorithm's
+    // c-relative completeness gave up.
+    let (result, stats) = prep::run_decision(h, opts.prep, |block| {
+        let (d, s) = frac_decomp_piece(block, params);
+        (d.map(|d| ((), d)), s)
+    });
+    (result.map(|(_, d)| d), stats)
 }
 
 /// Runs Algorithm 3 proper on an (already preprocessed) instance.
@@ -241,12 +235,7 @@ impl WidthSolver for FracDecomp {
             cost = &cost + &w;
             weights.push((e, w));
         }
-        Some(Admission {
-            split: bag.clone(),
-            bag,
-            cost,
-            weights,
-        })
+        Some(Admission { bag, cost, weights })
     }
 }
 

@@ -4,8 +4,9 @@
 //! subedges with their originators.
 
 use crate::subedges::{bip_subedges, bmip_subedges, SubedgeLimits, SubedgeSet};
+use arith::Rational;
 use decomp::{Decomposition, Node};
-use hypergraph::{Hypergraph, VertexSet};
+use hypergraph::Hypergraph;
 
 /// A hypergraph augmented with subedges, remembering originators.
 #[derive(Clone, Debug)]
@@ -40,50 +41,53 @@ pub fn augment(h: &Hypergraph, f: SubedgeSet) -> Augmented {
     }
 }
 
-/// Converts an HD of the augmented hypergraph into a GHD of `H` by mapping
-/// every λ-edge to its originator. Bags are unchanged, so width and all GHD
-/// conditions carry over (the special condition is deliberately given up).
-pub fn project_to_original(h: &Hypergraph, aug: &Augmented, d: &Decomposition) -> Decomposition {
-    fn convert(
-        aug: &Augmented,
-        d: &Decomposition,
-        u: usize,
-        out: &mut Decomposition,
-        parent: Option<usize>,
-    ) {
-        let mut weights: Vec<(usize, arith::Rational)> = Vec::new();
-        for (e, w) in &d.node(u).weights {
-            let orig = aug.originator[*e];
-            // Two subedges of the same originator cannot both be needed:
-            // merge by keeping max weight (integral case: both are 1).
-            match weights.iter_mut().find(|(o, _)| *o == orig) {
-                Some((_, w0)) => {
-                    if w > w0 {
-                        *w0 = w.clone();
-                    }
-                }
-                None => weights.push((orig, w.clone())),
+impl Augmented {
+    /// Maps weights on edges of `H'` onto their originator edges of `H`,
+    /// in first-occurrence order. Two subedges of one originator merge by
+    /// capped sum, `min(1, w₁ + w₂)`: the originator at that weight covers
+    /// both parts. On unit weights (det-k's `λ`) that is the max rule.
+    pub fn to_originators(&self, weights: &[(usize, Rational)]) -> Vec<(usize, Rational)> {
+        let mut merged: Vec<(usize, Rational)> = Vec::new();
+        for (e, w) in weights {
+            let orig = self.originator[*e];
+            match merged.iter_mut().find(|(o, _)| *o == orig) {
+                Some((_, w0)) => *w0 = (&*w0 + w).min(Rational::one()),
+                None => merged.push((orig, w.clone())),
             }
         }
-        let node = Node {
-            bag: d.node(u).bag.clone(),
-            weights,
-        };
-        let id = match parent {
-            None => out.root(),
-            Some(p) => out.add_child(p, node.clone()),
-        };
-        if parent.is_none() {
-            *out.node_mut(id) = node;
-        }
-        for &c in d.children(u) {
-            convert(aug, d, c, out, Some(id));
-        }
+        merged
     }
-    let _ = h;
-    let mut out = Decomposition::new(Node::integral(VertexSet::new(), []));
-    convert(aug, d, d.root(), &mut out, None);
-    out
+
+    /// Converts a decomposition of `H'` into one of `H` with the same bags
+    /// and tree, every node's weights mapped by
+    /// [`Augmented::to_originators`]; nodes are renumbered in preorder. An
+    /// HD of `H'` becomes a GHD of `H` and an FHD of `H'` an FHD of `H`, of
+    /// the same width or less (the special condition is given up).
+    pub fn project(&self, d: &Decomposition) -> Decomposition {
+        fn convert(
+            aug: &Augmented,
+            d: &Decomposition,
+            u: usize,
+            out: &mut Decomposition,
+            parent: usize,
+        ) {
+            for &c in d.children(u) {
+                let node = Node {
+                    bag: d.node(c).bag.clone(),
+                    weights: aug.to_originators(&d.node(c).weights),
+                };
+                let id = out.add_child(parent, node);
+                convert(aug, d, c, out, id);
+            }
+        }
+        let root = d.node(d.root());
+        let mut out = Decomposition::new(Node {
+            bag: root.bag.clone(),
+            weights: self.to_originators(&root.weights),
+        });
+        convert(self, d, d.root(), &mut out, 0);
+        out
+    }
 }
 
 /// The outcome of a GHD check.
@@ -120,7 +124,7 @@ impl GhdAnswer {
 
 /// `Check(GHD, k)` for BIP hypergraphs (Theorem 4.15).
 pub fn check_ghd_bip(h: &Hypergraph, k: usize, limits: SubedgeLimits) -> GhdAnswer {
-    run_check(h, k, augment(h, bip_subedges(h, k, limits)))
+    run_check(k, augment(h, bip_subedges(h, k, limits)))
 }
 
 /// `Check(GHD, k)` for BMIP hypergraphs with multi-intersection parameter
@@ -131,13 +135,13 @@ pub fn check_ghd_bmip(h: &Hypergraph, k: usize, c: usize, limits: SubedgeLimits)
     } else {
         bmip_subedges(h, k, c, limits)
     };
-    run_check(h, k, augment(h, f))
+    run_check(k, augment(h, f))
 }
 
-fn run_check(h: &Hypergraph, k: usize, aug: Augmented) -> GhdAnswer {
+fn run_check(k: usize, aug: Augmented) -> GhdAnswer {
     match hd::check_hd(&aug.hypergraph, k) {
         Some(d) => GhdAnswer::Yes {
-            decomposition: Box::new(project_to_original(h, &aug, &d)),
+            decomposition: Box::new(aug.project(&d)),
             subedges_added: aug.added,
         },
         None if aug.truncated => GhdAnswer::Unknown,
@@ -239,7 +243,7 @@ mod tests {
         let f = bip_subedges(&h, 2, limits());
         let aug = augment(&h, f);
         if let Some(d) = hd::check_hd(&aug.hypergraph, 2) {
-            let g = project_to_original(&h, &aug, &d);
+            let g = aug.project(&d);
             assert_eq!(validate::validate_ghd(&h, &g), Ok(()));
             for node in g.nodes() {
                 for (e, _) in &node.weights {
@@ -249,5 +253,53 @@ mod tests {
         } else {
             panic!("C4 has hw(H') = 2");
         }
+    }
+
+    /// Two subedges of one originator merge by capped sum: to at most 1
+    /// when their weights sum above it, to the plain sum below it. Other
+    /// originators keep their weights, in first-occurrence order.
+    #[test]
+    fn projection_caps_the_sum_of_an_originators_subedges() {
+        use arith::rat;
+        // Originators: e0 = {0, 1, 2}, e1 = {2, 3}; subedges {0, 1} and
+        // {1, 2} of e0, {3} of e1.
+        let h = Hypergraph::from_edges(4, vec![vec![0, 1, 2], vec![2, 3]]);
+        let f = SubedgeSet {
+            subedges: vec![
+                hypergraph::VertexSet::from_iter([0, 1]),
+                hypergraph::VertexSet::from_iter([1, 2]),
+                hypergraph::VertexSet::from_iter([3]),
+            ],
+            originators: vec![0, 0, 1],
+            truncated: false,
+        };
+        let aug = augment(&h, f);
+        let (a, b, c) = (2, 3, 4);
+        let above = aug.to_originators(&[(a, rat(2, 3)), (c, rat(1, 2)), (b, rat(2, 3))]);
+        assert_eq!(above, vec![(0, rat(1, 1)), (1, rat(1, 2))]);
+        let below = aug.to_originators(&[(a, rat(1, 4)), (b, rat(1, 2)), (1, rat(1, 3))]);
+        assert_eq!(below, vec![(0, rat(3, 4)), (1, rat(1, 3))]);
+        // A subedge and its own originator merge the same way.
+        let with_orig = aug.to_originators(&[(0, rat(1, 2)), (b, rat(1, 3))]);
+        assert_eq!(with_orig, vec![(0, rat(5, 6))]);
+        // The tree walk maps every node and keeps bags and shape.
+        let mut d = Decomposition::new(Node {
+            bag: hypergraph::VertexSet::from_iter([0, 1, 2]),
+            weights: vec![(a, rat(2, 3)), (b, rat(2, 3))],
+        });
+        d.add_child(
+            0,
+            Node {
+                bag: hypergraph::VertexSet::from_iter([2, 3]),
+                weights: vec![(c, rat(1, 1)), (1, rat(1, 2))],
+            },
+        );
+        let p = aug.project(&d);
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.children(0), &[1]);
+        assert_eq!(p.node(0).bag, d.node(0).bag);
+        assert_eq!(p.node(0).weights, vec![(0, rat(1, 1))]);
+        assert_eq!(p.node(1).bag, d.node(1).bag);
+        assert_eq!(p.node(1).weights, vec![(1, rat(1, 1))]);
     }
 }

@@ -57,7 +57,8 @@ pub fn ghw_exact_on(
 
 /// `ghw(H)` by the elimination-order DP alone, no seed and no engine
 /// search (the independent reference of the agreement tests and the
-/// benchmark); `None` when a reduced block exceeds 24 vertices.
+/// benchmark); `None` when a reduced block exceeds 24 vertices. Uncached:
+/// every call searches.
 pub fn ghw_exact_elimination_with_stats(
     h: &Hypergraph,
     cutoff: Option<usize>,

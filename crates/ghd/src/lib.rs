@@ -12,8 +12,7 @@ pub mod exact;
 pub mod subedges;
 
 pub use check::{
-    augment, check_ghd_bip, check_ghd_bmip, generalized_hypertree_width_bip, project_to_original,
-    Augmented, GhdAnswer,
+    augment, check_ghd_bip, check_ghd_bmip, generalized_hypertree_width_bip, Augmented, GhdAnswer,
 };
 pub use exact::{
     ghw_exact, ghw_exact_at_least, ghw_exact_on, ghw_exact_subset_oracle, ghw_exact_with_stats,

@@ -40,6 +40,9 @@ pub fn check_hd(h: &Hypergraph, k: usize) -> Option<Decomposition> {
 /// twin-vertex collapse only, the passes that provably preserve `hw`'s
 /// special condition (no block splitting: re-rooting a block tree is not
 /// special-condition-safe) — and the witness is lifted back to `h`.
+///
+/// A one-shot check: every call searches, whatever
+/// `opts.reuse_results` says (only the width queries are cached).
 pub fn check_hd_with_stats(
     h: &Hypergraph,
     k: usize,
@@ -49,18 +52,14 @@ pub fn check_hd_with_stats(
     if h.has_isolated_vertices() {
         return (None, SearchStats::default());
     }
-    let key = format!("k={k};prep={};backend=auto", opts.prep);
-    let reuse = opts.reuse_results;
-    prep::cached_query(h, "result-hw-check", key, reuse, || {
-        if k == 1 {
-            return (decomp::join_tree(h), SearchStats::default());
-        }
-        let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-            let (d, s) = check_hd_piece(block, k);
-            (d.map(|d| ((), d)), s)
-        });
-        (result.map(|(_, d)| d), stats)
-    })
+    if k == 1 {
+        return (decomp::join_tree(h), SearchStats::default());
+    }
+    let (result, stats) = prep::run_decision(h, opts.prep, |block| {
+        let (d, s) = check_hd_piece(block, k);
+        (d.map(|d| ((), d)), s)
+    });
+    (result.map(|(_, d)| d), stats)
 }
 
 /// Runs `det-k-decomp` proper on an (already preprocessed) instance.
@@ -175,7 +174,6 @@ impl WidthSolver for DetK {
             return None;
         }
         Some(Admission {
-            split: vs.clone(),
             bag: vs,
             cost: guess.edges.len(),
             weights: guess.edges.iter().map(|&e| (e, Rational::one())).collect(),

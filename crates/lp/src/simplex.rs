@@ -382,7 +382,6 @@ impl SimplexWorkspace {
             self.stats.cold_solves += 1;
         }
         self.retain(lp, &res);
-        lp_metrics::record(warm_started, pivots);
         res
     }
 
@@ -772,49 +771,6 @@ fn eliminate<E: Entry>(row: &mut [E], prow: &[E], s: usize, p: &E, d: &E) -> Ste
         }
     }
     Ok(())
-}
-
-/// Process-lifetime LP work counters, mirroring [`LpStats`] into the
-/// `obs` metrics registry (the `hgtool metrics` LP rows). Strictly
-/// observational — nothing in the solver ever reads them back.
-mod lp_metrics {
-    use obs::metrics::{counter, Counter};
-    use std::sync::{Arc, OnceLock};
-
-    struct Handles {
-        pivots: Arc<Counter>,
-        warm_starts: Arc<Counter>,
-        cold_solves: Arc<Counter>,
-    }
-
-    fn handles() -> &'static Handles {
-        static HANDLES: OnceLock<Handles> = OnceLock::new();
-        HANDLES.get_or_init(|| Handles {
-            pivots: counter(
-                "hgtool_lp_pivots_total",
-                "Exact simplex Bland pivots (phase 1 + phase 2) across the process",
-            ),
-            warm_starts: counter(
-                "hgtool_lp_warm_starts_total",
-                "LP solves warm-started from a retained basis",
-            ),
-            cold_solves: counter(
-                "hgtool_lp_cold_solves_total",
-                "LP solves built from scratch (including failed warm crashes)",
-            ),
-        })
-    }
-
-    /// Records one finished solve and its pivot count.
-    pub(super) fn record(warm: bool, pivots: u64) {
-        let h = handles();
-        h.pivots.add(pivots);
-        if warm {
-            h.warm_starts.inc();
-        } else {
-            h.cold_solves.inc();
-        }
-    }
 }
 
 /// When the RHS is negative the row gets multiplied by -1, flipping `<=`/`>=`.

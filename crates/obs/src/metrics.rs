@@ -2,8 +2,9 @@
 //! lazy registry, snapshotted in Prometheus text exposition format.
 //!
 //! Metrics are always on (unlike tracing): every instrument is a bare
-//! atomic the hot paths touch directly, and call sites cache their
-//! handle in a `OnceLock` so registration happens once per process.
+//! atomic its writer updates directly (the engine's counters once per
+//! width query, at its front door), and call sites cache their handle in
+//! a `OnceLock` so registration happens once per process.
 //! Nothing ever reads a metric on a search path — the registry is
 //! strictly write-only until [`render_prometheus`] snapshots it.
 

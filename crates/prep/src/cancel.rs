@@ -18,12 +18,16 @@
 //!
 //! The engine cannot return "interrupted" through its memoized result
 //! type without poisoning caches (a `None` means *no decomposition
-//! exists* and would be stored as an answer). Instead a canceled root
-//! raises an [`interrupt::Interrupted`] unwind via [`interrupt::raise`]:
-//! the result-cache claim guards abandon their entries on the way out
-//! (waiters re-run instead of adopting a half answer), and the caller that
-//! installed the token catches the payload. A process-wide panic-hook shim
-//! keeps these control-flow unwinds out of stderr.
+//! exists* and would be stored as an answer). Instead whoever polls the
+//! token raises an [`interrupt::Interrupted`] unwind via
+//! [`interrupt::raise`] at the poll that sees it canceled: the engine (on
+//! entry to every state, between candidates and before each child
+//! descent) and the elimination DP (once per distinct bag it prices). The
+//! unwind stores no partial state, the result-cache claim guards abandon
+//! their entries on the way out (waiters re-run instead of adopting a half
+//! answer), and the caller that installed the token catches the payload.
+//! A process-wide panic-hook shim keeps these control-flow unwinds out of
+//! stderr.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -164,11 +168,9 @@ pub mod interrupt {
         });
     }
 
-    /// Raises the interrupt unwind. Called by the engine when its *root*
-    /// branch observes cancellation (inner branches return their
-    /// cancellation by value; only the root has no caller to return
-    /// `Canceled` to), and by the elimination DP, which polls the token
-    /// itself.
+    /// Raises the interrupt unwind. Called where the token is polled: by
+    /// the engine and by the elimination DP, as soon as either sees the
+    /// ambient token canceled.
     pub fn raise() -> ! {
         install_quiet_hook();
         std::panic::panic_any(Interrupted)

@@ -33,11 +33,17 @@
 //! hit replays the stored answer byte for byte); only the runtime counters
 //! `result_cache_hits` and `inflight_dedup` record the cache. Price memos
 //! never outlive their search.
+//!
+//! The only caller outside this crate's tests is `solver::exact::front_door`,
+//! the door of the three width queries (slots `result-hw`, `result-ghw`,
+//! `result-fhw`); it also adds the returned counters to the `obs`
+//! registry. The cache itself keeps only its occupancy gauges there.
 
 use crate::fingerprint::{canonical_form, CanonicalForm};
 use crate::stats::SearchStats;
 use cover::MemSize;
 use hypergraph::Hypergraph;
+use obs::metrics::{gauge, Gauge};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -178,7 +184,6 @@ impl ResultCache {
             slot,
             key,
         });
-        let metrics = cache_metrics::handles();
         let mut table = self.lock();
         let mut waited = false;
         // Resolve a hit, park on a claim, or claim the query.
@@ -215,10 +220,6 @@ impl ResultCache {
                     .clone();
                 stats.result_cache_hits = 1;
                 stats.inflight_dedup = usize::from(waited);
-                metrics.hits.inc();
-                if waited {
-                    metrics.inflight_dedup.inc();
-                }
                 if let Some(span) = span.as_ref() {
                     span.record("hit", true);
                     span.record("deduped", waited);
@@ -226,7 +227,6 @@ impl ResultCache {
                 ((result, stats), occupancy)
             }
             None => {
-                metrics.misses.inc();
                 if let Some(span) = span.as_ref() {
                     span.record("hit", false);
                 }
@@ -242,8 +242,9 @@ impl ResultCache {
                 ((result, stats), occupancy)
             }
         };
-        metrics.bytes.set(bytes as i64);
-        metrics.entries.set(entries as i64);
+        let gauges = gauges();
+        gauges.bytes.set(bytes as i64);
+        gauges.entries.set(entries as i64);
         answer
     }
 
@@ -312,7 +313,8 @@ impl ResultCache {
 }
 
 /// Routes one whole-query computation through the process-wide
-/// [`ResultCache`]; see [`ResultCache::query`].
+/// [`ResultCache`]; see [`ResultCache::query`]. Called by
+/// `solver::exact::front_door` only.
 pub fn cached_query<R>(
     h: &Hypergraph,
     slot: &'static str,
@@ -326,46 +328,28 @@ where
     global().query(h, slot, key, reuse, run)
 }
 
-/// Process-lifetime counters and occupancy gauges of the result cache,
-/// mirrored into the `obs` metrics registry. Observational only — cache
-/// behavior never depends on them.
-mod cache_metrics {
-    use obs::metrics::{counter, gauge, Counter, Gauge};
-    use std::sync::{Arc, OnceLock};
+/// The result cache's occupancy gauges in the `obs` metrics registry,
+/// registered on the first consulted query. Observational only: cache
+/// behavior never depends on them. The cache's hit, miss and dedup
+/// counters are written by the query's caller from the returned
+/// [`SearchStats`].
+struct Gauges {
+    bytes: Arc<Gauge>,
+    entries: Arc<Gauge>,
+}
 
-    pub(super) struct Handles {
-        pub hits: Arc<Counter>,
-        pub misses: Arc<Counter>,
-        pub inflight_dedup: Arc<Counter>,
-        pub bytes: Arc<Gauge>,
-        pub entries: Arc<Gauge>,
-    }
-
-    pub(super) fn handles() -> &'static Handles {
-        static HANDLES: OnceLock<Handles> = OnceLock::new();
-        HANDLES.get_or_init(|| Handles {
-            hits: counter(
-                "hgtool_result_cache_hits_total",
-                "Whole-query answers served from the cross-call result cache",
-            ),
-            misses: counter(
-                "hgtool_result_cache_misses_total",
-                "Whole-query searches that ran because no cached answer existed",
-            ),
-            inflight_dedup: counter(
-                "hgtool_inflight_dedup_total",
-                "Duplicate queries that parked on an in-flight identical search",
-            ),
-            bytes: gauge(
-                "hgtool_result_cache_bytes",
-                "Approximate byte occupancy of the cross-call result cache",
-            ),
-            entries: gauge(
-                "hgtool_result_cache_entries",
-                "Answers resident in the cross-call result cache",
-            ),
-        })
-    }
+fn gauges() -> &'static Gauges {
+    static GAUGES: OnceLock<Gauges> = OnceLock::new();
+    GAUGES.get_or_init(|| Gauges {
+        bytes: gauge(
+            "hgtool_result_cache_bytes",
+            "Approximate byte occupancy of the cross-call result cache",
+        ),
+        entries: gauge(
+            "hgtool_result_cache_entries",
+            "Answers resident in the cross-call result cache",
+        ),
+    })
 }
 
 /// Abandons an owned result claim on unwind unless disarmed, so a

@@ -10,9 +10,11 @@
 //! shared:
 //!
 //! * [`front_door`] — the isolated-vertex check, the `solve` span, the
-//!   cross-call result cache and the
-//!   `hgtool_solve_latency_seconds{strategy}` histogram. `hw` goes
-//!   through it too (`hd::hypertree_width_at_least`).
+//!   cross-call result cache (its only caller), the
+//!   `hgtool_solve_latency_seconds{strategy}` histogram, and the result
+//!   cache and LP counters of the `obs` registry, each a sum of the
+//!   returned [`SearchStats`]. `hw` goes through it too
+//!   (`hd::hypertree_width_at_least`).
 //! * [`solve`] — the cache key (with `;floor=` above 1), then the join
 //!   tree ([`decomp::join_tree`]): an α-acyclic instance has width 1
 //!   under both measures, answered by that tree with `ub_width = 1` and
@@ -38,7 +40,8 @@
 //!   `join_tree` span, `prep` span, seed `candgen` span and seed `price`
 //!   spans.
 //! * [`solve_by_elimination`] — every block answered by the DP alone (the
-//!   independent reference of the agreement tests and the benchmark).
+//!   independent reference of the agreement tests and the benchmark),
+//!   uncached.
 //! * [`upper_bound`] — the heuristic bound alone, priced by the measure.
 //! * [`subset_oracle`] — the subset-bag cross-check, no prep, no seed.
 //!
@@ -57,7 +60,7 @@ use cover::{MemSize, PriceMemo, PricingContext, ScatterBound};
 use decomp::Decomposition;
 use hypergraph::fx::FxHashMap;
 use hypergraph::{properties, Hypergraph, VertexSet};
-use obs::metrics::Histogram;
+use obs::metrics::{counter, Counter, Histogram};
 use std::cell::RefCell;
 use std::fmt::Debug;
 use std::sync::{Arc, OnceLock};
@@ -216,12 +219,13 @@ fn exceeds(bound: &Rational, r: usize, len: usize) -> bool {
     }
 }
 
-/// The front door of every exact width query: rejects isolated vertices,
-/// opens the `solve` span, answers through the cross-call result cache
-/// (`slot`, `key`; `reuse` from [`EngineOptions::reuse_results`]), and
-/// observes the end-to-end latency under
-/// `hgtool_solve_latency_seconds{strategy=measure}`. `measure` is `"hw"`,
-/// `"ghw"` or `"fhw"`.
+/// The front door of every exact width query, and the only caller of
+/// [`prep::cached_query`]: rejects isolated vertices, opens the `solve`
+/// span, answers through the cross-call result cache (`slot`, `key`;
+/// `reuse` from [`EngineOptions::reuse_results`]), observes the end-to-end
+/// latency under `hgtool_solve_latency_seconds{strategy=measure}` and
+/// adds the call's [`SearchStats`] to the engine's result-cache and LP
+/// counters, their only writer. `measure` is `"hw"`, `"ghw"` or `"fhw"`.
 pub fn front_door<T>(
     h: &Hypergraph,
     measure: &'static str,
@@ -245,7 +249,67 @@ where
     let started = std::time::Instant::now();
     let (result, stats) = prep::cached_query(h, slot, key, reuse, run);
     latency(measure).observe_us(started.elapsed().as_micros() as u64);
+    record(&stats, prep::enabled(reuse));
     (result, stats)
+}
+
+/// The engine's Prometheus counters, registered on the first solve. Each
+/// is a sum of the [`SearchStats`] that [`front_door`] returned.
+struct Counters {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    inflight_dedup: Arc<Counter>,
+    lp_pivots: Arc<Counter>,
+    lp_warm_starts: Arc<Counter>,
+    lp_cold_solves: Arc<Counter>,
+}
+
+/// Adds one answered query to the counters: a hit (and whether it parked
+/// on an in-flight twin), or, when the call searched, a miss if it
+/// `consulted` the cache, and its LP work. A hit replays the stored run's
+/// counters, so its LP work is not added again. Every `ρ*` LP of a search
+/// is merged into its stats ([`Measure::merge_lp`]), so the LP counters
+/// count exactly the LPs that queries solved. A canceled call unwinds
+/// past this and records nothing.
+fn record(stats: &SearchStats, consulted: bool) {
+    static COUNTERS: OnceLock<Counters> = OnceLock::new();
+    let c = COUNTERS.get_or_init(|| Counters {
+        hits: counter(
+            "hgtool_result_cache_hits_total",
+            "Whole-query answers served from the cross-call result cache",
+        ),
+        misses: counter(
+            "hgtool_result_cache_misses_total",
+            "Whole-query searches that ran because no cached answer existed",
+        ),
+        inflight_dedup: counter(
+            "hgtool_inflight_dedup_total",
+            "Duplicate queries that parked on an in-flight identical search",
+        ),
+        lp_pivots: counter(
+            "hgtool_lp_pivots_total",
+            "Exact simplex Bland pivots (phase 1 + phase 2) of searched queries",
+        ),
+        lp_warm_starts: counter(
+            "hgtool_lp_warm_starts_total",
+            "LP solves of searched queries warm-started from a retained basis",
+        ),
+        lp_cold_solves: counter(
+            "hgtool_lp_cold_solves_total",
+            "LP solves of searched queries built from scratch (including failed warm crashes)",
+        ),
+    });
+    if stats.result_cache_hits > 0 {
+        c.hits.add(stats.result_cache_hits as u64);
+        c.inflight_dedup.add(stats.inflight_dedup as u64);
+        return;
+    }
+    if consulted {
+        c.misses.inc();
+    }
+    c.lp_pivots.add(stats.lp_pivots);
+    c.lp_warm_starts.add(stats.lp_warm_starts);
+    c.lp_cold_solves.add(stats.lp_cold_solves);
 }
 
 /// `hgtool_solve_latency_seconds{strategy=measure}`, registered on the
@@ -535,7 +599,10 @@ fn by_elimination<M: Measure>(
 
 /// The exact width under `M` by the elimination-order DP alone, without
 /// the heuristic seed: every preprocessed block must fit
-/// [`MAX_EXACT_VERTICES`], else the whole call returns `None`.
+/// [`MAX_EXACT_VERTICES`], else the whole call returns `None`. A reference,
+/// not a front door: every call searches (the result cache and the
+/// engine's counters never see it), whatever
+/// [`EngineOptions::reuse_results`] says.
 pub fn solve_by_elimination<M: Measure>(
     h: &Hypergraph,
     cutoff: Option<M::Cost>,
@@ -544,16 +611,13 @@ pub fn solve_by_elimination<M: Measure>(
     if h.has_isolated_vertices() {
         return (None, SearchStats::default());
     }
-    let key = format!("cutoff={cutoff:?};prep={};backend=elim", opts.prep);
-    prep::cached_query(h, M::RESULT_SLOT, key, opts.reuse_results, || {
-        Instance::new(h, opts).each_block(|block, _| {
-            if block.num_vertices() > MAX_EXACT_VERTICES {
-                return (None, SearchStats::default());
-            }
-            let mut stats = SearchStats::default();
-            let result = by_elimination::<M>(block, cutoff.clone(), &mut stats);
-            (result, stats)
-        })
+    Instance::new(h, opts).each_block(|block, _| {
+        if block.num_vertices() > MAX_EXACT_VERTICES {
+            return (None, SearchStats::default());
+        }
+        let mut stats = SearchStats::default();
+        let result = by_elimination::<M>(block, cutoff.clone(), &mut stats);
+        (result, stats)
     })
 }
 
@@ -734,7 +798,6 @@ impl<M: Measure> WidthSolver for Search<M> {
         }
         let (cost, weights) = self.prices.price(h, bag);
         Some(Admission {
-            split: bag.clone(),
             bag: bag.clone(),
             cost,
             weights,

@@ -20,7 +20,7 @@
 //! prices/validates them ([`WidthSolver::admit`], where set covers and LPs
 //! run). [`exact`] is the one exact `ghw`/`fhw` minimizer built on it.
 //!
-//! Three engine properties the strategies rely on:
+//! Four engine properties the strategies rely on:
 //!
 //! * **Streaming.** Candidates are pulled one at a time from a lazy
 //!   [`CandidateStream`]; nothing is materialized ahead of the cursor, so
@@ -35,6 +35,15 @@
 //!   than `(C, conn)` (the strict-HD search couples to the parent
 //!   separator's full vertex span) extends the memo key through
 //!   [`WidthSolver::state_key`].
+//! * **Cancellation as unwind.** The engine polls the ambient
+//!   [`CancelToken`] (`prep::cancel`) on entry to every state, between
+//!   candidates and before each child descent, and raises the interrupt
+//!   unwind where it sees it canceled, as the elimination DP does; no
+//!   state it passes is stored.
+//!
+//! The width queries' one front door, [`exact::front_door`], owns the
+//! cross-call result cache and the engine's counters in the `obs`
+//! registry; the decision checks built on this engine run uncached.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,11 +70,12 @@ pub fn default_thread_count() -> usize {
 
 /// Preprocessing and caching options for a search.
 ///
-/// `prep` and `reuse_results` are consumed by the strategy wrappers (the
-/// `_with_stats` entry points of the five width solvers), which run the
-/// `prep` crate's simplification/block pipeline and cross-call result
-/// cache *around* the engine. Price memos are private to each search
-/// under every option, so the `price_*` counters are that search's own.
+/// `prep` is consumed by the strategy wrappers (the `_with_stats` entry
+/// points of the width solvers and decision checks), which run the `prep`
+/// crate's simplification/block pipeline *around* the engine;
+/// `reuse_results` only by the width queries' front door
+/// ([`exact::front_door`]). Price memos are private to each search under
+/// every option, so the `price_*` counters are that search's own.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
     /// Has no effect: every search runs on the calling thread. Kept only
@@ -77,13 +87,16 @@ pub struct EngineOptions {
     /// hypergraph. On by default; `HGTOOL_NO_PREP` (any value) overrides
     /// it off process-wide.
     pub prep: bool,
-    /// Serve whole queries — width, lifted witness and engine stats — from
-    /// the process-lifetime result cache keyed by `(instance, strategy,
-    /// parameters)`, and dedup identical in-flight requests to one search. A
-    /// hit replays the original search's result and engine counters
-    /// byte-for-byte; only the runtime counters (`result_cache_hits`,
-    /// `inflight_dedup`) reflect the current call. Off under
-    /// [`EngineOptions::sequential`].
+    /// Serve whole width queries (`hw`, `ghw`, `fhw`) — width, lifted
+    /// witness and engine stats — from the process-lifetime result cache
+    /// keyed by `(instance, measure, parameters)`, and dedup identical
+    /// in-flight requests to one search. A hit replays the original
+    /// search's result and engine counters byte-for-byte; only the runtime
+    /// counters (`result_cache_hits`, `inflight_dedup`) reflect the current
+    /// call. No other entry point reads it: the decision checks
+    /// (`check_hd`, `check_fhd_bdp`, `frac_decomp`) and the references
+    /// (`solve_by_elimination`, the upper bounds and subset oracles) search
+    /// on every call. Off under [`EngineOptions::sequential`].
     pub reuse_results: bool,
 }
 
@@ -133,19 +146,16 @@ pub struct Guess {
     pub extra: VertexSet,
 }
 
-/// The priced result of admitting a [`Guess`]: the separator geometry plus
-/// its cost and witness edge weights.
+/// The priced result of admitting a [`Guess`]: the candidate bag plus its
+/// cost and witness edge weights.
 #[derive(Clone, Debug)]
 pub struct Admission<C> {
-    /// Vertices removed when splitting the component. Children are the
-    /// `[split]`-components inside the current component, and a child's
-    /// connector is `split ∩ ⋃ edges(child)`.
-    ///
-    /// `det-k-decomp` splits on the *full* `V(S)` (this is what enforces the
-    /// special condition); the GHD/FHD strategies split on the clipped bag.
-    pub split: VertexSet,
-    /// The candidate bag before witness clipping; the final bag of the
-    /// assembled node is `bag ∩ (component ∪ parent bag)`.
+    /// The candidate bag before witness clipping, which the component
+    /// splits on: children are the `[bag]`-components inside the current
+    /// component, and a child's connector is `bag ∩ ⋃ edges(child)`. The
+    /// engine clips only at assembly, where the node's bag becomes
+    /// `bag ∩ (component ∪ parent bag)`; `det-k-decomp` splitting on the
+    /// full `V(S)` is what enforces the special condition.
     pub bag: VertexSet,
     /// The cost the engine minimizes (maximum over the witness tree).
     pub cost: C,
@@ -166,11 +176,12 @@ pub struct SearchState<'a> {
     pub conn: &'a VertexSet,
     /// `edges(C)`: indices of edges intersecting `C`.
     pub comp_edges: &'a [usize],
-    /// The parent node's *full* split set (`V(S)` of the node above; empty
-    /// at the root). Most strategies ignore it — `conn` is the part that
-    /// matters for the cover condition — but strategies with a
-    /// [`WidthSolver::state_key`] (the strict-HD search) read the trace of
-    /// the parent separator beyond `conn` from here.
+    /// The parent node's *full* (unclipped) bag, which split the parent
+    /// component (`V(S)` of the node above; empty at the root). Most
+    /// strategies ignore it — `conn` is the part that matters for the
+    /// cover condition — but strategies with a [`WidthSolver::state_key`]
+    /// (the strict-HD search) read the trace of the parent separator beyond
+    /// `conn` from here.
     pub parent_split: &'a VertexSet,
 }
 
@@ -298,12 +309,6 @@ struct MemoKey {
     skey: Option<VertexSet>,
 }
 
-/// The evaluation of this branch was interrupted: the ambient
-/// [`CancelToken`] was canceled (a deadline struck or the caller gave up).
-/// Never memoized — the partial work is abandoned.
-#[derive(Debug)]
-struct Canceled;
-
 /// The shared search engine: memoized `(component, connector[, state key])`
 /// recursion with witness assembly, on the calling thread. Each state is
 /// computed once per context — a child is a strictly smaller component, so
@@ -353,14 +358,7 @@ impl<C: Ord + Clone> SearchContext<C> {
             // governs every branch.
             cancel: prep::cancel::current_cancel(),
         };
-        let entry = match search.solve(&root, &empty, &empty) {
-            Ok(entry) => entry,
-            // Only the ambient token can cancel the root branch; there is
-            // no caller to hand `Canceled` back to, so unwind — the caller
-            // that installed the token catches the payload.
-            Err(Canceled) => prep::cancel::interrupt::raise(),
-        };
-        let (cost, plan) = entry?;
+        let (cost, plan) = search.solve(&root, &empty, &empty)?;
         Some((cost, self.assemble(&root, plan)))
     }
 
@@ -391,23 +389,27 @@ struct Search<'a, C, S> {
 }
 
 impl<C: Ord + Clone, S: WidthSolver<Cost = C>> Search<'_, C, S> {
-    fn is_canceled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_canceled)
+    /// Raises the interrupt unwind once the ambient token is canceled (a
+    /// deadline struck or the caller gave up), as the elimination DP does
+    /// where it polls. The unwind leaves every state it passes unstored,
+    /// so partial work is never memoized; the caller that installed the
+    /// token catches the payload.
+    fn poll(&self) {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_canceled) {
+            prep::cancel::interrupt::raise();
+        }
     }
 
     /// The memoized recursion step: the minimum achievable maximum cost of
     /// a decomposition fragment covering `comp` whose apex bag contains
     /// `conn`, with its plan, or `None` if none exists under the cutoff.
-    /// A canceled state is not stored.
     fn solve(
         &mut self,
         comp: &VertexSet,
         conn: &VertexSet,
         parent_split: &VertexSet,
-    ) -> Result<Option<(C, usize)>, Canceled> {
-        if self.is_canceled() {
-            return Err(Canceled);
-        }
+    ) -> Option<(C, usize)> {
+        self.poll();
         let (h, strategy) = (self.h, self.strategy);
         // A state key needs the derived state, so only then does the edge
         // scan precede the memo probe: without one, a hit costs one probe.
@@ -433,7 +435,7 @@ impl<C: Ord + Clone, S: WidthSolver<Cost = C>> Search<'_, C, S> {
         };
         if let Some(hit) = self.cx.memo.get(&key) {
             self.cx.stats.memo_hits += 1;
-            return Ok(hit.clone());
+            return hit.clone();
         }
         self.cx.stats.states += 1;
         let comp_edges = comp_edges.unwrap_or_else(|| h.edges_intersecting(comp));
@@ -446,12 +448,12 @@ impl<C: Ord + Clone, S: WidthSolver<Cost = C>> Search<'_, C, S> {
         // Observational only: the engine never reads the trace back, so
         // the search and its counters are identical with tracing on or off.
         let _span = obs::span!("state", comp = comp.len(), conn = conn.len());
-        let entry = self.evaluate_state(state)?.map(|(cost, plan)| {
+        let entry = self.evaluate_state(state).map(|(cost, plan)| {
             self.cx.plans.push(plan);
             (cost, self.cx.plans.len() - 1)
         });
         self.cx.memo.insert(key, entry.clone());
-        Ok(entry)
+        entry
     }
 
     /// Scans the state's candidate stream one candidate at a time, each
@@ -460,27 +462,25 @@ impl<C: Ord + Clone, S: WidthSolver<Cost = C>> Search<'_, C, S> {
     /// decomposing candidate; a minimizer keeps the first candidate in
     /// stream order that reaches the minimum (only a strictly cheaper one
     /// replaces the best).
-    fn evaluate_state(&mut self, state: SearchState<'_>) -> Result<Option<(C, Plan)>, Canceled> {
+    fn evaluate_state(&mut self, state: SearchState<'_>) -> Option<(C, Plan)> {
         let (h, strategy) = (self.h, self.strategy);
         let cutoff = strategy.cutoff();
         let mut best: Option<(C, Plan)> = None;
         for guess in strategy.candidates(h, state) {
-            if self.is_canceled() {
-                return Err(Canceled);
-            }
+            self.poll();
             self.cx.stats.streamed += 1;
             let bound = tighter(cutoff.as_ref(), best.as_ref().map(|(cost, _)| cost));
-            let Some(found) = self.evaluate_candidate(state, &guess, bound)? else {
+            let Some(found) = self.evaluate_candidate(state, &guess, bound) else {
                 continue;
             };
             if strategy.is_decision() {
-                return Ok(Some(found));
+                return Some(found);
             }
             if best.as_ref().is_none_or(|(cost, _)| found.0 < *cost) {
                 best = Some(found);
             }
         }
-        Ok(best)
+        best
     }
 
     /// Admits one guess and, if it survives the structural checks, solves
@@ -491,58 +491,52 @@ impl<C: Ord + Clone, S: WidthSolver<Cost = C>> Search<'_, C, S> {
         state: SearchState<'_>,
         guess: &Guess,
         bound: Option<&C>,
-    ) -> Result<Option<(C, Plan)>, Canceled> {
+    ) -> Option<(C, Plan)> {
         let h = self.h;
         // Admission runs first — it derives the separator geometry and
         // prices it, rejecting structurally or cost-wise hopeless guesses
         // without the engine ever materializing them.
-        let Some(admission) = self.strategy.admit(h, state, guess, bound) else {
-            return Ok(None);
-        };
+        let admission = self.strategy.admit(h, state, guess, bound)?;
         self.cx.stats.admitted += 1;
+        let bag = &admission.bag;
         // Progress: the separator must eat into the component.
-        if !admission.split.intersects(state.comp) {
-            return Ok(None);
+        if !bag.intersects(state.comp) {
+            return None;
         }
         // Cover condition: the connector must sit inside the bag.
-        if !state.conn.is_subset(&admission.bag) {
-            return Ok(None);
+        if !state.conn.is_subset(bag) {
+            return None;
         }
         // Covers the strategy cutoff and the best-so-far prune alike:
         // max(cost, children) >= cost >= bound cannot improve.
         if bound.is_some_and(|b| admission.cost >= *b) {
-            return Ok(None);
+            return None;
         }
         // Split into sub-components and make sure no component edge is
         // lost: each edge of the region must lie inside the bag's span
         // or continue into exactly one sub-component.
-        let subs: Vec<VertexSet> = components::components(h, &admission.split)
+        let subs: Vec<VertexSet> = components::components(h, bag)
             .into_iter()
             .filter(|sub| sub.is_subset(state.comp))
             .collect();
         for &e in state.comp_edges {
             let edge = h.edge(e);
-            if edge.is_subset(&admission.split) {
+            if edge.is_subset(bag) {
                 continue;
             }
-            let remainder = edge.difference(&admission.split);
+            let remainder = edge.difference(bag);
             if !subs.iter().any(|sub| remainder.is_subset(sub)) {
-                return Ok(None);
+                return None;
             }
         }
         let mut total = admission.cost;
         let mut children = Vec::with_capacity(subs.len());
         for sub in subs {
-            if self.is_canceled() {
-                return Err(Canceled);
-            }
+            self.poll();
             let sub_edges = h.edges_intersecting(&sub);
             let span = h.union_of_edges(sub_edges.iter().copied());
-            let sub_conn = admission.split.intersection(&span);
-            let Some((child_cost, child_plan)) = self.solve(&sub, &sub_conn, &admission.split)?
-            else {
-                return Ok(None);
-            };
+            let sub_conn = bag.intersection(&span);
+            let (child_cost, child_plan) = self.solve(&sub, &sub_conn, bag)?;
             total = total.max(child_cost);
             children.push((sub, child_plan));
         }
@@ -551,7 +545,7 @@ impl<C: Ord + Clone, S: WidthSolver<Cost = C>> Search<'_, C, S> {
             weights: admission.weights,
             children,
         };
-        Ok(Some((total, plan)))
+        Some((total, plan))
     }
 }
 
@@ -601,64 +595,33 @@ impl<C: Ord + Clone> Default for SearchContext<C> {
 ///
 /// Lazy: each pull advances one Gosper-hack mask, so the `2^|C| - 1` bags
 /// are never materialized; small bags come first, which finds cheap covers
-/// early and tightens the engine's best-so-far prune.
+/// early and tightens the engine's best-so-far prune. Each bag is
+/// accumulated in two registers and materialized with `from_two_blocks`:
+/// the one caller, [`exact::subset_oracle`], refuses instances over
+/// [`MAX_SUBSET_SEARCH_VERTICES`] vertices, so every vertex is below 128.
 pub fn stream_subset_bags<'a>(state: SearchState<'a>) -> CandidateStream<'a> {
     let free: Vec<usize> = state.comp.to_vec();
     let m = free.len();
     if m == 0 || m > MAX_SUBSET_SEARCH_VERTICES {
         return CandidateStream::empty();
     }
-    let conn = state.conn.clone();
+    let (c0, c1) = state
+        .conn
+        .two_blocks()
+        .expect("subset-oracle vertices fit two blocks");
+    let masks: Vec<(u64, u64)> = free
+        .iter()
+        .map(|&v| {
+            if v < 64 {
+                (1u64 << v, 0)
+            } else {
+                (0, 1u64 << (v - 64))
+            }
+        })
+        .collect();
     let limit: u64 = 1u64 << m;
     let mut size = 1usize;
     let mut mask: u64 = 1;
-    // Two-block fast path: when the connector and every free vertex fit
-    // the inline representation (vertices `< 128` — the entire exact
-    // subset-search regime), each bag is accumulated in two registers and
-    // materialized with `from_two_blocks` — no clone, no per-member
-    // branches. This loop builds every candidate the subset oracles stream.
-    if let (Some((c0, c1)), true) = (state.conn.two_blocks(), free.iter().all(|&v| v < 128)) {
-        let masks: Vec<(u64, u64)> = free
-            .iter()
-            .map(|&v| {
-                if v < 64 {
-                    (1u64 << v, 0)
-                } else {
-                    (0, 1u64 << (v - 64))
-                }
-            })
-            .collect();
-        return CandidateStream::new(std::iter::from_fn(move || {
-            while size <= m {
-                if mask < limit {
-                    let cur = mask;
-                    // Next mask of the same popcount (Gosper's hack; exits
-                    // the popcount class via `mask < limit`).
-                    let low = cur & cur.wrapping_neg();
-                    let ripple = cur + low;
-                    mask = (((ripple ^ cur) >> 2) / low) | ripple;
-                    let (mut b0, mut b1) = (c0, c1);
-                    let mut bits = cur;
-                    while bits != 0 {
-                        let (m0, m1) = masks[bits.trailing_zeros() as usize];
-                        bits &= bits - 1;
-                        b0 |= m0;
-                        b1 |= m1;
-                    }
-                    return Some(Guess {
-                        edges: Vec::new(),
-                        extra: VertexSet::from_two_blocks(b0, b1),
-                    });
-                }
-                size += 1;
-                mask = (1u64 << size) - 1;
-            }
-            None
-        }));
-    }
-    // General path (vertices beyond the inline range): each free vertex as
-    // its (block, bit) pair, one OR per subset member.
-    let free_bits: Vec<(usize, u64)> = free.iter().map(|&v| (v / 64, 1u64 << (v % 64))).collect();
     CandidateStream::new(std::iter::from_fn(move || {
         while size <= m {
             if mask < limit {
@@ -668,16 +631,17 @@ pub fn stream_subset_bags<'a>(state: SearchState<'a>) -> CandidateStream<'a> {
                 let low = cur & cur.wrapping_neg();
                 let ripple = cur + low;
                 mask = (((ripple ^ cur) >> 2) / low) | ripple;
-                let mut bag = conn.clone();
+                let (mut b0, mut b1) = (c0, c1);
                 let mut bits = cur;
                 while bits != 0 {
-                    let (block, bit) = free_bits[bits.trailing_zeros() as usize];
+                    let (m0, m1) = masks[bits.trailing_zeros() as usize];
                     bits &= bits - 1;
-                    bag.insert_mask_block(block, bit);
+                    b0 |= m0;
+                    b1 |= m1;
                 }
                 return Some(Guess {
                     edges: Vec::new(),
-                    extra: bag,
+                    extra: VertexSet::from_two_blocks(b0, b1),
                 });
             }
             size += 1;
@@ -768,7 +732,6 @@ mod tests {
         ) -> Option<Admission<usize>> {
             let vs = h.union_of_edges(guess.edges.iter().copied());
             Some(Admission {
-                split: vs.clone(),
                 bag: vs,
                 cost: guess.edges.len(),
                 weights: guess.edges.iter().map(|&e| (e, Rational::one())).collect(),
@@ -817,7 +780,6 @@ mod tests {
             self.bounds.borrow_mut().push(bound.copied());
             let i = guess.edges[0];
             Some(Admission {
-                split: guess.extra.clone(),
                 bag: guess.extra.clone(),
                 cost: self.costs[i],
                 weights: vec![(0, Rational::from(i))],
