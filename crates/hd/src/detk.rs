@@ -35,7 +35,7 @@ pub fn check_hd(h: &Hypergraph, k: usize) -> Option<Decomposition> {
 ///
 /// At `k = 1` the check is α-acyclicity: the answer is `h`'s join tree
 /// ([`decomp::join_tree`]), and nothing is prepared or searched. Above it,
-/// unless opted out (`opts.prep` / `HGTOOL_NO_PREP`), the instance first
+/// unless opted out (`opts.prep`), the instance first
 /// runs through `prep`'s *decision* profile — duplicate-edge and
 /// twin-vertex collapse only, the passes that provably preserve `hw`'s
 /// special condition (no block splitting: re-rooting a block tree is not
@@ -104,7 +104,7 @@ pub fn hypertree_width_at_least(
     max_k: usize,
     opts: EngineOptions,
 ) -> (Option<(usize, Decomposition)>, SearchStats) {
-    let key = format!("max_k={max_k};prep={};backend=auto", opts.prep);
+    let key = format!("max_k={max_k};prep={}", opts.prep);
     solver::exact::front_door(h, "hw", "result-hw", key, opts.reuse_results, || {
         if floor <= 1 && max_k >= 1 {
             if let Some(d) = decomp::join_tree(h) {

@@ -30,50 +30,23 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Environment variable that turns span collection on for a process.
 pub const ENV: &str = "HGTOOL_TRACE";
 
-/// Environment variable bounding the spans recorded under one root
-/// scope (see [`span_cap`]).
-pub const SPAN_CAP_ENV: &str = "HGTOOL_TRACE_SPAN_CAP";
-
 /// Collector capacity: beyond this many buffered spans, new records
 /// are dropped (and counted) rather than growing without bound.
 pub const MAX_RECORDS: usize = 1 << 20;
 
-/// Default per-root-scope span cap (see [`span_cap`]).
-pub const DEFAULT_SPAN_CAP: usize = 1 << 16;
-
-fn span_cap_cell() -> &'static AtomicUsize {
-    static CAP: OnceLock<AtomicUsize> = OnceLock::new();
-    CAP.get_or_init(|| {
-        let cap = std::env::var(SPAN_CAP_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_SPAN_CAP);
-        AtomicUsize::new(cap)
-    })
-}
-
 /// The per-root-scope span cap: at most this many spans are recorded
 /// under one root span on a thread (one served request, one CLI
 /// solve). Spans past the cap are not recorded — the cut falls on the
-/// deepest scopes, so roots and phase structure survive — and each is
-/// counted in [`dropped`]. Initialized from `HGTOOL_TRACE_SPAN_CAP`
-/// (default [`DEFAULT_SPAN_CAP`]).
-pub fn span_cap() -> usize {
-    span_cap_cell().load(Ordering::Relaxed)
-}
-
-/// Overrides the per-root-scope span cap (`n` must be nonzero).
-pub fn set_span_cap(n: usize) {
-    span_cap_cell().store(n.max(1), Ordering::Relaxed);
-}
+/// latest and deepest scopes, so roots and phase structure survive —
+/// and each is counted in [`dropped`].
+pub const SPAN_CAP: usize = 1 << 16;
 
 fn flag() -> &'static AtomicBool {
     static FLAG: OnceLock<AtomicBool> = OnceLock::new();
@@ -280,7 +253,7 @@ impl SpanGuard {
             // shallow structure already merged or still on the stack
             // survives) and count the cut. Guard id 0 is the "not
             // recorded" sentinel — real ids start at 1.
-            if b.done.len() + b.stack.len() >= span_cap() {
+            if b.done.len() + b.stack.len() >= SPAN_CAP {
                 DROPPED.fetch_add(1, Ordering::Relaxed);
                 return 0;
             }
@@ -668,18 +641,15 @@ mod tests {
     #[test]
     fn span_cap_drops_deep_spans_and_counts_them() {
         let records = with_clean_trace(|| {
-            let before_cap = span_cap();
             let before_dropped = dropped();
-            set_span_cap(3);
             {
                 let _root = crate::span!("solve");
-                let _a = crate::span!("prep");
-                let _b = crate::span!("candgen");
-                // Past the cap: not recorded, counted as dropped.
-                let _c = crate::span!("state");
-                let _d = crate::span!("price");
+                // The root and `SPAN_CAP - 1` leaves fill the cap; the last
+                // two leaves pass it: not recorded, counted as dropped.
+                for _ in 0..SPAN_CAP + 1 {
+                    let _leaf = crate::span!("price");
+                }
             }
-            set_span_cap(before_cap);
             let records = drain();
             assert_eq!(
                 dropped() - before_dropped,
@@ -688,10 +658,11 @@ mod tests {
             );
             records
         });
-        let names: Vec<_> = records.iter().map(|r| r.name).collect();
-        assert_eq!(names.len(), 3);
-        assert!(names.contains(&"solve"), "the root survives the cap");
-        assert!(!names.contains(&"price"), "deep leaves are cut");
+        assert_eq!(records.len(), SPAN_CAP);
+        let roots: Vec<_> = records.iter().filter(|r| r.depth == 0).collect();
+        assert_eq!(roots.len(), 1, "the root survives the cap");
+        assert_eq!(roots[0].name, "solve");
+        assert!(records.iter().all(|r| r.depth == 0 || r.name == "price"));
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! [`interrupt::raise`] at the poll that sees it canceled: the engine (on
 //! entry to every state, between candidates and before each child
 //! descent) and the elimination DP (once per distinct bag it prices). The
-//! unwind stores no partial state, the result-cache claim guards abandon
-//! their entries on the way out (waiters re-run instead of adopting a half
-//! answer), and the caller that installed the token catches the payload.
+//! unwind stores no partial state, the result cache stores nothing for the
+//! unwound query (the next identical query searches afresh), and the
+//! caller that installed the token catches the payload.
 //! A process-wide panic-hook shim keeps these control-flow unwinds out of
 //! stderr.
 

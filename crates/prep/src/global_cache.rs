@@ -2,9 +2,7 @@
 //!
 //! [`cached_query`] keeps each whole answer — width, lifted witness and the
 //! engine counters of the run that computed it — across calls, so a
-//! repeated query skips the search entirely, and an identical query already
-//! in flight is deduplicated (the second caller parks on the first one's
-//! `Pending` claim and adopts its answer).
+//! repeated query skips the search entirely.
 //!
 //! An answer is stored under one key: the instance's vertex count and
 //! [`CanonicalForm`], the strategy slot and a parameter string covering
@@ -14,25 +12,29 @@
 //! and the map keeps the standard library's keyed hasher, since keys come
 //! from outside the program.
 //!
-//! One mutex guards claims, answers and their LRU order: a map from query
-//! to `Pending` or `Done { answer, tick, bytes }`, the tick order of the
-//! answers and their byte total. A hit takes the lock once, a miss twice
-//! (claim, store); the search runs unlocked in between. A search can run
-//! for seconds and can unwind on cancel, and other threads' queries (serve's
-//! connections, its warm-up) must not wait behind it.
+//! One mutex guards the answers and their LRU order: a map from query to
+//! its answer, tick and bytes, the tick order of the answers and their
+//! byte total. A hit takes the lock once, a miss twice (lookup, store);
+//! the search runs unlocked in between. A search can run for seconds and
+//! can unwind on cancel, and other threads' queries must not wait behind
+//! it. A search that unwinds stores nothing. Nothing is claimed while a
+//! search runs, so two threads that miss one query at once both search;
+//! the first store wins and the later one is dropped, so an answer's bytes
+//! are charged once. No production caller issues such twins: serve solves
+//! one request at a time, and `hgtool` and the benchmark are
+//! single-threaded.
 //!
 //! Memory: the answers share one byte budget ([`BUDGET_ENV`], default
 //! 64 MiB), estimated via [`cover::MemSize`] when an answer is stored. A
 //! hit moves its answer to a fresh tick; a store evicts least-recent
 //! answers while the total exceeds the budget, never the answer just
-//! stored and never a claim (claims have no tick). The budget therefore
-//! holds after every store, and a call costs `O(log n)` in the `n`
-//! resident answers.
+//! stored. The budget therefore holds after every store, and a call costs
+//! `O(log n)` in the `n` resident answers.
 //!
 //! Determinism: widths, witnesses and engine counters are unaffected (a
-//! hit replays the stored answer byte for byte); only the runtime counters
-//! `result_cache_hits` and `inflight_dedup` record the cache. Price memos
-//! never outlive their search.
+//! hit replays the stored answer byte for byte); only the runtime counter
+//! `result_cache_hits` records the cache. Price memos never outlive their
+//! search.
 //!
 //! The only caller outside this crate's tests is `solver::exact::front_door`,
 //! the door of the three width queries (slots `result-hw`, `result-ghw`,
@@ -45,8 +47,8 @@ use cover::MemSize;
 use hypergraph::Hypergraph;
 use obs::metrics::{gauge, Gauge};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::collections::{hash_map, BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Environment variable overriding the result cache's byte budget.
 pub const BUDGET_ENV: &str = "HGTOOL_CACHE_BYTES";
@@ -76,31 +78,22 @@ impl MemSize for Query {
 /// A stored `(result, stats)` pair, type-erased (the slot fixes the type).
 type Answer = Arc<dyn Any + Send + Sync>;
 
-/// One query's state.
-enum Entry {
-    /// A caller claimed the query and is running its search; duplicates
-    /// park on [`ResultCache::resolved`].
-    Pending,
-    /// The answer, its place in the tick order and its charged bytes.
-    Done {
-        answer: Answer,
-        tick: u64,
-        bytes: usize,
-    },
+/// One resident answer, its place in the tick order and its charged bytes.
+struct Stored {
+    answer: Answer,
+    tick: u64,
+    bytes: usize,
 }
 
 /// Everything the one lock guards.
 #[derive(Default)]
 struct Table {
-    entries: HashMap<Arc<Query>, Entry>,
-    /// Tick → query of every `Done` entry, least recent first.
+    entries: HashMap<Arc<Query>, Stored>,
+    /// Tick → query of every answer, least recent first.
     order: BTreeMap<u64, Arc<Query>>,
     next_tick: u64,
-    /// The sum of every `Done` entry's bytes.
+    /// The sum of every answer's bytes.
     total_bytes: usize,
-    /// Callers parked on a `Pending` entry, so a store or an abandon with
-    /// nobody waiting skips the notify.
-    waiters: usize,
 }
 
 impl Table {
@@ -110,13 +103,11 @@ impl Table {
     }
 }
 
-/// The cross-call result cache: claims, answers and their LRU order under
-/// one lock. Obtain the process-wide one through [`global`]; tests build
+/// The cross-call result cache: answers and their LRU order under one
+/// lock. Obtain the process-wide one through [`global`]; tests build
 /// private instances with [`ResultCache::new`].
 pub struct ResultCache {
     table: Mutex<Table>,
-    /// Signalled when a `Pending` entry resolves or is abandoned.
-    resolved: Condvar,
     budget: usize,
 }
 
@@ -137,7 +128,6 @@ impl ResultCache {
     pub fn new(budget: usize) -> Self {
         ResultCache {
             table: Mutex::default(),
-            resolved: Condvar::new(),
             budget,
         }
     }
@@ -152,17 +142,15 @@ impl ResultCache {
     ///
     /// `slot` names the strategy; `key` encodes every parameter the answer
     /// depends on (cutoff, width bound, engine options that affect the
-    /// result). With reuse off (or vetoed by `HGTOOL_NO_PREP`) `run`
-    /// executes directly.
+    /// result). With `reuse` off `run` executes directly.
     ///
     /// * A repeated identical query returns the stored answer with
     ///   `result_cache_hits = 1` and never runs a search.
-    /// * An identical query *in flight* parks on the entry's `Pending`
-    ///   claim and adopts the owner's answer (`inflight_dedup = 1` on top
-    ///   of the hit) — exactly one search runs however many threads ask.
-    /// * If the owning computation unwinds, the claim is abandoned and one
-    ///   parked waiter runs the search itself (nobody deadlocks on a
-    ///   dead claim).
+    /// * A miss runs `run` unlocked and stores its answer, unless an
+    ///   identical query that missed at the same time stored first; then
+    ///   this answer is dropped (both searches computed the same one).
+    /// * A search that unwinds stores nothing: the next identical query
+    ///   searches again.
     pub fn query<R>(
         &self,
         h: &Hypergraph,
@@ -174,7 +162,7 @@ impl ResultCache {
     where
         R: Clone + MemSize + Send + Sync + 'static,
     {
-        if !crate::enabled(reuse) {
+        if !reuse {
             return run();
         }
         let span = obs::span!("result_cache", slot = slot);
@@ -184,58 +172,21 @@ impl ResultCache {
             slot,
             key,
         });
-        let mut table = self.lock();
-        let mut waited = false;
-        // Resolve a hit, park on a claim, or claim the query.
-        let stored = loop {
-            let t = &mut *table;
-            match t.entries.get_mut(&query) {
-                Some(Entry::Done { answer, tick, .. }) => {
-                    // A hit moves its answer to a fresh tick.
-                    let held = t.order.remove(tick).expect("answers are ordered");
-                    *tick = t.next_tick;
-                    t.next_tick += 1;
-                    t.order.insert(*tick, held);
-                    let answer = Arc::clone(answer);
-                    break Some((answer, table.occupancy()));
-                }
-                Some(Entry::Pending) => {
-                    waited = true;
-                    table.waiters += 1;
-                    table = self.resolved.wait(table).expect("result cache poisoned");
-                    table.waiters -= 1;
-                }
-                None => {
-                    t.entries.insert(Arc::clone(&query), Entry::Pending);
-                    break None;
-                }
-            }
-        };
-        drop(table);
-        let (answer, (bytes, entries)) = match stored {
+        let hit = self.lookup(&query);
+        if let Some(span) = span.as_ref() {
+            span.record("hit", hit.is_some());
+        }
+        let (answer, (bytes, entries)) = match hit {
             Some((stored, occupancy)) => {
                 let (result, mut stats) = stored
                     .downcast_ref::<(R, SearchStats)>()
                     .expect("slot name reused with a different result type")
                     .clone();
                 stats.result_cache_hits = 1;
-                stats.inflight_dedup = usize::from(waited);
-                if let Some(span) = span.as_ref() {
-                    span.record("hit", true);
-                    span.record("deduped", waited);
-                }
                 ((result, stats), occupancy)
             }
             None => {
-                if let Some(span) = span.as_ref() {
-                    span.record("hit", false);
-                }
-                let guard = QueryGuard {
-                    cache: self,
-                    query: Some(&*query),
-                };
                 let (result, stats) = run();
-                guard.disarm();
                 let bytes = query.approx_bytes() + result.approx_bytes() + stats.approx_bytes();
                 let answer: Answer = Arc::new((result.clone(), stats.clone()));
                 let occupancy = self.store(query, answer, bytes);
@@ -248,52 +199,46 @@ impl ResultCache {
         answer
     }
 
-    /// Replaces the caller's `Pending` claim with its answer at a fresh
-    /// tick, then evicts from the front of the order while the total
-    /// exceeds the budget. The new answer holds the newest tick, so it is
-    /// the front only once every other answer is gone — and it stays.
-    /// Returns the occupancy after the store and wakes parked duplicates.
+    /// The stored answer of `query`, moved to a fresh tick, with the
+    /// occupancy; `None` on a miss.
+    fn lookup(&self, query: &Query) -> Option<(Answer, (usize, usize))> {
+        let mut table = self.lock();
+        let t = &mut *table;
+        let stored = t.entries.get_mut(query)?;
+        let held = t.order.remove(&stored.tick).expect("answers are ordered");
+        stored.tick = t.next_tick;
+        t.next_tick += 1;
+        t.order.insert(stored.tick, held);
+        let answer = Arc::clone(&stored.answer);
+        Some((answer, t.occupancy()))
+    }
+
+    /// Stores `answer` at a fresh tick unless `query` already has one,
+    /// then evicts from the front of the order while the total exceeds the
+    /// budget. The new answer holds the newest tick, so it is the front
+    /// only once every other answer is gone — and it stays. Returns the
+    /// occupancy after the store.
     fn store(&self, query: Arc<Query>, answer: Answer, bytes: usize) -> (usize, usize) {
         let mut table = self.lock();
-        let tick = table.next_tick;
-        table.next_tick += 1;
-        table.order.insert(tick, Arc::clone(&query));
-        table.total_bytes += bytes;
-        let entry = Entry::Done {
-            answer,
-            tick,
-            bytes,
-        };
-        let claim = table.entries.insert(query, entry);
-        debug_assert!(matches!(claim, Some(Entry::Pending)));
-        while table.total_bytes > self.budget && table.order.len() > 1 {
-            let (_, victim) = table.order.pop_first().expect("more than one answer");
-            if let Some(Entry::Done { bytes, .. }) = table.entries.remove(&victim) {
-                table.total_bytes -= bytes;
+        let t = &mut *table;
+        if let hash_map::Entry::Vacant(slot) = t.entries.entry(query) {
+            let tick = t.next_tick;
+            t.next_tick += 1;
+            t.order.insert(tick, Arc::clone(slot.key()));
+            t.total_bytes += bytes;
+            slot.insert(Stored {
+                answer,
+                tick,
+                bytes,
+            });
+            while t.total_bytes > self.budget && t.order.len() > 1 {
+                let (_, victim) = t.order.pop_first().expect("more than one answer");
+                if let Some(evicted) = t.entries.remove(&victim) {
+                    t.total_bytes -= evicted.bytes;
+                }
             }
         }
-        let occupancy = table.occupancy();
-        self.unlock(table);
-        occupancy
-    }
-
-    /// Drops the caller's unresolved claim (it is unwinding) and wakes
-    /// parked duplicates, one of which claims the query again. Runs in a
-    /// drop, so a poisoned lock is left for the next caller to report.
-    fn abandon(&self, query: &Query) {
-        if let Ok(mut table) = self.table.lock() {
-            table.entries.remove(query);
-            self.unlock(table);
-        }
-    }
-
-    /// Unlocks `table`, waking parked duplicates if there are any.
-    fn unlock(&self, table: MutexGuard<'_, Table>) {
-        let wake = table.waiters > 0;
-        drop(table);
-        if wake {
-            self.resolved.notify_all();
-        }
+        t.occupancy()
     }
 
     /// Answers resident.
@@ -330,9 +275,8 @@ where
 
 /// The result cache's occupancy gauges in the `obs` metrics registry,
 /// registered on the first consulted query. Observational only: cache
-/// behavior never depends on them. The cache's hit, miss and dedup
-/// counters are written by the query's caller from the returned
-/// [`SearchStats`].
+/// behavior never depends on them. The cache's hit and miss counters are
+/// written by the query's caller from the returned [`SearchStats`].
 struct Gauges {
     bytes: Arc<Gauge>,
     entries: Arc<Gauge>,
@@ -350,28 +294,6 @@ fn gauges() -> &'static Gauges {
             "Answers resident in the cross-call result cache",
         ),
     })
-}
-
-/// Abandons an owned result claim on unwind unless disarmed, so a
-/// search that panics or is canceled cannot strand parked duplicate
-/// queries.
-struct QueryGuard<'c> {
-    cache: &'c ResultCache,
-    query: Option<&'c Query>,
-}
-
-impl QueryGuard<'_> {
-    fn disarm(mut self) {
-        self.query = None;
-    }
-}
-
-impl Drop for QueryGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(query) = self.query.take() {
-            self.cache.abandon(query);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -409,21 +331,21 @@ mod tests {
     }
 
     /// Re-sums every answer from the stored values (not from the recorded
-    /// bytes) and checks it against the running total, checks that the
-    /// tick order holds exactly the answered queries at their ticks, and
-    /// that no claim is left `Pending`.
+    /// bytes) and checks it against the running total, and checks that the
+    /// tick order holds exactly the stored queries at their ticks.
     fn assert_accounting(cache: &ResultCache) {
         let table = cache.lock();
         let mut resum = 0;
-        for (q, entry) in &table.entries {
-            let Entry::Done { answer, tick, .. } = entry else {
-                panic!("a Pending claim was left behind");
-            };
-            let (v, s) = answer
+        for (q, stored) in &table.entries {
+            let (v, s) = stored
+                .answer
                 .downcast_ref::<(u32, SearchStats)>()
                 .expect("test answers");
             resum += q.approx_bytes() + v.approx_bytes() + s.approx_bytes();
-            assert!(table.order.get(tick) == Some(q), "answer out of order");
+            assert!(
+                table.order.get(&stored.tick) == Some(q),
+                "answer out of order"
+            );
         }
         assert_eq!(table.total_bytes, resum, "running total");
         assert_eq!(
@@ -551,11 +473,11 @@ mod tests {
         assert!(evictions > next_new / 2, "budget never bound: {evictions}");
     }
 
-    /// Evictions racing in-flight claims: four threads start together and
+    /// Evictions racing in-flight searches: four threads start together and
     /// make two passes over sixteen queries, from staggered offsets, under
-    /// a budget of about four answers, each owner holding its claim about
-    /// a millisecond inside `run`. The assertions hold under every
-    /// interleaving.
+    /// a budget of about four answers, each search running about a
+    /// millisecond inside `run`, so twins of one query often search at
+    /// once. The assertions hold under every interleaving.
     #[test]
     fn evictions_under_byte_pressure_keep_in_flight_queries_consistent() {
         let instances: Vec<Hypergraph> = (3..19).map(generators::path).collect();
@@ -623,41 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn inflight_duplicate_queries_park_and_dedup() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let h = generators::cycle(7);
-        let started = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let owner = s.spawn(|| {
-                cached_query(&h, "test-dedup-slot", "q".into(), true, || {
-                    started.store(true, Ordering::SeqCst);
-                    // Hold the Pending claim long enough for the duplicate
-                    // query on the main thread to park on it.
-                    std::thread::sleep(std::time::Duration::from_millis(100));
-                    let stats = SearchStats {
-                        states: 3,
-                        ..SearchStats::default()
-                    };
-                    (99_u32, stats)
-                })
-            });
-            while !started.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            let (v, stats) = cached_query::<u32>(&h, "test-dedup-slot", "q".into(), true, || {
-                unreachable!("the duplicate must adopt the in-flight answer")
-            });
-            let (vo, so) = owner.join().expect("owner completes");
-            assert_eq!((vo, so.result_cache_hits), (99, 0), "one search ran");
-            assert_eq!(v, 99, "waiter adopted the owner's answer");
-            assert_eq!(stats.result_cache_hits, 1);
-            assert_eq!(stats.inflight_dedup, 1, "the duplicate parked in flight");
-            assert_eq!(stats.states, 3, "owner's engine counters replayed");
-        });
-    }
-
-    #[test]
-    fn cached_query_abandons_on_panic() {
+    fn a_panicking_search_stores_nothing() {
         let h = generators::grid(2, 2);
         let attempt = std::panic::catch_unwind(|| {
             cached_query::<u32>(&h, "test-panic-slot", "x".into(), true, || {
@@ -665,85 +553,54 @@ mod tests {
             })
         });
         assert!(attempt.is_err());
-        // The claim was abandoned, not left Pending: a retry runs and
-        // completes instead of parking forever.
-        let (v, _) = cached_query(&h, "test-panic-slot", "x".into(), true, || {
+        // A panicking search stores nothing: the retry searches, and only
+        // its answer is replayed afterwards.
+        let (v, stats) = cached_query(&h, "test-panic-slot", "x".into(), true, || {
             (3_u32, SearchStats::default())
         });
-        assert_eq!(v, 3);
+        assert_eq!((v, stats.result_cache_hits), (3, 0));
+        let (v, stats) = cached_query(&h, "test-panic-slot", "x".into(), true, || {
+            (4_u32, SearchStats::default())
+        });
+        assert_eq!((v, stats.result_cache_hits), (3, 1));
     }
 
-    /// However many threads race into one fresh query, its search runs
-    /// once: one miss, and every other caller parks on the claim and
-    /// adopts the answer. The owner holds its claim until all the others
-    /// have parked.
+    /// Two threads miss one query at once: nothing parks, so both search,
+    /// both return the same answer, and the later store is dropped, so the
+    /// answer is resident once and its bytes are charged once. Each search
+    /// waits inside `run` until the other has entered too; the wait is
+    /// bounded, so a cache that parked one twin on the other fails here
+    /// instead of hanging.
     #[test]
-    fn racing_computations_charge_one_miss_per_key() {
+    fn racing_twins_both_search_and_store_one_answer() {
         use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
         let cache = ResultCache::new(1 << 20);
         let h = generators::cycle(5);
-        let runs = AtomicUsize::new(0);
-        let workers = 8;
-        let start = std::sync::Barrier::new(workers);
-        let stats: Vec<SearchStats> = std::thread::scope(|s| {
-            let racers: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        start.wait();
-                        let (v, stats) = cache.query(&h, SLOT, "race".into(), true, || {
-                            runs.fetch_add(1, Ordering::SeqCst);
-                            while cache.lock().waiters < workers - 1 {
-                                std::thread::yield_now();
-                            }
-                            (23_u32, SearchStats::default())
-                        });
-                        assert_eq!(v, 23);
-                        stats
-                    })
-                })
-                .collect();
-            racers
-                .into_iter()
-                .map(|t| t.join().expect("racer"))
-                .collect()
+        let inside = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(2);
+        let twin = || {
+            start.wait();
+            cache.query(&h, SLOT, "race".into(), true, || {
+                inside.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while inside.load(Ordering::SeqCst) < 2 {
+                    assert!(Instant::now() < deadline, "the twin never searched");
+                    std::thread::yield_now();
+                }
+                (23_u32, SearchStats::default())
+            })
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(twin);
+            let mine = twin();
+            (mine, other.join().expect("the twin completes"))
         });
-        assert_eq!(runs.load(Ordering::SeqCst), 1, "the search ran once");
-        let hits: usize = stats.iter().map(|s| s.result_cache_hits).sum();
-        let parked: usize = stats.iter().map(|s| s.inflight_dedup).sum();
-        assert_eq!(hits, workers - 1, "one miss, every other caller a hit");
-        assert_eq!(parked, workers - 1, "every other caller parked in flight");
+        assert_eq!(a, b, "both twins return the same answer");
+        assert_eq!((a.0, a.1.result_cache_hits), (23, 0), "both searched");
         assert_eq!(cache.len(), 1);
+        assert_eq!(cache.approx_bytes(), charge(&h, "race", 23));
         assert_accounting(&cache);
-    }
-
-    /// An owner that unwinds while a duplicate is parked on its claim
-    /// promotes the duplicate: it runs the query itself and gets its own
-    /// answer, and no `Pending` entry remains.
-    #[test]
-    fn abandon_promotes_a_waiter_to_owner() {
-        let cache = ResultCache::new(1 << 20);
-        let h = generators::cycle(4);
-        std::thread::scope(|s| {
-            let owner = s.spawn(|| {
-                cache.query::<u32>(&h, SLOT, "x".into(), true, || {
-                    // Hold the claim until the duplicate has parked on it.
-                    while cache.lock().waiters == 0 {
-                        std::thread::yield_now();
-                    }
-                    panic!("the owner unwinds")
-                })
-            });
-            while !matches!(cache.lock().entries.values().next(), Some(Entry::Pending)) {
-                std::thread::yield_now();
-            }
-            let (v, stats) = cache.query(&h, SLOT, "x".into(), true, || {
-                (9_u32, SearchStats::default())
-            });
-            assert!(owner.join().is_err(), "the owner panicked");
-            assert_eq!(v, 9, "the promoted waiter ran the query itself");
-            assert_eq!((stats.result_cache_hits, stats.inflight_dedup), (0, 0));
-        });
-        assert_accounting(&cache);
-        assert_eq!(ask(&cache, &h, "x", 0), (9, true), "its answer is stored");
+        assert_eq!(ask(&cache, &h, "race", 0), (23, true), "a third call hits");
     }
 }

@@ -5,7 +5,7 @@
 //! and most of what survives splits at cut vertices into independently
 //! solvable biconnected blocks. This crate is the front door every
 //! strategy's `_with_stats` entry point walks through (opt-out via
-//! `EngineOptions::prep` or the `HGTOOL_NO_PREP` env var):
+//! `EngineOptions::prep`):
 //!
 //! 1. [`simplify`] — composable passes (duplicate/subsumed edges, twin
 //!    vertices, degree-one vertices; their fixpoint is the GYO
@@ -16,8 +16,8 @@
 //!    [`lift`] module stitches the block trees back into one witness;
 //! 3. [`global_cache`] — the process-lifetime result cache: whole-query
 //!    answers ([`cached_query`]), keyed by the instance's canonical form,
-//!    which a repeated call adopts instead of searching; claims, answers
-//!    and their LRU order sit under one lock.
+//!    which a repeated call adopts instead of searching; answers and their
+//!    LRU order sit under one lock.
 //!
 //! See `src/README.md` for the pass catalog, the trace/lift contract, the
 //! fingerprint definition and the cache lifetime rules.
@@ -40,7 +40,6 @@ pub use stats::SearchStats;
 
 use decomp::Decomposition;
 use hypergraph::Hypergraph;
-use std::sync::OnceLock;
 
 /// Which pipeline a strategy runs, determined by what its width notion and
 /// witness conditions tolerate (see the safety matrix in [`simplify`]).
@@ -80,20 +79,6 @@ impl Profile {
             Profile::Decision => "decision",
         }
     }
-}
-
-/// True when a prep feature should run: the per-call opt-in (the
-/// `EngineOptions::prep` or `reuse_results` flag) unless the
-/// `HGTOOL_NO_PREP` environment variable (any value) is set. The kill
-/// switch disables the *whole* prep subsystem — the pipeline and the
-/// cross-call result cache alike — so an A/B baseline taken under it never
-/// touches this crate's state.
-///
-/// The variable is read once per process, at first use; setting it after
-/// that has no effect.
-pub fn enabled(opt_in: bool) -> bool {
-    static NO_PREP: OnceLock<bool> = OnceLock::new();
-    opt_in && !*NO_PREP.get_or_init(|| std::env::var_os("HGTOOL_NO_PREP").is_some())
 }
 
 /// Aggregate counts of one [`prepare`] run.
@@ -165,8 +150,8 @@ impl Prepared {
 /// (`det-k-decomp`, `frac-decomp`, the strict-HD check): run the
 /// conservative [`Profile::Decision`] passes, solve the single reduced
 /// block with `solve`, record the reduction counts and lift the witness
-/// back to `h`. With preprocessing disabled (per-call opt-out or the
-/// `HGTOOL_NO_PREP` kill switch) `solve` runs directly on `h`.
+/// back to `h`. With preprocessing disabled (`opt_in` false) `solve` runs
+/// directly on `h`.
 ///
 /// `T` is whatever extra payload the strategy returns alongside its
 /// witness (the accepted `k` of a width iteration, `()` for a plain
@@ -177,7 +162,7 @@ pub fn run_decision<T>(
     opt_in: bool,
     solve: impl FnOnce(&Hypergraph) -> (Option<(T, Decomposition)>, SearchStats),
 ) -> (Option<(T, Decomposition)>, SearchStats) {
-    if !enabled(opt_in) {
+    if !opt_in {
         return solve(h);
     }
     let prepared = prepare(h, Profile::Decision);
@@ -199,7 +184,8 @@ pub fn run_decision<T>(
 ///
 /// The caller prepares, so that several measures of one instance can share
 /// one preparation. `prepared` is `None` when preprocessing is off
-/// ([`enabled`]); `solve` then runs once, on `h` itself as block 0.
+/// (`EngineOptions::prep` false); `solve` then runs once, on `h` itself as
+/// block 0.
 pub fn run_minimizer<C: PartialOrd>(
     h: &Hypergraph,
     prepared: Option<&Prepared>,
@@ -401,11 +387,5 @@ mod tests {
             assert_eq!(b.hypergraph.num_vertices(), 3);
             assert_eq!(b.hypergraph.num_edges(), 3);
         }
-    }
-
-    #[test]
-    fn env_override_disables_prep() {
-        assert!(enabled(true) || std::env::var_os("HGTOOL_NO_PREP").is_some());
-        assert!(!enabled(false));
     }
 }

@@ -71,9 +71,9 @@ pub struct SearchStats {
     /// Whole-query answers served from the cross-call result cache (the
     /// search itself never ran). Always 0 with result reuse off.
     pub result_cache_hits: usize,
-    /// Whole-query requests that deduplicated against an identical search
-    /// already in flight in this process (this call parked and adopted the
-    /// other search's answer instead of running its own).
+    /// Always 0: the result cache shares no search between concurrent
+    /// identical queries. Kept because the benchmark's coldness guard
+    /// still reads it.
     pub inflight_dedup: usize,
 }
 

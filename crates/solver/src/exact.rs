@@ -249,7 +249,7 @@ where
     let started = std::time::Instant::now();
     let (result, stats) = prep::cached_query(h, slot, key, reuse, run);
     latency(measure).observe_us(started.elapsed().as_micros() as u64);
-    record(&stats, prep::enabled(reuse));
+    record(&stats, reuse);
     (result, stats)
 }
 
@@ -258,15 +258,13 @@ where
 struct Counters {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
-    inflight_dedup: Arc<Counter>,
     lp_pivots: Arc<Counter>,
     lp_warm_starts: Arc<Counter>,
     lp_cold_solves: Arc<Counter>,
 }
 
-/// Adds one answered query to the counters: a hit (and whether it parked
-/// on an in-flight twin), or, when the call searched, a miss if it
-/// `consulted` the cache, and its LP work. A hit replays the stored run's
+/// Adds one answered query to the counters: a hit, or, when the call
+/// searched, a miss if it `consulted` the cache, and its LP work. A hit replays the stored run's
 /// counters, so its LP work is not added again. Every `ρ*` LP of a search
 /// is merged into its stats ([`Measure::merge_lp`]), so the LP counters
 /// count exactly the LPs that queries solved. A canceled call unwinds
@@ -281,10 +279,6 @@ fn record(stats: &SearchStats, consulted: bool) {
         misses: counter(
             "hgtool_result_cache_misses_total",
             "Whole-query searches that ran because no cached answer existed",
-        ),
-        inflight_dedup: counter(
-            "hgtool_inflight_dedup_total",
-            "Duplicate queries that parked on an in-flight identical search",
         ),
         lp_pivots: counter(
             "hgtool_lp_pivots_total",
@@ -301,7 +295,6 @@ fn record(stats: &SearchStats, consulted: bool) {
     });
     if stats.result_cache_hits > 0 {
         c.hits.add(stats.result_cache_hits as u64);
-        c.inflight_dedup.add(stats.inflight_dedup as u64);
         return;
     }
     if consulted {
@@ -402,7 +395,7 @@ impl<'h> Instance<'h> {
     ) -> (Option<(M::Cost, Decomposition)>, SearchStats) {
         let one = M::Cost::from(1);
         let floor = floor.max(one.clone());
-        let mut key = format!("cutoff={cutoff:?};prep={};backend=auto", self.opts.prep);
+        let mut key = format!("cutoff={cutoff:?};prep={}", self.opts.prep);
         if floor > one {
             key.push_str(&format!(";floor={floor:?}"));
         }
@@ -433,8 +426,7 @@ impl<'h> Instance<'h> {
     ) -> (Option<(C, Decomposition)>, SearchStats) {
         let (h, opt_in) = (self.h, self.opts.prep);
         let Blocks { prepared, seeds } = self.blocks.get_or_insert_with(|| {
-            let prepared =
-                prep::enabled(opt_in).then(|| prep::prepare(h, prep::Profile::Minimizer));
+            let prepared = opt_in.then(|| prep::prepare(h, prep::Profile::Minimizer));
             let n = prepared.as_ref().map_or(1, |p| p.blocks.len());
             Blocks {
                 prepared,

@@ -84,16 +84,16 @@ pub struct EngineOptions {
     /// Run the width-preserving preprocessing pipeline (simplification
     /// passes + biconnected-block splitting where the strategy supports
     /// it) before the search, lifting the witness back to the original
-    /// hypergraph. On by default; `HGTOOL_NO_PREP` (any value) overrides
-    /// it off process-wide.
+    /// hypergraph. On by default; this flag alone decides it.
     pub prep: bool,
     /// Serve whole width queries (`hw`, `ghw`, `fhw`) — width, lifted
     /// witness and engine stats — from the process-lifetime result cache
-    /// keyed by `(instance, measure, parameters)`, and dedup identical
-    /// in-flight requests to one search. A hit replays the original
-    /// search's result and engine counters byte-for-byte; only the runtime
-    /// counters (`result_cache_hits`, `inflight_dedup`) reflect the current
-    /// call. No other entry point reads it: the decision checks
+    /// keyed by `(instance, measure, parameters)`; this flag alone decides
+    /// whether the cache is consulted. A hit replays the original search's
+    /// result and engine counters byte-for-byte; only the runtime counter
+    /// `result_cache_hits` reflects the current call. Two threads that miss
+    /// one query at once both search, and the cache keeps one answer. No
+    /// other entry point reads it: the decision checks
     /// (`check_hd`, `check_fhd_bdp`, `frac_decomp`) and the references
     /// (`solve_by_elimination`, the upper bounds and subset oracles) search
     /// on every call. Off under [`EngineOptions::sequential`].
@@ -122,7 +122,7 @@ impl EngineOptions {
     }
 
     /// Disables the preprocessing pipeline (A/B debugging; also reachable
-    /// via `hgtool widths --no-prep` and the `HGTOOL_NO_PREP` env var).
+    /// via `hgtool widths --no-prep`).
     pub fn without_prep(mut self) -> Self {
         self.prep = false;
         self

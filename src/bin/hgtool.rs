@@ -10,12 +10,10 @@
 //!                                     result cache;
 //!                                     --stats adds engine + LP-cache +
 //!                                     candidate-generation + simplex
-//!                                     (pivot/warm-start) + runtime
-//!                                     (result-cache/dedup) counters,
+//!                                     (pivot/warm-start) + result-cache
+//!                                     counters,
 //!                                     --no-prep bypasses the preprocessing
-//!                                     pipeline (also: HGTOOL_NO_PREP env
-//!                                     var, which vetoes the result cache
-//!                                     too),
+//!                                     pipeline,
 //!                                     --heuristic-only prints the candgen
 //!                                     upper bounds + witnesses without any
 //!                                     exact search (any instance size),
@@ -551,11 +549,11 @@ fn widths(
                  k = 2, ghw and fhw seed and search each block"
             );
         }
-        if prep::enabled(opts.prep) {
+        if opts.prep {
             println!(
                 "prep: on (hw decision profile; ghw/fhw minimizer profile, \
                  prepared and seeded once by ghw, so fhw's prep and candgen \
-                 phase times read 0; disable with --no-prep or HGTOOL_NO_PREP)"
+                 phase times read 0; disable with --no-prep)"
             );
         } else {
             println!("prep: off");
@@ -594,12 +592,9 @@ fn widths(
             );
         }
         println!();
-        println!("engine     result-cache-hits  inflight-dedup");
+        println!("engine     result-cache-hits");
         for (name, t) in [("hw", &s.hw), ("ghw", &s.ghw), ("fhw", &s.fhw)] {
-            println!(
-                "{name:<10} {:>17} {:>14}",
-                t.result_cache_hits, t.inflight_dedup,
-            );
+            println!("{name:<10} {:>17}", t.result_cache_hits);
         }
         if obs::trace::enabled() {
             // Phase times are span *self* times (a phase excludes its
@@ -653,12 +648,8 @@ fn widths_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), Stri
                 if stats {
                     let hits =
                         s.hw.result_cache_hits + s.ghw.result_cache_hits + s.fhw.result_cache_hits;
-                    let dedup = s.hw.inflight_dedup + s.ghw.inflight_dedup + s.fhw.inflight_dedup;
                     let states = s.hw.states + s.ghw.states + s.fhw.states;
-                    line.push_str(&format!(
-                        "   states={states} result-cache-hits={hits} \
-                         inflight-dedup={dedup}"
-                    ));
+                    line.push_str(&format!("   states={states} result-cache-hits={hits}"));
                 }
                 println!("{line}");
             }

@@ -2,7 +2,7 @@
 //! elimination DP behind exact `fhw` and in-window `ghw`, the edge-union
 //! engine behind past-window `ghw`, and det-k-decomp behind `hw`. Under a
 //! pre-cancelled token a call unwinds with the interrupt payload and
-//! abandons its result-cache claim, so the next call searches afresh;
+//! stores nothing in the result cache, so the next call searches afresh;
 //! under a live token nothing changes.
 //!
 //! Each test owns its instance: the result cache is process-wide, and an
@@ -47,7 +47,7 @@ fn honours_the_token<W: Debug + PartialEq>(
     assert_eq!(rerun.map(|(w, _)| w), Some(width));
     assert_eq!(
         rerun_stats.result_cache_hits, 0,
-        "the cancelled call abandoned its claim instead of caching an answer"
+        "the cancelled call stored no answer"
     );
 
     let live = CancelToken::new().child_with_deadline(Some(Duration::from_secs(3600)));

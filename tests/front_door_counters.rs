@@ -15,18 +15,17 @@ use std::sync::Mutex;
 
 static REGISTRY: Mutex<()> = Mutex::new(());
 
-const COUNTERS: [&str; 6] = [
+const COUNTERS: [&str; 5] = [
     "hgtool_lp_pivots_total",
     "hgtool_lp_warm_starts_total",
     "hgtool_lp_cold_solves_total",
     "hgtool_result_cache_hits_total",
     "hgtool_result_cache_misses_total",
-    "hgtool_inflight_dedup_total",
 ];
 
-/// The six counters as the registry renders them (0 before the first
+/// The five counters as the registry renders them (0 before the first
 /// solve registers them), in [`COUNTERS`] order.
-fn counters() -> [u64; 6] {
+fn counters() -> [u64; 5] {
     let text = obs::metrics::render_prometheus();
     COUNTERS.map(|name| {
         text.lines()
@@ -36,18 +35,13 @@ fn counters() -> [u64; 6] {
 }
 
 /// `after - before`, counter by counter.
-fn moved(before: [u64; 6], after: [u64; 6]) -> [u64; 6] {
+fn moved(before: [u64; 5], after: [u64; 5]) -> [u64; 5] {
     std::array::from_fn(|i| after[i] - before[i])
 }
 
 /// The LP counters of `stats`: the first three of [`COUNTERS`].
 fn lp(stats: &SearchStats) -> [u64; 3] {
     [stats.lp_pivots, stats.lp_warm_starts, stats.lp_cold_solves]
-}
-
-/// `HGTOOL_NO_PREP` also turns the result cache off.
-fn cache_enabled() -> bool {
-    std::env::var_os("HGTOOL_NO_PREP").is_none()
 }
 
 /// Instances no other test of this binary asks, so every first call
@@ -81,25 +75,22 @@ fn width_queries_add_their_search_stats_once() {
             }
         }
         searched_lp += sum[0];
-        let misses = if cache_enabled() { 3 } else { 0 };
         assert_eq!(
             moved(before, counters()),
-            [sum[0], sum[1], sum[2], 0, misses, 0],
+            [sum[0], sum[1], sum[2], 0, 3],
             "first call on {h}"
         );
 
         let before = counters();
         let (_, stats) = hypertree::exact_widths_with_opts(&h, 8, opts).expect("in range");
-        if cache_enabled() {
-            for s in [&stats.hw, &stats.ghw, &stats.fhw] {
-                assert_eq!(s.result_cache_hits, 1, "the repeat is a hit: {h}");
-            }
-            assert_eq!(
-                moved(before, counters()),
-                [0, 0, 0, 3, 0, 0],
-                "a hit replays its LP counters without adding them: {h}"
-            );
+        for s in [&stats.hw, &stats.ghw, &stats.fhw] {
+            assert_eq!(s.result_cache_hits, 1, "the repeat is a hit: {h}");
         }
+        assert_eq!(
+            moved(before, counters()),
+            [0, 0, 0, 3, 0],
+            "a hit replays its LP counters without adding them: {h}"
+        );
     }
     assert!(searched_lp > 0, "no instance solved an LP");
 }

@@ -25,13 +25,6 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     })
 }
 
-/// True when the process-wide kill switch is set: the pipeline is
-/// disabled whatever the options say, so prep-specific assertions are
-/// vacuous and skip.
-fn prep_disabled() -> bool {
-    std::env::var_os("HGTOOL_NO_PREP").is_some()
-}
-
 /// Prep on, no result reuse (deterministic stats).
 fn with_prep() -> EngineOptions {
     EngineOptions::sequential()
@@ -79,7 +72,7 @@ proptest! {
             prop_assert_eq!(w, 1);
             assert_join_tree(&h, &d, &stats);
         } else {
-            prop_assert!(prep_disabled() || stats.prep_blocks >= 1, "prep ran");
+            prop_assert!(stats.prep_blocks >= 1, "prep ran");
         }
     }
 
@@ -101,7 +94,7 @@ proptest! {
             prop_assert_eq!(w, Rational::one());
             assert_join_tree(&h, &d, &stats);
         } else {
-            prop_assert!(prep_disabled() || stats.prep_blocks >= 1, "prep ran");
+            prop_assert!(stats.prep_blocks >= 1, "prep ran");
         }
     }
 
@@ -196,12 +189,10 @@ fn strict_hd_check_agrees_with_and_without_prep() {
                 hypertree::fhd::HdkParams::default(),
                 without_prep(),
             );
-            if !prep_disabled() {
-                assert!(
-                    stats.prep_vertices_removed >= 1,
-                    "the planted twin must collapse on {h:?}"
-                );
-            }
+            assert!(
+                stats.prep_vertices_removed >= 1,
+                "the planted twin must collapse on {h:?}"
+            );
             // Truncation (`Unknown`) is params-relative and may differ
             // between the instances; only definite answers must agree.
             if !matches!(with, FhdAnswer::Unknown) && !matches!(without, FhdAnswer::Unknown) {
@@ -270,9 +261,6 @@ fn bench_corpus_widths_and_witnesses_are_preserved() {
 /// lifted witness must cover the whole instance.
 #[test]
 fn block_split_witnesses_stitch_back() {
-    if prep_disabled() {
-        return;
-    }
     let h = Hypergraph::from_edges(
         5,
         vec![
@@ -310,17 +298,5 @@ fn gyo_collapse_shrinks_the_search() {
         assert_eq!(w, Rational::one());
         assert_join_tree(&h, &d, &stats);
         assert_eq!(validate::validate_fhd(&h, &d), Ok(()));
-    }
-}
-
-/// `HGTOOL_NO_PREP` would make this whole suite vacuous — make sure the
-/// library-level switch actually reports prep as disabled then.
-#[test]
-fn env_override_is_respected() {
-    if std::env::var_os("HGTOOL_NO_PREP").is_some() {
-        assert!(!prep::enabled(true));
-    } else {
-        assert!(prep::enabled(true));
-        assert!(!prep::enabled(false));
     }
 }
