@@ -116,13 +116,14 @@ pub struct ExactWidths {
 /// for the next search: `fhw` first (the seeded elimination DP), then
 /// `ghw` with floor `⌈fhw⌉` ([`ghd::ghw_exact_at_least`]), then `hw` with
 /// floor `ghw` ([`hd::hypertree_width_at_least`], which starts
-/// `det-k-decomp` at `k = ghw`). `fhw` and `ghw` are asked of one
-/// [`solver::exact::Instance`], so the join tree, the minimizer prep and
-/// each block's integral seed are built once, by `fhw`. An α-acyclic
-/// instance is answered by its join tree under all three measures (`hw`
-/// at floor 1 asks for it again); a cyclic one pays that one failed GYO,
-/// and `hw` starts at `ghw ≥ 2` without one. The widths equal the
-/// per-measure entry points'.
+/// `det-k-decomp` at `k = ghw`). All three are asked of one
+/// [`solver::exact::Instance`], so the result-cache key is built and
+/// hashed once, and the join tree, the minimizer prep and each block's
+/// integral seed are built once, by `fhw`. An α-acyclic instance is
+/// answered by that one join tree under all three measures (`hw` at floor
+/// 1 reuses it); a cyclic one pays one failed GYO, and `hw` starts at
+/// `ghw ≥ 2` without asking. The widths equal the per-measure entry
+/// points'.
 pub fn exact_widths(h: &Hypergraph, max_hw: usize) -> Option<ExactWidths> {
     exact_widths_with_stats(h, max_hw).map(|(w, _)| w)
 }
@@ -169,7 +170,7 @@ pub fn exact_widths_with_opts(
     if ghw > max_hw {
         return None;
     }
-    let (hw, hw_stats) = hd::hypertree_width_at_least(h, ghw, max_hw, opts);
+    let (hw, hw_stats) = hd::hypertree_width_on(&mut instance, ghw, max_hw);
     let (hw, _) = hw?;
     Some((
         ExactWidths { hw, ghw, fhw },

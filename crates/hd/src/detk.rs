@@ -21,8 +21,8 @@ use arith::Rational;
 use decomp::Decomposition;
 use hypergraph::{Hypergraph, VertexSet};
 use solver::{
-    Admission, CandidateStream, EngineOptions, Guess, SearchContext, SearchState, SearchStats,
-    WidthSolver,
+    exact, Admission, CandidateStream, EngineOptions, Guess, SearchContext, SearchState,
+    SearchStats, WidthSolver,
 };
 
 /// Decides `Check(HD, k)`: returns a hypertree decomposition of width
@@ -97,24 +97,39 @@ pub fn hypertree_width_with_stats(
 /// the result-cache entry is shared with [`hypertree_width_with_stats`].
 /// The counters cover only the checks that ran. Only at `floor <= 1` is
 /// `k = 1` asked, of the join tree; an exact caller that knows `ghw ≥ 2`
-/// passes it and runs no acyclicity test.
+/// passes it and runs no acyclicity test. [`hypertree_width_on`] on a
+/// fresh [`exact::Instance`].
 pub fn hypertree_width_at_least(
     h: &Hypergraph,
     floor: usize,
     max_k: usize,
     opts: EngineOptions,
 ) -> (Option<(usize, Decomposition)>, SearchStats) {
-    let key = format!("max_k={max_k};prep={}", opts.prep);
-    solver::exact::front_door(h, "hw", "result-hw", key, opts.reuse_results, || {
+    hypertree_width_on(&mut exact::Instance::new(h, opts), floor, max_k)
+}
+
+/// As [`hypertree_width_at_least`] on a shared [`exact::Instance`]: reuses
+/// the result-cache key that an earlier measure built on it and, at floor
+/// 1, its join tree, so a caller asking `hw`, `ghw` and `fhw` of one
+/// instance hashes it once and runs GYO at most once. The answer and the
+/// counters are those of [`hypertree_width_at_least`].
+pub fn hypertree_width_on(
+    instance: &mut exact::Instance<'_>,
+    floor: usize,
+    max_k: usize,
+) -> (Option<(usize, Decomposition)>, SearchStats) {
+    let prep = instance.options().prep;
+    let params = || format!("max_k={max_k};prep={prep}");
+    instance.front_door("hw", "result-hw", params, |instance| {
         if floor <= 1 && max_k >= 1 {
-            if let Some(d) = decomp::join_tree(h) {
-                return (Some((1, d)), SearchStats::default());
+            if let Some(d) = instance.join_tree() {
+                return (Some((1, d.clone())), SearchStats::default());
             }
         }
         // The prep pipeline (which is `k`-independent) runs once around
         // the whole iteration; every check searches the same reduced
         // block and only the final witness is lifted.
-        prep::run_decision(h, opts.prep, |block| {
+        prep::run_decision(instance.hypergraph(), prep, |block| {
             let mut total = SearchStats::default();
             for k in floor.max(2)..=max_k {
                 let (d, stats) = check_hd_piece(block, k);

@@ -4,12 +4,20 @@
 //! engine counters of the run that computed it — across calls, so a
 //! repeated query skips the search entirely.
 //!
-//! An answer is stored under one key: the instance's vertex count and
-//! [`CanonicalForm`], the strategy slot and a parameter string covering
-//! everything the answer depends on. The key holds the canonical form
-//! itself, so two instances share an answer only when their incidence
-//! structure is identical (names aside); no hash collision can mix them,
-//! and the map keeps the standard library's keyed hasher, since keys come
+//! An answer is stored under one query: the instance's [`InstanceKey`]
+//! (its vertex count, its flat
+//! [`CanonicalForm`](crate::fingerprint::CanonicalForm) and a keyed hash
+//! of both), the strategy slot and a parameter string covering everything
+//! the answer depends on. A verdict builds one key and shares it, behind
+//! an [`Arc`], among the queries of its width measures. Each query
+//! computes its own keyed hash once, from the key's hash, the slot and the
+//! parameter string, and the map holds it inline beside the query: the
+//! map hashes that one word, so a lookup, a store and a table growth
+//! never walk a stored query. Equality still compares the whole query —
+//! slot, parameters, vertex count and canonical form — so two instances
+//! share an answer only when their incidence structure is identical
+//! (names aside), and no hash collision can mix them. The hashes are keyed
+//! per process (the standard library's `RandomState`), since keys come
 //! from outside the program.
 //!
 //! One mutex guards the answers and their LRU order: a map from query to
@@ -25,29 +33,32 @@
 //! single-threaded.
 //!
 //! Memory: the answers share one byte budget ([`BUDGET_ENV`], default
-//! 64 MiB), estimated via [`cover::MemSize`] when an answer is stored. A
-//! hit moves its answer to a fresh tick; a store evicts least-recent
-//! answers while the total exceeds the budget, never the answer just
-//! stored. The budget therefore holds after every store, and a call costs
-//! `O(log n)` in the `n` resident answers.
+//! 64 MiB), estimated via [`cover::MemSize`] when an answer is stored.
+//! Each answer charges its whole query, the shared instance key in full,
+//! so the total is an upper bound on what the answers hold. A hit moves
+//! its answer to a fresh tick; a store evicts least-recent answers while
+//! the total exceeds the budget, never the answer just stored. The budget
+//! therefore holds after every store, and a call costs `O(log n)` in the
+//! `n` resident answers.
 //!
 //! Determinism: widths, witnesses and engine counters are unaffected (a
 //! hit replays the stored answer byte for byte); only the runtime counter
 //! `result_cache_hits` records the cache. Price memos never outlive their
 //! search.
 //!
-//! The only caller outside this crate's tests is `solver::exact::front_door`,
-//! the door of the three width queries (slots `result-hw`, `result-ghw`,
-//! `result-fhw`); it also adds the returned counters to the `obs`
-//! registry. The cache itself keeps only its occupancy gauges there.
+//! The only caller outside this crate's tests is
+//! `solver::exact::Instance::front_door`, the door of the three width
+//! queries (slots `result-hw`, `result-ghw`, `result-fhw`); it also adds
+//! the returned counters to the `obs` registry. The cache itself keeps
+//! only its occupancy gauges there.
 
-use crate::fingerprint::{canonical_form, CanonicalForm};
+use crate::fingerprint::{keyed, InstanceKey};
 use crate::stats::SearchStats;
 use cover::MemSize;
-use hypergraph::Hypergraph;
 use obs::metrics::{gauge, Gauge};
 use std::any::Any;
 use std::collections::{hash_map, BTreeMap, HashMap};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Environment variable overriding the result cache's byte budget.
@@ -56,22 +67,60 @@ pub const BUDGET_ENV: &str = "HGTOOL_CACHE_BYTES";
 /// Default byte budget of the process-wide result cache.
 const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
 
-/// One query: the instance (vertex count and canonical form), the strategy
-/// slot and the parameter string.
-#[derive(PartialEq, Eq, Hash)]
+/// One query: the instance's shared key, the strategy slot and the
+/// parameter string. Equality compares all three, the canonical forms
+/// included (unless both share one key).
+#[derive(PartialEq, Eq)]
 struct Query {
-    num_vertices: usize,
-    canon: CanonicalForm,
+    instance: Arc<InstanceKey>,
     slot: &'static str,
-    key: String,
+    params: String,
 }
 
-impl MemSize for Query {
+/// A query as the map keys it: the query's keyed hash inline, beside the
+/// shared query. [`Hash`] writes only that word, so a lookup, a store and
+/// a table growth read no stored query; equality compares the hashes, then
+/// the whole queries.
+#[derive(Clone)]
+struct Keyed {
+    hash: u64,
+    query: Arc<Query>,
+}
+
+impl Keyed {
+    fn new(instance: &Arc<InstanceKey>, slot: &'static str, params: String) -> Self {
+        Keyed {
+            hash: keyed().hash_one((instance.hash(), slot, &params)),
+            query: Arc::new(Query {
+                instance: Arc::clone(instance),
+                slot,
+                params,
+            }),
+        }
+    }
+}
+
+impl Hash for Keyed {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.query == other.query
+    }
+}
+
+impl Eq for Keyed {}
+
+impl MemSize for Keyed {
+    /// The instance key counts in full, whichever answers share it.
     fn approx_bytes(&self) -> usize {
-        self.num_vertices.approx_bytes()
-            + self.canon.approx_bytes()
+        std::mem::size_of::<u64>()
+            + self.query.instance.approx_bytes()
             + std::mem::size_of::<&str>()
-            + self.key.approx_bytes()
+            + self.query.params.approx_bytes()
     }
 }
 
@@ -88,9 +137,9 @@ struct Stored {
 /// Everything the one lock guards.
 #[derive(Default)]
 struct Table {
-    entries: HashMap<Arc<Query>, Stored>,
+    entries: HashMap<Keyed, Stored>,
     /// Tick → query of every answer, least recent first.
-    order: BTreeMap<u64, Arc<Query>>,
+    order: BTreeMap<u64, Keyed>,
     next_tick: u64,
     /// The sum of every answer's bytes.
     total_bytes: usize,
@@ -136,13 +185,14 @@ impl ResultCache {
         self.table.lock().expect("result cache poisoned")
     }
 
-    /// Routes one whole-query computation through the cache: `(h, slot,
-    /// key)` maps to the full answer — result (including the lifted
-    /// witness) plus the engine counters of the run that computed it.
+    /// Routes one whole-query computation through the cache: `(instance,
+    /// slot, params)` maps to the full answer — result (including the
+    /// lifted witness) plus the engine counters of the run that computed
+    /// it.
     ///
-    /// `slot` names the strategy; `key` encodes every parameter the answer
-    /// depends on (cutoff, width bound, engine options that affect the
-    /// result). With `reuse` off `run` executes directly.
+    /// `slot` names the strategy; `params` encodes every parameter the
+    /// answer depends on (cutoff, width bound, engine options that affect
+    /// the result).
     ///
     /// * A repeated identical query returns the stored answer with
     ///   `result_cache_hits = 1` and never runs a search.
@@ -153,25 +203,16 @@ impl ResultCache {
     ///   searches again.
     pub fn query<R>(
         &self,
-        h: &Hypergraph,
+        instance: &Arc<InstanceKey>,
         slot: &'static str,
-        key: String,
-        reuse: bool,
+        params: String,
         run: impl FnOnce() -> (R, SearchStats),
     ) -> (R, SearchStats)
     where
         R: Clone + MemSize + Send + Sync + 'static,
     {
-        if !reuse {
-            return run();
-        }
         let span = obs::span!("result_cache", slot = slot);
-        let query = Arc::new(Query {
-            num_vertices: h.num_vertices(),
-            canon: canonical_form(h),
-            slot,
-            key,
-        });
+        let query = Keyed::new(instance, slot, params);
         let hit = self.lookup(&query);
         if let Some(span) = span.as_ref() {
             span.record("hit", hit.is_some());
@@ -201,7 +242,7 @@ impl ResultCache {
 
     /// The stored answer of `query`, moved to a fresh tick, with the
     /// occupancy; `None` on a miss.
-    fn lookup(&self, query: &Query) -> Option<(Answer, (usize, usize))> {
+    fn lookup(&self, query: &Keyed) -> Option<(Answer, (usize, usize))> {
         let mut table = self.lock();
         let t = &mut *table;
         let stored = t.entries.get_mut(query)?;
@@ -218,13 +259,13 @@ impl ResultCache {
     /// budget. The new answer holds the newest tick, so it is the front
     /// only once every other answer is gone — and it stays. Returns the
     /// occupancy after the store.
-    fn store(&self, query: Arc<Query>, answer: Answer, bytes: usize) -> (usize, usize) {
+    fn store(&self, query: Keyed, answer: Answer, bytes: usize) -> (usize, usize) {
         let mut table = self.lock();
         let t = &mut *table;
         if let hash_map::Entry::Vacant(slot) = t.entries.entry(query) {
             let tick = t.next_tick;
             t.next_tick += 1;
-            t.order.insert(tick, Arc::clone(slot.key()));
+            t.order.insert(tick, slot.key().clone());
             t.total_bytes += bytes;
             slot.insert(Stored {
                 answer,
@@ -259,18 +300,17 @@ impl ResultCache {
 
 /// Routes one whole-query computation through the process-wide
 /// [`ResultCache`]; see [`ResultCache::query`]. Called by
-/// `solver::exact::front_door` only.
+/// `solver::exact::Instance::front_door` only, with its instance's key.
 pub fn cached_query<R>(
-    h: &Hypergraph,
+    instance: &Arc<InstanceKey>,
     slot: &'static str,
-    key: String,
-    reuse: bool,
+    params: String,
     run: impl FnOnce() -> (R, SearchStats),
 ) -> (R, SearchStats)
 where
     R: Clone + MemSize + Send + Sync + 'static,
 {
-    global().query(h, slot, key, reuse, run)
+    global().query(instance, slot, params, run)
 }
 
 /// The result cache's occupancy gauges in the `obs` metrics registry,
@@ -299,40 +339,42 @@ fn gauges() -> &'static Gauges {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypergraph::generators;
+    use hypergraph::{generators, Hypergraph};
     use std::collections::HashSet;
 
     const SLOT: &str = "test-lru-slot";
 
-    /// The query [`ResultCache::query`] builds for `(h, SLOT, key)`.
-    fn query_of(h: &Hypergraph, key: &str) -> Arc<Query> {
-        Arc::new(Query {
-            num_vertices: h.num_vertices(),
-            canon: canonical_form(h),
-            slot: SLOT,
-            key: key.to_string(),
-        })
+    fn key_of(h: &Hypergraph) -> Arc<InstanceKey> {
+        Arc::new(InstanceKey::of(h))
     }
 
-    /// The bytes a store of `(value, default stats)` for `(h, key)` charges.
-    fn charge(h: &Hypergraph, key: &str, value: u32) -> usize {
-        query_of(h, key).approx_bytes()
+    /// The bytes a store of `(value, default stats)` for `(instance,
+    /// params)` charges: the whole query, the shared key in full.
+    fn charge(instance: &Arc<InstanceKey>, params: &str, value: u32) -> usize {
+        Keyed::new(instance, SLOT, params.to_string()).approx_bytes()
             + value.approx_bytes()
             + SearchStats::default().approx_bytes()
     }
 
-    /// Queries `(h, key)`, answering `value` on a miss; returns the answer
-    /// and whether it was a hit.
-    fn ask(cache: &ResultCache, h: &Hypergraph, key: &str, value: u32) -> (u32, bool) {
-        let (v, stats) = cache.query(h, SLOT, key.to_string(), true, || {
+    /// Queries `(instance, params)`, answering `value` on a miss; returns
+    /// the answer and whether it was a hit.
+    fn ask(
+        cache: &ResultCache,
+        instance: &Arc<InstanceKey>,
+        params: &str,
+        value: u32,
+    ) -> (u32, bool) {
+        let (v, stats) = cache.query(instance, SLOT, params.to_string(), || {
             (value, SearchStats::default())
         });
         (v, stats.result_cache_hits == 1)
     }
 
     /// Re-sums every answer from the stored values (not from the recorded
-    /// bytes) and checks it against the running total, and checks that the
-    /// tick order holds exactly the stored queries at their ticks.
+    /// bytes), each charging its instance key in full however many
+    /// answers share it, and checks it against the running total, and
+    /// checks that the tick order holds exactly the stored queries at
+    /// their ticks.
     fn assert_accounting(cache: &ResultCache) {
         let table = cache.lock();
         let mut resum = 0;
@@ -341,7 +383,11 @@ mod tests {
                 .answer
                 .downcast_ref::<(u32, SearchStats)>()
                 .expect("test answers");
-            resum += q.approx_bytes() + v.approx_bytes() + s.approx_bytes();
+            let query = std::mem::size_of::<u64>()
+                + q.query.instance.approx_bytes()
+                + std::mem::size_of::<&str>()
+                + q.query.params.approx_bytes();
+            resum += query + v.approx_bytes() + s.approx_bytes();
             assert!(
                 table.order.get(&stored.tick) == Some(q),
                 "answer out of order"
@@ -366,7 +412,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_variant_under_byte_pressure() {
-        let [h1, h2, h3] = triple();
+        let [h1, h2, h3] = triple().map(|h| key_of(&h));
         let each = charge(&h1, "k", 0);
         assert_eq!(each, charge(&h2, "k", 0));
         // Room for two answers, not three.
@@ -390,7 +436,7 @@ mod tests {
     #[test]
     fn sweep_never_evicts_the_just_opened_session() {
         let cache = ResultCache::new(0); // every answer is over budget
-        let [h1, h2, _] = triple();
+        let [h1, h2, _] = triple().map(|h| key_of(&h));
         assert_eq!(ask(&cache, &h1, "k", 1), (1, false));
         assert_eq!(cache.len(), 1, "the just-stored answer stays");
         assert_eq!(ask(&cache, &h2, "k", 2), (2, false));
@@ -401,24 +447,64 @@ mod tests {
         assert_eq!(ask(&cache, &h1, "k", 11), (11, false));
     }
 
+    /// Two different instances forced to one 64-bit hash, asked under one
+    /// slot and parameter string, so their queries' hashes collide too:
+    /// each gets its own answer, both stay resident, and the accounting
+    /// holds. A cache that compared only hashes would answer the second
+    /// instance with the first one's answer.
+    #[test]
+    fn colliding_instance_hashes_keep_their_own_answers() {
+        let [h1, h2, _] = triple();
+        let (k1, k2) = (
+            Arc::new(InstanceKey::with_hash(&h1, 0xC0111DE)),
+            Arc::new(InstanceKey::with_hash(&h2, 0xC0111DE)),
+        );
+        assert_ne!(k1, k2, "different instances");
+        let (q1, q2) = (
+            Keyed::new(&k1, SLOT, "k".into()),
+            Keyed::new(&k2, SLOT, "k".into()),
+        );
+        assert_eq!(q1.hash, q2.hash, "the queries collide");
+        assert!(q1 != q2, "equality compares the whole query");
+        let cache = ResultCache::new(1 << 20);
+        assert_eq!(ask(&cache, &k1, "k", 1), (1, false));
+        assert_eq!(ask(&cache, &k2, "k", 2), (2, false), "k2 is not k1");
+        assert_eq!(cache.len(), 2, "both stay resident");
+        assert_eq!(ask(&cache, &k1, "k", 0), (1, true));
+        assert_eq!(ask(&cache, &k2, "k", 0), (2, true));
+        assert_eq!(
+            cache.approx_bytes(),
+            charge(&k1, "k", 1) + charge(&k2, "k", 2)
+        );
+        assert_accounting(&cache);
+    }
+
     /// Thousands of distinct queries under a small budget, with repeats
-    /// interleaved. After every call the hit-or-run outcome and the
+    /// interleaved; every instance is asked under two parameter strings
+    /// that share its key. After every call the hit-or-run outcome and the
     /// residents must be exactly what a plain least-recently-used list
-    /// keeps (re-summing every size on every store, the slow way), and the
-    /// running byte total must equal a re-sum over the resident answers.
+    /// keeps (re-summing every size on every store, the slow way, each
+    /// charging the shared key in full), and the running byte total must
+    /// equal a re-sum over the resident answers.
     #[test]
     fn tick_lru_and_running_total_match_a_full_resum_model() {
         const STEPS: usize = 4_000;
-        let instance = |id: usize| {
-            let (a, b) = (id % 50, id / 50);
-            Hypergraph::from_edges(60 + b, vec![vec![0, 1 + a], vec![1 + a, 59 + b]])
-        };
-        let key = |id: usize| "k".repeat(id % 7);
-        let size = |id: usize| charge(&instance(id), &key(id), id as u32);
+        let instances: Vec<Arc<InstanceKey>> = (0..STEPS.div_ceil(2))
+            .map(|i| {
+                let (a, b) = (i % 50, i / 50);
+                key_of(&Hypergraph::from_edges(
+                    60 + b,
+                    vec![vec![0, 1 + a], vec![1 + a, 59 + b]],
+                ))
+            })
+            .collect();
+        let instance = |id: usize| &instances[id / 2];
+        let params = |id: usize| "k".repeat(id % 7);
+        let size = |id: usize| charge(instance(id), &params(id), id as u32);
         let budget = 12 * size(0);
         let cache = ResultCache::new(budget);
-        let keys: Vec<Arc<Query>> = (0..STEPS)
-            .map(|id| query_of(&instance(id), &key(id)))
+        let keys: Vec<Keyed> = (0..STEPS)
+            .map(|id| Keyed::new(instance(id), SLOT, params(id)))
             .collect();
         assert_eq!(keys.iter().collect::<HashSet<_>>().len(), STEPS);
 
@@ -439,7 +525,7 @@ mod tests {
                 next_new += 1;
                 next_new - 1
             };
-            let (v, hit) = ask(&cache, &instance(id), &key(id), id as u32);
+            let (v, hit) = ask(&cache, instance(id), &params(id), id as u32);
             assert_eq!(v, id as u32, "step {step}: wrong answer");
 
             let resident = order.contains(&id);
@@ -458,8 +544,8 @@ mod tests {
 
             {
                 let table = cache.lock();
-                let residents: Vec<&Arc<Query>> = table.order.values().collect();
-                let expected: Vec<&Arc<Query>> = order.iter().map(|&o| &keys[o]).collect();
+                let residents: Vec<&Keyed> = table.order.values().collect();
+                let expected: Vec<&Keyed> = order.iter().map(|&o| &keys[o]).collect();
                 assert!(residents == expected, "step {step}: residents differ");
             }
             assert_eq!(cache.approx_bytes(), total, "step {step}");
@@ -480,7 +566,8 @@ mod tests {
     /// once. The assertions hold under every interleaving.
     #[test]
     fn evictions_under_byte_pressure_keep_in_flight_queries_consistent() {
-        let instances: Vec<Hypergraph> = (3..19).map(generators::path).collect();
+        let instances: Vec<Arc<InstanceKey>> =
+            (3..19).map(|n| key_of(&generators::path(n))).collect();
         let answer = |i: usize| 100 + i as u32;
         let budget = 4 * charge(&instances[8], "q", 0);
         let cache = ResultCache::new(budget);
@@ -493,7 +580,7 @@ mod tests {
                     for pass in 0..2 {
                         for j in 0..instances.len() {
                             let i = (j + 5 * t + pass) % instances.len();
-                            let (v, _) = cache.query(&instances[i], SLOT, "q".into(), true, || {
+                            let (v, _) = cache.query(&instances[i], SLOT, "q".into(), || {
                                 std::thread::sleep(std::time::Duration::from_millis(1));
                                 (answer(i), SearchStats::default())
                             });
@@ -511,9 +598,9 @@ mod tests {
 
     #[test]
     fn cached_query_replays_results_and_counts_hits() {
-        let h = generators::cycle(6);
+        let h = key_of(&generators::cycle(6));
         let mut runs = 0;
-        let (v1, s1) = cached_query(&h, "test-result-slot", "k=2".into(), true, || {
+        let (v1, s1) = cached_query(&h, "test-result-slot", "k=2".into(), || {
             runs += 1;
             let stats = SearchStats {
                 states: 5,
@@ -522,7 +609,9 @@ mod tests {
             (41_u32, stats)
         });
         assert_eq!((v1, s1.result_cache_hits), (41, 0));
-        let (v2, s2) = cached_query(&h, "test-result-slot", "k=2".into(), true, || {
+        // A key built afresh for the same instance is the same instance.
+        let again = key_of(&generators::cycle(6));
+        let (v2, s2) = cached_query(&again, "test-result-slot", "k=2".into(), || {
             runs += 1;
             (0_u32, SearchStats::default())
         });
@@ -530,36 +619,30 @@ mod tests {
         assert_eq!(v2, 41);
         assert_eq!(s2.result_cache_hits, 1);
         assert_eq!(s2.states, 5, "stored engine counters replayed");
-        // A different key is a different query.
-        let (v3, _) = cached_query(&h, "test-result-slot", "k=3".into(), true, || {
+        // A different parameter string is a different query.
+        let (v3, _) = cached_query(&h, "test-result-slot", "k=3".into(), || {
             runs += 1;
             (7_u32, SearchStats::default())
         });
         assert_eq!((runs, v3), (2, 7));
-        // Reuse off bypasses the cache entirely.
-        let (v4, s4) = cached_query(&h, "test-result-slot", "k=2".into(), false, || {
-            runs += 1;
-            (13_u32, SearchStats::default())
-        });
-        assert_eq!((runs, v4, s4.result_cache_hits), (3, 13, 0));
     }
 
     #[test]
     fn a_panicking_search_stores_nothing() {
-        let h = generators::grid(2, 2);
+        let h = key_of(&generators::grid(2, 2));
         let attempt = std::panic::catch_unwind(|| {
-            cached_query::<u32>(&h, "test-panic-slot", "x".into(), true, || {
+            cached_query::<u32>(&h, "test-panic-slot", "x".into(), || {
                 panic!("search blew up")
             })
         });
         assert!(attempt.is_err());
         // A panicking search stores nothing: the retry searches, and only
         // its answer is replayed afterwards.
-        let (v, stats) = cached_query(&h, "test-panic-slot", "x".into(), true, || {
+        let (v, stats) = cached_query(&h, "test-panic-slot", "x".into(), || {
             (3_u32, SearchStats::default())
         });
         assert_eq!((v, stats.result_cache_hits), (3, 0));
-        let (v, stats) = cached_query(&h, "test-panic-slot", "x".into(), true, || {
+        let (v, stats) = cached_query(&h, "test-panic-slot", "x".into(), || {
             (4_u32, SearchStats::default())
         });
         assert_eq!((v, stats.result_cache_hits), (3, 1));
@@ -576,12 +659,12 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::time::{Duration, Instant};
         let cache = ResultCache::new(1 << 20);
-        let h = generators::cycle(5);
+        let h = key_of(&generators::cycle(5));
         let inside = AtomicUsize::new(0);
         let start = std::sync::Barrier::new(2);
         let twin = || {
             start.wait();
-            cache.query(&h, SLOT, "race".into(), true, || {
+            cache.query(&h, SLOT, "race".into(), || {
                 inside.fetch_add(1, Ordering::SeqCst);
                 let deadline = Instant::now() + Duration::from_secs(10);
                 while inside.load(Ordering::SeqCst) < 2 {

@@ -15,9 +15,10 @@
 //!    independently, the width recombines as the maximum, and the
 //!    [`lift`] module stitches the block trees back into one witness;
 //! 3. [`global_cache`] — the process-lifetime result cache: whole-query
-//!    answers ([`cached_query`]), keyed by the instance's canonical form,
-//!    which a repeated call adopts instead of searching; answers and their
-//!    LRU order sit under one lock.
+//!    answers ([`cached_query`]), keyed by the instance's [`InstanceKey`]
+//!    (its flat canonical form and a once-computed keyed hash), which a
+//!    repeated call adopts instead of searching; answers and their LRU
+//!    order sit under one lock.
 //!
 //! See `src/README.md` for the pass catalog, the trace/lift contract, the
 //! fingerprint definition and the cache lifetime rules.
@@ -33,7 +34,7 @@ pub mod lift;
 pub mod simplify;
 pub mod stats;
 
-pub use fingerprint::{fingerprint, Fingerprint};
+pub use fingerprint::{fingerprint, Fingerprint, InstanceKey};
 pub use global_cache::{cached_query, global, ResultCache};
 pub use simplify::{Pass, Step};
 pub use stats::SearchStats;

@@ -140,9 +140,10 @@ fn cached(stats: &solver::SearchStats) -> bool {
 /// `widths` request runs fhw, then ghw, then hw with `det-k-decomp`
 /// starting at `k = ghw` (which leaves hw's width and witness unchanged).
 /// Unlike `exact_widths_with_opts`, ghw runs at floor 1, not `⌈fhw⌉`, so
-/// its witness is `ghw_exact_with_stats`'s. fhw and ghw are asked of one
-/// [`exact::Instance`], so the minimizer prep and each block's seed are
-/// built once. The response keeps the hw, ghw, fhw order. `None` means
+/// its witness is `ghw_exact_with_stats`'s. All three are asked of one
+/// [`exact::Instance`], so the result-cache key, the join tree, the
+/// minimizer prep and each block's seed are built once. The response keeps
+/// the hw, ghw, fhw order. `None` means
 /// out of the exact engines' range (or `hw > max_hw`).
 fn solve(h: &Hypergraph, p: &SolveParams, opts: solver::EngineOptions) -> Option<SolveBody> {
     let mut body = SolveBody {
@@ -177,7 +178,7 @@ fn solve(h: &Hypergraph, p: &SolveParams, opts: solver::EngineOptions) -> Option
         solved.push(("ghw", k.to_string(), d, stats));
     }
     if matches!(p.measure, MeasureSel::Widths | MeasureSel::Hw) {
-        let (hw, stats) = hd::hypertree_width_at_least(h, floor, p.max_hw, opts);
+        let (hw, stats) = hd::hypertree_width_on(&mut instance, floor, p.max_hw);
         let (k, d) = hw?;
         solved.push(("hw", k.to_string(), d, stats));
     }

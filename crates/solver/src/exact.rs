@@ -9,14 +9,16 @@
 //! the DP's window may try the edge-union engine. Everything else is
 //! shared:
 //!
-//! * [`front_door`] — the isolated-vertex check, the `solve` span, the
-//!   cross-call result cache (its only caller), the
+//! * [`Instance::front_door`] — the isolated-vertex check, the `solve`
+//!   span, the cross-call result cache (its only caller, under the
+//!   instance's one [`InstanceKey`]), the
 //!   `hgtool_solve_latency_seconds{strategy}` histogram, and the result
 //!   cache and LP counters of the `obs` registry, each a sum of the
 //!   returned [`SearchStats`]. `hw` goes through it too
-//!   (`hd::hypertree_width_at_least`).
-//! * [`solve`] — the cache key (with `;floor=` above 1), then the join
-//!   tree ([`decomp::join_tree`]): an α-acyclic instance has width 1
+//!   (`hd::hypertree_width_on`).
+//! * [`solve`] — the parameter string (with `;floor=` above 1, built only
+//!   when the cache is consulted), then the join tree
+//!   ([`decomp::join_tree`]): an α-acyclic instance has width 1
 //!   under both measures, answered by that tree with `ub_width = 1` and
 //!   no prep, seed or search. A cyclic one runs `prep`'s
 //!   minimizer pipeline with one seeded solver per block: the integral
@@ -30,15 +32,16 @@
 //!   Engine admission and the DP share one lower-bound gate: the DP tests
 //!   each bag against the seeded cutoff before pricing it, and keeps
 //!   every priced bag's weights for the witness.
-//! * [`Instance`] — what [`solve`] runs through: one call's join tree,
-//!   minimizer prep and each block's integral seed, built on first use.
-//!   None depends on the measure, so a caller asking for both `fhw` and
-//!   `ghw` (`exact_widths_with_opts`, serve's `widths` request, `hgtool
-//!   widths`) asks one `Instance` for both, and the second measure runs no
-//!   GYO and prepares and seeds nothing. Its answers and counters are
-//!   those of a standalone [`solve`]; its trace lacks the first measure's
-//!   `join_tree` span, `prep` span, seed `candgen` span and seed `price`
-//!   spans.
+//! * [`Instance`] — what [`solve`] and `hw` run through: one call's
+//!   result-cache key, join tree, minimizer prep and each block's
+//!   integral seed, built on first use. None depends on the measure, so a
+//!   caller asking for several widths (`exact_widths_with_opts`, serve's
+//!   `solve`, `hgtool widths`) asks one `Instance` for all of them: the
+//!   key is built and hashed once, GYO runs at most once, and the second
+//!   minimizer measure prepares and seeds nothing. Its answers and
+//!   counters are those of standalone calls; its trace lacks the later
+//!   measures' `join_tree` spans and the second minimizer measure's
+//!   `prep` span, seed `candgen` span and seed `price` spans.
 //! * [`solve_by_elimination`] — every block answered by the DP alone (the
 //!   independent reference of the agreement tests and the benchmark),
 //!   uncached.
@@ -61,6 +64,7 @@ use decomp::Decomposition;
 use hypergraph::fx::FxHashMap;
 use hypergraph::{properties, Hypergraph, VertexSet};
 use obs::metrics::{counter, Counter, Histogram};
+use prep::InstanceKey;
 use std::cell::RefCell;
 use std::fmt::Debug;
 use std::sync::{Arc, OnceLock};
@@ -219,42 +223,8 @@ fn exceeds(bound: &Rational, r: usize, len: usize) -> bool {
     }
 }
 
-/// The front door of every exact width query, and the only caller of
-/// [`prep::cached_query`]: rejects isolated vertices, opens the `solve`
-/// span, answers through the cross-call result cache (`slot`, `key`;
-/// `reuse` from [`EngineOptions::reuse_results`]), observes the end-to-end
-/// latency under `hgtool_solve_latency_seconds{strategy=measure}` and
-/// adds the call's [`SearchStats`] to the engine's result-cache and LP
-/// counters, their only writer. `measure` is `"hw"`, `"ghw"` or `"fhw"`.
-pub fn front_door<T>(
-    h: &Hypergraph,
-    measure: &'static str,
-    slot: &'static str,
-    key: String,
-    reuse: bool,
-    run: impl FnOnce() -> (Option<T>, SearchStats),
-) -> (Option<T>, SearchStats)
-where
-    T: Clone + MemSize + Send + Sync + 'static,
-{
-    if h.has_isolated_vertices() {
-        return (None, SearchStats::default());
-    }
-    let _span = obs::span!(
-        "solve",
-        measure = measure,
-        vertices = h.num_vertices(),
-        edges = h.num_edges()
-    );
-    let started = std::time::Instant::now();
-    let (result, stats) = prep::cached_query(h, slot, key, reuse, run);
-    latency(measure).observe_us(started.elapsed().as_micros() as u64);
-    record(&stats, reuse);
-    (result, stats)
-}
-
 /// The engine's Prometheus counters, registered on the first solve. Each
-/// is a sum of the [`SearchStats`] that [`front_door`] returned.
+/// is a sum of the [`SearchStats`] that [`Instance::front_door`] returned.
 struct Counters {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -320,9 +290,9 @@ fn latency(measure: &'static str) -> &'static Arc<Histogram> {
 }
 
 /// The exact width of `h` under `M` with an optimal witness, through
-/// [`front_door`], then `h`'s join tree when it is α-acyclic or `prep`'s
-/// minimizer pipeline otherwise (see the module docs): [`Instance::solve`]
-/// on a fresh [`Instance`].
+/// [`Instance::front_door`], then `h`'s join tree when it is α-acyclic or
+/// `prep`'s minimizer pipeline otherwise (see the module docs):
+/// [`Instance::solve`] on a fresh [`Instance`].
 ///
 /// `floor <= width(h)` is a proven lower bound (e.g. `⌈fhw⌉` for `ghw`):
 /// a block whose seed is already at most `floor` keeps its seed witness
@@ -344,25 +314,32 @@ pub fn solve<M: Measure>(
 /// One block's integral heuristic seed: its width and witness.
 type Seed = (usize, Decomposition);
 
-/// One call's view of an instance: its join tree, and for a cyclic
-/// instance the blocks of `prep`'s minimizer pipeline and each block's
-/// integral seed, each built on first use and shared by every measure the
-/// call solves on it. A caller that wants both `fhw` and `ghw` of one
-/// instance asks one `Instance` for both, in either order, and the second
-/// measure runs no GYO and prepares and seeds nothing; its widths,
-/// witnesses and counters are those of a standalone [`solve`].
+/// One call's view of an instance: its result-cache key, its join tree,
+/// and for a cyclic instance the blocks of `prep`'s minimizer pipeline and
+/// each block's integral seed, each built on first use and shared by every
+/// measure the call solves on it. A caller that wants several widths of
+/// one instance asks one `Instance` for all of them (`hd::hypertree_width_on`
+/// for `hw`), in any order: the key is built and hashed once, GYO runs at
+/// most once, and the second minimizer measure prepares and seeds nothing.
+/// Each measure's widths, witnesses and counters are those of a standalone
+/// call.
 ///
 /// A plain value owned by one call: no lock, no global, and nothing of it
-/// outlives the call. It builds only inside the result cache's miss path,
-/// so a cache hit builds nothing.
+/// outlives the call but the key, which the result cache keeps with each
+/// answer it stores. The key is built by the first query that consults
+/// the cache; the join tree, blocks and seeds only inside its miss path,
+/// so a cache hit builds none of them.
 pub struct Instance<'h> {
     h: &'h Hypergraph,
     opts: EngineOptions,
+    /// `h`'s result-cache key, built by the first query that consults the
+    /// cache.
+    key: Option<Arc<InstanceKey>>,
     /// `h`'s join tree (`None` inside when `h` is cyclic), asked by the
     /// first measure that misses the result cache.
     join_tree: Option<Option<Decomposition>>,
-    /// Built by the first measure that misses the result cache on a cyclic
-    /// `h`.
+    /// Built by the first minimizer measure that misses the result cache
+    /// on a cyclic `h`.
     blocks: Option<Blocks>,
 }
 
@@ -380,14 +357,77 @@ impl<'h> Instance<'h> {
         Instance {
             h,
             opts,
+            key: None,
             join_tree: None,
             blocks: None,
         }
     }
 
+    /// The instance's hypergraph.
+    pub fn hypergraph(&self) -> &'h Hypergraph {
+        self.h
+    }
+
+    /// The options every measure of this instance runs with.
+    pub fn options(&self) -> EngineOptions {
+        self.opts
+    }
+
+    /// `h`'s join tree ([`decomp::join_tree`]), `None` when `h` is cyclic:
+    /// one GYO ear removal, run by the first call and kept for the rest.
+    pub fn join_tree(&mut self) -> Option<&Decomposition> {
+        let h = self.h;
+        self.join_tree
+            .get_or_insert_with(|| decomp::join_tree(h))
+            .as_ref()
+    }
+
+    /// The front door of every exact width query: rejects isolated
+    /// vertices, opens the `solve` span, answers through the cross-call
+    /// result cache when [`EngineOptions::reuse_results`] consults it
+    /// (this instance's key, built on the first such query; `slot`; the
+    /// parameter string `params` builds, only then), observes the
+    /// end-to-end latency under
+    /// `hgtool_solve_latency_seconds{strategy=measure}` and adds the
+    /// call's [`SearchStats`] to the engine's result-cache and LP
+    /// counters, their only writer. `run` is the search, handed this
+    /// instance on a miss. `measure` is `"hw"`, `"ghw"` or `"fhw"`.
+    pub fn front_door<T>(
+        &mut self,
+        measure: &'static str,
+        slot: &'static str,
+        params: impl FnOnce() -> String,
+        run: impl FnOnce(&mut Self) -> (Option<T>, SearchStats),
+    ) -> (Option<T>, SearchStats)
+    where
+        T: Clone + MemSize + Send + Sync + 'static,
+    {
+        let h = self.h;
+        if h.has_isolated_vertices() {
+            return (None, SearchStats::default());
+        }
+        let _span = obs::span!(
+            "solve",
+            measure = measure,
+            vertices = h.num_vertices(),
+            edges = h.num_edges()
+        );
+        let started = std::time::Instant::now();
+        let reuse = self.opts.reuse_results;
+        let (result, stats) = if reuse {
+            let key = Arc::clone(self.key.get_or_insert_with(|| Arc::new(InstanceKey::of(h))));
+            prep::cached_query(&key, slot, params(), || run(self))
+        } else {
+            run(self)
+        };
+        latency(measure).observe_us(started.elapsed().as_micros() as u64);
+        record(&stats, reuse);
+        (result, stats)
+    }
+
     /// The exact width under `M`, as [`solve`] computes it, reusing the
-    /// join tree, blocks and seeds that an earlier measure built on this
-    /// instance.
+    /// key, join tree, blocks and seeds that an earlier measure built on
+    /// this instance.
     pub fn solve<M: Measure>(
         &mut self,
         cutoff: Option<M::Cost>,
@@ -395,23 +435,26 @@ impl<'h> Instance<'h> {
     ) -> (Option<(M::Cost, Decomposition)>, SearchStats) {
         let one = M::Cost::from(1);
         let floor = floor.max(one.clone());
-        let mut key = format!("cutoff={cutoff:?};prep={}", self.opts.prep);
-        if floor > one {
-            key.push_str(&format!(";floor={floor:?}"));
-        }
-        let (h, reuse) = (self.h, self.opts.reuse_results);
-        front_door(h, M::NAME, M::RESULT_SLOT, key, reuse, || {
+        let prep = self.opts.prep;
+        let params = || {
+            let mut params = format!("cutoff={cutoff:?};prep={prep}");
+            if floor > one {
+                params.push_str(&format!(";floor={floor:?}"));
+            }
+            params
+        };
+        self.front_door(M::NAME, M::RESULT_SLOT, params, |instance| {
             // An α-acyclic `h` has width 1 under every measure, certified
             // by its join tree: no prep, seed or search.
-            if let Some(d) = self.join_tree.get_or_insert_with(|| decomp::join_tree(h)) {
+            if let Some(d) = instance.join_tree() {
                 let stats = SearchStats {
                     ub_width: Some(Rational::one()),
                     ..SearchStats::default()
                 };
                 let fits = cutoff.as_ref().is_none_or(|c| one < *c);
-                return (fits.then(|| (one, d.clone())), stats);
+                return (fits.then(|| (one.clone(), d.clone())), stats);
             }
-            self.each_block(|block, seed| solve_block::<M>(block, seed, cutoff.clone(), &floor))
+            instance.each_block(|block, seed| solve_block::<M>(block, seed, cutoff.clone(), &floor))
         })
     }
 

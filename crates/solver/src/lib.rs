@@ -41,9 +41,9 @@
 //!   unwind where it sees it canceled, as the elimination DP does; no
 //!   state it passes is stored.
 //!
-//! The width queries' one front door, [`exact::front_door`], owns the
-//! cross-call result cache and the engine's counters in the `obs`
-//! registry; the decision checks built on this engine run uncached.
+//! The width queries' one front door, [`exact::Instance::front_door`],
+//! owns the cross-call result cache and the engine's counters in the
+//! `obs` registry; the decision checks built on this engine run uncached.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,8 +74,9 @@ pub fn default_thread_count() -> usize {
 /// points of the width solvers and decision checks), which run the `prep`
 /// crate's simplification/block pipeline *around* the engine;
 /// `reuse_results` only by the width queries' front door
-/// ([`exact::front_door`]). Price memos are private to each search under
-/// every option, so the `price_*` counters are that search's own.
+/// ([`exact::Instance::front_door`]). Price memos are private to each
+/// search under every option, so the `price_*` counters are that search's
+/// own.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
     /// Has no effect: every search runs on the calling thread. Kept only

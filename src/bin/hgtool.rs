@@ -508,13 +508,14 @@ fn widths(
     // Per-width calls rather than `exact_widths_with_opts`: the candgen
     // edge-union engine reaches instance sizes where the fhw DP no longer
     // answers, so each width degrades to `n/a` independently instead of
-    // failing the whole command. ghw and fhw share one instance: ghw
-    // prepares it and seeds each block, fhw reuses both. Draining the span
-    // buffer between the calls attributes each span batch to its measure
-    // for the phase-time columns.
-    let (hw, hw_stats) = hd::hypertree_width_with_stats(h, 8, opts);
-    let hw_spans = drain_if_tracing();
+    // failing the whole command. The three share one instance: hw builds
+    // its result-cache key and runs its join tree, ghw prepares it and
+    // seeds each block, fhw reuses both. Draining the span buffer between
+    // the calls attributes each span batch to its measure for the
+    // phase-time columns.
     let mut instance = exact::Instance::new(h, opts);
+    let (hw, hw_stats) = hd::hypertree_width_on(&mut instance, 1, 8);
+    let hw_spans = drain_if_tracing();
     let (ghw, ghw_stats) = ghd::ghw_exact_on(&mut instance, 1);
     let ghw_spans = drain_if_tracing();
     let (fhw, fhw_stats) = fhd::fhw_exact_on(&mut instance, None);

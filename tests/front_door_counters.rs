@@ -131,3 +131,31 @@ fn decision_checks_and_the_dp_reference_run_uncached() {
         ghd::exact::ghw_exact_elimination_with_stats(&h, None, opts).1
     });
 }
+
+/// With `reuse_results` off the front door never consults the cache: a
+/// repeated width query searches again, stores nothing and moves neither
+/// cache counter, while its LP work still counts.
+#[test]
+fn width_queries_with_reuse_off_bypass_the_cache() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let opts = EngineOptions::sequential();
+    let h = generators::cycle(5);
+    let resident = prep::global().len();
+    let mut runs = Vec::new();
+    for _ in 0..2 {
+        let before = counters();
+        let (_, stats) = hypertree::exact_widths_with_opts(&h, 8, opts).expect("in range");
+        let moved = moved(before, counters());
+        let calls = [&stats.hw, &stats.ghw, &stats.fhw];
+        let lp_sum: [u64; 3] = std::array::from_fn(|i| calls.iter().map(|s| lp(s)[i]).sum());
+        assert!(lp_sum[0] > 0, "the pentagon's fhw solves LPs");
+        assert_eq!(moved[..3], lp_sum, "LP work counts");
+        assert_eq!(moved[3..], [0, 0], "no hit, no miss");
+        for s in calls {
+            assert_eq!(s.result_cache_hits, 0);
+        }
+        runs.push(stats);
+    }
+    assert_eq!(runs[0], runs[1], "the repeat searched the same way");
+    assert_eq!(prep::global().len(), resident, "nothing stored");
+}

@@ -258,3 +258,74 @@ fn example_4_3_relabellings_have_the_papers_widths() {
         assert_eq!(front, papers, "relabel{seed}: front door");
     }
 }
+
+/// hw, ghw and fhw asked of one `solver::exact::Instance` answer exactly
+/// as standalone solves — widths, rendered witnesses and `engine_only()`
+/// counters — in the core and serve order (fhw, then ghw at floor 1, then
+/// hw at floor ghw) and in the `hgtool widths` order (hw at floor 1, then
+/// ghw, then fhw). Under `EngineOptions::default()` each standalone solve
+/// then replays the shared instance's answer, so a key built afresh finds
+/// what the shared key stored.
+#[test]
+fn one_instance_answers_all_three_measures_as_standalone_solves() {
+    // Two triangles sharing vertex 2: two blocks.
+    let triangles = Hypergraph::from_edges(
+        5,
+        vec![
+            vec![0, 1],
+            vec![1, 2],
+            vec![2, 0],
+            vec![2, 3],
+            vec![3, 4],
+            vec![4, 2],
+        ],
+    );
+    type Solved<C> = (Option<(C, String)>, hypertree::solver::SearchStats);
+    fn rendered<C>(
+        h: &Hypergraph,
+        (r, s): (
+            Option<(C, hypertree::decomp::Decomposition)>,
+            hypertree::solver::SearchStats,
+        ),
+    ) -> Solved<C> {
+        (r.map(|(w, d)| (w, d.render(h))), s.engine_only())
+    }
+    for (name, h) in [
+        ("cq_chain(5,3,1)", generators::cq_chain(5, 3, 1)),
+        ("two triangles", triangles),
+        // Past the DP's window: ghw runs the edge-union engine and fhw
+        // answers `None`.
+        ("cycle(26)", generators::cycle(26)),
+    ] {
+        for opts in [EngineOptions::sequential(), EngineOptions::default()] {
+            let consulted = opts.reuse_results;
+            let mut instance = hypertree::solver::exact::Instance::new(&h, opts);
+            let fhw = rendered(&h, fhd::fhw_exact_on(&mut instance, None));
+            let ghw = rendered(&h, ghd::ghw_exact_on(&mut instance, 1));
+            let floor = ghw.0.as_ref().map_or(1, |(k, _)| *k);
+            let hw = rendered(&h, hd::hypertree_width_on(&mut instance, floor, 8));
+
+            let mut instance = hypertree::solver::exact::Instance::new(&h, opts);
+            let hw_first = rendered(&h, hd::hypertree_width_on(&mut instance, 1, 8));
+            let ghw_second = rendered(&h, ghd::ghw_exact_on(&mut instance, 1));
+            let fhw_third = rendered(&h, fhd::fhw_exact_on(&mut instance, None));
+
+            let alone_fhw = fhd::fhw_exact_with_stats(&h, None, opts);
+            let alone_ghw = ghd::ghw_exact_with_stats(&h, None, opts);
+            let alone_hw = hd::hypertree_width_at_least(&h, floor, 8, opts);
+            let alone_hw1 = hd::hypertree_width_with_stats(&h, 8, opts);
+            for stats in [&alone_fhw.1, &alone_ghw.1, &alone_hw.1, &alone_hw1.1] {
+                assert_eq!(stats.result_cache_hits, consulted as usize, "{name}");
+            }
+            let (alone_fhw, alone_ghw) = (rendered(&h, alone_fhw), rendered(&h, alone_ghw));
+            let (alone_hw, alone_hw1) = (rendered(&h, alone_hw), rendered(&h, alone_hw1));
+            assert_eq!(fhw, alone_fhw, "{name}: fhw, ghw, hw: fhw");
+            assert_eq!(ghw, alone_ghw, "{name}: fhw, ghw, hw: ghw");
+            assert_eq!(hw, alone_hw, "{name}: fhw, ghw, hw: hw");
+            assert_eq!(hw_first, alone_hw1, "{name}: hw, ghw, fhw: hw");
+            assert_eq!(ghw_second, alone_ghw, "{name}: hw, ghw, fhw: ghw");
+            assert_eq!(fhw_third, alone_fhw, "{name}: hw, ghw, fhw: fhw");
+            assert_eq!(hw.0.map(|(k, _)| k), hw_first.0.map(|(k, _)| k));
+        }
+    }
+}

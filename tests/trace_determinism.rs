@@ -319,8 +319,8 @@ fn a_verdict_prepares_once_and_seeds_each_block_once() {
 /// An α-acyclic verdict is answered by its join tree: a cold front-door
 /// verdict with reuse off answers width 1 three times, opens no `prep`,
 /// `candgen`, `state` or `elim` span, and counts nothing but ghw's and
-/// fhw's bound 1. fhw and ghw share one instance, so one `join_tree` span
-/// serves both, and hw at floor 1 opens the other.
+/// fhw's bound 1. All three measures share one instance, so one
+/// `join_tree` span serves fhw, ghw and hw at floor 1.
 #[test]
 fn an_acyclic_verdict_is_answered_by_its_join_tree() {
     let _guard = trace_lock();
@@ -344,7 +344,7 @@ fn an_acyclic_verdict_is_answered_by_its_join_tree() {
         let acyclic = ("acyclic", FieldValue::Bool(true));
         let trees = records.iter().filter(|r| r.name == "join_tree");
         assert!(trees.clone().all(|r| r.fields.contains(&acyclic)), "{name}");
-        assert_eq!(trees.count(), 2, "{name}: join trees");
+        assert_eq!(trees.count(), 1, "{name}: join trees");
         let bound = SearchStats {
             ub_width: Some(Rational::one()),
             ..SearchStats::default()
