@@ -44,8 +44,9 @@ pub fn corpus() -> Vec<Workload> {
 
 /// The 19–30-vertex scaling corpus: instances beyond the old 18-vertex
 /// subset-search wall, exercising the seeded DP window (both measures up
-/// to 24 vertices), the candgen edge-union engine past it (`cycle(26)`,
-/// a hard `None` before candgen) and the per-block pipeline at scale.
+/// to 24 vertices), a proven past-window `ghw` (`cycle(26)`: cyclic, so
+/// its seed of 2 is exact, with no search) and the per-block pipeline at
+/// scale.
 /// Kept separate from [`corpus`] so only the suites that want it pay the
 /// larger runtimes.
 pub fn large_corpus() -> Vec<Workload> {

@@ -4,11 +4,12 @@
 //! (`O(2^n)` bags per component, hard-gated at 18 vertices). This crate
 //! owns the two replacements that break that wall:
 //!
-//! * [`edge_union`] — streams candidate bags in det-k's HD normal form
-//!   (component-restricted unions of at most `k` edges), deduplicated,
-//!   restriction-maximal, balanced-separator-filtered and pre-gated — an
-//!   `O(m^k)` space in the edge count, searched for `ghw` past the DP's
-//!   window;
+//! * [`edge_union`] — streams candidate bags in det-k's HD normal form at
+//!   width 2 (component-restricted single edges, then unions of two),
+//!   deduplicated, restriction-maximal, balanced-separator-filtered and
+//!   pre-gated — an `O(m^2)` space in the edge count, searched past the
+//!   DP's window for a `ghw` witness of width 2, the one width a witness
+//!   proves there;
 //! * [`ub`] — heuristic, witness-backed upper bounds from min-degree /
 //!   min-fill elimination orderings plus a greedy local-search pass,
 //!   whose `ub(h)` seeds the minimizers' cutoffs from the first round
@@ -32,10 +33,7 @@ pub mod edge_union;
 pub mod elimination;
 pub mod ub;
 
-pub use edge_union::{
-    edge_union_bags, restriction_pool, stream_size_bound, EdgeUnionConfig, DEFAULT_BALANCE,
-    DEFAULT_STREAM_CAP,
-};
+pub use edge_union::{edge_union_bags, restriction_pool, DEFAULT_STREAM_CAP};
 pub use ub::{elimination_order, upper_bound, OrderHeuristic, PricedBag};
 
 use std::cell::Cell;

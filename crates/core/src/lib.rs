@@ -136,10 +136,11 @@ pub struct WidthStats {
     /// `det-k-decomp` counters, summed over the checks that ran (from
     /// `k = ghw` up).
     pub hw: solver::SearchStats,
-    /// Exact-`ghw` counters (the heuristic seed; the DP answered every
-    /// block, so the edge-union engine's counters are zero). The seed and
-    /// the prep counts are those `fhw` built: built once, reported in both
-    /// measures' stats.
+    /// Exact-`ghw` counters: the heuristic seed. In
+    /// [`exact_widths_with_stats`] `fhw` is exact only when the DP or a
+    /// join tree answered every block, so the width-2 edge-union search
+    /// never runs and its counters are zero. The seed and the prep counts
+    /// are those `fhw` built: built once, reported in both measures' stats.
     pub ghw: solver::SearchStats,
     /// Exact-`fhw` counters (the heuristic seed and the DP's LP work).
     pub fhw: solver::SearchStats,

@@ -1,13 +1,14 @@
 //! Exact `ghw`: the `ρ` instantiation of [`solver::exact`].
 //!
-//! Each block is seeded by the witness-backed heuristic bound `ub`, then
-//! searched by the elimination DP when it has at most 24 vertices. The DP
-//! is complete for any monotone bag measure, so a DP search that fails at
-//! the seeded cutoff *is* the exact answer `ub`. A block past that window
-//! runs the `candgen` edge-union engine when its candidate space is
-//! feasible. That engine searches det-k's HD normal form, which is
-//! complete for GHDs only at budget 1, so past the window a failure at
-//! budget ≥ 2 leaves `ub` an upper bound the engine could not beat.
+//! Each block of at most 24 vertices is seeded by the witness-backed
+//! heuristic bound `ub`, then searched by the elimination DP. The DP is
+//! complete for any monotone bag measure, so a DP search that fails at
+//! the seeded cutoff *is* the exact answer `ub`. Past that window only a
+//! proven width is reported: width 1 by the block's join tree, the seed
+//! when `ub ≤ max(floor, 2)` (a cyclic block has `ghw ≥ 2`), or 2 by a
+//! witness from `candgen`'s width-2 edge-union space (blocks of at most
+//! 315 edges). Anything else answers `None`: that space is det-k's HD
+//! normal form, so a failed search there proves nothing about `ghw`.
 //! [`ghw_exact_at_least`] also takes a proven lower bound (the front door
 //! passes `⌈fhw⌉`). The subset enumerator survives as
 //! [`ghw_exact_subset_oracle`], the small-instance cross-check.
@@ -131,9 +132,9 @@ mod tests {
         assert_ghw(&generators::cycle(26), 2);
         // 20 vertices: past the subset gate, inside the DP's window.
         assert_ghw(&generators::grid(2, 10), 2);
-        // 27 vertices: past the window, so the edge-union engine searches.
-        // The paper's own check confirms it independently: certified no
-        // at k = 1, yes at k = 2.
+        // 27 vertices, past the window, seeded at 3: the width-2
+        // edge-union search finds the witness. The paper's own check
+        // confirms it independently: certified no at k = 1, yes at k = 2.
         let h = generators::grid(3, 9);
         let (_, stats) = ghw_exact_with_stats(&h, None, EngineOptions::sequential());
         assert!(stats.states > 0, "the engine searched");

@@ -5,9 +5,9 @@
 //! measures: integral edge covers `ρ` ([`Rho`]) and fractional ones `ρ*`
 //! ([`RhoStar`]). A [`Measure`] owns only what differs between them: the
 //! cost type, the one sequential (warm-LP) pricing function, the rank and
-//! scattered-set bounds, the result-cache slot, and whether blocks past
-//! the DP's window may try the edge-union engine. Everything else is
-//! shared:
+//! scattered-set bounds, the result-cache slot, and whether a cyclic
+//! block past the DP's window may search for a width-2 witness.
+//! Everything else is shared:
 //!
 //! * [`Instance::front_door`] — the isolated-vertex check, the `solve`
 //!   span, the cross-call result cache (its only caller, under the
@@ -21,14 +21,18 @@
 //!   ([`decomp::join_tree`]): an α-acyclic instance has width 1
 //!   under both measures, answered by that tree with `ub_width = 1` and
 //!   no prep, seed or search. A cyclic one runs `prep`'s
-//!   minimizer pipeline with one seeded solver per block: the integral
-//!   heuristic seed, then the elimination DP for a block of at most
-//!   [`MAX_EXACT_VERTICES`] vertices under both measures. Past that
-//!   window, a `ρ` block runs the `candgen` edge-union engine when its
-//!   candidate space is feasible, and any other block answers `None`.
-//!   A search that fails below a seeded cutoff is the answer `ub`,
-//!   certified by the seed's witness; the DP is complete for any
-//!   monotone bag measure, so inside the window that answer is exact.
+//!   minimizer pipeline with one solver per block. A block of at most
+//!   [`MAX_EXACT_VERTICES`] vertices takes the integral heuristic seed
+//!   `ub`, then the elimination DP under both measures. A DP search that
+//!   fails below a seeded cutoff is the answer `ub`, certified by the
+//!   seed's witness; the DP is complete for any monotone bag measure, so
+//!   that answer is exact. Past the window every answer is a proof or
+//!   `None`: an α-acyclic block is answered by its join tree (width 1);
+//!   a cyclic one has width at least 2, so under `ρ*` it answers `None`
+//!   (nothing certifies a fractional width there) and under `ρ` its seed
+//!   is exact when `ub ≤ max(floor, 2)`. Otherwise a block of at most 315
+//!   edges searches `candgen`'s width-2 edge-union space under cutoff 3:
+//!   a witness found is exactly width 2, and anything else is `None`.
 //!   Engine admission and the DP share one lower-bound gate: the DP tests
 //!   each bag against the seeded cutoff before pricing it, and keeps
 //!   every priced bag's weights for the witness.
@@ -37,11 +41,12 @@
 //!   integral seed, built on first use. None depends on the measure, so a
 //!   caller asking for several widths (`exact_widths_with_opts`, serve's
 //!   `solve`, `hgtool widths`) asks one `Instance` for all of them: the
-//!   key is built and hashed once, GYO runs at most once, and the second
-//!   minimizer measure prepares and seeds nothing. Its answers and
-//!   counters are those of standalone calls; its trace lacks the later
-//!   measures' `join_tree` spans and the second minimizer measure's
-//!   `prep` span, seed `candgen` span and seed `price` spans.
+//!   key is built and hashed once, GYO runs at most once on `h` (a block
+//!   past the window runs its own per measure), and no block is prepared
+//!   or seeded twice. Its answers and counters are those of standalone
+//!   calls; its trace lacks the later measures' `join_tree` spans on `h`
+//!   and the `prep` span and seed `candgen` and `price` spans that an
+//!   earlier measure already traced.
 //! * [`solve_by_elimination`] — every block answered by the DP alone (the
 //!   independent reference of the agreement tests and the benchmark),
 //!   uncached.
@@ -50,7 +55,8 @@
 //!
 //! Every pricing goes through [`Measure::price_warm`], which runs inside
 //! one `price` span: the DP's bags, the seed's bags, and an engine bag on
-//! a miss of its search's [`cover::PriceMemo`] (a hit prices nothing).
+//! a miss of its search's [`cover::PriceMemo`], which starts empty (a hit
+//! prices nothing).
 
 use crate::{
     stream_subset_bags, Admission, CandidateStream, EngineOptions, Guess, SearchContext,
@@ -88,16 +94,14 @@ pub trait Measure {
     const NAME: &'static str;
     /// The result-cache slot.
     const RESULT_SLOT: &'static str;
-    /// Whether a block past the DP's window tries the `candgen`
-    /// edge-union engine. Its candidates are det-k's HD normal form, bags
-    /// `⋃S ∩ (C ∪ conn)` for `|S| < b`, which is complete for GHDs only at
-    /// budget 1 (`ghw ≤ 1` is α-acyclicity, where `hw = ghw`); at budget
-    /// ≥ 2 a failed search proves nothing, so the engine is used past the
-    /// window only, where no complete search is in range. True of `ρ`
-    /// only: such a block's (integral) seed prices through the memo the
-    /// engine then searches with, even when an earlier measure of its
-    /// [`Instance`] already seeded the block. `ρ*` creates no price memo
-    /// in [`solve`].
+    /// Whether a cyclic block past the DP's window is seeded and may
+    /// search the `candgen` edge-union space for a width-2 witness. Its
+    /// candidates are det-k's HD normal form at width 2, bags
+    /// `⋃S ∩ (C ∪ conn)` for `|S| ≤ 2`: a witness found there proves
+    /// width 2 (a cyclic block has width at least 2), while a failed
+    /// search proves nothing, since the form is not complete for GHDs.
+    /// True of `ρ` only: under `ρ*` nothing certifies a fractional width
+    /// past the window, so such a block answers `None` before seeding.
     const EDGE_UNION: bool;
 
     /// Prices `bag` in one `price` span, continuing from `warm` (the DP,
@@ -320,7 +324,7 @@ type Seed = (usize, Decomposition);
 /// measure the call solves on it. A caller that wants several widths of
 /// one instance asks one `Instance` for all of them (`hd::hypertree_width_on`
 /// for `hw`), in any order: the key is built and hashed once, GYO runs at
-/// most once, and the second minimizer measure prepares and seeds nothing.
+/// most once on the instance, and no block is prepared or seeded twice.
 /// Each measure's widths, witnesses and counters are those of a standalone
 /// call.
 ///
@@ -447,12 +451,7 @@ impl<'h> Instance<'h> {
             // An α-acyclic `h` has width 1 under every measure, certified
             // by its join tree: no prep, seed or search.
             if let Some(d) = instance.join_tree() {
-                let stats = SearchStats {
-                    ub_width: Some(Rational::one()),
-                    ..SearchStats::default()
-                };
-                let fits = cutoff.as_ref().is_none_or(|c| one < *c);
-                return (fits.then(|| (one.clone(), d.clone())), stats);
+                return width_one(d.clone(), cutoff.as_ref());
             }
             instance.each_block(|block, seed| solve_block::<M>(block, seed, cutoff.clone(), &floor))
         })
@@ -480,6 +479,22 @@ impl<'h> Instance<'h> {
     }
 }
 
+/// Width 1, certified by the join tree `d` of an α-acyclic instance or
+/// block: `ub_width = 1` and no other counter, `None` at a cutoff of at
+/// most 1.
+fn width_one<C: From<usize> + Ord>(
+    d: Decomposition,
+    cutoff: Option<&C>,
+) -> (Option<(C, Decomposition)>, SearchStats) {
+    let one = C::from(1);
+    let stats = SearchStats {
+        ub_width: Some(Rational::one()),
+        ..SearchStats::default()
+    };
+    let fits = cutoff.is_none_or(|c| one < *c);
+    (fits.then_some((one, d)), stats)
+}
+
 /// Solves one (already preprocessed) block, seeded from `seed` or filling
 /// it; see the module docs.
 fn solve_block<M: Measure>(
@@ -488,23 +503,23 @@ fn solve_block<M: Measure>(
     cutoff: Option<M::Cost>,
     floor: &M::Cost,
 ) -> (Option<(M::Cost, Decomposition)>, SearchStats) {
-    // The seed is the integral heuristic bound for both measures: `fhw <=
-    // ghw`, and integral weights are a valid fractional cover. Inside the
-    // window the DP answers, so the seed is priced sequentially, once per
-    // instance. Past it, under `ρ`, the seed prices through the memo the
-    // engine then searches with, so its covers are warm capital, not
-    // overhead: that block prices its own seed (its memo counters stay
-    // those of a standalone search) and publishes it for a later measure.
     let in_window = h.num_vertices() <= MAX_EXACT_VERTICES;
-    let prices = (M::EDGE_UNION && !in_window).then(Prices::<M>::new);
-    let (ub, ub_witness) = match &prices {
-        Some(p) => {
-            let (ub, d) = candgen::upper_bound(h, |bag| p.price(h, bag));
-            &*seed.insert((whole(ub), d))
+    if !in_window {
+        // Past the window, width 1 is α-acyclicity, proven by the join
+        // tree. A cyclic block has width at least 2, and under `ρ*` nothing
+        // proves a width above that.
+        if let Some(d) = decomp::join_tree(h) {
+            return width_one(d, cutoff.as_ref());
         }
-        None => &*seed
-            .get_or_insert_with(|| candgen::upper_bound(h, |bag| Rho::price_warm(&mut (), h, bag))),
-    };
+        if !M::EDGE_UNION {
+            return (None, SearchStats::default());
+        }
+    }
+    // The seed is the integral heuristic bound for both measures: `fhw <=
+    // ghw`, and integral weights are a valid fractional cover. It is
+    // priced sequentially, once per instance.
+    let (ub, ub_witness) = &*seed
+        .get_or_insert_with(|| candgen::upper_bound(h, |bag| Rho::price_warm(&mut (), h, bag)));
     let ub = M::Cost::from(*ub);
     // The search only has to beat `eff`: a failure at a *seeded* cutoff
     // (`ub` tighter than the caller's) is the answer `ub`.
@@ -518,26 +533,24 @@ fn solve_block<M: Measure>(
         ub_width: Some(ub.clone().into()),
         ..SearchStats::default()
     };
-    let searched = if eff <= *floor {
-        // At floor 1 nothing beats width 1 (every nonempty bag costs at
-        // least 1). Above it, a narrower witness for this block could not
-        // lower the instance's width (the maximum over blocks, at least
-        // `floor`), so the seed stands.
+    // A block past the window is cyclic, so its width is at least 2.
+    let lb = if in_window {
+        floor.clone()
+    } else {
+        floor.clone().max(M::Cost::from(2))
+    };
+    let searched = if eff <= lb {
+        // Nothing beats `lb`: every nonempty bag costs at least 1, and a
+        // narrower witness for this block could not lower the instance's
+        // width (the maximum over blocks, at least `floor`), so the seed
+        // stands.
         Some(None)
     } else if in_window {
         Some(by_elimination::<M>(h, Some(eff), &mut stats))
-    } else if let (Some(prices), Some(cfg)) = (prices, edge_union_space(h, eff.clone().into())) {
-        let strategy = Search::new(h, Some(eff), prices, Bags::EdgeUnion(cfg));
-        let mut cx = SearchContext::new();
-        let result = cx.run(h, &strategy);
-        stats.merge(&cx.stats());
-        (stats.price_hits, stats.price_misses) = strategy.prices.memo.counters();
-        stats.cand_generated = strategy.counters.generated();
-        stats.cand_filtered = strategy.counters.filtered();
-        Some(result)
     } else {
-        // No exact engine in range: `ub` stays an upper bound only.
-        None
+        // Only width 2 is provable here, so a failed search answers `None`,
+        // not `ub`.
+        by_edge_unions::<M>(h, &mut stats).map(Some)
     };
     let result = match searched {
         Some(Some((w, d))) => {
@@ -545,9 +558,7 @@ fn solve_block<M: Measure>(
             Some((w, d))
         }
         // The DP is complete below `eff`, so failing it pins the width
-        // to exactly `ub` when the cutoff was ours. Past the window the
-        // engine's failure is complete only at budget 1; above it `ub` is
-        // the narrowest witness in reach.
+        // to exactly `ub` when the cutoff was ours.
         Some(None) if seeded => {
             debug_assert!(ub_witness.width() <= ub.clone().into());
             Some((ub, ub_witness.clone()))
@@ -557,24 +568,29 @@ fn solve_block<M: Measure>(
     (result, stats)
 }
 
-/// An integral cost as a whole number: the past-window seed is priced by
-/// `ρ`, the only [`Measure::EDGE_UNION`] measure.
-fn whole<C: Into<Rational>>(cost: C) -> usize {
-    let cost: Rational = cost.into();
-    debug_assert!(cost.is_integer());
-    cost.ceil().to_i64().expect("a small width") as usize
-}
-
-/// The edge-union candidate space below `eff` when it is feasible: bags
-/// that are unions of at most `⌈eff⌉ - 1` edge restrictions (det-k's HD
-/// normal form, see [`Measure::EDGE_UNION`]), searched only while the
-/// per-state enumeration (`Σ C(m, i)` over those sizes) stays below
-/// [`candgen::DEFAULT_STREAM_CAP`] unions.
-fn edge_union_space(h: &Hypergraph, eff: Rational) -> Option<candgen::EdgeUnionConfig> {
-    let budget = eff.ceil().to_i64().map_or(0, |c| c.max(1) as usize - 1);
-    let cap = candgen::DEFAULT_STREAM_CAP;
-    let feasible = budget >= 1 && candgen::stream_size_bound(h.num_edges(), budget, cap) < cap;
-    feasible.then(|| candgen::EdgeUnionConfig::with_budget(budget))
+/// A width-2 witness for a cyclic block past the DP's window: the engine
+/// under cutoff 3 over `candgen`'s width-2 edge-union space, its price memo
+/// starting empty. Searched only while one state's singles and pairs,
+/// `m(m+1)/2` for `m` edges (at most 315), stay below
+/// [`candgen::DEFAULT_STREAM_CAP`]. A witness found has width exactly 2; a
+/// failure proves nothing, since the space is det-k's HD normal form,
+/// which is not complete for GHDs.
+fn by_edge_unions<M: Measure>(
+    h: &Hypergraph,
+    stats: &mut SearchStats,
+) -> Option<(M::Cost, Decomposition)> {
+    let m = h.num_edges();
+    if m * (m + 1) / 2 >= candgen::DEFAULT_STREAM_CAP {
+        return None;
+    }
+    let strategy = Search::<M>::new(h, Some(M::Cost::from(3)), Prices::new(), Bags::EdgeUnion);
+    let mut cx = SearchContext::new();
+    let result = cx.run(h, &strategy);
+    stats.merge(&cx.stats());
+    (stats.price_hits, stats.price_misses) = strategy.prices.memo.counters();
+    stats.cand_generated = strategy.counters.generated();
+    stats.cand_filtered = strategy.counters.filtered();
+    result
 }
 
 /// The elimination-order DP on one block, bags priced sequentially by
@@ -720,8 +736,8 @@ impl<M: Measure> Prices<M> {
 
 /// Which candidate-bag space the search streams.
 enum Bags {
-    /// The `candgen` edge-union space (det-k's HD normal form).
-    EdgeUnion(candgen::EdgeUnionConfig),
+    /// The `candgen` edge-union space (det-k's HD normal form at width 2).
+    EdgeUnion,
     /// Every subset bag — the cross-check oracle.
     Subset,
 }
@@ -799,7 +815,7 @@ impl<M: Measure> WidthSolver for Search<M> {
     fn candidates<'a>(&'a self, h: &'a Hypergraph, state: SearchState<'a>) -> CandidateStream<'a> {
         match &self.bags {
             Bags::Subset => stream_subset_bags(state),
-            Bags::EdgeUnion(cfg) => {
+            Bags::EdgeUnion => {
                 // The cheap gate tests, hoisted into the generator against
                 // the static seeded cutoff (admission re-applies the whole
                 // gate against the tighter running bound).
@@ -807,11 +823,12 @@ impl<M: Measure> WidthSolver for Search<M> {
                 let gate =
                     move |bag: &VertexSet| bound.is_none_or(|b| !gate.cheap_reaches::<M>(bag, b));
                 CandidateStream::new(
-                    candgen::edge_union_bags(h, state.comp, state.conn, cfg, &self.counters, gate)
-                        .map(|bag| Guess {
+                    candgen::edge_union_bags(h, state.comp, state.conn, &self.counters, gate).map(
+                        |bag| Guess {
                             edges: Vec::new(),
                             extra: bag,
-                        }),
+                        },
+                    ),
                 )
             }
         }
@@ -915,9 +932,9 @@ mod tests {
                 vec![4, 2],
             ],
         );
-        // cycle(26) is past the window: ghw searches the edge-union
-        // engine, fhw answers `None`.
-        let cycle = generators::cycle(26);
+        // grid(3,9) is past the window and seeds at 3: ghw searches the
+        // width-2 edge-union space, fhw answers `None`.
+        let grid = generators::grid(3, 9);
         let opts = EngineOptions::sequential();
         type Solved<C> = (Option<(C, String)>, SearchStats);
         fn rendered<C>(
@@ -926,7 +943,7 @@ mod tests {
         ) -> Solved<C> {
             (r.map(|(w, d)| (w, d.render(h))), s.engine_only())
         }
-        for (h, blocks) in [(&triangles, 2), (&cycle, 1)] {
+        for (h, blocks) in [(&triangles, 2), (&grid, 1)] {
             let ghw = rendered(h, solve::<Rho>(h, None, 1, opts));
             let fhw = rendered(h, solve::<RhoStar>(h, None, Rational::one(), opts));
             assert_eq!(ghw.1.prep_blocks, blocks);
@@ -941,11 +958,15 @@ mod tests {
             assert_eq!(fhw_first, fhw, "fhw, then ghw: fhw");
             assert_eq!(ghw_second, ghw, "fhw, then ghw: ghw");
         }
-        let ghw = solve::<Rho>(&cycle, None, 1, opts);
+        let ghw = solve::<Rho>(&grid, None, 1, opts);
         assert_eq!(ghw.0.map(|(w, _)| w), Some(2));
-        assert!(ghw.1.price_misses > 0, "the engine memo priced the seed");
-        assert!(solve::<RhoStar>(&cycle, None, Rational::one(), opts)
-            .0
-            .is_none());
+        assert_eq!(ghw.1.ub_width, Some(Rational::from(3usize)));
+        assert!(ghw.1.price_misses > 0, "the engine priced through its memo");
+        let fhw = solve::<RhoStar>(&grid, None, Rational::one(), opts);
+        assert!(fhw.0.is_none());
+        assert_eq!(
+            fhw.1.ub_width, None,
+            "fhw seeds no cyclic past-window block"
+        );
     }
 }

@@ -505,12 +505,12 @@ fn widths(
     if no_prep {
         opts = opts.without_prep();
     }
-    // Per-width calls rather than `exact_widths_with_opts`: the candgen
-    // edge-union engine reaches instance sizes where the fhw DP no longer
-    // answers, so each width degrades to `n/a` independently instead of
-    // failing the whole command. The three share one instance: hw builds
-    // its result-cache key and runs its join tree, ghw prepares it and
-    // seeds each block, fhw reuses both. Draining the span buffer between
+    // Per-width calls rather than `exact_widths_with_opts`: past the DP's
+    // window hw (det-k) and a proven ghw still answer where fhw does not,
+    // so each width degrades to `n/a` independently instead of failing
+    // the whole command. The three share one instance: hw builds its
+    // result-cache key and runs its join tree, ghw prepares it and seeds
+    // each block, fhw reuses both. Draining the span buffer between
     // the calls attributes each span batch to its measure for the
     // phase-time columns.
     let mut instance = exact::Instance::new(h, opts);

@@ -1,6 +1,7 @@
 //! Every exact solve path honours the ambient cancellation token: the
-//! elimination DP behind exact `fhw` and in-window `ghw`, the edge-union
-//! engine behind past-window `ghw`, and det-k-decomp behind `hw`. Under a
+//! elimination DP behind exact `fhw` and in-window `ghw`, the width-2
+//! edge-union search behind past-window `ghw`, and det-k-decomp behind
+//! `hw`. Under a
 //! pre-cancelled token a call unwinds with the interrupt payload and
 //! stores nothing in the result cache, so the next call searches afresh;
 //! under a live token nothing changes.
@@ -77,8 +78,9 @@ fn elimination_dp_honours_the_token_under_rho() {
 
 #[test]
 fn edge_union_engine_honours_the_token() {
-    // 26 vertices: past the DP's window.
-    let h = generators::cycle(26);
+    // 27 vertices, past the DP's window; the seed is 3, so the width-2
+    // search runs.
+    let h = generators::grid(3, 9);
     let stats = honours_the_token(&h, 2, |h, opts| ghd::ghw_exact_with_stats(h, None, opts));
     assert!(stats.states > 0, "the engine searched past the seed");
 }

@@ -210,12 +210,13 @@ fn breaks_the_eighteen_vertex_wall() {
 
 #[test]
 fn candidate_counters_are_reported_and_thread_invariant() {
-    // Past the DP's window, so the edge-union generator runs.
-    let h = generators::cycle(26);
+    // Past the DP's window with a seed of 3, so the edge-union generator
+    // runs.
+    let h = generators::grid(3, 9);
     let (r1, s1) = ghd::ghw_exact_with_stats(&h, None, opts());
     let (r2, s2) = ghd::ghw_exact_with_stats(&h, None, opts());
     assert_eq!(r1.map(|(w, _)| w), r2.as_ref().map(|(w, _)| *w));
     assert_eq!(s1, s2, "candgen counters drift across runs");
     assert!(s1.cand_generated > 0, "edge-union generator ran");
-    assert_eq!(s1.ub_width, Some(Rational::from(2usize)));
+    assert_eq!(s1.ub_width, Some(Rational::from(3usize)));
 }

@@ -22,11 +22,12 @@ fn process_threads() -> usize {
 #[test]
 fn an_exact_solve_starts_no_thread() {
     let before = process_threads();
-    // cycle(26) is past the DP's window, so the edge-union engine runs.
+    // grid(3,9) is past the DP's window and seeds at 3, so the width-2
+    // edge-union search runs.
     let (result, stats) =
-        ghd::ghw_exact_with_stats(&generators::cycle(26), None, EngineOptions::default());
+        ghd::ghw_exact_with_stats(&generators::grid(3, 9), None, EngineOptions::default());
     let after = process_threads();
-    assert!(result.is_some(), "cycle(26) is in the engine's range");
+    assert!(result.is_some(), "grid(3,9) has a width-2 witness in range");
     assert!(stats.states > 0, "the edge-union engine ran");
     assert!(
         after <= before,
