@@ -17,6 +17,9 @@ use hypergraph::{properties, Hypergraph};
 /// vertices that lie in some edge; the width solvers reject isolated
 /// vertices before asking.
 ///
+/// The tree is built at its exact size, one node per edge, since it is a
+/// width answer that the result cache may keep.
+///
 /// Runs in one `join_tree` span (fields `edges`, `acyclic`).
 pub fn join_tree(h: &Hypergraph) -> Option<Decomposition> {
     let span = obs::span!("join_tree", edges = h.num_edges());
@@ -33,7 +36,7 @@ pub fn join_tree(h: &Hypergraph) -> Option<Decomposition> {
         }
     }
     let node = |e: usize| Node::integral(h.edge(e).clone(), [e]);
-    let mut d = Decomposition::new(node(root));
+    let mut d = Decomposition::with_capacity(node(root), parents.len());
     let mut stack = vec![(root, d.root())];
     while let Some((e, u)) = stack.pop() {
         for &c in &children[e] {

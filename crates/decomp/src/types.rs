@@ -9,6 +9,7 @@
 use arith::Rational;
 use hypergraph::{Hypergraph, VertexSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A node of a decomposition: a bag plus an edge-weight function.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,48 +92,115 @@ impl cover::MemSize for Node {
 }
 
 impl cover::MemSize for Decomposition {
+    /// The whole tree — the shared allocation's header and every vector —
+    /// however many holders share it, so answers that share one tree each
+    /// charge it in full and their total stays an upper bound.
     fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Decomposition>() + self.approx_bytes_inner()
+        use std::mem::size_of;
+        let t = &*self.tree;
+        let children: usize = t
+            .children
+            .iter()
+            .map(|c| size_of::<Vec<usize>>() + c.capacity() * size_of::<usize>())
+            .sum();
+        size_of::<Decomposition>()
+            + size_of::<[usize; 2]>() // the `Arc`'s two reference counts
+            + size_of::<Tree>()
+            + t.nodes.iter().map(Node::approx_bytes).sum::<usize>()
+            + t.parent.capacity() * size_of::<Option<usize>>()
+            + children
     }
 }
 
-/// A rooted decomposition tree. Node 0 is always the root.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Decomposition {
+/// The body of a [`Decomposition`], shared by its clones.
+#[derive(Clone, PartialEq, Eq)]
+struct Tree {
     nodes: Vec<Node>,
     parent: Vec<Option<usize>>,
     children: Vec<Vec<usize>>,
 }
 
+/// A rooted decomposition tree. Node 0 is always the root.
+///
+/// A shared, copy-on-write value: the nodes, parents and children sit
+/// behind one [`Arc`], so `clone()` is O(1) (it bumps a reference count)
+/// and clones may cross threads. The edits — [`add_child`],
+/// [`node_mut`], [`splice_out`] and [`shrink_to_fit`] — copy a shared
+/// tree first, so an edit never reaches another holder's tree, and edit in
+/// place a tree held once. A width answer and the result cache's stored
+/// copy of it are therefore one tree until either is edited.
+///
+/// [`add_child`]: Decomposition::add_child
+/// [`node_mut`]: Decomposition::node_mut
+/// [`splice_out`]: Decomposition::splice_out
+/// [`shrink_to_fit`]: Decomposition::shrink_to_fit
+#[derive(Clone, PartialEq, Eq)]
+pub struct Decomposition {
+    tree: Arc<Tree>,
+}
+
+// Result-cache answers hold witnesses and replay them across threads.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Decomposition>();
+};
+
+impl fmt::Debug for Decomposition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Decomposition")
+            .field("nodes", &self.tree.nodes)
+            .field("parent", &self.tree.parent)
+            .field("children", &self.tree.children)
+            .finish()
+    }
+}
+
 impl Decomposition {
     /// Starts a decomposition from its root node.
     pub fn new(root: Node) -> Self {
+        Self::with_capacity(root, 1)
+    }
+
+    /// Starts a decomposition from its root node, with room for `n` nodes.
+    pub(crate) fn with_capacity(root: Node, n: usize) -> Self {
+        let mut tree = Tree {
+            nodes: Vec::with_capacity(n),
+            parent: Vec::with_capacity(n),
+            children: Vec::with_capacity(n),
+        };
+        tree.nodes.push(root);
+        tree.parent.push(None);
+        tree.children.push(Vec::new());
         Decomposition {
-            nodes: vec![root],
-            parent: vec![None],
-            children: vec![Vec::new()],
+            tree: Arc::new(tree),
         }
+    }
+
+    /// The tree to edit: this holder's own, copied first if shared.
+    fn tree_mut(&mut self) -> &mut Tree {
+        Arc::make_mut(&mut self.tree)
     }
 
     /// Adds a node under `parent`; returns the new node id.
     pub fn add_child(&mut self, parent: usize, node: Node) -> usize {
-        assert!(parent < self.nodes.len());
-        let id = self.nodes.len();
-        self.nodes.push(node);
-        self.parent.push(Some(parent));
-        self.children.push(Vec::new());
-        self.children[parent].push(id);
+        let t = self.tree_mut();
+        assert!(parent < t.nodes.len());
+        let id = t.nodes.len();
+        t.nodes.push(node);
+        t.parent.push(Some(parent));
+        t.children.push(Vec::new());
+        t.children[parent].push(id);
         id
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.tree.nodes.len()
     }
 
     /// True iff the decomposition has no nodes (never true by construction).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.tree.nodes.is_empty()
     }
 
     /// The root node id (always 0).
@@ -142,45 +210,43 @@ impl Decomposition {
 
     /// Immutable node access.
     pub fn node(&self, u: usize) -> &Node {
-        &self.nodes[u]
+        &self.tree.nodes[u]
     }
 
     /// Mutable node access.
     pub fn node_mut(&mut self, u: usize) -> &mut Node {
-        &mut self.nodes[u]
+        &mut self.tree_mut().nodes[u]
     }
 
     /// All nodes in id order.
     pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+        &self.tree.nodes
     }
 
-    /// Approximate resident bytes (for the result-cache byte budget).
-    fn approx_bytes_inner(&self) -> usize {
-        use cover::MemSize as _;
-        let tree: usize = self
-            .children
-            .iter()
-            .map(|c| std::mem::size_of::<Vec<usize>>() + c.capacity() * 8)
-            .sum();
-        self.nodes.iter().map(|n| n.approx_bytes()).sum::<usize>()
-            + self.parent.capacity() * 16
-            + tree
+    /// Drops the growth slack of the node, parent and children vectors,
+    /// so a witness kept for long (a result-cache answer) holds no spare
+    /// node slots.
+    pub fn shrink_to_fit(&mut self) {
+        let t = self.tree_mut();
+        t.nodes.shrink_to_fit();
+        t.parent.shrink_to_fit();
+        t.children.shrink_to_fit();
     }
 
     /// Parent of `u` (`None` for the root).
     pub fn parent(&self, u: usize) -> Option<usize> {
-        self.parent[u]
+        self.tree.parent[u]
     }
 
     /// Children of `u`.
     pub fn children(&self, u: usize) -> &[usize] {
-        &self.children[u]
+        &self.tree.children[u]
     }
 
     /// The width: maximum total node weight (Definition 2.6).
     pub fn width(&self) -> Rational {
-        self.nodes
+        self.tree
+            .nodes
             .iter()
             .map(Node::weight)
             .max()
@@ -193,7 +259,7 @@ impl Decomposition {
         let mut stack = vec![u];
         while let Some(n) = stack.pop() {
             out.push(n);
-            stack.extend(self.children[n].iter().copied());
+            stack.extend(self.children(n).iter().copied());
         }
         out
     }
@@ -202,7 +268,7 @@ impl Decomposition {
     pub fn subtree_vertices(&self, u: usize) -> VertexSet {
         let mut out = VertexSet::new();
         for n in self.subtree(u) {
-            out.union_with(&self.nodes[n].bag);
+            out.union_with(&self.node(n).bag);
         }
         out
     }
@@ -210,7 +276,7 @@ impl Decomposition {
     /// `nodes(V', D)`: ids of nodes whose bag intersects `vs`.
     pub fn nodes_intersecting(&self, vs: &VertexSet) -> Vec<usize> {
         (0..self.len())
-            .filter(|&u| self.nodes[u].bag.intersects(vs))
+            .filter(|&u| self.node(u).bag.intersects(vs))
             .collect()
     }
 
@@ -218,7 +284,7 @@ impl Decomposition {
     pub fn path_between(&self, a: usize, b: usize) -> Vec<usize> {
         let ancestors = |mut u: usize| -> Vec<usize> {
             let mut out = vec![u];
-            while let Some(p) = self.parent[u] {
+            while let Some(p) = self.parent(u) {
                 out.push(p);
                 u = p;
             }
@@ -238,44 +304,46 @@ impl Decomposition {
 
     /// Removes node `u` (not the root), attaching its children to its parent.
     pub fn splice_out(&mut self, u: usize) {
-        let p = self.parent[u].expect("cannot splice out the root");
-        let kids = std::mem::take(&mut self.children[u]);
+        let t = self.tree_mut();
+        let p = t.parent[u].expect("cannot splice out the root");
+        let kids = std::mem::take(&mut t.children[u]);
         for &k in &kids {
-            self.parent[k] = Some(p);
+            t.parent[k] = Some(p);
         }
-        self.children[p].retain(|&c| c != u);
-        self.children[p].extend(kids);
+        t.children[p].retain(|&c| c != u);
+        t.children[p].extend(kids);
         // Mark the node dead by emptying it; ids stay stable.
-        self.nodes[u].bag.clear();
-        self.nodes[u].weights.clear();
-        self.parent[u] = None;
+        t.nodes[u].bag.clear();
+        t.nodes[u].weights.clear();
+        t.parent[u] = None;
         self.compact(u);
     }
 
     /// Removes a dead node id by swapping in the last node.
     fn compact(&mut self, dead: usize) {
-        let last = self.nodes.len() - 1;
+        let t = self.tree_mut();
+        let last = t.nodes.len() - 1;
         if dead != last {
-            self.nodes.swap(dead, last);
-            self.parent.swap(dead, last);
-            self.children.swap(dead, last);
+            t.nodes.swap(dead, last);
+            t.parent.swap(dead, last);
+            t.children.swap(dead, last);
             // Rewire references to `last`.
-            let moved_parent = self.parent[dead];
+            let moved_parent = t.parent[dead];
             if let Some(p) = moved_parent {
-                for c in self.children[p].iter_mut() {
+                for c in t.children[p].iter_mut() {
                     if *c == last {
                         *c = dead;
                     }
                 }
             }
-            let kids = self.children[dead].clone();
+            let kids = t.children[dead].clone();
             for k in kids {
-                self.parent[k] = Some(dead);
+                t.parent[k] = Some(dead);
             }
         }
-        self.nodes.pop();
-        self.parent.pop();
-        self.children.pop();
+        t.nodes.pop();
+        t.parent.pop();
+        t.children.pop();
     }
 
     /// Pretty-prints the tree with bag and cover contents.
@@ -287,7 +355,7 @@ impl Decomposition {
 
     fn render_rec(&self, h: &Hypergraph, u: usize, depth: usize, out: &mut String) {
         use std::fmt::Write;
-        let node = &self.nodes[u];
+        let node = self.node(u);
         let bag: Vec<&str> = node.bag.iter().map(|v| h.vertex_name(v)).collect();
         let cover: Vec<String> = node
             .weights
@@ -308,7 +376,7 @@ impl Decomposition {
             bag.join(","),
             cover.join(",")
         );
-        for &c in &self.children[u] {
+        for &c in self.children(u) {
             self.render_rec(h, c, depth + 1, out);
         }
     }
@@ -379,6 +447,62 @@ mod tests {
             .collect();
         assert!(subtree_bags.contains(&vec![2, 3]));
         assert!(subtree_bags.contains(&vec![0, 4]));
+    }
+
+    /// A bag and cover for `h4` that the trees above do not use.
+    fn fresh_node() -> Node {
+        Node::integral(VertexSet::from_iter([3]), [2])
+    }
+
+    fn h4() -> Hypergraph {
+        Hypergraph::from_edges(5, vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![0, 4]])
+    }
+
+    /// Editing a clone with each mutator leaves the original as it was,
+    /// and editing the original leaves the clone as it was.
+    #[test]
+    fn edits_copy_a_shared_tree_first() {
+        type Edit = fn(&mut Decomposition);
+        let h = h4();
+        let edits: [(&str, Edit); 3] = [
+            ("add_child", |d| {
+                d.add_child(1, fresh_node());
+            }),
+            ("node_mut", |d| d.node_mut(0).bag.clear()),
+            ("splice_out", |d| d.splice_out(1)),
+        ];
+        for (name, edit) in edits {
+            let original = simple_tree();
+            let (len, render) = (original.len(), original.render(&h));
+            let mut copy = original.clone();
+            edit(&mut copy);
+            assert_ne!(copy.render(&h), render, "{name} edits the copy");
+            assert_eq!(original.len(), len, "{name} on a clone");
+            assert_eq!(original.render(&h), render, "{name} on a clone");
+
+            let mut original = simple_tree();
+            let copy = original.clone();
+            edit(&mut original);
+            assert_ne!(original.render(&h), render, "{name} edits the original");
+            assert_eq!(copy.len(), len, "{name} on the original");
+            assert_eq!(copy.render(&h), render, "{name} on the original");
+        }
+    }
+
+    /// Shrinking drops spare capacity without changing the tree.
+    #[test]
+    fn shrink_to_fit_keeps_the_tree() {
+        let h = h4();
+        let mut d = simple_tree();
+        d.add_child(3, fresh_node());
+        let before = (d.render(&h), format!("{d:?}"));
+        let bytes = cover::MemSize::approx_bytes(&d);
+        d.shrink_to_fit();
+        assert_eq!((d.render(&h), format!("{d:?}")), before);
+        assert!(
+            cover::MemSize::approx_bytes(&d) < bytes,
+            "the slack is gone"
+        );
     }
 
     #[test]

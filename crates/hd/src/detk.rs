@@ -129,7 +129,7 @@ pub fn hypertree_width_on(
         // The prep pipeline (which is `k`-independent) runs once around
         // the whole iteration; every check searches the same reduced
         // block and only the final witness is lifted.
-        prep::run_decision(instance.hypergraph(), prep, |block| {
+        let (mut result, stats) = prep::run_decision(instance.hypergraph(), prep, |block| {
             let mut total = SearchStats::default();
             for k in floor.max(2)..=max_k {
                 let (d, stats) = check_hd_piece(block, k);
@@ -139,7 +139,12 @@ pub fn hypertree_width_on(
                 }
             }
             (None, total)
-        })
+        });
+        // The result cache keeps this very tree: drop its growth slack.
+        if let Some((_, d)) = &mut result {
+            d.shrink_to_fit();
+        }
+        (result, stats)
     })
 }
 

@@ -32,17 +32,25 @@
 //! one request at a time, and `hgtool` and the benchmark are
 //! single-threaded.
 //!
+//! Witnesses are shared, not copied: a `decomp::Decomposition` is a
+//! copy-on-write tree whose clone bumps a reference count. A miss stores
+//! the very tree it returns, a hit hands out the stored tree, and a
+//! caller's edit copies the tree first, so it never reaches the stored
+//! answer. The three width answers of an α-acyclic verdict hold one join
+//! tree.
+//!
 //! Memory: the answers share one byte budget ([`BUDGET_ENV`], default
 //! 64 MiB), estimated via [`cover::MemSize`] when an answer is stored.
-//! Each answer charges its whole query, the shared instance key in full,
-//! so the total is an upper bound on what the answers hold. A hit moves
-//! its answer to a fresh tick; a store evicts least-recent answers while
-//! the total exceeds the budget, never the answer just stored. The budget
-//! therefore holds after every store, and a call costs `O(log n)` in the
-//! `n` resident answers.
+//! Each answer charges its whole query (the shared instance key in full)
+//! and its whole witness (a tree held by several answers is charged in
+//! full by each), so the total is an upper bound on what the answers
+//! hold. A hit moves its answer to a fresh tick; a store evicts
+//! least-recent answers while the total exceeds the budget, never the
+//! answer just stored. The budget therefore holds after every store, and
+//! a call costs `O(log n)` in the `n` resident answers.
 //!
 //! Determinism: widths, witnesses and engine counters are unaffected (a
-//! hit replays the stored answer byte for byte); only the runtime counter
+//! hit replays the stored answer unchanged); only the runtime counter
 //! `result_cache_hits` records the cache. Price memos never outlive their
 //! search.
 //!
@@ -229,6 +237,8 @@ impl ResultCache {
             None => {
                 let (result, stats) = run();
                 let bytes = query.approx_bytes() + result.approx_bytes() + stats.approx_bytes();
+                // Cloning shares the witness: the cache keeps the tree it
+                // returns.
                 let answer: Answer = Arc::new((result.clone(), stats.clone()));
                 let occupancy = self.store(query, answer, bytes);
                 ((result, stats), occupancy)
@@ -339,6 +349,8 @@ fn gauges() -> &'static Gauges {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arith::Rational;
+    use decomp::Decomposition;
     use hypergraph::{generators, Hypergraph};
     use std::collections::HashSet;
 
@@ -370,24 +382,30 @@ mod tests {
         (v, stats.result_cache_hits == 1)
     }
 
-    /// Re-sums every answer from the stored values (not from the recorded
-    /// bytes), each charging its instance key in full however many
-    /// answers share it, and checks it against the running total, and
-    /// checks that the tick order holds exactly the stored queries at
-    /// their ticks.
+    /// [`assert_accounting_with`] over the `u32` answers of [`ask`].
     fn assert_accounting(cache: &ResultCache) {
+        assert_accounting_with(cache, |answer| {
+            let (v, s) = answer
+                .downcast_ref::<(u32, SearchStats)>()
+                .expect("test answers");
+            v.approx_bytes() + s.approx_bytes()
+        });
+    }
+
+    /// Re-sums every answer from the stored values (not from the recorded
+    /// bytes; `answer_bytes` sizes one stored answer), each charging its
+    /// instance key in full however many answers share it, and checks it
+    /// against the running total, and checks that the tick order holds
+    /// exactly the stored queries at their ticks.
+    fn assert_accounting_with(cache: &ResultCache, answer_bytes: impl Fn(&Answer) -> usize) {
         let table = cache.lock();
         let mut resum = 0;
         for (q, stored) in &table.entries {
-            let (v, s) = stored
-                .answer
-                .downcast_ref::<(u32, SearchStats)>()
-                .expect("test answers");
             let query = std::mem::size_of::<u64>()
                 + q.query.instance.approx_bytes()
                 + std::mem::size_of::<&str>()
                 + q.query.params.approx_bytes();
-            resum += query + v.approx_bytes() + s.approx_bytes();
+            resum += query + answer_bytes(&stored.answer);
             assert!(
                 table.order.get(&stored.tick) == Some(q),
                 "answer out of order"
@@ -557,6 +575,68 @@ mod tests {
         assert_accounting(&cache);
         assert!(next_new > 2_000, "only {next_new} distinct queries");
         assert!(evictions > next_new / 2, "budget never bound: {evictions}");
+    }
+
+    /// The fhw, ghw and hw answers of one acyclic instance share its one
+    /// join tree, and each charges the whole tree: the running total
+    /// equals a re-sum that counts the tree in full per answer. Under a
+    /// budget of one answer, each store evicts the one before it, never
+    /// itself.
+    #[test]
+    fn answers_sharing_one_tree_each_charge_it_in_full() {
+        type Fhw = (Option<(Rational, Decomposition)>, SearchStats);
+        type Width = (Option<(usize, Decomposition)>, SearchStats);
+        let h = generators::cq_chain(5, 3, 1);
+        let key = key_of(&h);
+        let tree = decomp::join_tree(&h).expect("acyclic");
+        let stats = SearchStats {
+            ub_width: Some(Rational::one()),
+            ..SearchStats::default()
+        };
+        // Each store and its repeat: hit or not, and the stored tree.
+        let store_all = |cache: &ResultCache| {
+            let fhw = |hit| {
+                let (r, s): Fhw = cache.query(&key, "result-fhw", "p".into(), || {
+                    (Some((Rational::one(), tree.clone())), stats.clone())
+                });
+                assert_eq!(s.result_cache_hits == 1, hit, "fhw");
+                r.expect("width 1").1
+            };
+            let width = |slot, hit| {
+                let (r, s): Width = cache.query(&key, slot, "p".into(), || {
+                    (Some((1, tree.clone())), stats.clone())
+                });
+                assert_eq!(s.result_cache_hits == 1, hit, "{slot}");
+                r.expect("width 1").1
+            };
+            [
+                (fhw(false), fhw(true)),
+                (width("result-ghw", false), width("result-ghw", true)),
+                (width("result-hw", false), width("result-hw", true)),
+            ]
+        };
+        let answer_bytes = |answer: &Answer| match answer.downcast_ref::<Fhw>() {
+            Some(fhw) => fhw.approx_bytes(),
+            None => answer
+                .downcast_ref::<Width>()
+                .expect("a width answer")
+                .approx_bytes(),
+        };
+
+        let cache = ResultCache::new(1 << 20);
+        for (stored, replayed) in store_all(&cache) {
+            assert_eq!((&stored, &replayed), (&tree, &tree));
+        }
+        assert_eq!(cache.len(), 3);
+        assert_accounting_with(&cache, answer_bytes);
+        assert!(cache.approx_bytes() > 3 * tree.approx_bytes());
+
+        // Room for any one of the three answers, not for two.
+        let one = cache.approx_bytes() / 2 - 1;
+        let small = ResultCache::new(one);
+        store_all(&small);
+        assert_eq!(small.len(), 1, "only the last answer stays");
+        assert_accounting_with(&small, answer_bytes);
     }
 
     /// Evictions racing in-flight searches: four threads start together and

@@ -57,6 +57,15 @@
 //! one `price` span: the DP's bags, the seed's bags, and an engine bag on
 //! a miss of its search's [`cover::PriceMemo`], which starts empty (a hit
 //! prices nothing).
+//!
+//! Witnesses are shared, not copied: a [`Decomposition`] is a
+//! copy-on-write tree whose clone bumps a reference count. `width_one`
+//! answers with a clone of the instance's join tree, so the three width
+//! answers of an α-acyclic verdict, and the result cache's entries of
+//! them, hold one tree; a block answered by its seed hands out a clone of
+//! the seed slot's tree. [`Instance::solve`] drops the witness's growth
+//! slack once, where it leaves the search, and the result cache keeps
+//! that very tree.
 
 use crate::{
     stream_subset_bags, Admission, CandidateStream, EngineOptions, Guess, SearchContext,
@@ -453,7 +462,14 @@ impl<'h> Instance<'h> {
             if let Some(d) = instance.join_tree() {
                 return width_one(d.clone(), cutoff.as_ref());
             }
-            instance.each_block(|block, seed| solve_block::<M>(block, seed, cutoff.clone(), &floor))
+            let (mut result, stats) = instance
+                .each_block(|block, seed| solve_block::<M>(block, seed, cutoff.clone(), &floor));
+            // The witness leaves its search here, and the result cache
+            // keeps this very tree: drop its growth slack.
+            if let Some((_, d)) = &mut result {
+                d.shrink_to_fit();
+            }
+            (result, stats)
         })
     }
 
@@ -481,7 +497,7 @@ impl<'h> Instance<'h> {
 
 /// Width 1, certified by the join tree `d` of an α-acyclic instance or
 /// block: `ub_width = 1` and no other counter, `None` at a cutoff of at
-/// most 1.
+/// most 1. The instance's tree is passed as a clone, which shares it.
 fn width_one<C: From<usize> + Ord>(
     d: Decomposition,
     cutoff: Option<&C>,

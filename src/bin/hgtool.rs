@@ -547,7 +547,13 @@ fn widths(
         } else {
             println!(
                 "path: cyclic (the GYO ear removal failed): hw runs det-k from \
-                 k = 2, ghw and fhw seed and search each block"
+                 k = 2; ghw and fhw seed each block of at most {} vertices and \
+                 search below the seed with the elimination DP. Past that \
+                 window an acyclic block is its join tree, fhw answers n/a \
+                 unseeded, and ghw keeps a seed of at most 2 or runs the \
+                 width-2 edge-union search, else n/a; `hgtool check ghd 2` \
+                 runs the paper's check for an n/a ghw",
+                hypertree::candgen::elimination::MAX_EXACT_VERTICES
             );
         }
         if opts.prep {

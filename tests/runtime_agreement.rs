@@ -234,6 +234,86 @@ fn concurrent_identical_queries_agree_and_a_repeat_hits() {
     assert_eq!(validate::validate_fhd(&h, &d), Ok(()));
 }
 
+/// A returned witness shares its tree with the stored answer until it is
+/// edited, so corrupting it must leave the stored answer as it was. On
+/// the acyclic chain, `exact_widths_with_opts` stores fhw, ghw and hw
+/// answers that share one join tree; grid(3,3) is cyclic.
+#[test]
+fn editing_a_returned_witness_leaves_the_stored_answer_intact() {
+    for h in [generators::cq_chain(5, 3, 1), generators::grid(3, 3)] {
+        hypertree::exact_widths_with_opts(&h, 8, warm()).expect("small instance");
+        let (first, _) = ghd::ghw_exact_with_stats(&h, None, warm());
+        let (width, mut d) = first.expect("small instance decomposes");
+        let rendered = d.render(&h);
+        d.node_mut(0).bag.clear();
+        let root = d.node(0).clone();
+        d.add_child(0, root);
+        assert_ne!(d.render(&h), rendered, "the edit took");
+
+        let (again, stats) = ghd::ghw_exact_with_stats(&h, None, warm());
+        assert_eq!(stats.result_cache_hits, 1, "the repeat hits");
+        let (again_width, again) = again.expect("the stored answer");
+        assert_eq!(again_width, width);
+        assert_eq!(
+            again.render(&h),
+            rendered,
+            "the stored witness is unchanged"
+        );
+        assert_eq!(validate::validate_ghd(&h, &again), Ok(()));
+        // The verdict's other answers, which may share the tree, too.
+        let (hw, stats) = hd::hypertree_width_with_stats(&h, 8, warm());
+        assert_eq!(stats.result_cache_hits, 1, "hw hits");
+        assert_eq!(validate::validate_hd(&h, &hw.expect("hw").1), Ok(()));
+        let (fhw, stats) = fhd::fhw_exact_with_stats(&h, None, warm());
+        assert_eq!(stats.result_cache_hits, 1, "fhw hits");
+        assert_eq!(validate::validate_fhd(&h, &fhw.expect("fhw").1), Ok(()));
+    }
+}
+
+/// Two threads hit one stored answer at once and each edits its own
+/// witness: each sees only its own edit, and a third hit returns the
+/// stored tree unchanged and valid.
+#[test]
+fn concurrent_hits_edit_their_own_copies() {
+    let h = generators::grid(2, 6);
+    let (stored, _) = ghd::ghw_exact_with_stats(&h, None, warm());
+    let rendered = stored.expect("small instance decomposes").1.render(&h);
+    let (hit, edited) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+    let edit = |clear_root: bool| {
+        hit.wait();
+        let (answer, stats) = ghd::ghw_exact_with_stats(&h, None, warm());
+        assert_eq!(stats.result_cache_hits, 1, "both threads hit");
+        let (_, mut d) = answer.expect("the stored answer");
+        let len = d.len();
+        if clear_root {
+            d.node_mut(0).bag.clear();
+        } else {
+            let root = d.node(0).clone();
+            d.add_child(0, root);
+        }
+        edited.wait();
+        if clear_root {
+            assert!(d.node(0).bag.is_empty(), "my edit");
+            assert_eq!(d.len(), len, "not the other thread's edit");
+        } else {
+            assert_eq!(d.len(), len + 1, "my edit");
+            assert!(!d.node(0).bag.is_empty(), "not the other thread's edit");
+        }
+        d.render(&h)
+    };
+    let (cleared, grown) = std::thread::scope(|s| {
+        let other = s.spawn(|| edit(false));
+        let mine = edit(true);
+        (mine, other.join().expect("the other thread completes"))
+    });
+    assert!(cleared != rendered && grown != rendered && cleared != grown);
+    let (again, stats) = ghd::ghw_exact_with_stats(&h, None, warm());
+    assert_eq!(stats.result_cache_hits, 1, "a third call hits");
+    let (_, d) = again.expect("the stored answer");
+    assert_eq!(d.render(&h), rendered, "the stored tree is unchanged");
+    assert_eq!(validate::validate_ghd(&h, &d), Ok(()));
+}
+
 /// A batch of instances: a second identical pass in the same process is
 /// answered from the result cache on every instance, with identical
 /// widths.
