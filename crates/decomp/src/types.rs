@@ -9,6 +9,7 @@
 use arith::Rational;
 use hypergraph::{Hypergraph, VertexSet};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A node of a decomposition: a bag plus an edge-weight function.
@@ -94,31 +95,63 @@ impl cover::MemSize for Node {
 impl cover::MemSize for Decomposition {
     /// The whole tree — the shared allocation's header and every vector —
     /// however many holders share it, so answers that share one tree each
-    /// charge it in full and their total stays an upper bound.
+    /// charge it in full and their total stays an upper bound. The first
+    /// call walks the tree and memoizes the sum in it; an edit resets the
+    /// memo, so holders sharing one tree walk it once.
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let t = &*self.tree;
+        let memo = t.bytes.load(Ordering::Relaxed);
+        if memo != 0 {
+            return memo;
+        }
         let children: usize = t
             .children
             .iter()
             .map(|c| size_of::<Vec<usize>>() + c.capacity() * size_of::<usize>())
             .sum();
-        size_of::<Decomposition>()
+        let bytes = size_of::<Decomposition>()
             + size_of::<[usize; 2]>() // the `Arc`'s two reference counts
             + size_of::<Tree>()
             + t.nodes.iter().map(Node::approx_bytes).sum::<usize>()
             + t.parent.capacity() * size_of::<Option<usize>>()
-            + children
+            + children;
+        t.bytes.store(bytes, Ordering::Relaxed);
+        bytes
     }
 }
 
 /// The body of a [`Decomposition`], shared by its clones.
-#[derive(Clone, PartialEq, Eq)]
 struct Tree {
     nodes: Vec<Node>,
     parent: Vec<Option<usize>>,
     children: Vec<Vec<usize>>,
+    /// The tree's [`MemSize`](cover::MemSize) once a walk has computed it,
+    /// 0 until then (a tree is never 0 bytes); reset by every edit.
+    bytes: AtomicUsize,
 }
+
+impl Clone for Tree {
+    /// A copy of the vectors at their lengths, its size not yet known.
+    fn clone(&self) -> Self {
+        Tree {
+            nodes: self.nodes.clone(),
+            parent: self.parent.clone(),
+            children: self.children.clone(),
+            bytes: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl PartialEq for Tree {
+    /// The tree's contents; the size memo is not part of them.
+    fn eq(&self, other: &Self) -> bool {
+        (&self.nodes, &self.parent, &self.children)
+            == (&other.nodes, &other.parent, &other.children)
+    }
+}
+
+impl Eq for Tree {}
 
 /// A rooted decomposition tree. Node 0 is always the root.
 ///
@@ -167,6 +200,7 @@ impl Decomposition {
             nodes: Vec::with_capacity(n),
             parent: Vec::with_capacity(n),
             children: Vec::with_capacity(n),
+            bytes: AtomicUsize::new(0),
         };
         tree.nodes.push(root);
         tree.parent.push(None);
@@ -176,9 +210,12 @@ impl Decomposition {
         }
     }
 
-    /// The tree to edit: this holder's own, copied first if shared.
+    /// The tree to edit: this holder's own, copied first if shared, its
+    /// size memo reset.
     fn tree_mut(&mut self) -> &mut Tree {
-        Arc::make_mut(&mut self.tree)
+        let t = Arc::make_mut(&mut self.tree);
+        *t.bytes.get_mut() = 0;
+        t
     }
 
     /// Adds a node under `parent`; returns the new node id.
@@ -503,6 +540,48 @@ mod tests {
             cover::MemSize::approx_bytes(&d) < bytes,
             "the slack is gone"
         );
+    }
+
+    /// The size memo never outlives an edit: after each mutator, a tree
+    /// measured before the edit charges what the same edit on a tree never
+    /// measured charges.
+    #[test]
+    fn size_memo_follows_every_edit() {
+        use cover::MemSize;
+        type Edit = fn(&mut Decomposition);
+        let edits: [(&str, Edit); 4] = [
+            ("add_child", |d| {
+                d.add_child(1, fresh_node());
+            }),
+            ("node_mut", |d| {
+                d.node_mut(0).weights.push((2, Rational::one()))
+            }),
+            ("splice_out", |d| d.splice_out(1)),
+            ("shrink_to_fit", Decomposition::shrink_to_fit),
+        ];
+        // Five nodes in room for eight, so shrinking changes the size too.
+        let slack = || {
+            let mut d = simple_tree();
+            d.add_child(3, fresh_node());
+            d
+        };
+        for (name, edit) in edits {
+            let mut measured = slack();
+            let before = measured.approx_bytes();
+            edit(&mut measured);
+            let mut fresh = slack();
+            edit(&mut fresh);
+            assert_ne!(fresh.approx_bytes(), before, "{name} changes the size");
+            assert_eq!(measured.approx_bytes(), fresh.approx_bytes(), "{name}");
+
+            // The clone measures the shared tree; its edit leaves the
+            // original's size as it was.
+            let original = slack();
+            let mut copy = original.clone();
+            assert_eq!(copy.approx_bytes(), before, "{name}: one tree");
+            edit(&mut copy);
+            assert_eq!(original.approx_bytes(), before, "{name} on a clone");
+        }
     }
 
     #[test]

@@ -93,9 +93,8 @@ pub fn hypertree_width_with_stats(
 /// As [`hypertree_width_with_stats`], but the `k` iteration starts at
 /// `floor`, a proven lower bound `floor <= hw(H)` (e.g. `ghw(H)`). The
 /// checks below `floor` all fail, so the first check that succeeds — and
-/// with it the width and the witness — is the same as from `k = 1`, and
-/// the result-cache entry is shared with [`hypertree_width_with_stats`].
-/// The counters cover only the checks that ran. Only at `floor <= 1` is
+/// with it the width and the witness — is the same as from `k = 1`. The
+/// counters cover only the checks that ran. Only at `floor <= 1` is
 /// `k = 1` asked, of the join tree; an exact caller that knows `ghw ≥ 2`
 /// passes it and runs no acyclicity test. [`hypertree_width_on`] on a
 /// fresh [`exact::Instance`].
@@ -113,13 +112,19 @@ pub fn hypertree_width_at_least(
 /// 1, its join tree, so a caller asking `hw`, `ghw` and `fhw` of one
 /// instance hashes it once and runs GYO at most once. The answer and the
 /// counters are those of [`hypertree_width_at_least`].
+///
+/// The result-cache parameters name the first det-k check,
+/// `max(floor, 2)`: two floors share an answer only when they run the same
+/// checks (floors 1 and 2 do; the join tree counts nothing), so a hit
+/// replays exactly the counters a cold call at its floor reports.
 pub fn hypertree_width_on(
     instance: &mut exact::Instance<'_>,
     floor: usize,
     max_k: usize,
 ) -> (Option<(usize, Decomposition)>, SearchStats) {
     let prep = instance.options().prep;
-    let params = || format!("max_k={max_k};prep={prep}");
+    let from = floor.max(2);
+    let params = || format!("max_k={max_k};prep={prep};from={from}");
     instance.front_door("hw", "result-hw", params, |instance| {
         if floor <= 1 && max_k >= 1 {
             if let Some(d) = instance.join_tree() {
@@ -131,7 +136,7 @@ pub fn hypertree_width_on(
         // block and only the final witness is lifted.
         let (mut result, stats) = prep::run_decision(instance.hypergraph(), prep, |block| {
             let mut total = SearchStats::default();
-            for k in floor.max(2)..=max_k {
+            for k in from..=max_k {
                 let (d, stats) = check_hd_piece(block, k);
                 total.merge(&stats);
                 if let Some(d) = d {

@@ -11,7 +11,7 @@
 //! names its cover edges by id), so it is only valid for an instance with
 //! the identical numbering of both.
 //!
-//! An [`InstanceKey`] is the instance part of the result cache's key (see
+//! An [`InstanceKey`] is the result cache's key (see
 //! [`crate::global_cache`]): the vertex count, the canonical form and a
 //! 64-bit hash of both under a per-process keyed [`RandomState`], computed
 //! once when the key is built. A verdict builds one key and shares it
@@ -55,10 +55,9 @@ pub fn canonical_form(h: &Hypergraph) -> CanonicalForm {
     canon
 }
 
-/// The per-process keyed hasher of instance keys and result-cache
-/// queries: keys come from outside the program, so their hashes must not
-/// be predictable.
-pub(crate) fn keyed() -> &'static RandomState {
+/// The per-process keyed hasher of instance keys: keys come from outside
+/// the program, so their hashes must not be predictable.
+fn keyed() -> &'static RandomState {
     static KEYED: OnceLock<RandomState> = OnceLock::new();
     KEYED.get_or_init(RandomState::new)
 }

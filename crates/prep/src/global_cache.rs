@@ -4,33 +4,35 @@
 //! engine counters of the run that computed it — across calls, so a
 //! repeated query skips the search entirely.
 //!
-//! An answer is stored under one query: the instance's [`InstanceKey`]
-//! (its vertex count, its flat
+//! The cache holds one entry per instance. Its map goes from the
+//! instance's [`InstanceKey`] (its vertex count, its flat
 //! [`CanonicalForm`](crate::fingerprint::CanonicalForm) and a keyed hash
-//! of both), the strategy slot and a parameter string covering everything
-//! the answer depends on. A verdict builds one key and shares it, behind
-//! an [`Arc`], among the queries of its width measures. Each query
-//! computes its own keyed hash once, from the key's hash, the slot and the
-//! parameter string, and the map holds it inline beside the query: the
-//! map hashes that one word, so a lookup, a store and a table growth
-//! never walk a stored query. Equality still compares the whole query —
-//! slot, parameters, vertex count and canonical form — so two instances
-//! share an answer only when their incidence structure is identical
-//! (names aside), and no hash collision can mix them. The hashes are keyed
-//! per process (the standard library's `RandomState`), since keys come
-//! from outside the program.
+//! of both, computed once when the key is built) to one entry holding
+//! every answer of that instance, each under its strategy slot and a
+//! parameter string covering everything the answer depends on. A verdict
+//! builds one key and shares it, behind an [`Arc`], among the queries of
+//! its width measures, and the map keeps that very `Arc`, with the key's
+//! hash inline beside it: the map hashes that one word, so a lookup, a
+//! store and a table growth never read a stored key. Equality still
+//! compares the whole key — vertex count and canonical form — so two
+//! instances share answers only when their incidence structure is
+//! identical (names aside), and no hash collision can mix them. The hash
+//! is keyed per process (the standard library's `RandomState`), since
+//! keys come from outside the program.
 //!
-//! One mutex guards the answers and their LRU order: a map from query to
-//! its answer, tick and bytes, the tick order of the answers and their
-//! byte total. A hit takes the lock once, a miss twice (lookup, store);
-//! the search runs unlocked in between. A search can run for seconds and
-//! can unwind on cancel, and other threads' queries must not wait behind
-//! it. A search that unwinds stores nothing. Nothing is claimed while a
-//! search runs, so two threads that miss one query at once both search;
-//! the first store wins and the later one is dropped, so an answer's bytes
-//! are charged once. No production caller issues such twins: serve solves
-//! one request at a time, and `hgtool` and the benchmark are
-//! single-threaded.
+//! One mutex guards the entries and their LRU order: the map from instance
+//! to entry, the tick order of the instances, their byte total and the
+//! count of answers. A lookup and a store each take the lock once, probe
+//! the map once by the key's hash and scan the entry's few answers (one
+//! per measure and parameter string); the search runs unlocked in
+//! between. A search can run for seconds and can unwind on cancel, and
+//! other threads' queries must not wait behind it. A search that unwinds
+//! stores nothing, so an entry may hold some of its instance's answers and
+//! not others. Nothing is claimed while a search runs, so two threads that
+//! miss one query at once both search; the first store wins and the later
+//! one is dropped, so an answer's bytes are charged once. No production
+//! caller issues such twins: serve solves one request at a time, and
+//! `hgtool` and the benchmark are single-threaded.
 //!
 //! Witnesses are shared, not copied: a `decomp::Decomposition` is a
 //! copy-on-write tree whose clone bumps a reference count. A miss stores
@@ -39,15 +41,18 @@
 //! answer. The three width answers of an α-acyclic verdict hold one join
 //! tree.
 //!
-//! Memory: the answers share one byte budget ([`BUDGET_ENV`], default
+//! Memory: the entries share one byte budget ([`BUDGET_ENV`], default
 //! 64 MiB), estimated via [`cover::MemSize`] when an answer is stored.
-//! Each answer charges its whole query (the shared instance key in full)
-//! and its whole witness (a tree held by several answers is charged in
-//! full by each), so the total is an upper bound on what the answers
-//! hold. A hit moves its answer to a fresh tick; a store evicts
-//! least-recent answers while the total exceeds the budget, never the
-//! answer just stored. The budget therefore holds after every store, and
-//! a call costs `O(log n)` in the `n` resident answers.
+//! An entry charges its instance key once and each answer its slot,
+//! parameter string, result and counters; a witness charges its whole tree
+//! (a tree held by several answers is charged in full by each, and walked
+//! once: the tree memoizes its size), so the total is an upper bound on
+//! what the answers hold. The LRU order is over instances, one tick each:
+//! a hit makes its instance the most recent, and so does a store; a store
+//! evicts whole least-recent instances while the total exceeds the budget,
+//! never the one just stored to. The budget therefore holds after every
+//! store unless that one instance alone exceeds it, and a call costs
+//! `O(log n)` in the `n` resident instances.
 //!
 //! Determinism: widths, witnesses and engine counters are unaffected (a
 //! hit replays the stored answer unchanged); only the runtime counter
@@ -58,15 +63,16 @@
 //! `solver::exact::Instance::front_door`, the door of the three width
 //! queries (slots `result-hw`, `result-ghw`, `result-fhw`); it also adds
 //! the returned counters to the `obs` registry. The cache itself keeps
-//! only its occupancy gauges there.
+//! only its occupancy gauges there, which count answers, not instances.
 
-use crate::fingerprint::{keyed, InstanceKey};
+use crate::fingerprint::InstanceKey;
 use crate::stats::SearchStats;
 use cover::MemSize;
+use hypergraph::fx::FxHashMap;
 use obs::metrics::{gauge, Gauge};
 use std::any::Any;
-use std::collections::{hash_map, BTreeMap, HashMap};
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::collections::{hash_map, BTreeMap};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Environment variable overriding the result cache's byte budget.
@@ -75,35 +81,24 @@ pub const BUDGET_ENV: &str = "HGTOOL_CACHE_BYTES";
 /// Default byte budget of the process-wide result cache.
 const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
 
-/// One query: the instance's shared key, the strategy slot and the
-/// parameter string. Equality compares all three, the canonical forms
-/// included (unless both share one key).
-#[derive(PartialEq, Eq)]
-struct Query {
-    instance: Arc<InstanceKey>,
-    slot: &'static str,
-    params: String,
-}
+/// The answers an entry makes room for when its instance is first stored:
+/// one per width measure of a verdict.
+const MEASURES: usize = 3;
 
-/// A query as the map keys it: the query's keyed hash inline, beside the
-/// shared query. [`Hash`] writes only that word, so a lookup, a store and
-/// a table growth read no stored query; equality compares the hashes, then
-/// the whole queries.
+/// An instance as the map keys it: its key's stored hash inline, beside
+/// the shared key. [`Hash`] writes only that word, so a probe and a table
+/// growth read no key; equality compares the hashes, then the whole keys.
 #[derive(Clone)]
 struct Keyed {
     hash: u64,
-    query: Arc<Query>,
+    key: Arc<InstanceKey>,
 }
 
 impl Keyed {
-    fn new(instance: &Arc<InstanceKey>, slot: &'static str, params: String) -> Self {
+    fn new(key: &Arc<InstanceKey>) -> Self {
         Keyed {
-            hash: keyed().hash_one((instance.hash(), slot, &params)),
-            query: Arc::new(Query {
-                instance: Arc::clone(instance),
-                slot,
-                params,
-            }),
+            hash: key.hash(),
+            key: Arc::clone(key),
         }
     }
 }
@@ -116,53 +111,92 @@ impl Hash for Keyed {
 
 impl PartialEq for Keyed {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.query == other.query
+        self.hash == other.hash && self.key == other.key
     }
 }
 
 impl Eq for Keyed {}
 
-impl MemSize for Keyed {
-    /// The instance key counts in full, whichever answers share it.
-    fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<u64>()
-            + self.query.instance.approx_bytes()
-            + std::mem::size_of::<&str>()
-            + self.query.params.approx_bytes()
-    }
-}
-
 /// A stored `(result, stats)` pair, type-erased (the slot fixes the type).
 type Answer = Arc<dyn Any + Send + Sync>;
 
-/// One resident answer, its place in the tick order and its charged bytes.
+/// One answer of an instance: its slot, its parameter string and the
+/// stored pair.
 struct Stored {
+    slot: &'static str,
+    params: String,
     answer: Answer,
+}
+
+/// One resident instance: its answers in store order, its place in the
+/// tick order and the bytes charged for it (its key once, plus each
+/// answer).
+struct Entry {
+    answers: Vec<Stored>,
     tick: u64,
     bytes: usize,
+}
+
+impl Entry {
+    /// The answer stored under `(slot, params)`, if any.
+    fn find(&self, slot: &str, params: &str) -> Option<&Stored> {
+        self.answers
+            .iter()
+            .find(|s| s.slot == slot && s.params == params)
+    }
+}
+
+/// The LRU order of the resident instances.
+#[derive(Default)]
+struct Order {
+    /// Tick → instance, least recent first.
+    ticks: BTreeMap<u64, Keyed>,
+    next: u64,
+}
+
+impl Order {
+    /// Appends `keyed` as the most recent instance; returns its tick.
+    fn push(&mut self, keyed: Keyed) -> u64 {
+        let tick = self.next;
+        self.next += 1;
+        self.ticks.insert(tick, keyed);
+        tick
+    }
+
+    /// Makes the instance at `*tick` the most recent one; one that already
+    /// is keeps its tick.
+    fn refresh(&mut self, tick: &mut u64) {
+        if *tick + 1 != self.next {
+            let keyed = self.ticks.remove(tick).expect("entries are ordered");
+            *tick = self.push(keyed);
+        }
+    }
 }
 
 /// Everything the one lock guards.
 #[derive(Default)]
 struct Table {
-    entries: HashMap<Keyed, Stored>,
-    /// Tick → query of every answer, least recent first.
-    order: BTreeMap<u64, Keyed>,
-    next_tick: u64,
-    /// The sum of every answer's bytes.
+    /// Instance → its entry. The key's hash is already keyed per process,
+    /// so crafted keys cannot aim at one bucket, and the map only mixes
+    /// that one word.
+    entries: FxHashMap<Keyed, Entry>,
+    order: Order,
+    /// The sum of every entry's bytes.
     total_bytes: usize,
+    /// Answers resident, over all entries.
+    answers: usize,
 }
 
 impl Table {
-    /// `(approx_bytes, len)` of the resident answers.
+    /// `(approx_bytes, answers)` of the resident entries.
     fn occupancy(&self) -> (usize, usize) {
-        (self.total_bytes, self.order.len())
+        (self.total_bytes, self.answers)
     }
 }
 
-/// The cross-call result cache: answers and their LRU order under one
-/// lock. Obtain the process-wide one through [`global`]; tests build
-/// private instances with [`ResultCache::new`].
+/// The cross-call result cache: one entry per instance and their LRU
+/// order under one lock. Obtain the process-wide one through [`global`];
+/// tests build private instances with [`ResultCache::new`].
 pub struct ResultCache {
     table: Mutex<Table>,
     budget: usize,
@@ -220,8 +254,8 @@ impl ResultCache {
         R: Clone + MemSize + Send + Sync + 'static,
     {
         let span = obs::span!("result_cache", slot = slot);
-        let query = Keyed::new(instance, slot, params);
-        let hit = self.lookup(&query);
+        let keyed = Keyed::new(instance);
+        let hit = self.lookup(&keyed, slot, &params);
         if let Some(span) = span.as_ref() {
             span.record("hit", hit.is_some());
         }
@@ -236,11 +270,19 @@ impl ResultCache {
             }
             None => {
                 let (result, stats) = run();
-                let bytes = query.approx_bytes() + result.approx_bytes() + stats.approx_bytes();
+                let bytes = std::mem::size_of::<&str>()
+                    + params.approx_bytes()
+                    + result.approx_bytes()
+                    + stats.approx_bytes();
                 // Cloning shares the witness: the cache keeps the tree it
                 // returns.
                 let answer: Answer = Arc::new((result.clone(), stats.clone()));
-                let occupancy = self.store(query, answer, bytes);
+                let stored = Stored {
+                    slot,
+                    params,
+                    answer,
+                };
+                let occupancy = self.store(keyed, stored, bytes);
                 ((result, stats), occupancy)
             }
         };
@@ -250,49 +292,66 @@ impl ResultCache {
         answer
     }
 
-    /// The stored answer of `query`, moved to a fresh tick, with the
-    /// occupancy; `None` on a miss.
-    fn lookup(&self, query: &Keyed) -> Option<(Answer, (usize, usize))> {
+    /// The answer stored under `(keyed, slot, params)`, its instance made
+    /// the most recent, with the occupancy; `None` on a miss.
+    fn lookup(&self, keyed: &Keyed, slot: &str, params: &str) -> Option<(Answer, (usize, usize))> {
         let mut table = self.lock();
         let t = &mut *table;
-        let stored = t.entries.get_mut(query)?;
-        let held = t.order.remove(&stored.tick).expect("answers are ordered");
-        stored.tick = t.next_tick;
-        t.next_tick += 1;
-        t.order.insert(stored.tick, held);
-        let answer = Arc::clone(&stored.answer);
+        let entry = t.entries.get_mut(keyed)?;
+        let answer = Arc::clone(&entry.find(slot, params)?.answer);
+        t.order.refresh(&mut entry.tick);
         Some((answer, t.occupancy()))
     }
 
-    /// Stores `answer` at a fresh tick unless `query` already has one,
-    /// then evicts from the front of the order while the total exceeds the
-    /// budget. The new answer holds the newest tick, so it is the front
-    /// only once every other answer is gone — and it stays. Returns the
-    /// occupancy after the store.
-    fn store(&self, query: Keyed, answer: Answer, bytes: usize) -> (usize, usize) {
+    /// Adds `stored`, charged `bytes`, to the instance's entry (made on its
+    /// first answer, charged the key too) and makes the instance the most
+    /// recent, unless the entry already holds an answer under the same
+    /// slot and parameters. Then evicts whole entries from the front of
+    /// the order while the total exceeds the budget. The instance stored to
+    /// is the most recent, so it is the front only once every other entry
+    /// is gone — and it stays. Returns the occupancy after the store.
+    fn store(&self, keyed: Keyed, stored: Stored, bytes: usize) -> (usize, usize) {
         let mut table = self.lock();
         let t = &mut *table;
-        if let hash_map::Entry::Vacant(slot) = t.entries.entry(query) {
-            let tick = t.next_tick;
-            t.next_tick += 1;
-            t.order.insert(tick, slot.key().clone());
-            t.total_bytes += bytes;
-            slot.insert(Stored {
-                answer,
-                tick,
-                bytes,
-            });
-            while t.total_bytes > self.budget && t.order.len() > 1 {
-                let (_, victim) = t.order.pop_first().expect("more than one answer");
-                if let Some(evicted) = t.entries.remove(&victim) {
-                    t.total_bytes -= evicted.bytes;
+        let charged = match t.entries.entry(keyed) {
+            hash_map::Entry::Occupied(slot) => {
+                let entry = slot.into_mut();
+                if entry.find(stored.slot, &stored.params).is_some() {
+                    return t.occupancy();
                 }
+                t.order.refresh(&mut entry.tick);
+                entry.answers.push(stored);
+                entry.bytes += bytes;
+                bytes
             }
+            hash_map::Entry::Vacant(slot) => {
+                let bytes = slot.key().key.approx_bytes() + bytes;
+                let tick = t.order.push(slot.key().clone());
+                let mut answers = Vec::with_capacity(MEASURES);
+                answers.push(stored);
+                slot.insert(Entry {
+                    answers,
+                    tick,
+                    bytes,
+                });
+                bytes
+            }
+        };
+        t.total_bytes += charged;
+        t.answers += 1;
+        while t.total_bytes > self.budget && t.order.ticks.len() > 1 {
+            let (_, victim) = t.order.ticks.pop_first().expect("more than one entry");
+            let evicted = t
+                .entries
+                .remove(&victim)
+                .expect("ordered entries are resident");
+            t.total_bytes -= evicted.bytes;
+            t.answers -= evicted.answers.len();
         }
         t.occupancy()
     }
 
-    /// Answers resident.
+    /// Answers resident, over all instances.
     pub fn len(&self) -> usize {
         self.lock().occupancy().1
     }
@@ -302,7 +361,7 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// The running byte estimate of the resident answers.
+    /// The running byte estimate of the resident entries.
     pub fn approx_bytes(&self) -> usize {
         self.lock().occupancy().0
     }
@@ -360,12 +419,19 @@ mod tests {
         Arc::new(InstanceKey::of(h))
     }
 
-    /// The bytes a store of `(value, default stats)` for `(instance,
-    /// params)` charges: the whole query, the shared key in full.
-    fn charge(instance: &Arc<InstanceKey>, params: &str, value: u32) -> usize {
-        Keyed::new(instance, SLOT, params.to_string()).approx_bytes()
+    /// The bytes an answer `(value, default stats)` under `params`
+    /// charges, its instance's key aside.
+    fn answer_charge(params: &str, value: u32) -> usize {
+        std::mem::size_of::<&str>()
+            + params.to_string().approx_bytes()
             + value.approx_bytes()
             + SearchStats::default().approx_bytes()
+    }
+
+    /// The bytes an instance holding the one answer `(value, default
+    /// stats)` under `params` charges: its key and that answer.
+    fn charge(instance: &Arc<InstanceKey>, params: &str, value: u32) -> usize {
+        instance.approx_bytes() + answer_charge(params, value)
     }
 
     /// Queries `(instance, params)`, answering `value` on a miss; returns
@@ -392,28 +458,33 @@ mod tests {
         });
     }
 
-    /// Re-sums every answer from the stored values (not from the recorded
+    /// Re-sums every entry from the stored values (not from the recorded
     /// bytes; `answer_bytes` sizes one stored answer), each charging its
-    /// instance key in full however many answers share it, and checks it
-    /// against the running total, and checks that the tick order holds
-    /// exactly the stored queries at their ticks.
+    /// instance key once and each of its answers in full, and checks it
+    /// against the running total; checks that the tick order holds exactly
+    /// the resident instances at their ticks and that the answer count is
+    /// the sum over the entries.
     fn assert_accounting_with(cache: &ResultCache, answer_bytes: impl Fn(&Answer) -> usize) {
         let table = cache.lock();
         let mut resum = 0;
-        for (q, stored) in &table.entries {
-            let query = std::mem::size_of::<u64>()
-                + q.query.instance.approx_bytes()
-                + std::mem::size_of::<&str>()
-                + q.query.params.approx_bytes();
-            resum += query + answer_bytes(&stored.answer);
+        let mut answers = 0;
+        for (key, entry) in &table.entries {
+            resum += key.key.approx_bytes();
+            for stored in &entry.answers {
+                resum += std::mem::size_of::<&str>()
+                    + stored.params.approx_bytes()
+                    + answer_bytes(&stored.answer);
+            }
+            answers += entry.answers.len();
             assert!(
-                table.order.get(&stored.tick) == Some(q),
-                "answer out of order"
+                table.order.ticks.get(&entry.tick) == Some(key),
+                "entry out of order"
             );
         }
         assert_eq!(table.total_bytes, resum, "running total");
+        assert_eq!(table.answers, answers, "answer count");
         assert_eq!(
-            table.order.len(),
+            table.order.ticks.len(),
             table.entries.len(),
             "order and map agree"
         );
@@ -466,10 +537,10 @@ mod tests {
     }
 
     /// Two different instances forced to one 64-bit hash, asked under one
-    /// slot and parameter string, so their queries' hashes collide too:
-    /// each gets its own answer, both stay resident, and the accounting
-    /// holds. A cache that compared only hashes would answer the second
-    /// instance with the first one's answer.
+    /// slot and parameter string, so their map probes collide: each gets
+    /// its own answer, both stay resident, and the accounting holds. A
+    /// cache that compared only hashes would answer the second instance
+    /// with the first one's answer.
     #[test]
     fn colliding_instance_hashes_keep_their_own_answers() {
         let [h1, h2, _] = triple();
@@ -478,12 +549,9 @@ mod tests {
             Arc::new(InstanceKey::with_hash(&h2, 0xC0111DE)),
         );
         assert_ne!(k1, k2, "different instances");
-        let (q1, q2) = (
-            Keyed::new(&k1, SLOT, "k".into()),
-            Keyed::new(&k2, SLOT, "k".into()),
-        );
-        assert_eq!(q1.hash, q2.hash, "the queries collide");
-        assert!(q1 != q2, "equality compares the whole query");
+        let (q1, q2) = (Keyed::new(&k1), Keyed::new(&k2));
+        assert_eq!(q1.hash, q2.hash, "the keys collide");
+        assert!(q1 != q2, "equality compares the whole key");
         let cache = ResultCache::new(1 << 20);
         assert_eq!(ask(&cache, &k1, "k", 1), (1, false));
         assert_eq!(ask(&cache, &k2, "k", 2), (2, false), "k2 is not k1");
@@ -497,13 +565,54 @@ mod tests {
         assert_accounting(&cache);
     }
 
+    /// Three slots of one key make one entry, one tick and one key charge,
+    /// while `len()` and the occupancy the `_entries` gauge is set from
+    /// count the three answers.
+    #[test]
+    fn one_instance_holds_its_answers_in_one_entry() {
+        let key = key_of(&generators::cycle(4));
+        let cache = ResultCache::new(1 << 20);
+        for (i, slot) in ["result-fhw", "result-ghw", "result-hw"]
+            .into_iter()
+            .enumerate()
+        {
+            let (v, stats) = cache.query(&key, slot, "p".into(), || {
+                (i as u32, SearchStats::default())
+            });
+            assert_eq!((v, stats.result_cache_hits), (i as u32, 0), "{slot}");
+        }
+        {
+            let table = cache.lock();
+            assert_eq!(table.entries.len(), 1, "one map entry");
+            assert_eq!(table.order.ticks.len(), 1, "one tick");
+            assert_eq!(table.entries[&Keyed::new(&key)].answers.len(), 3);
+            assert_eq!(table.occupancy().1, 3, "the gauge counts answers");
+        }
+        assert_eq!(cache.len(), 3);
+        assert_eq!(
+            cache.approx_bytes(),
+            key.approx_bytes() + 3 * answer_charge("p", 0),
+            "the key is charged once"
+        );
+        assert_accounting(&cache);
+        for (i, slot) in ["result-fhw", "result-ghw", "result-hw"]
+            .into_iter()
+            .enumerate()
+        {
+            let (v, stats) = cache.query(&key, slot, "p".into(), || (99, SearchStats::default()));
+            assert_eq!((v, stats.result_cache_hits), (i as u32, 1), "{slot}");
+        }
+    }
+
     /// Thousands of distinct queries under a small budget, with repeats
-    /// interleaved; every instance is asked under two parameter strings
-    /// that share its key. After every call the hit-or-run outcome and the
-    /// residents must be exactly what a plain least-recently-used list
-    /// keeps (re-summing every size on every store, the slow way, each
-    /// charging the shared key in full), and the running byte total must
-    /// equal a re-sum over the resident answers.
+    /// interleaved; every instance is asked under two parameter strings.
+    /// After every call the hit-or-run outcome, the resident instances
+    /// with their answers, and the running byte total must be exactly what
+    /// a plain least-recently-used list of instances keeps (re-summing
+    /// every size on every store, the slow way, each instance charging its
+    /// key once): a hit on either answer refreshes its instance, a store
+    /// refreshes the instance it stores to, and an eviction drops the
+    /// instance with both of its answers.
     #[test]
     fn tick_lru_and_running_total_match_a_full_resum_model() {
         const STEPS: usize = 4_000;
@@ -516,19 +625,26 @@ mod tests {
                 ))
             })
             .collect();
-        let instance = |id: usize| &instances[id / 2];
+        let keys: HashSet<Keyed> = instances.iter().map(Keyed::new).collect();
+        assert_eq!(keys.len(), instances.len());
+        // Query `id` asks instance `id / 2`, so the two share a key.
+        let instance = |id: usize| id / 2;
         let params = |id: usize| "k".repeat(id % 7);
-        let size = |id: usize| charge(instance(id), &params(id), id as u32);
-        let budget = 12 * size(0);
+        let answer = |id: usize| answer_charge(&params(id), id as u32);
+        let key = |i: usize| instances[i].approx_bytes();
+        let budget = 12 * (key(0) + answer(0));
         let cache = ResultCache::new(budget);
-        let keys: Vec<Keyed> = (0..STEPS)
-            .map(|id| Keyed::new(instance(id), SLOT, params(id)))
-            .collect();
-        assert_eq!(keys.iter().collect::<HashSet<_>>().len(), STEPS);
 
-        // The model: ids least recent first.
-        let mut order: Vec<usize> = Vec::new();
-        let (mut next_new, mut evictions) = (0, 0);
+        // The model: instances least recent first, each with its resident
+        // answers' ids in store order.
+        let mut order: Vec<(usize, Vec<usize>)> = Vec::new();
+        let total = |order: &[(usize, Vec<usize>)]| -> usize {
+            order
+                .iter()
+                .map(|(i, ids)| key(*i) + ids.iter().map(|&id| answer(id)).sum::<usize>())
+                .sum()
+        };
+        let (mut next_new, mut evicted) = (0, 0);
         let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
         for step in 0..STEPS {
             rng = rng
@@ -543,58 +659,81 @@ mod tests {
                 next_new += 1;
                 next_new - 1
             };
-            let (v, hit) = ask(&cache, instance(id), &params(id), id as u32);
+            let (v, hit) = ask(&cache, &instances[instance(id)], &params(id), id as u32);
             assert_eq!(v, id as u32, "step {step}: wrong answer");
 
-            let resident = order.contains(&id);
+            let at = order.iter().position(|(i, _)| *i == instance(id));
+            let resident = at.is_some_and(|p| order[p].1.contains(&id));
             assert_eq!(hit, resident, "step {step}: hit iff resident");
-            order.retain(|&o| o != id);
-            order.push(id);
+            // A hit or a store makes the instance the most recent; a store
+            // then evicts whole instances from the front.
+            let mut entry = at.map_or((instance(id), Vec::new()), |p| order.remove(p));
             if !resident {
-                let mut total: usize = order.iter().map(|&o| size(o)).sum();
-                while total > budget && order.len() > 1 {
-                    total -= size(order.remove(0));
-                    evictions += 1;
-                }
+                entry.1.push(id);
             }
-            let total: usize = order.iter().map(|&o| size(o)).sum();
-            assert!(total <= budget || order == [id], "step {step}: over budget");
+            order.push(entry);
+            while !resident && total(&order) > budget && order.len() > 1 {
+                evicted += order.remove(0).1.len();
+            }
+            let bytes = total(&order);
+            assert!(
+                bytes <= budget || order.len() == 1,
+                "step {step}: over budget"
+            );
 
             {
                 let table = cache.lock();
-                let residents: Vec<&Keyed> = table.order.values().collect();
-                let expected: Vec<&Keyed> = order.iter().map(|&o| &keys[o]).collect();
+                let residents: Vec<(&InstanceKey, Vec<&str>)> = table
+                    .order
+                    .ticks
+                    .values()
+                    .map(|k| {
+                        let answers = table.entries[k].answers.iter();
+                        (&*k.key, answers.map(|s| s.params.as_str()).collect())
+                    })
+                    .collect();
+                let expected_params: Vec<Vec<String>> = order
+                    .iter()
+                    .map(|(_, ids)| ids.iter().map(|&id| params(id)).collect())
+                    .collect();
+                let expected: Vec<(&InstanceKey, Vec<&str>)> = order
+                    .iter()
+                    .zip(&expected_params)
+                    .map(|((i, _), p)| (&*instances[*i], p.iter().map(String::as_str).collect()))
+                    .collect();
                 assert!(residents == expected, "step {step}: residents differ");
             }
-            assert_eq!(cache.approx_bytes(), total, "step {step}");
-            assert_eq!(cache.len(), order.len(), "step {step}");
+            assert_eq!(cache.approx_bytes(), bytes, "step {step}");
+            let answers: usize = order.iter().map(|(_, ids)| ids.len()).sum();
+            assert_eq!(cache.len(), answers, "step {step}");
             if step % 97 == 0 {
                 assert_accounting(&cache);
             }
         }
         assert_accounting(&cache);
         assert!(next_new > 2_000, "only {next_new} distinct queries");
-        assert!(evictions > next_new / 2, "budget never bound: {evictions}");
+        assert!(evicted > next_new / 2, "budget never bound: {evicted}");
     }
 
     /// The fhw, ghw and hw answers of one acyclic instance share its one
     /// join tree, and each charges the whole tree: the running total
-    /// equals a re-sum that counts the tree in full per answer. Under a
-    /// budget of one answer, each store evicts the one before it, never
-    /// itself.
+    /// equals a re-sum that counts the instance's key once and the tree in
+    /// full per answer. Under a budget of one such instance, storing a
+    /// second instance evicts the first with all three answers, never the
+    /// instance just stored to.
     #[test]
     fn answers_sharing_one_tree_each_charge_it_in_full() {
         type Fhw = (Option<(Rational, Decomposition)>, SearchStats);
         type Width = (Option<(usize, Decomposition)>, SearchStats);
-        let h = generators::cq_chain(5, 3, 1);
-        let key = key_of(&h);
-        let tree = decomp::join_tree(&h).expect("acyclic");
         let stats = SearchStats {
             ub_width: Some(Rational::one()),
             ..SearchStats::default()
         };
-        // Each store and its repeat: hit or not, and the stored tree.
-        let store_all = |cache: &ResultCache| {
+        // Each store of `h`'s three answers and its repeat: hit or not,
+        // and the stored tree.
+        let store_all = |cache: &ResultCache, h: &Hypergraph| {
+            let key = key_of(h);
+            let tree = decomp::join_tree(h).expect("acyclic");
             let fhw = |hit| {
                 let (r, s): Fhw = cache.query(&key, "result-fhw", "p".into(), || {
                     (Some((Rational::one(), tree.clone())), stats.clone())
@@ -609,11 +748,12 @@ mod tests {
                 assert_eq!(s.result_cache_hits == 1, hit, "{slot}");
                 r.expect("width 1").1
             };
-            [
+            let answers = [
                 (fhw(false), fhw(true)),
                 (width("result-ghw", false), width("result-ghw", true)),
                 (width("result-hw", false), width("result-hw", true)),
-            ]
+            ];
+            (tree, answers)
         };
         let answer_bytes = |answer: &Answer| match answer.downcast_ref::<Fhw>() {
             Some(fhw) => fhw.approx_bytes(),
@@ -623,20 +763,36 @@ mod tests {
                 .approx_bytes(),
         };
 
+        let h = generators::cq_chain(5, 3, 1);
         let cache = ResultCache::new(1 << 20);
-        for (stored, replayed) in store_all(&cache) {
+        let (tree, answers) = store_all(&cache, &h);
+        for (stored, replayed) in answers {
             assert_eq!((&stored, &replayed), (&tree, &tree));
         }
         assert_eq!(cache.len(), 3);
         assert_accounting_with(&cache, answer_bytes);
         assert!(cache.approx_bytes() > 3 * tree.approx_bytes());
 
-        // Room for any one of the three answers, not for two.
-        let one = cache.approx_bytes() / 2 - 1;
-        let small = ResultCache::new(one);
-        store_all(&small);
-        assert_eq!(small.len(), 1, "only the last answer stays");
+        // Room for one instance's three answers, not for a second instance
+        // beside it: `h` with its edges reversed has the same size.
+        let reversed = Hypergraph::from_edges(
+            h.num_vertices(),
+            h.edges().iter().rev().map(|e| e.to_vec()).collect(),
+        );
+        let small = ResultCache::new(cache.approx_bytes());
+        store_all(&small, &h);
+        assert_eq!(small.len(), 3, "one whole instance fits");
+        store_all(&small, &reversed);
+        assert_eq!(small.len(), 3, "only the last instance stays");
+        assert_eq!(small.approx_bytes(), cache.approx_bytes());
         assert_accounting_with(&small, answer_bytes);
+        let (_, stats): Width = small.query(&key_of(&h), "result-hw", "p".into(), || {
+            (None, SearchStats::default())
+        });
+        assert_eq!(
+            stats.result_cache_hits, 0,
+            "the first instance was evicted whole"
+        );
     }
 
     /// Evictions racing in-flight searches: four threads start together and

@@ -15,10 +15,11 @@
 //!    independently, the width recombines as the maximum, and the
 //!    [`lift`] module stitches the block trees back into one witness;
 //! 3. [`global_cache`] — the process-lifetime result cache: whole-query
-//!    answers ([`cached_query`]), keyed by the instance's [`InstanceKey`]
-//!    (its flat canonical form and a once-computed keyed hash), which a
-//!    repeated call adopts instead of searching; answers and their LRU
-//!    order sit under one lock.
+//!    answers ([`cached_query`]), one entry per instance's
+//!    [`InstanceKey`] (its flat canonical form and a once-computed keyed
+//!    hash) holding all of that instance's answers, which a repeated call
+//!    adopts instead of searching; the entries and their LRU order sit
+//!    under one lock.
 //!
 //! See `src/README.md` for the pass catalog, the trace/lift contract, the
 //! fingerprint definition and the cache lifetime rules.

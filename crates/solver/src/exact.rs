@@ -11,7 +11,8 @@
 //!
 //! * [`Instance::front_door`] — the isolated-vertex check, the `solve`
 //!   span, the cross-call result cache (its only caller, under the
-//!   instance's one [`InstanceKey`]), the
+//!   instance's one [`InstanceKey`], whose cache entry holds every
+//!   measure's answers), the
 //!   `hgtool_solve_latency_seconds{strategy}` histogram, and the result
 //!   cache and LP counters of the `obs` registry, each a sum of the
 //!   returned [`SearchStats`]. `hw` goes through it too
@@ -338,10 +339,10 @@ type Seed = (usize, Decomposition);
 /// call.
 ///
 /// A plain value owned by one call: no lock, no global, and nothing of it
-/// outlives the call but the key, which the result cache keeps with each
-/// answer it stores. The key is built by the first query that consults
-/// the cache; the join tree, blocks and seeds only inside its miss path,
-/// so a cache hit builds none of them.
+/// outlives the call but the key, which the result cache keeps once, in
+/// the one entry that holds the instance's answers. The key is built by
+/// the first query that consults the cache; the join tree, blocks and
+/// seeds only inside its miss path, so a cache hit builds none of them.
 pub struct Instance<'h> {
     h: &'h Hypergraph,
     opts: EngineOptions,
@@ -405,6 +406,13 @@ impl<'h> Instance<'h> {
     /// call's [`SearchStats`] to the engine's result-cache and LP
     /// counters, their only writer. `run` is the search, handed this
     /// instance on a miss. `measure` is `"hw"`, `"ghw"` or `"fhw"`.
+    ///
+    /// The cache keeps one entry per key, so every measure asked of this
+    /// instance stores into one entry, under its own slot and parameters:
+    /// a hit reports `result_cache_hits = 1` and the stored run's
+    /// counters, a search that unwinds stores nothing (the measures
+    /// stored before it stay), and of two identical queries that race,
+    /// the first answer stored is kept.
     pub fn front_door<T>(
         &mut self,
         measure: &'static str,

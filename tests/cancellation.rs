@@ -4,7 +4,8 @@
 //! `hw`. Under a
 //! pre-cancelled token a call unwinds with the interrupt payload and
 //! stores nothing in the result cache, so the next call searches afresh;
-//! under a live token nothing changes.
+//! under a live token nothing changes. A verdict cancelled between its
+//! measures keeps the answers that completed.
 //!
 //! Each test owns its instance: the result cache is process-wide, and an
 //! answer another test cached would return before any poll.
@@ -13,8 +14,8 @@ use hypertree::arith::Rational;
 use hypertree::decomp::Decomposition;
 use hypertree::hypergraph::{generators, Hypergraph};
 use hypertree::prep::cancel::{interrupt, with_cancel, CancelToken};
-use hypertree::solver::{EngineOptions, SearchStats};
-use hypertree::{fhd, ghd, hd};
+use hypertree::solver::{exact::Instance, EngineOptions, SearchStats};
+use hypertree::{exact_widths_with_opts, fhd, ghd, hd};
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -89,4 +90,52 @@ fn edge_union_engine_honours_the_token() {
 fn detk_honours_the_token() {
     let h = generators::cycle(6);
     honours_the_token(&h, 2, |h, opts| hd::hypertree_width_with_stats(h, 3, opts));
+}
+
+/// A verdict cancelled between its measures keeps what finished. Asked
+/// of one `Instance` as `exact_widths_with_opts` asks it, fhw completes
+/// and is stored; then the token is cancelled and ghw unwinds, so the
+/// instance's cache entry holds fhw alone. A re-run of the whole verdict
+/// replays fhw (one hit, the same counters) and searches ghw and hw as a
+/// reuse-off verdict does.
+#[test]
+fn a_verdict_cancelled_between_measures_keeps_its_finished_answers() {
+    // grid(3,4) numbered backwards, which no other test asks. Its seed of
+    // 3 is above ⌈fhw⌉ = 2, so ghw's DP runs and polls the token.
+    let grid = generators::grid(3, 4);
+    let n = grid.num_vertices();
+    let edges = grid.edges().iter();
+    let h = Hypergraph::from_edges(
+        n,
+        edges
+            .map(|e| e.iter().map(|v| n - 1 - v).collect())
+            .collect(),
+    );
+    let opts = EngineOptions::default();
+    let token = CancelToken::new();
+    let (fhw, fhw_stats) = with_cancel(token.clone(), || {
+        let mut instance = Instance::new(&h, opts);
+        let fhw = fhd::fhw_exact_on(&mut instance, None);
+        token.cancel();
+        let unwound = catch_unwind(AssertUnwindSafe(|| ghd::ghw_exact_on(&mut instance, 2)));
+        let payload = unwound.expect_err("ghw unwinds under the cancelled token");
+        assert!(interrupt::is_interrupt(payload.as_ref()));
+        fhw
+    });
+    assert_eq!(fhw.map(|(w, _)| w), Some(Rational::from_int(2)));
+    assert_eq!(fhw_stats.result_cache_hits, 0);
+
+    let (widths, stats) = exact_widths_with_opts(&h, 8, opts).expect("in range");
+    let (cold_widths, cold) =
+        exact_widths_with_opts(&h, 8, EngineOptions::sequential()).expect("in range");
+    assert_eq!(widths, cold_widths);
+    assert_eq!(
+        stats.fhw.result_cache_hits, 1,
+        "fhw was stored before the cancel"
+    );
+    assert_eq!(stats.fhw.engine_only(), fhw_stats.engine_only());
+    for (name, searched, cold) in [("ghw", &stats.ghw, &cold.ghw), ("hw", &stats.hw, &cold.hw)] {
+        assert_eq!(searched.result_cache_hits, 0, "{name} searches afresh");
+        assert_eq!(searched.engine_only(), cold.engine_only(), "{name}");
+    }
 }

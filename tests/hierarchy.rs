@@ -3,9 +3,9 @@
 //! floors the front door derives from that hierarchy.
 
 use hypertree::arith::{rat, Rational};
-use hypertree::decomp::validate;
+use hypertree::decomp::{validate, Decomposition};
 use hypertree::hypergraph::{generators, Hypergraph, VertexSet};
-use hypertree::solver::EngineOptions;
+use hypertree::solver::{EngineOptions, SearchStats};
 use hypertree::{exact_widths, exact_widths_with_opts, fhd, ghd, hd, ExactWidths, WidthStats};
 
 fn corpus() -> Vec<(String, Hypergraph)> {
@@ -231,6 +231,46 @@ fn floors_agree_with_per_measure_widths() {
             fhw: fhw_stats.engine_only(),
         };
         assert_eq!(front_stats, per_measure, "{name}: front door counters");
+    }
+}
+
+/// A replayed hw answer reports what a cold call at its own floor counts.
+/// After `exact_widths_with_opts` stores hw at floor ghw, hw asked with
+/// reuse on at every floor from 1 to hw matches a reuse-off call at that
+/// floor: width, rendered witness and `engine_only()` counters. A floor
+/// hits exactly when an earlier call ran the same first det-k check
+/// (`max(floor, 2)`), so floor 1 never replays a floor-3 answer.
+#[test]
+fn hw_replays_at_every_floor_equal_cold_runs() {
+    let rendered = |h: &Hypergraph, (r, s): (Option<(usize, Decomposition)>, SearchStats)| {
+        (r.map(|(k, d)| (k, d.render(h))), s.engine_only())
+    };
+    for (name, base) in [
+        ("clique6", generators::clique(6)),
+        ("hypercube3", generators::hypercube(3)),
+        ("grid3x3", generators::grid(3, 3)),
+    ] {
+        let h = relabel(&base, 1033);
+        let (widths, _) = exact_widths_with_opts(&h, 8, EngineOptions::default())
+            .unwrap_or_else(|| panic!("{name}: in range"));
+        let mut first_checks = vec![widths.ghw.max(2)];
+        for floor in 1..=widths.hw {
+            let (warm, warm_stats) =
+                hd::hypertree_width_at_least(&h, floor, 8, EngineOptions::default());
+            let cold = hd::hypertree_width_at_least(&h, floor, 8, EngineOptions::sequential());
+            let hit = first_checks.contains(&floor.max(2));
+            assert_eq!(
+                warm_stats.result_cache_hits,
+                usize::from(hit),
+                "{name} at floor {floor}"
+            );
+            assert_eq!(
+                rendered(&h, (warm, warm_stats)),
+                rendered(&h, cold),
+                "{name} at floor {floor}: replayed vs cold"
+            );
+            first_checks.push(floor.max(2));
+        }
     }
 }
 
